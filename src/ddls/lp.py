@@ -8,11 +8,18 @@ Two engines solve the same ``LinearProgram``:
   two-phase primal simplex with Dantzig pricing and a Bland's-rule
   fallback after a run of degenerate pivots, so it terminates on every
   input.  Adequate for a few hundred variables.
-* ``highs`` -- scipy's interface to HiGHS, used where solve volume
-  matters.  Both engines are deterministic.
+* ``highs`` -- HiGHS, used where solve volume matters.  It calls
+  scipy's bundled binding (``scipy.optimize._highspy._core``) directly,
+  with exactly the model, options and acceptance checks of
+  ``scipy.optimize.linprog(method="highs")``, so the two give the same
+  status, point and objective; ``tests/test_lp_direct.py`` checks that
+  over every window of a desk day.  The call skips linprog's input
+  cleaning and re-conversion, and reuses one sparse copy of a read-only
+  constraint matrix pair across solves.  Where this scipy lacks the
+  binding (checked once at import), ``highs`` falls back to linprog.
 
-Feasibility is accepted within FEAS_TOL (1e-7); reduced costs are
-optimal within OPT_TOL (1e-9).
+Both engines are deterministic.  Feasibility is accepted within
+FEAS_TOL (1e-7); reduced costs are optimal within OPT_TOL (1e-9).
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+from scipy.sparse import csc_array
 
 from .csvio import fmt_cell
 from .errors import ConfigurationError, SolverError
@@ -96,6 +104,7 @@ class LpSolution:
     status: str
     values: np.ndarray | None
     objective: float
+    iterations: int = 0  # simplex iterations the engine reports
 
     @property
     def is_optimal(self) -> bool:
@@ -112,7 +121,132 @@ def solve(program: LinearProgram, engine: str = "simplex",
     raise ConfigurationError(f"unknown engine {engine!r}")
 
 
+def _load_highs():
+    """scipy's bundled HiGHS binding, or None where this scipy lacks it."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    needed = ("_Highs", "HighsLp", "HighsOptions", "HighsModelStatus", "HighsStatus",
+              "HighsDebugLevel", "MatrixFormat", "simplex_constants", "kHighsInf")
+    return _core if all(hasattr(_core, name) for name in needed) else None
+
+
+_HIGHS = _load_highs()
+
+# linprog's acceptance tolerance for HiGHS points: sqrt(tol) * 10, tol = 1e-9
+_ACCEPT_TOL = np.sqrt(1e-9) * 10
+
+# (id(eq), id(ineq)) -> (eq, ineq, (indptr, indices, data)); the entry
+# holds both arrays, so their ids stay unique while it lives
+_CSC_CACHE: dict = {}
+_CSC_CACHE_SIZE = 32
+
+
 def _solve_highs(program: LinearProgram) -> LpSolution:
+    if _HIGHS is None:
+        return _solve_linprog(program)
+    h = _HIGHS
+    n = program.n_vars
+    mi = program.ineq_matrix.shape[0]
+    # linprog's layout: the >= rows as -A x <= -b, then the equality rows
+    rhs = np.concatenate((-program.ineq_rhs, program.eq_rhs))
+    lhs = np.concatenate((np.full(mi, -np.inf), program.eq_rhs))
+    indptr, indices, data = _constraint_csc(program.eq_matrix, program.ineq_matrix)
+
+    lp = h.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = rhs.size
+    lp.a_matrix_.num_col_ = n
+    lp.a_matrix_.num_row_ = rhs.size
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    lp.col_cost_ = program.objective
+    lp.col_lower_ = _highs_inf(program.lower)
+    lp.col_upper_ = _highs_inf(program.upper)
+    lp.row_lower_ = _highs_inf(lhs)
+    lp.row_upper_ = _highs_inf(rhs)
+    lp.a_matrix_.start_ = indptr
+    lp.a_matrix_.index_ = indices
+    lp.a_matrix_.value_ = data
+
+    highs = h._Highs()
+    highs.passOptions(_OPTIONS)
+    if highs.passModel(lp) == h.HighsStatus.kError:
+        model_status = h.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    iterations = int(info.simplex_iteration_count)
+    if model_status in (h.HighsModelStatus.kInfeasible, h.HighsModelStatus.kModelError):
+        return LpSolution("infeasible", None, float("nan"), iterations)
+    if model_status == h.HighsModelStatus.kUnbounded:
+        return LpSolution("unbounded", None, float("-inf"), iterations)
+    if model_status != h.HighsModelStatus.kOptimal:
+        raise SolverError(
+            f"external solver failed: HiGHS status {highs.modelStatusToString(model_status)}"
+        )
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    fun = info.objective_function_value
+    # linprog's _check_result: bound, slack and equality residuals
+    residual = rhs - np.array(solution.row_value)
+    if (
+        np.isnan(x).any() or np.isnan(fun) or np.isnan(residual).any()
+        or not np.all((x >= program.lower - _ACCEPT_TOL) & (x <= program.upper + _ACCEPT_TOL))
+        or (residual[:mi] < -_ACCEPT_TOL).any()
+        or (np.abs(residual[mi:]) > _ACCEPT_TOL).any()
+    ):
+        raise SolverError(
+            f"external solver failed: HiGHS point violates the constraints by more "
+            f"than {_ACCEPT_TOL:.2e}"
+        )
+    return LpSolution("optimal", x, float(fun), iterations)
+
+
+def _highs_inf(values: np.ndarray) -> np.ndarray:
+    """Map +-inf to HiGHS's infinity, as linprog does."""
+    return np.where(np.isinf(values), np.copysign(_HIGHS.kHighsInf, values), values)
+
+
+def _highs_options():
+    """linprog's HiGHS options: presolve on, dual simplex, no output."""
+    h = _HIGHS
+    opts = h.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
+    opts.log_to_console = False
+    opts.output_flag = False
+    return opts
+
+
+_OPTIONS = None if _HIGHS is None else _highs_options()
+
+
+def _constraint_csc(eq: np.ndarray, ineq: np.ndarray):
+    """CSC arrays of linprog's stacked matrix [-ineq; eq].
+
+    Read-only pairs (the scheduler's cached window rows) are taken as
+    immutable and converted once; any other pair is converted per call.
+    """
+    if eq.flags.writeable or ineq.flags.writeable:
+        return _to_csc(eq, ineq)
+    key = (id(eq), id(ineq))
+    entry = _CSC_CACHE.get(key)
+    if entry is None:
+        if len(_CSC_CACHE) >= _CSC_CACHE_SIZE:
+            del _CSC_CACHE[next(iter(_CSC_CACHE))]
+        entry = _CSC_CACHE[key] = (eq, ineq, _to_csc(eq, ineq))
+    return entry[2]
+
+
+def _to_csc(eq, ineq):
+    matrix = csc_array(np.vstack((-ineq, eq)))
+    return matrix.indptr, matrix.indices, matrix.data
+
+
+def _solve_linprog(program: LinearProgram) -> LpSolution:
     bounds = [
         (None if lo == -np.inf else lo, None if hi == np.inf else hi)
         for lo, hi in zip(program.lower, program.upper)
@@ -128,12 +262,13 @@ def _solve_highs(program: LinearProgram) -> LpSolution:
         bounds=bounds,
         method="highs",
     )
+    iterations = int(res.nit or 0)
     if res.status == 0:
-        return LpSolution("optimal", np.asarray(res.x, dtype=float), float(res.fun))
+        return LpSolution("optimal", np.asarray(res.x, dtype=float), float(res.fun), iterations)
     if res.status == 2:
-        return LpSolution("infeasible", None, float("nan"))
+        return LpSolution("infeasible", None, float("nan"), iterations)
     if res.status == 3:
-        return LpSolution("unbounded", None, float("-inf"))
+        return LpSolution("unbounded", None, float("-inf"), iterations)
     raise SolverError(f"external solver failed: {res.message}")
 
 
@@ -214,7 +349,7 @@ class _Simplex:
         full[self.basis] = self.xb
         x = full[: self.n]
         self._audit(x)
-        return LpSolution("optimal", x, float(prog.objective @ x))
+        return LpSolution("optimal", x, float(prog.objective @ x), self.iters)
 
     def _solve_box(self) -> LpSolution:
         prog = self.prog

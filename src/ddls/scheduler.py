@@ -19,8 +19,9 @@ reported objectives are actual window costs.
 
 from __future__ import annotations
 
+import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -165,6 +166,7 @@ class HorizonInputs:
     t2: int | None = None
     known_future: np.ndarray | None = None
     start_lag: int = 0
+    _arrivals: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.codebook = tuple(self.codebook)
@@ -225,10 +227,15 @@ class HorizonInputs:
         return max_u - 1 + self.start_lag
 
     def arrival_matrix(self) -> np.ndarray:
-        return certainty_equivalent_arrivals(
-            self.observed, self.forecast_rates, self.start_epoch, self.lookahead,
-            t1=self.t1, t2=self.t2, known_future=self.known_future,
-        )
+        """The window's cumulative arrivals, computed once; read-only."""
+        if self._arrivals is None:
+            arrivals = certainty_equivalent_arrivals(
+                self.observed, self.forecast_rates, self.start_epoch, self.lookahead,
+                t1=self.t1, t2=self.t2, known_future=self.known_future,
+            )
+            arrivals.flags.writeable = False
+            self._arrivals = arrivals
+        return self._arrivals
 
     def net_zic(self) -> np.ndarray:
         """Window supply minus the pulse tails of already-committed starts."""
@@ -247,14 +254,11 @@ class HorizonInputs:
         floor = np.zeros((q, t + 1))
         if self.deadline_epochs is None:
             return floor
-        for j in range(t + 1):
-            cutoff = self.start_epoch + j - self.deadline_epochs
-            if cutoff < 0:
-                continue
-            if cutoff <= self.start_epoch:
-                floor[:, j] = self.observed[:, cutoff]
-            else:
-                floor[:, j] = arrivals[:, cutoff - self.start_epoch]
+        cutoff = self.start_epoch + np.arange(t + 1) - self.deadline_epochs
+        due = cutoff >= 0
+        # cumulative arrivals by absolute epoch: observed, then the forecast
+        history = np.hstack((self.observed, arrivals[:, 1:]))
+        floor[:, due] = history[:, cutoff[due]]
         return floor
 
     def delay_constant(self, arrivals: np.ndarray) -> float:
@@ -263,9 +267,43 @@ class HorizonInputs:
         return float((self.delay_prices[:, None] * shifted).sum())
 
 
-def _completion_positions(inputs: HorizonInputs):
-    t = inputs.lookahead
-    return [(q, t - code.duration_epochs) for q, code in enumerate(inputs.codebook)]
+@functools.lru_cache(maxsize=16)
+def _window_rows(codebook: tuple[ChargeCode, ...], lookahead: int, start_lag: int,
+                relax_completion: bool):
+    """The window LP's constraint rows, which no epoch changes.
+
+    Returns read-only ``(eq_matrix, ineq_matrix, ineq_rhs, completion)``:
+    the T+1 balance rows (gamma, -up, +dn) and one completion row per
+    queue; the Q*T monotonicity rows e(j) - e(j-1) >= 0; and the column
+    of each queue's completion variable.  One copy per key is shared by
+    every window and every scheduler that asks for it.
+    """
+    q, width = len(codebook), lookahead + 1
+    n_e = q * width
+    n = n_e + 2 * width + (q if relax_completion else 0)
+    epochs = np.arange(width)
+    queues = np.arange(q)
+    completion = queues * width + np.array(
+        [lookahead - code.duration_epochs for code in codebook]
+    )
+
+    eq = np.zeros((width + q, n))
+    eq[:width, :n_e] = build_gamma(codebook, lookahead, start_lag)
+    eq[epochs, n_e + epochs] = -1.0
+    eq[epochs, n_e + width + epochs] = 1.0
+    eq[width + queues, completion] = 1.0
+    if relax_completion:
+        eq[width + queues, n_e + 2 * width + queues] = 1.0
+
+    later = (queues[:, None] * width + epochs[None, 1:]).ravel()
+    ineq = np.zeros((later.size, n))
+    ineq[np.arange(later.size), later] = 1.0
+    ineq[np.arange(later.size), later - 1] = -1.0
+    ineq_rhs = np.zeros(later.size)
+
+    for arr in (eq, ineq, ineq_rhs, completion):
+        arr.flags.writeable = False
+    return eq, ineq, ineq_rhs, completion
 
 
 def build_program(inputs: HorizonInputs, relax_completion: bool = False) -> LinearProgram:
@@ -276,72 +314,36 @@ def build_program(inputs: HorizonInputs, relax_completion: bool = False) -> Line
     the horizon-end completion fall short at a penalty of 10x the
     largest price (numerical-rescue path; in exact arithmetic the
     completion rows are always satisfiable because d = a meets every
-    constraint).
+    constraint).  The constraint matrices come from ``_window_rows``;
+    only the cost, the bounds and the equality right-hand side are
+    filled per window.
     """
     q, t = inputs.n_queues, inputs.lookahead
     width = t + 1
-    n_e = q * width
-    n = n_e + 2 * width + (q if relax_completion else 0)
+    eq, ineq, ineq_rhs, completion = _window_rows(
+        inputs.codebook, t, inputs.start_lag, relax_completion
+    )
     arrivals = inputs.arrival_matrix()
-    shifted = np.maximum(arrivals - inputs.prior_departures[:, None], 0.0)
-    gamma = build_gamma(inputs.codebook, t, inputs.start_lag)
-    net = inputs.net_zic()
+    prior = inputs.prior_departures[:, None]
+    shifted = np.maximum(arrivals - prior, 0.0)
+    n_free = 2 * width + (q if relax_completion else 0)
 
-    cost = np.zeros(n)
-    for qi in range(q):
-        cost[qi * width : (qi + 1) * width] = -inputs.delay_prices[qi]
-    cost[n_e : n_e + width] = inputs.price_up
-    cost[n_e + width : n_e + 2 * width] = inputs.price_dn
+    cost = [np.repeat(-inputs.delay_prices, width), inputs.price_up, inputs.price_dn]
     if relax_completion:
         penalty = 10.0 * max(
             inputs.price_up.max(), inputs.price_dn.max(), inputs.delay_prices.max(), 1.0
         )
-        cost[n_e + 2 * width :] = penalty
+        cost.append(np.full(q, penalty))
 
-    eq_rows = []
-    eq_rhs = []
-    for j in range(width):
-        row = np.zeros(n)
-        row[:n_e] = gamma[j]
-        row[n_e + j] = -1.0
-        row[n_e + width + j] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(net[j])
-    for slack_idx, (qi, pos) in enumerate(_completion_positions(inputs)):
-        row = np.zeros(n)
-        row[qi * width + pos] = 1.0
-        if relax_completion:
-            row[n_e + 2 * width + slack_idx] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(shifted[qi, pos])
-
-    ineq_rows = []
-    ineq_rhs = []
-    for qi in range(q):
-        for j in range(1, width):
-            row = np.zeros(n)
-            row[qi * width + j] = 1.0
-            row[qi * width + j - 1] = -1.0
-            ineq_rows.append(row)
-            ineq_rhs.append(0.0)
-
-    floor = inputs.deadline_floor(arrivals)
-    lower = np.zeros(n)
-    upper = np.full(n, np.inf)
-    for qi in range(q):
-        lo = np.maximum(floor[qi] - inputs.prior_departures[qi], 0.0)
-        hi = shifted[qi]
-        lower[qi * width : (qi + 1) * width] = np.minimum(lo, hi)
-        upper[qi * width : (qi + 1) * width] = hi
-
+    floor = np.maximum(inputs.deadline_floor(arrivals) - prior, 0.0)
     return LinearProgram(
-        cost,
-        eq_matrix=np.array(eq_rows),
-        eq_rhs=np.array(eq_rhs),
-        ineq_matrix=np.array(ineq_rows),
-        ineq_rhs=np.array(ineq_rhs),
-        lower=lower,
-        upper=upper,
+        np.concatenate(cost),
+        eq_matrix=eq,
+        eq_rhs=np.concatenate((inputs.net_zic(), shifted.ravel()[completion])),
+        ineq_matrix=ineq,
+        ineq_rhs=ineq_rhs,
+        lower=np.concatenate((np.minimum(floor, shifted).ravel(), np.zeros(n_free))),
+        upper=np.concatenate((shifted.ravel(), np.full(n_free, np.inf))),
     )
 
 
@@ -596,10 +598,8 @@ class RecedingHorizonScheduler:
         plan_view = solution
         if relaxed:
             # slack columns trail the plan layout, so slice them off
-            plan_view = LpSolution(
-                status=solution.status,
-                values=solution.values[: self.n_queues * width + 2 * width],
-                objective=solution.objective,
+            plan_view = replace(
+                solution, values=solution.values[: self.n_queues * width + 2 * width]
             )
         plan = extract_plan(plan_view, inputs)
         committed = round_and_commit(solution, inputs)

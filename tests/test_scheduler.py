@@ -301,6 +301,141 @@ class TestBuildProgram:
             window_inputs(codebook, np.zeros(3), np.zeros((1, 3), dtype=int))
 
 
+def rowwise_program(inputs, relax_completion):
+    """Oracle: the window LP assembled densely, one row at a time."""
+    q, t = inputs.n_queues, inputs.lookahead
+    width = t + 1
+    n_e = q * width
+    n = n_e + 2 * width + (q if relax_completion else 0)
+    arrivals = inputs.arrival_matrix()
+    shifted = np.maximum(arrivals - inputs.prior_departures[:, None], 0.0)
+    gamma = build_gamma(inputs.codebook, t, inputs.start_lag)
+    net = inputs.net_zic()
+
+    cost = np.zeros(n)
+    for qi in range(q):
+        cost[qi * width : (qi + 1) * width] = -inputs.delay_prices[qi]
+    cost[n_e : n_e + width] = inputs.price_up
+    cost[n_e + width : n_e + 2 * width] = inputs.price_dn
+    if relax_completion:
+        cost[n_e + 2 * width :] = 10.0 * max(
+            inputs.price_up.max(), inputs.price_dn.max(), inputs.delay_prices.max(), 1.0
+        )
+
+    eq_rows, eq_rhs = [], []
+    for j in range(width):
+        row = np.zeros(n)
+        row[:n_e] = gamma[j]
+        row[n_e + j] = -1.0
+        row[n_e + width + j] = 1.0
+        eq_rows.append(row)
+        eq_rhs.append(net[j])
+    for qi, code in enumerate(inputs.codebook):
+        pos = t - code.duration_epochs
+        row = np.zeros(n)
+        row[qi * width + pos] = 1.0
+        if relax_completion:
+            row[n_e + 2 * width + qi] = 1.0
+        eq_rows.append(row)
+        eq_rhs.append(shifted[qi, pos])
+
+    ineq_rows = []
+    for qi in range(q):
+        for j in range(1, width):
+            row = np.zeros(n)
+            row[qi * width + j] = 1.0
+            row[qi * width + j - 1] = -1.0
+            ineq_rows.append(row)
+
+    floor = np.zeros((q, width))
+    for j in range(width):
+        cutoff = inputs.start_epoch + j - inputs.deadline_epochs
+        if 0 <= cutoff <= inputs.start_epoch:
+            floor[:, j] = inputs.observed[:, cutoff]
+        elif cutoff > inputs.start_epoch:
+            floor[:, j] = arrivals[:, cutoff - inputs.start_epoch]
+    lower = np.zeros(n)
+    upper = np.full(n, np.inf)
+    for qi in range(q):
+        lo = np.maximum(floor[qi] - inputs.prior_departures[qi], 0.0)
+        lower[qi * width : (qi + 1) * width] = np.minimum(lo, shifted[qi])
+        upper[qi * width : (qi + 1) * width] = shifted[qi]
+    return {
+        "objective": cost, "eq_matrix": np.array(eq_rows), "eq_rhs": np.array(eq_rhs),
+        "ineq_matrix": np.array(ineq_rows), "ineq_rhs": np.zeros(len(ineq_rows)),
+        "lower": lower, "upper": upper,
+    }
+
+
+def mid_day_inputs(codebook, start_lag=0, seed=5):
+    """A window at epoch 6 with history, forecasts and a deadline."""
+    rng = np.random.default_rng(seed)
+    q, t, l0 = len(codebook), 7, 6
+    increments = rng.integers(0, 3, size=(q, l0 + 1))
+    observed = np.cumsum(increments, axis=1)
+    max_u = max(code.duration_epochs for code in codebook)
+    s = min(l0, max_u - 1 + start_lag)
+    return HorizonInputs(
+        start_epoch=l0,
+        observed=observed,
+        prior_departures=observed[:, -3],
+        zic_kw=rng.uniform(0.0, 6.0, size=t + 1),
+        price_up=rng.uniform(0.5, 2.0, size=t + 1),
+        price_dn=rng.uniform(0.1, 1.0, size=t + 1),
+        delay_prices=rng.uniform(0.0, 0.2, size=q),
+        codebook=codebook,
+        committed_history=rng.integers(0, 2, size=(s, q)),
+        lookahead=t,
+        forecast_rates=rng.uniform(0.0, 1.5, size=q),
+        deadline_epochs=4,
+        start_lag=start_lag,
+    )
+
+
+class TestWindowStructure:
+    CODEBOOK = (
+        ChargeCode(id=1, pulse=(1.5,)),
+        ChargeCode(id=2, pulse=(2.0, 1.0)),
+        ChargeCode(id=3, pulse=(0.5, 3.0, 2.5)),
+    )
+
+    @pytest.mark.parametrize("start_lag", [0, 1])
+    @pytest.mark.parametrize("relax", [False, True])
+    def test_matches_rowwise_assembly(self, relax, start_lag):
+        inputs = mid_day_inputs(self.CODEBOOK, start_lag)
+        program = build_program(inputs, relax_completion=relax)
+        for name, expected in rowwise_program(inputs, relax).items():
+            got = getattr(program, name)
+            assert got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), name
+
+    def test_windows_share_read_only_rows(self):
+        a = build_program(mid_day_inputs(self.CODEBOOK, seed=1))
+        b = build_program(mid_day_inputs(list(self.CODEBOOK), seed=2))
+        assert a.eq_matrix is b.eq_matrix
+        assert a.ineq_matrix is b.ineq_matrix
+        assert a.ineq_rhs is b.ineq_rhs
+        assert not np.array_equal(a.eq_rhs, b.eq_rhs)
+        for arr in (a.eq_matrix, a.ineq_matrix, a.ineq_rhs):
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+        lagged = build_program(mid_day_inputs(self.CODEBOOK, start_lag=1))
+        relaxed = build_program(mid_day_inputs(self.CODEBOOK), relax_completion=True)
+        assert lagged.eq_matrix is not a.eq_matrix
+        assert relaxed.eq_matrix is not a.eq_matrix
+
+    def test_arrival_matrix_computed_once(self):
+        inputs = mid_day_inputs(self.CODEBOOK)
+        arrivals = inputs.arrival_matrix()
+        assert inputs.arrival_matrix() is arrivals
+        expected = certainty_equivalent_arrivals(
+            inputs.observed, inputs.forecast_rates, inputs.start_epoch, inputs.lookahead
+        )
+        assert arrivals.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            arrivals[0, 0] = 1.0
+
+
 class TestAgainstEnumeration:
     @pytest.mark.parametrize("engine", ["highs", "simplex"])
     def test_relaxation_lower_bounds_integer_optimum_small(self, engine):
