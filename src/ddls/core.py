@@ -4,7 +4,8 @@ Appliances are grouped into service queues; every appliance in queue q
 draws the same power pulse g_q once started.  The controllable part of
 the aggregate demand is therefore determined entirely by the per-queue
 cumulative departure (start) counts d_q(l): each unit increment of
-d_q contributes one copy of g_q.
+d_q contributes one copy of g_q.  Load series are plain kW arrays on
+the epoch grid, starting at epoch 0.
 
 Two start conventions exist in the wild and both are supported through
 ``start_lag``: with ``start_lag=0`` (the default) a departure at epoch
@@ -19,32 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class Epoch:
-    """One discrete scheduling interval.
-
-    Attributes
-    ----------
-    index : int
-        Nonnegative position on the scheduling grid.
-    interval_s : float
-        Interval length in seconds (default 900, i.e. 15 minutes).
-    """
-
-    index: int
-    interval_s: float = 900.0
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"epoch index must be >= 0, got {self.index}")
-        if not self.interval_s > 0:
-            raise ValueError(f"interval_s must be positive, got {self.interval_s}")
-
-    @property
-    def wall_time_s(self) -> float:
-        return self.index * self.interval_s
 
 
 @dataclass(frozen=True)
@@ -122,35 +97,6 @@ class ArrivalEvent:
             raise ValueError(f"arrival_epoch must be >= 0, got {self.arrival_epoch}")
 
 
-@dataclass
-class LoadProfile:
-    """A kW time series on the epoch grid, starting at epoch ``start``."""
-
-    samples: np.ndarray
-    start: int = 0
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 1:
-            raise ValueError(f"samples must be 1-d, got shape {self.samples.shape}")
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples must be finite")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    def power_at(self, epoch: int) -> float:
-        """kW drawn at ``epoch`` (0 outside the stored range)."""
-        j = epoch - self.start
-        if 0 <= j < self.samples.size:
-            return float(self.samples[j])
-        return 0.0
-
-    def energy(self, interval_s: float = 1.0) -> float:
-        """Integral of the profile: sum of samples times the interval length."""
-        return float(self.samples.sum()) * interval_s
-
-
 def square_pulse(rate_kw: float, duration_epochs: int) -> tuple[float, ...]:
     """Constant-rate pulse over an integer number of epochs."""
     if duration_epochs < 1 or duration_epochs != int(duration_epochs):
@@ -190,7 +136,7 @@ def synthesize_load(
     codebook: list[ChargeCode],
     horizon: int,
     start_lag: int = 0,
-) -> LoadProfile:
+) -> np.ndarray:
     """Aggregate load implied by per-queue departure increments.
 
     Parameters
@@ -207,7 +153,7 @@ def synthesize_load(
 
     Returns
     -------
-    LoadProfile starting at epoch 0 with ``horizon`` samples:
+    ndarray of ``horizon`` kW samples starting at epoch 0:
     L(l) = sum_q sum_k [d_q(k) - d_q(k-1)] g_q(l - k - start_lag).
     """
     if start_lag not in (0, 1):
@@ -223,7 +169,7 @@ def synthesize_load(
         conv = np.convolve(row, np.asarray(code.pulse))
         lo = min(horizon, start_lag + conv.size)
         out[start_lag:lo] += conv[: lo - start_lag]
-    return LoadProfile(out)
+    return out
 
 
 def unscheduled_load(
@@ -232,7 +178,7 @@ def unscheduled_load(
     quantizer,
     horizon: int | None = None,
     start_lag: int = 0,
-) -> LoadProfile:
+) -> np.ndarray:
     """Load when every arrival starts immediately (departures = arrivals).
 
     Each event's request is mapped to its queue with
@@ -251,48 +197,3 @@ def unscheduled_load(
             raise ConfigurationError(f"quantizer returned unknown code id {code_id}")
         inc[code_id - 1, ev.arrival_epoch] += 1
     return synthesize_load(inc, codebook, horizon, start_lag=start_lag)
-
-
-def fold_committed(
-    base: LoadProfile,
-    committed_increments,
-    epoch: int,
-    codebook: list[ChargeCode],
-    start_lag: int = 0,
-) -> LoadProfile:
-    """Absorb just-committed starts into a fixed load profile.
-
-    Adds, for each queue q with ``committed_increments[q]`` starts at
-    ``epoch``, the pulse contribution falling at epochs strictly after
-    ``epoch``; the sample at ``epoch`` itself is already realized and is
-    left to the caller's accounting.  Returns a new profile (``base`` is
-    not modified), extended if a tail runs past its end.
-
-    With ``start_lag=0`` the contribution at l > epoch is
-    g_q(l - epoch); with ``start_lag=1`` it is g_q(l - epoch - 1) and
-    the whole pulse lands in the folded profile.
-    """
-    if start_lag not in (0, 1):
-        raise ConfigurationError(f"start_lag must be 0 or 1, got {start_lag}")
-    inc = np.asarray(committed_increments, dtype=float)
-    if inc.shape != (len(codebook),):
-        raise ConfigurationError(
-            f"committed increments shape {inc.shape} does not match codebook size {len(codebook)}"
-        )
-    if inc.size and (inc < 0).any():
-        raise ConfigurationError("committed increments must be nonnegative")
-
-    max_u = max(code.duration_epochs for code in codebook) if codebook else 0
-    needed = epoch + start_lag + max_u - base.start
-    samples = np.copy(base.samples)
-    if needed > samples.size:
-        samples = np.concatenate([samples, np.zeros(needed - samples.size)])
-    for q, code in enumerate(codebook):
-        if inc[q] == 0:
-            continue
-        for j, g in enumerate(code.pulse):
-            l = epoch + start_lag + j
-            if l <= epoch or l < base.start:
-                continue
-            samples[l - base.start] += inc[q] * g
-    return LoadProfile(samples, start=base.start)

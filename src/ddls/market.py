@@ -1,99 +1,18 @@
-"""Supply-side profile and real-time cost accounting.
+"""Real-time cost accounting against the supply profile.
 
 The scheduler shapes the flexible load toward the zero-incremental-cost
 profile P = B + R - L_base: day-ahead purchases plus forecast renewable
 output, net of the inflexible base load.  Power drawn above P is bought
 at the upward balancing price, power left under P is settled at the
 downward price, and waiting appliances accrue per-epoch delay costs.
+Scenarios carry P itself, one sample per epoch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .csvio import write_csv
 from .errors import ConfigurationError
-
-_CSV_HEADER = ["epoch", "day_ahead_kw", "renewable_kw", "base_load_kw", "price_up", "price_dn"]
-
-
-def zic_profile(day_ahead, renewable, base_load) -> np.ndarray:
-    """P = B + R - L_base, pointwise."""
-    b = np.asarray(day_ahead, dtype=float)
-    r = np.asarray(renewable, dtype=float)
-    ln = np.asarray(base_load, dtype=float)
-    if not (b.shape == r.shape == ln.shape):
-        raise ConfigurationError(
-            f"profile lengths differ: {b.shape}, {r.shape}, {ln.shape}"
-        )
-    return b + r - ln
-
-
-@dataclass(frozen=True)
-class MarketProfile:
-    """Per-epoch supply data and balancing prices (kW and currency/kW)."""
-
-    day_ahead_kw: np.ndarray
-    renewable_kw: np.ndarray
-    base_load_kw: np.ndarray
-    price_up: np.ndarray
-    price_dn: np.ndarray
-
-    def __post_init__(self):
-        for name in ("day_ahead_kw", "renewable_kw", "base_load_kw", "price_up", "price_dn"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = self.day_ahead_kw.size
-        for name in ("renewable_kw", "base_load_kw", "price_up", "price_dn"):
-            vec = getattr(self, name)
-            if vec.shape != (n,):
-                raise ConfigurationError(f"{name} length {vec.size} != {n}")
-            if not np.all(np.isfinite(vec)):
-                raise ConfigurationError(f"{name} contains NaN/Inf")
-        if not np.all(np.isfinite(self.day_ahead_kw)):
-            raise ConfigurationError("day_ahead_kw contains NaN/Inf")
-        if (self.price_up < 0).any() or (self.price_dn < 0).any():
-            raise ConfigurationError("balancing prices must be >= 0")
-
-    def __len__(self) -> int:
-        return self.day_ahead_kw.size
-
-    @property
-    def zic_kw(self) -> np.ndarray:
-        return zic_profile(self.day_ahead_kw, self.renewable_kw, self.base_load_kw)
-
-    def to_csv(self, path) -> None:
-        rows = [
-            (
-                l,
-                self.day_ahead_kw[l],
-                self.renewable_kw[l],
-                self.base_load_kw[l],
-                self.price_up[l],
-                self.price_dn[l],
-            )
-            for l in range(len(self))
-        ]
-        write_csv(path, _CSV_HEADER, rows)
-
-    @classmethod
-    def from_csv(cls, path) -> "MarketProfile":
-        raw = np.genfromtxt(path, delimiter=",", names=True)
-        raw = np.atleast_1d(raw)
-        cols = list(raw.dtype.names)
-        if cols != _CSV_HEADER:
-            raise ConfigurationError(
-                f"market CSV columns {cols}, expected {_CSV_HEADER}"
-            )
-        order = np.argsort(raw["epoch"])
-        return cls(
-            day_ahead_kw=raw["day_ahead_kw"][order],
-            renewable_kw=raw["renewable_kw"][order],
-            base_load_kw=raw["base_load_kw"][order],
-            price_up=raw["price_up"][order],
-            price_dn=raw["price_dn"][order],
-        )
 
 
 def stage_cost(flex_load: float, zic: float, price_up: float, price_dn: float,

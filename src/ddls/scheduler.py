@@ -3,9 +3,10 @@
 Each epoch the scheduler solves a T-step lookahead linear program over
 per-queue cumulative departures, with future arrivals replaced by their
 expected increments (certainty-equivalent control), rounds the
-first-epoch decision to integers, commits it, folds the committed pulse
-tails out of the remaining supply profile, and re-solves one epoch
-later.  Only the first epoch of every plan is ever executed.
+first-epoch decision to integers, commits it, subtracts the realized
+load (the committed pulses, tails included) from the supply profile,
+and re-solves one epoch later.  Only the first epoch of every plan is
+ever executed.
 
 Decision variables are the shifted cumulative departures
 e_q(j) = d_q(l0+j) - d_q(l0-1), stacked queue-major, followed by the
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ChargeCode, LoadProfile, fold_committed
+from .core import ChargeCode
 from .csvio import write_csv
 from .errors import ConfigurationError, FeasibilityError
 from .lp import LinearProgram, LpSolution
@@ -144,26 +145,23 @@ class HorizonInputs:
     """Everything one lookahead solve needs.
 
     ``observed`` holds the cumulative arrival counts through the
-    decision epoch (column l is a_q(l)); ``committed_history`` holds the
-    departure increments of the last S epochs, S being the longest pulse
-    tail, whose load is folded out of the window's supply before
-    optimizing.
+    decision epoch (column l is a_q(l)); ``zic_kw`` is the net supply
+    over the window: the supply profile minus the load of the starts
+    already committed.
     """
 
     start_epoch: int
     observed: np.ndarray            # (Q, start_epoch+1) cumulative arrivals
     prior_departures: np.ndarray    # (Q,) cumulative departures through l0-1
-    zic_kw: np.ndarray              # (T+1,) supply profile over the window
+    zic_kw: np.ndarray              # (T+1,) net supply over the window
     price_up: np.ndarray            # (T+1,)
     price_dn: np.ndarray            # (T+1,)
     delay_prices: np.ndarray        # (Q,)
     codebook: tuple[ChargeCode, ...]
-    committed_history: np.ndarray   # (S', Q) increments at l0-S'..l0-1
     lookahead: int
     forecast_rates: np.ndarray | None = None
     deadline_epochs: int | None = None
     t1: int = 0
-    t2: int | None = None
     known_future: np.ndarray | None = None
     start_lag: int = 0
     _arrivals: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -185,9 +183,6 @@ class HorizonInputs:
         self.price_up = np.asarray(self.price_up, dtype=float)
         self.price_dn = np.asarray(self.price_dn, dtype=float)
         self.delay_prices = np.asarray(self.delay_prices, dtype=float)
-        self.committed_history = np.asarray(self.committed_history)
-        if self.committed_history.size == 0:
-            self.committed_history = np.zeros((0, q), dtype=np.int64)
         if self.observed.shape != (q, self.start_epoch + 1):
             raise ConfigurationError(
                 f"observed shape {self.observed.shape}, expected ({q}, {self.start_epoch + 1})"
@@ -205,12 +200,6 @@ class HorizonInputs:
             raise ConfigurationError("prior departures exceed observed arrivals")
         if (self.delay_prices < 0).any():
             raise ConfigurationError("delay prices must be >= 0")
-        expected_s = min(self.start_epoch, self.tail_epochs)
-        if self.committed_history.shape != (expected_s, q):
-            raise ConfigurationError(
-                f"committed history shape {self.committed_history.shape}, "
-                f"expected ({expected_s}, {q})"
-            )
         if self.deadline_epochs is not None and self.deadline_epochs < max_u:
             raise ConfigurationError(
                 f"deadline of {self.deadline_epochs} epochs is shorter than the longest pulse"
@@ -220,32 +209,16 @@ class HorizonInputs:
     def n_queues(self) -> int:
         return len(self.codebook)
 
-    @property
-    def tail_epochs(self) -> int:
-        """How many past epochs still feed load into the present."""
-        max_u = max(code.duration_epochs for code in self.codebook)
-        return max_u - 1 + self.start_lag
-
     def arrival_matrix(self) -> np.ndarray:
         """The window's cumulative arrivals, computed once; read-only."""
         if self._arrivals is None:
             arrivals = certainty_equivalent_arrivals(
                 self.observed, self.forecast_rates, self.start_epoch, self.lookahead,
-                t1=self.t1, t2=self.t2, known_future=self.known_future,
+                t1=self.t1, known_future=self.known_future,
             )
             arrivals.flags.writeable = False
             self._arrivals = arrivals
         return self._arrivals
-
-    def net_zic(self) -> np.ndarray:
-        """Window supply minus the pulse tails of already-committed starts."""
-        tail = LoadProfile(np.zeros(self.lookahead + 1), start=self.start_epoch)
-        s_len = self.committed_history.shape[0]
-        for s in range(s_len, 0, -1):
-            tail = fold_committed(tail, self.committed_history[s_len - s],
-                                  self.start_epoch - s, list(self.codebook),
-                                  start_lag=self.start_lag)
-        return self.zic_kw - tail.samples[: self.lookahead + 1]
 
     def deadline_floor(self, arrivals: np.ndarray) -> np.ndarray:
         """(Q, T+1) cumulative lower bounds: everything that arrived
@@ -339,7 +312,7 @@ def build_program(inputs: HorizonInputs, relax_completion: bool = False) -> Line
     return LinearProgram(
         np.concatenate(cost),
         eq_matrix=eq,
-        eq_rhs=np.concatenate((inputs.net_zic(), shifted.ravel()[completion])),
+        eq_rhs=np.concatenate((inputs.zic_kw, shifted.ravel()[completion])),
         ineq_matrix=ineq,
         ineq_rhs=ineq_rhs,
         lower=np.concatenate((np.minimum(floor, shifted).ravel(), np.zeros(n_free))),
@@ -425,9 +398,8 @@ class StepResult:
 
 @dataclass
 class Trajectory:
-    """Per-epoch record of a receding-horizon run."""
+    """Per-epoch record of a run, one row per epoch added by ``append``."""
 
-    base_kw: list = field(default_factory=list)
     flex_kw: list = field(default_factory=list)
     zic_kw: list = field(default_factory=list)
     up_kw: list = field(default_factory=list)
@@ -435,7 +407,23 @@ class Trajectory:
     backlog: list = field(default_factory=list)
     stage_costs: list = field(default_factory=list)
     committed: list = field(default_factory=list)
-    objectives: list = field(default_factory=list)
+
+    def append(self, flex_kw, zic_kw, backlog, cost: float, committed=None) -> None:
+        """Record one epoch: the flexible load, the supply, the backlog,
+        the stage cost and the starts committed (none by default).  The
+        up/dn columns are the load's deviation above and below supply."""
+        flex, zic = float(flex_kw), float(zic_kw)
+        backlog = np.array(backlog)
+        self.flex_kw.append(flex)
+        self.zic_kw.append(zic)
+        self.up_kw.append(max(flex - zic, 0.0))
+        self.dn_kw.append(max(zic - flex, 0.0))
+        self.backlog.append(backlog)
+        self.stage_costs.append(cost)
+        self.committed.append(
+            np.zeros(backlog.shape, dtype=np.int64) if committed is None
+            else np.array(committed)
+        )
 
     def __len__(self) -> int:
         return len(self.flex_kw)
@@ -458,9 +446,9 @@ class Trajectory:
         cum = self.cumulative_costs
         rows = []
         for l in range(len(self)):
+            # base_kw stays in the file format; runs carry no base load
             rows.append(
-                (l, self.base_kw[l], self.flex_kw[l], self.zic_kw[l], self.up_kw[l],
-                 self.dn_kw[l])
+                (l, 0.0, self.flex_kw[l], self.zic_kw[l], self.up_kw[l], self.dn_kw[l])
                 + tuple(int(b) for b in self.backlog[l])
                 + (self.stage_costs[l], cum[l])
             )
@@ -472,17 +460,15 @@ class RecedingHorizonScheduler:
     scheduler instance and advances it epoch by epoch.
 
     ``zic_kw``, ``price_up`` and ``price_dn`` must cover every epoch the
-    run will touch plus the lookahead; ``base_kw`` is carried into the
-    trajectory for reporting only.  With ``known_arrivals`` (per-epoch
-    counts, absolute epochs) the controller sees the realized future
-    over the whole window; otherwise it extrapolates with
+    run will touch plus the lookahead.  With ``known_arrivals``
+    (per-epoch counts, absolute epochs) the controller sees the realized
+    future over the whole window; otherwise it extrapolates with
     ``arrival_rates``.
     """
 
     def __init__(self, codebook, zic_kw, price_up, price_dn, delay_prices,
                  lookahead: int, *, arrival_rates=None, deadline_epochs=None,
-                 capacity_cap=None, engine="highs", start_lag=0, t2=None,
-                 known_arrivals=None, base_kw=None, interval_s=900.0):
+                 capacity_cap=None, start_lag=0, known_arrivals=None):
         self.codebook = tuple(codebook)
         if not self.codebook:
             raise ConfigurationError("empty codebook")
@@ -491,10 +477,6 @@ class RecedingHorizonScheduler:
         horizon = self.zic_kw.size
         self.price_up = self._stretch(price_up, horizon, "price_up")
         self.price_dn = self._stretch(price_dn, horizon, "price_dn")
-        self.base_kw = (
-            np.zeros(horizon) if base_kw is None
-            else self._stretch(base_kw, horizon, "base_kw")
-        )
         if isinstance(delay_prices, DelayPrices):
             delay_prices = delay_prices.per_queue
         self.delay_prices = np.asarray(delay_prices, dtype=float)
@@ -511,18 +493,13 @@ class RecedingHorizonScheduler:
         )
         self.deadline_epochs = deadline_epochs
         self.capacity_cap = capacity_cap
-        self.engine = engine
         self.start_lag = int(start_lag)
-        self.t2 = t2
         self.known_arrivals = (
             None if known_arrivals is None else np.asarray(known_arrivals)
         )
-        self.interval_s = interval_s
 
         self.ledger = QueueLedger(self.n_queues)
         self.epoch = 0
-        self._tail = max_u - 1 + self.start_lag
-        self._history: list[np.ndarray] = []
         self._flex = np.zeros(horizon + max_u + 1)
         self.trajectory = Trajectory()
 
@@ -543,6 +520,8 @@ class RecedingHorizonScheduler:
         return self._flex.copy()
 
     def horizon_inputs(self) -> HorizonInputs:
+        """The current epoch's window; its supply is net of the realized
+        load, i.e. of every pulse already committed."""
         l0 = self.epoch
         t = self.lookahead
         if l0 + t >= self.zic_kw.size:
@@ -551,27 +530,19 @@ class RecedingHorizonScheduler:
                 f"window needs {l0 + t}"
             )
         observed = np.cumsum(self.ledger.arrival_increments(0, l0 + 1), axis=1)
-        s = min(l0, self._tail)
-        history = (
-            np.array(self._history[-s:], dtype=np.int64)
-            if s > 0
-            else np.zeros((0, self.n_queues), dtype=np.int64)
-        )
         return HorizonInputs(
             start_epoch=l0,
             observed=observed,
             prior_departures=self.ledger.cumulative_departures(l0 - 1),
-            zic_kw=self.zic_kw[l0 : l0 + t + 1],
+            zic_kw=self.zic_kw[l0 : l0 + t + 1] - self._flex[l0 : l0 + t + 1],
             price_up=self.price_up[l0 : l0 + t + 1],
             price_dn=self.price_dn[l0 : l0 + t + 1],
             delay_prices=self.delay_prices,
             codebook=self.codebook,
-            committed_history=history,
             lookahead=t,
             forecast_rates=self.arrival_rates,
             deadline_epochs=self.deadline_epochs,
             t1=t if self.known_arrivals is not None else 0,
-            t2=self.t2,
             known_future=self.known_arrivals,
             start_lag=self.start_lag,
         )
@@ -580,7 +551,7 @@ class RecedingHorizonScheduler:
         l0 = self.epoch
         inputs = self.horizon_inputs()
         program = build_program(inputs)
-        solution = lp_solve(program, engine=self.engine)
+        solution = lp_solve(program)
         relaxed = False
         if not solution.is_optimal:
             log.warning(
@@ -588,8 +559,7 @@ class RecedingHorizonScheduler:
                 l0, solution.status,
             )
             relaxed = True
-            solution = lp_solve(build_program(inputs, relax_completion=True),
-                                engine=self.engine)
+            solution = lp_solve(build_program(inputs, relax_completion=True))
             if not solution.is_optimal:
                 raise FeasibilityError(
                     f"window LP unsolvable at epoch {l0}: {solution.status}"
@@ -605,7 +575,6 @@ class RecedingHorizonScheduler:
         committed = round_and_commit(solution, inputs)
         committed = apply_capacity_cap(committed, self.capacity_cap)
         self.ledger.apply_departures(l0, committed)
-        self._history.append(committed)
         for qi, code in enumerate(self.codebook):
             if committed[qi]:
                 startat = l0 + self.start_lag
@@ -620,17 +589,7 @@ class RecedingHorizonScheduler:
             flex_now, float(self.zic_kw[l0]), float(self.price_up[l0]),
             float(self.price_dn[l0]), backlog=backlog, delay_prices=self.delay_prices,
         )
-        dev = flex_now - float(self.zic_kw[l0])
-        traj = self.trajectory
-        traj.base_kw.append(float(self.base_kw[l0]))
-        traj.flex_kw.append(flex_now)
-        traj.zic_kw.append(float(self.zic_kw[l0]))
-        traj.up_kw.append(max(dev, 0.0))
-        traj.dn_kw.append(max(-dev, 0.0))
-        traj.backlog.append(np.asarray(backlog).copy())
-        traj.stage_costs.append(cost)
-        traj.committed.append(committed.copy())
-        traj.objectives.append(plan.objective)
+        self.trajectory.append(flex_now, self.zic_kw[l0], backlog, cost, committed)
 
         self.epoch += 1
         return StepResult(epoch=l0, committed=committed, plan=plan,
@@ -663,9 +622,3 @@ class RecedingHorizonScheduler:
                 self.step()
                 spent += 1
         return self.trajectory
-
-
-def run_horizon(scheduler: RecedingHorizonScheduler, arrival_increments,
-                drain: bool = True) -> Trajectory:
-    """Functional wrapper over RecedingHorizonScheduler.run."""
-    return scheduler.run(arrival_increments, drain=drain)

@@ -56,6 +56,8 @@ SCENARIO_SCHEMA = 1
 def _as_float_array(value, length: int, name: str) -> np.ndarray:
     """Broadcast a scalar to ``length`` samples or validate a vector."""
     arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ConfigurationError(f"{name} must be finite")
     if arr.ndim == 0:
         return np.full(length, float(arr))
     if arr.ndim != 1 or arr.shape[0] != length:
@@ -97,8 +99,10 @@ class ScenarioConfig:
             raise ConfigurationError("scenario needs a nonempty codebook")
         if self.horizon_epochs < 1:
             raise ConfigurationError("horizon_epochs must be positive")
-        if self.interval_s <= 0:
-            raise ConfigurationError("interval_s must be positive")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not 0 < self.interval_s < np.inf:
+            raise ConfigurationError("interval_s must be positive and finite")
         max_u = max(code.duration_epochs for code in self.codebook)
         if self.deadline_epochs < max_u:
             raise ConfigurationError(
@@ -115,6 +119,8 @@ class ScenarioConfig:
             )
         if self.start_lag not in (0, 1):
             raise ConfigurationError("start_lag must be 0 or 1")
+        if self.capacity_cap is not None and not self.capacity_cap >= 0:
+            raise ConfigurationError(f"capacity_cap must be >= 0, got {self.capacity_cap}")
 
         q = len(self.codebook)
         rates = np.asarray(self.arrival_rates_per_hour, dtype=float)
@@ -133,8 +139,8 @@ class ScenarioConfig:
                 )
         else:
             raise ConfigurationError("arrival rates must be scalar, (Q,), or (Q, horizon)")
-        if np.any(rates < 0):
-            raise ConfigurationError("arrival rates must be nonnegative")
+        if not np.isfinite(rates).all() or np.any(rates < 0):
+            raise ConfigurationError("arrival rates must be finite and nonnegative")
         self.arrival_rates_per_hour = rates
 
         self.zic_kw = _as_float_array(self.zic_kw, self.horizon_epochs, "zic_kw")
@@ -147,8 +153,8 @@ class ScenarioConfig:
             delay = np.full(q, float(delay))
         if delay.shape != (q,):
             raise ConfigurationError(f"delay_prices must have shape ({q},)")
-        if np.any(delay < 0):
-            raise ConfigurationError("delay prices must be nonnegative")
+        if not np.isfinite(delay).all() or np.any(delay < 0):
+            raise ConfigurationError("delay prices must be finite and nonnegative")
         self.delay_prices = delay
 
     @property
@@ -365,13 +371,6 @@ def events_from_counts(counts, codebook) -> list[ArrivalEvent]:
     return events
 
 
-def generate_arrivals(
-    rates_per_hour, horizon: int, seed: int, codebook, interval_s: float = 900.0
-) -> list[ArrivalEvent]:
-    counts = generate_arrival_counts(rates_per_hour, horizon, seed, interval_s)
-    return events_from_counts(counts, codebook)
-
-
 def _deviation_cost(flex: np.ndarray, zic: np.ndarray, up: np.ndarray, dn: np.ndarray) -> float:
     length = max(len(flex), len(zic))
     f = np.zeros(length)
@@ -423,16 +422,7 @@ def _ledger_trajectory(
         cost = stage_cost(
             flex[epoch], zic[epoch], up[epoch], dn[epoch], backlog, delay_prices.at(epoch)
         )
-        dev = flex[epoch] - zic[epoch]
-        traj.base_kw.append(0.0)
-        traj.flex_kw.append(float(flex[epoch]))
-        traj.zic_kw.append(float(zic[epoch]))
-        traj.up_kw.append(float(max(dev, 0.0)))
-        traj.dn_kw.append(float(max(-dev, 0.0)))
-        traj.backlog.append(backlog.copy())
-        traj.stage_costs.append(cost)
-        traj.committed.append(np.zeros(config.n_queues, dtype=np.int64))
-        traj.objectives.append(0.0)
+        traj.append(flex[epoch], zic[epoch], backlog, cost)
     return traj
 
 
@@ -466,10 +456,9 @@ def run_uncontrolled(config: ScenarioConfig, arrival_counts=None) -> RunResult:
     events = events_from_counts(counts, config.codebook)
     quantizer = Quantizer(config.codebook)
     length = config.padded_length()
-    profile = unscheduled_load(
+    flex = unscheduled_load(
         events, list(config.codebook), quantizer, horizon=length, start_lag=config.start_lag
     )
-    flex = profile.samples
 
     ledger = QueueLedger(config.n_queues)
     for epoch in range(config.horizon_epochs):
@@ -497,7 +486,6 @@ def _build_scheduler(config: ScenarioConfig, zic_share: float = 1.0) -> Receding
         deadline_epochs=config.deadline_epochs,
         capacity_cap=config.capacity_cap,
         start_lag=config.start_lag,
-        interval_s=config.interval_s,
     )
 
 
@@ -574,16 +562,7 @@ def run_distributed(config: ScenarioConfig, arrival_counts=None) -> RunResult:
         for t in trajectories:
             if epoch < len(t):
                 backlog += t.backlog[epoch]
-        dev = flex[epoch] - zic[epoch]
-        traj.base_kw.append(0.0)
-        traj.flex_kw.append(float(flex[epoch]))
-        traj.zic_kw.append(float(zic[epoch]))
-        traj.up_kw.append(float(max(dev, 0.0)))
-        traj.dn_kw.append(float(max(-dev, 0.0)))
-        traj.backlog.append(backlog)
-        traj.stage_costs.append(stage)
-        traj.committed.append(np.zeros(config.n_queues, dtype=np.int64))
-        traj.objectives.append(0.0)
+        traj.append(flex[epoch], zic[epoch], backlog, stage)
     return RunResult(metrics, traj, flex, None)
 
 
@@ -625,7 +604,7 @@ def run_price_signal(config: ScenarioConfig, arrival_counts=None, price=None) ->
             best = int(epoch + window[int(np.argmin(costs))])
             starts[q, best] += counts[q, epoch]
 
-    flex = synthesize_load(starts, list(config.codebook), length, config.start_lag).samples
+    flex = synthesize_load(starts, list(config.codebook), length, config.start_lag)
 
     ledger = QueueLedger(config.n_queues)
     horizon_arrivals = np.zeros((config.n_queues, starts.shape[1]), dtype=np.int64)

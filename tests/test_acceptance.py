@@ -128,7 +128,6 @@ def _one_shot_window_cost(codebook, deadline, lookahead, counts, zic,
         price_dn=np.full(width, price_dn),
         delay_prices=delay,
         codebook=codebook,
-        committed_history=np.zeros((0, 2), dtype=np.int64),
         lookahead=lookahead,
         deadline_epochs=deadline,
         t1=lookahead,

@@ -3,6 +3,8 @@ determinism, and the printed rate/validation reports."""
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,10 @@ import pytest
 from ddls.cli import build_parser, main
 from ddls.codec import codebook_from_json
 from ddls.core import ChargeCode
-from ddls.simkit import ScenarioConfig, save_scenario
+from ddls.errors import ConfigurationError
+from ddls.simkit import ScenarioConfig, compare, load_scenario, save_scenario
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_day.json"
 
 
 def tiny_config(**overrides):
@@ -120,6 +125,15 @@ class TestRun:
         assert rc == 0
         first_row = (out / "metrics.csv").read_text().splitlines()[1]
         assert first_row.startswith("uncontrolled,")
+
+    def test_desk_trajectories_never_print_negative_zero(self, tmp_path):
+        # where the load meets the supply exactly, max(-(flex - zic), 0.0)
+        # is -0.0, which %.9g prints as "-0"; dn must come out as 0
+        for result in compare(load_scenario(DESK_CONFIG)):
+            path = tmp_path / f"{result.metrics.strategy}.csv"
+            result.trajectory.to_csv(path)
+            text = path.read_text()
+            assert not re.search(r"(^|,)-0(,|$)", text, re.M), result.metrics.strategy
 
 
 class TestCompare:
@@ -242,3 +256,23 @@ class TestValidate:
                    "--lookahead", "1"])
         assert rc == 1
         assert "lookahead" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("zic_kw", [4.0] * 5 + [math.nan] + [4.0] * 4),
+        ("price_up", math.inf),
+        ("delay_prices", [0.05, math.nan]),
+        ("seed", -1),
+        ("arrival_rates_per_hour", [4.0, math.nan]),
+        ("interval_s", math.nan),
+        ("capacity_cap", -1),
+    ])
+    def test_bad_values_rejected_at_load(self, key, value, tmp_path, capsys):
+        raw = tiny_config().to_dict()
+        raw[key] = value
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig.from_dict(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["validate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert key.split("_")[0] in capsys.readouterr().err

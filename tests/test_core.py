@@ -4,10 +4,7 @@ import pytest
 from ddls.core import (
     ArrivalEvent,
     ChargeCode,
-    Epoch,
-    LoadProfile,
     RawRequest,
-    fold_committed,
     fractional_pulse,
     square_pulse,
     synthesize_load,
@@ -42,13 +39,6 @@ def random_instance(rng):
 
 
 class TestTypes:
-    def test_epoch_wall_time(self):
-        assert Epoch(4, interval_s=900.0).wall_time_s == 3600.0
-
-    def test_epoch_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            Epoch(-1)
-
     def test_request_rejects_negative_rate(self):
         with pytest.raises(ValueError):
             RawRequest((-1.0, 2.0))
@@ -64,14 +54,6 @@ class TestTypes:
             ChargeCode(1, ())
         with pytest.raises(ValueError):
             ChargeCode(0, (1.0,))
-
-    def test_profile_power_at_and_energy(self):
-        prof = LoadProfile(np.array([1.0, 2.0]), start=3)
-        assert prof.power_at(3) == 1.0
-        assert prof.power_at(4) == 2.0
-        assert prof.power_at(2) == 0.0
-        assert prof.power_at(5) == 0.0
-        assert prof.energy(900.0) == 3.0 * 900.0
 
 
 class TestPulses:
@@ -90,13 +72,13 @@ class TestPulses:
 class TestSynthesizeLoad:
     def test_single_queue_hand_case(self):
         codebook = [ChargeCode(1, (2.0, 2.0))]
-        prof = synthesize_load([[0, 1, 1, 0]], codebook, horizon=4)
-        np.testing.assert_allclose(prof.samples, [0.0, 2.0, 4.0, 2.0])
+        load = synthesize_load([[0, 1, 1, 0]], codebook, horizon=4)
+        np.testing.assert_allclose(load, [0.0, 2.0, 4.0, 2.0])
 
     def test_start_lag_shifts_by_one(self):
         codebook = [ChargeCode(1, (2.0, 2.0))]
-        prof = synthesize_load([[0, 1, 1, 0]], codebook, horizon=5, start_lag=1)
-        np.testing.assert_allclose(prof.samples, [0.0, 0.0, 2.0, 4.0, 2.0])
+        load = synthesize_load([[0, 1, 1, 0]], codebook, horizon=5, start_lag=1)
+        np.testing.assert_allclose(load, [0.0, 0.0, 2.0, 4.0, 2.0])
 
     def test_matches_per_appliance_oracle(self):
         rng = np.random.default_rng(SEED)
@@ -111,24 +93,24 @@ class TestSynthesizeLoad:
                 for _ in range(inc[q, l])
             ]
             oracle = per_appliance_load(starts, codebook, horizon, start_lag=lag)
-            prof = synthesize_load(inc, codebook, horizon, start_lag=lag)
-            np.testing.assert_allclose(prof.samples, oracle, atol=1e-9)
+            load = synthesize_load(inc, codebook, horizon, start_lag=lag)
+            np.testing.assert_allclose(load, oracle, atol=1e-9)
 
     def test_energy_conservation(self):
         rng = np.random.default_rng(SEED + 1)
         for _ in range(N_RANDOM):
             codebook, inc = random_instance(rng)
             horizon = inc.shape[1] + max(c.duration_epochs for c in codebook) + 1
-            prof = synthesize_load(inc, codebook, horizon)
+            load = synthesize_load(inc, codebook, horizon)
             expected = sum(
                 inc[q].sum() * codebook[q].energy for q in range(len(codebook))
             )
-            assert abs(prof.energy() - expected) < 1e-9
+            assert abs(load.sum() - expected) < 1e-9
 
     def test_truncates_past_horizon(self):
         codebook = [ChargeCode(1, (1.0, 1.0, 1.0))]
-        prof = synthesize_load([[0, 0, 1]], codebook, horizon=4)
-        np.testing.assert_allclose(prof.samples, [0.0, 0.0, 1.0, 1.0])
+        load = synthesize_load([[0, 0, 1]], codebook, horizon=4)
+        np.testing.assert_allclose(load, [0.0, 0.0, 1.0, 1.0])
 
     def test_rejects_queue_mismatch(self):
         codebook = [ChargeCode(1, (1.0,))]
@@ -139,55 +121,6 @@ class TestSynthesizeLoad:
         codebook = [ChargeCode(1, (1.0,))]
         with pytest.raises(ConfigurationError):
             synthesize_load([[0, -1]], codebook, horizon=2)
-
-
-class TestFoldCommitted:
-    def test_tail_lands_after_commit_epoch(self):
-        codebook = [ChargeCode(1, (2.0, 2.0))]
-        base = LoadProfile(np.zeros(6))
-        folded = fold_committed(base, [1], epoch=3, codebook=codebook, start_lag=1)
-        np.testing.assert_allclose(folded.samples, [0, 0, 0, 0, 2.0, 2.0])
-        np.testing.assert_allclose(base.samples, np.zeros(6))
-
-    def test_default_convention_folds_tail_only(self):
-        codebook = [ChargeCode(1, (2.0, 2.0))]
-        base = LoadProfile(np.zeros(6))
-        folded = fold_committed(base, [1], epoch=3, codebook=codebook)
-        np.testing.assert_allclose(folded.samples, [0, 0, 0, 0, 2.0, 0.0])
-
-    def test_extends_profile_when_tail_overruns(self):
-        codebook = [ChargeCode(1, (1.0, 1.0, 1.0))]
-        base = LoadProfile(np.zeros(3))
-        folded = fold_committed(base, [2], epoch=2, codebook=codebook)
-        np.testing.assert_allclose(folded.samples, [0, 0, 0, 2.0, 2.0])
-
-    def test_folding_each_epoch_reconstructs_synthesis(self):
-        # Folding the tails epoch by epoch and adding each epoch's own
-        # first-sample contribution must reproduce the full synthesis.
-        rng = np.random.default_rng(SEED + 2)
-        for _ in range(N_RANDOM):
-            codebook, inc = random_instance(rng)
-            horizon = inc.shape[1] + max(c.duration_epochs for c in codebook) + 1
-            running = LoadProfile(np.zeros(horizon))
-            for l in range(inc.shape[1]):
-                running = fold_committed(running, inc[:, l], epoch=l, codebook=codebook)
-                for q, code in enumerate(codebook):
-                    running.samples[l] += inc[q, l] * code.pulse[0]
-            full = synthesize_load(inc, codebook, horizon)
-            np.testing.assert_allclose(running.samples, full.samples, atol=1e-9)
-
-    def test_folding_alone_reconstructs_synthesis_under_lag(self):
-        rng = np.random.default_rng(SEED + 3)
-        for _ in range(N_RANDOM):
-            codebook, inc = random_instance(rng)
-            horizon = inc.shape[1] + max(c.duration_epochs for c in codebook) + 2
-            running = LoadProfile(np.zeros(horizon))
-            for l in range(inc.shape[1]):
-                running = fold_committed(
-                    running, inc[:, l], epoch=l, codebook=codebook, start_lag=1
-                )
-            full = synthesize_load(inc, codebook, horizon, start_lag=1)
-            np.testing.assert_allclose(running.samples, full.samples, atol=1e-9)
 
 
 class _ExactMatchQuantizer:
@@ -213,10 +146,10 @@ class TestUnscheduledLoad:
             ArrivalEvent(1, RawRequest((1.0, 1.0))),
             ArrivalEvent(1, RawRequest((2.0, 2.0))),
         ]
-        prof = unscheduled_load(arrivals, codebook, quant)
-        np.testing.assert_allclose(prof.samples, [2.0, 2.0 + 1.0 + 2.0, 2.0])
+        load = unscheduled_load(arrivals, codebook, quant)
+        np.testing.assert_allclose(load, [2.0, 2.0 + 1.0 + 2.0, 2.0])
 
     def test_empty_arrivals(self):
         codebook = [ChargeCode(1, (1.0,))]
-        prof = unscheduled_load([], codebook, _ExactMatchQuantizer(codebook))
-        assert len(prof) == 0
+        load = unscheduled_load([], codebook, _ExactMatchQuantizer(codebook))
+        assert len(load) == 0

@@ -3,11 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from ddls.errors import ConfigurationError, SolverError
-from ddls.lp import FEAS_TOL, LinearProgram, format_program, solve
+from ddls import lp
+from ddls.errors import ConfigurationError
+from ddls.lp import FEAS_TOL, LinearProgram, solve
 
 SEED = 97531
-ENGINES = ("simplex", "highs")
+# lp.solve, and the linprog path it falls back to without the HiGHS binding
+PATHS = ("highs", "linprog")
+
+
+def solve_on(path, prog):
+    return solve(prog) if path == "highs" else lp._solve_linprog(prog)
 
 
 def random_program(rng):
@@ -63,29 +69,29 @@ def vertex_oracle(prog):
 
 
 class TestBasics:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_min_x_above_three(self, engine):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_min_x_above_three(self, path):
         prog = LinearProgram(np.array([1.0]), ineq_matrix=np.array([[1.0]]),
                              ineq_rhs=np.array([3.0]))
-        sol = solve(prog, engine=engine)
+        sol = solve_on(path, prog)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
         assert sol.values[0] == pytest.approx(3.0, abs=1e-9)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_simplex_edge(self, engine):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_simplex_edge(self, path):
         prog = LinearProgram(
             np.array([-1.0, -1.0]),
             ineq_matrix=np.array([[-1.0, -1.0]]),
             ineq_rhs=np.array([-1.0]),
             lower=np.zeros(2),
         )
-        sol = solve(prog, engine=engine)
+        sol = solve_on(path, prog)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_equality_row(self, engine):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_equality_row(self, path):
         prog = LinearProgram(
             np.array([1.0, 0.0]),
             eq_matrix=np.array([[1.0, 1.0]]),
@@ -93,30 +99,30 @@ class TestBasics:
             lower=np.zeros(2),
             upper=np.ones(2),
         )
-        sol = solve(prog, engine=engine)
+        sol = solve_on(path, prog)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_infeasible(self, engine):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_infeasible(self, path):
         prog = LinearProgram(
             np.array([1.0]),
             ineq_matrix=np.array([[1.0]]),
             ineq_rhs=np.array([3.0]),
             upper=np.array([2.0]),
         )
-        sol = solve(prog, engine=engine)
+        sol = solve_on(path, prog)
         assert sol.status == "infeasible"
         assert sol.values is None
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_unbounded_with_row(self, engine):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_unbounded_with_row(self, path):
         prog = LinearProgram(
             np.array([-1.0]),
             ineq_matrix=np.array([[1.0]]),
             ineq_rhs=np.array([1.0]),
         )
-        assert solve(prog, engine=engine).status == "unbounded"
+        assert solve_on(path, prog).status == "unbounded"
 
     def test_unbounded_pure_box(self):
         prog = LinearProgram(np.array([-1.0]), lower=np.array([0.0]))
@@ -148,12 +154,12 @@ class TestAgainstOracle:
             prog = random_program(rng)
             expected = vertex_oracle(prog)
             assert np.isfinite(expected)
-            for engine in ENGINES:
-                sol = solve(prog, engine=engine)
+            for path in PATHS:
+                sol = solve_on(path, prog)
                 assert sol.status == "optimal"
                 assert sol.objective == pytest.approx(
                     expected, rel=1e-6, abs=1e-6
-                ), f"{engine} missed oracle on instance {checked}"
+                ), f"{path} missed oracle on instance {checked}"
                 # feasibility of the reported point
                 if prog.eq_matrix.shape[0]:
                     np.testing.assert_allclose(
@@ -195,20 +201,14 @@ class TestDeterminism:
     def test_identical_inputs_identical_bits(self):
         rng = np.random.default_rng(SEED + 2)
         prog = random_program(rng)
-        for engine in ENGINES:
-            a = solve(prog, engine=engine)
-            b = solve(prog, engine=engine)
+        for path in PATHS:
+            a = solve_on(path, prog)
+            b = solve_on(path, prog)
             assert a.values.tobytes() == b.values.tobytes()
             assert a.objective == b.objective
 
 
 class TestFailureModes:
-    def test_iteration_limit_is_explicit(self):
-        prog = LinearProgram(np.array([1.0]), ineq_matrix=np.array([[1.0]]),
-                             ineq_rhs=np.array([3.0]))
-        with pytest.raises(SolverError):
-            solve(prog, max_iter=1)
-
     def test_nan_rejected(self):
         with pytest.raises(ConfigurationError):
             LinearProgram(np.array([np.nan]))
@@ -221,36 +221,3 @@ class TestFailureModes:
     def test_crossed_bounds_rejected(self):
         with pytest.raises(ConfigurationError):
             LinearProgram(np.array([1.0]), lower=np.array([2.0]), upper=np.array([1.0]))
-
-    def test_unknown_engine(self):
-        with pytest.raises(ConfigurationError):
-            solve(LinearProgram(np.array([1.0])), engine="cplex")
-
-
-class TestExport:
-    def test_plain_text_form(self):
-        prog = LinearProgram(
-            np.array([1.5, 0.0]),
-            eq_matrix=np.array([[1.0, -1.0]]),
-            eq_rhs=np.array([0.25]),
-            ineq_matrix=np.array([[0.0, 2.0]]),
-            ineq_rhs=np.array([1.0]),
-            lower=np.array([0.0, -np.inf]),
-            upper=np.array([np.inf, 3.0]),
-        )
-        text = format_program(prog)
-        assert text == (
-            "minimize\n"
-            "  1.5*x0\n"
-            "subject to\n"
-            "  eq0: 1*x0 + -1*x1 = 0.25\n"
-            "  ge0: 2*x1 >= 1\n"
-            "bounds\n"
-            "  0 <= x0 <= inf\n"
-            "  -inf <= x1 <= 3\n"
-        )
-
-    def test_round_trip_stability(self):
-        rng = np.random.default_rng(SEED + 4)
-        prog = random_program(rng)
-        assert format_program(prog) == format_program(prog)

@@ -1,6 +1,6 @@
 """The direct HiGHS path against scipy.optimize.linprog, its reference.
 
-``lp.solve(engine="highs")`` calls scipy's HiGHS binding itself, with
+``lp.solve`` calls scipy's HiGHS binding itself, with
 linprog's model, options and acceptance checks.  These tests hold it to
 exactly linprog's answers over every window of a desk day, and check
 that it falls back to linprog when the binding is missing.
@@ -44,11 +44,11 @@ def test_every_desk_window_agrees_with_linprog(monkeypatch):
     windows = []
     original = scheduler.lp_solve
 
-    def both(program, engine="highs"):
-        direct = lp._solve_highs(program)
+    def both(program):
+        direct = solve(program)
         reference = lp._solve_linprog(program)
         windows.append((direct, reference))
-        return original(program, engine=engine)
+        return original(program)
 
     monkeypatch.setattr(scheduler, "lp_solve", both)
     run_ddls(load_scenario(DESK_CONFIG))
@@ -73,13 +73,13 @@ def test_read_only_matrices_convert_once():
     program = LinearProgram(np.array([1.0, 0.0]), eq_matrix=eq, eq_rhs=np.array([1.0]),
                             ineq_matrix=ineq, ineq_rhs=np.array([0.0]),
                             lower=np.zeros(2), upper=np.ones(2))
-    assert solve(program, engine="highs").values.tolist() == [0.5, 0.5]
+    assert solve(program).values.tolist() == [0.5, 0.5]
 
 
 def test_missing_binding_falls_back_to_linprog(no_binding, linprog_calls):
     program = LinearProgram(np.array([1.0]), ineq_matrix=np.array([[1.0]]),
                             ineq_rhs=np.array([3.0]))
-    sol = solve(program, engine="highs")
+    sol = solve(program)
     assert sol.status == "optimal"
     assert sol.values.tolist() == [3.0]
     assert len(linprog_calls) == 1
@@ -113,7 +113,7 @@ class TestStatusMapping:
     def test_infeasible(self):
         prog = LinearProgram(np.array([1.0]), ineq_matrix=np.array([[1.0]]),
                              ineq_rhs=np.array([3.0]), upper=np.array([2.0]))
-        sol = solve(prog, engine="highs")
+        sol = solve(prog)
         assert sol.status == "infeasible"
         assert sol.values is None
         assert np.isnan(sol.objective)
@@ -122,12 +122,12 @@ class TestStatusMapping:
         prog = LinearProgram(np.array([1.0, 1.0]),
                              eq_matrix=np.array([[1.0, 1.0], [1.0, 1.0]]),
                              eq_rhs=np.array([1.0, 2.0]), lower=np.zeros(2))
-        assert solve(prog, engine="highs").status == "infeasible"
+        assert solve(prog).status == "infeasible"
 
     def test_unbounded(self):
         prog = LinearProgram(np.array([-1.0]), ineq_matrix=np.array([[1.0]]),
                              ineq_rhs=np.array([1.0]))
-        sol = solve(prog, engine="highs")
+        sol = solve(prog)
         assert sol.status == "unbounded"
         assert sol.values is None
         assert sol.objective == float("-inf")
@@ -137,7 +137,7 @@ class TestStatusMapping:
                              eq_matrix=np.array([[1.0, 1.0]]), eq_rhs=np.array([0.5]),
                              lower=np.array([-np.inf, -1.0]),
                              upper=np.array([np.inf, 2.0]))
-        sol = solve(prog, engine="highs")
+        sol = solve(prog)
         assert sol.status == "optimal"
         assert sol.values.tolist() == [-1.5, 2.0]
         assert sol.objective == -3.5

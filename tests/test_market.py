@@ -2,28 +2,9 @@ import numpy as np
 import pytest
 
 from ddls.errors import ConfigurationError
-from ddls.market import MarketProfile, stage_cost, zic_profile
+from ddls.market import stage_cost
 
 SEED = 271828
-
-
-class TestZicProfile:
-    def test_arithmetic(self):
-        np.testing.assert_allclose(zic_profile([100.0], [20.0], [90.0]), [30.0])
-
-    def test_balanced_book_is_zero(self):
-        b = np.array([10.0, 20.0, 5.0])
-        np.testing.assert_allclose(zic_profile(b, np.zeros(3), b), np.zeros(3))
-
-    def test_elementwise_on_random_vectors(self):
-        rng = np.random.default_rng(SEED)
-        for _ in range(10):
-            b, r, ln = rng.normal(size=(3, 16))
-            np.testing.assert_allclose(zic_profile(b, r, ln), b + r - ln, atol=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            zic_profile([1.0, 2.0], [0.0], [0.0])
 
 
 class TestStageCost:
@@ -59,40 +40,3 @@ class TestStageCost:
     def test_backlog_without_prices_rejected(self):
         with pytest.raises(ConfigurationError):
             stage_cost(1.0, 1.0, 1.0, 1.0, backlog=[1])
-
-
-class TestMarketProfile:
-    def make(self):
-        return MarketProfile(
-            day_ahead_kw=np.array([100.0, 100.0]),
-            renewable_kw=np.array([20.0, 0.0]),
-            base_load_kw=np.array([90.0, 110.0]),
-            price_up=np.array([1.0, 2.0]),
-            price_dn=np.array([0.5, 0.5]),
-        )
-
-    def test_zic_invariant(self):
-        prof = self.make()
-        np.testing.assert_allclose(
-            prof.zic_kw, prof.day_ahead_kw + prof.renewable_kw - prof.base_load_kw
-        )
-
-    def test_negative_price_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MarketProfile(
-                day_ahead_kw=np.array([1.0]),
-                renewable_kw=np.array([0.0]),
-                base_load_kw=np.array([0.0]),
-                price_up=np.array([1.0]),
-                price_dn=np.array([-0.5]),
-            )
-
-    def test_csv_round_trip(self, tmp_path):
-        prof = self.make()
-        path = tmp_path / "market.csv"
-        prof.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "epoch,day_ahead_kw,renewable_kw,base_load_kw,price_up,price_dn"
-        loaded = MarketProfile.from_csv(path)
-        np.testing.assert_allclose(loaded.zic_kw, prof.zic_kw, atol=1e-9)
-        np.testing.assert_allclose(loaded.price_up, prof.price_up, atol=1e-9)

@@ -49,7 +49,6 @@ def window_inputs(codebook, zic, counts, *, price_up=1.0, price_dn=1.0,
         price_dn=dn,
         delay_prices=np.full(q, float(delay)),
         codebook=codebook,
-        committed_history=np.zeros((0, q), dtype=np.int64),
         lookahead=t,
         t1=t,
         known_future=counts,
@@ -82,8 +81,8 @@ def true_window_cost(schedule, inputs):
     width = inputs.lookahead + 1
     inc = np.diff(np.hstack([np.zeros((d.shape[0], 1)), d]), axis=1)
     load = synthesize_load(inc, list(inputs.codebook), width,
-                           start_lag=inputs.start_lag).samples
-    dev = load - inputs.net_zic()
+                           start_lag=inputs.start_lag)
+    dev = load - inputs.zic_kw
     cost = float(inputs.price_up @ np.maximum(dev, 0.0)
                  + inputs.price_dn @ np.maximum(-dev, 0.0))
     cum = inputs.arrival_matrix()
@@ -153,7 +152,7 @@ class TestGamma:
             cum = np.cumsum(inc, axis=1)
             for lag in (0, 1):
                 gamma = build_gamma(codebook, t, start_lag=lag)
-                direct = synthesize_load(inc, codebook, t + 1, start_lag=lag).samples
+                direct = synthesize_load(inc, codebook, t + 1, start_lag=lag)
                 assert np.allclose(gamma @ cum.flatten(), direct, atol=1e-9)
 
 
@@ -217,7 +216,7 @@ class TestBuildProgram:
         zic = np.array([3.0, -1.0, 0.0, 2.0])
         inputs = window_inputs(codebook, zic, np.zeros((1, 4), dtype=int),
                                price_up=2.0, price_dn=1.5, delay=0.0)
-        sol = lp_solve(build_program(inputs), engine="highs")
+        sol = lp_solve(build_program(inputs))
         plan = extract_plan(sol, inputs)
         assert np.allclose(plan.departures, 0.0, atol=1e-9)
         assert np.allclose(plan.up_kw, np.maximum(-zic, 0.0), atol=1e-8)
@@ -228,7 +227,7 @@ class TestBuildProgram:
         codebook = [ChargeCode(id=1, pulse=(2.0,))]
         counts = np.array([[1, 0, 0]])
         inputs = window_inputs(codebook, [0.0, 2.0, 0.0], counts, delay=0.05)
-        sol = lp_solve(build_program(inputs), engine="highs")
+        sol = lp_solve(build_program(inputs))
         plan = extract_plan(sol, inputs)
         assert np.allclose(plan.departures, [[0.0, 1.0, 1.0]], atol=1e-8)
         assert plan.objective == pytest.approx(0.05, abs=1e-8)
@@ -246,7 +245,7 @@ class TestBuildProgram:
         counts = np.array([[2, 0, 0, 0, 0]])
         # supply never wants the load, but completion still drains it
         inputs = window_inputs(codebook, np.zeros(5), counts, delay=0.0)
-        sol = lp_solve(build_program(inputs), engine="highs")
+        sol = lp_solve(build_program(inputs))
         plan = extract_plan(sol, inputs)
         pos = inputs.lookahead - 2
         assert plan.departures[0, pos] == pytest.approx(2.0, abs=1e-8)
@@ -257,27 +256,21 @@ class TestBuildProgram:
         counts = rng.integers(0, 2, size=(2, 6))
         zic = rng.uniform(0.0, 3.0, size=6)
         inputs = window_inputs(codebook, zic, counts)
-        strict = lp_solve(build_program(inputs), engine="highs")
-        relaxed = lp_solve(build_program(inputs, relax_completion=True), engine="highs")
+        strict = lp_solve(build_program(inputs))
+        relaxed = lp_solve(build_program(inputs, relax_completion=True))
         assert np.allclose(relaxed.values[-2:], 0.0, atol=1e-7)
         assert relaxed.objective == pytest.approx(strict.objective, abs=1e-7)
 
     def test_committed_history_shrinks_usable_supply(self):
         codebook = [ChargeCode(id=1, pulse=(1.0, 1.0, 1.0))]
-        inputs = HorizonInputs(
-            start_epoch=2,
-            observed=np.array([[2, 2, 2]]),
-            prior_departures=np.array([2]),
-            zic_kw=np.full(4, 5.0),
-            price_up=np.ones(4),
-            price_dn=np.ones(4),
-            delay_prices=np.array([0.1]),
-            codebook=codebook,
-            committed_history=np.array([[1], [1]]),
-            lookahead=3,
-        )
+        sched = flat_scheduler(codebook, np.full(10, 5.0), 3)
+        for _ in range(2):
+            # the completion row forces each start at once
+            sched.observe_arrivals(np.array([1]))
+            assert sched.step().committed.tolist() == [1]
+        sched.observe_arrivals(np.array([0]))
         # starts at epochs 0 and 1 still draw 1 kW each into epochs 2..3
-        assert np.allclose(inputs.net_zic(), [3.0, 4.0, 5.0, 5.0])
+        assert np.allclose(sched.horizon_inputs().zic_kw, [3.0, 4.0, 5.0, 5.0])
 
     def test_observed_must_be_cumulative(self):
         codebook = [ChargeCode(id=1, pulse=(1.0,))]
@@ -291,7 +284,6 @@ class TestBuildProgram:
                 price_dn=np.ones(3),
                 delay_prices=np.array([0.1]),
                 codebook=codebook,
-                committed_history=np.zeros((0, 1), dtype=np.int64),
                 lookahead=2,
             )
 
@@ -310,7 +302,7 @@ def rowwise_program(inputs, relax_completion):
     arrivals = inputs.arrival_matrix()
     shifted = np.maximum(arrivals - inputs.prior_departures[:, None], 0.0)
     gamma = build_gamma(inputs.codebook, t, inputs.start_lag)
-    net = inputs.net_zic()
+    net = inputs.zic_kw
 
     cost = np.zeros(n)
     for qi in range(q):
@@ -373,8 +365,6 @@ def mid_day_inputs(codebook, start_lag=0, seed=5):
     q, t, l0 = len(codebook), 7, 6
     increments = rng.integers(0, 3, size=(q, l0 + 1))
     observed = np.cumsum(increments, axis=1)
-    max_u = max(code.duration_epochs for code in codebook)
-    s = min(l0, max_u - 1 + start_lag)
     return HorizonInputs(
         start_epoch=l0,
         observed=observed,
@@ -384,7 +374,6 @@ def mid_day_inputs(codebook, start_lag=0, seed=5):
         price_dn=rng.uniform(0.1, 1.0, size=t + 1),
         delay_prices=rng.uniform(0.0, 0.2, size=q),
         codebook=codebook,
-        committed_history=rng.integers(0, 2, size=(s, q)),
         lookahead=t,
         forecast_rates=rng.uniform(0.0, 1.5, size=q),
         deadline_epochs=4,
@@ -437,8 +426,7 @@ class TestWindowStructure:
 
 
 class TestAgainstEnumeration:
-    @pytest.mark.parametrize("engine", ["highs", "simplex"])
-    def test_relaxation_lower_bounds_integer_optimum_small(self, engine):
+    def test_relaxation_lower_bounds_integer_optimum_small(self):
         rng = np.random.default_rng(101)
         for _ in range(6):
             q = int(rng.integers(1, 3))
@@ -452,7 +440,7 @@ class TestAgainstEnumeration:
                                    price_up=float(rng.uniform(0.5, 2.0)),
                                    price_dn=float(rng.uniform(0.5, 2.0)),
                                    delay=float(rng.uniform(0.0, 0.2)))
-            sol = lp_solve(build_program(inputs), engine=engine)
+            sol = lp_solve(build_program(inputs))
             plan = extract_plan(sol, inputs)
             assert plan.objective <= best_integer_cost(inputs) + 1e-7
 
@@ -468,7 +456,7 @@ class TestAgainstEnumeration:
             zic = rng.uniform(0.0, 3.0, size=t + 1)
             inputs = window_inputs(codebook, zic, counts,
                                    delay=float(rng.uniform(0.0, 0.3)))
-            sol = lp_solve(build_program(inputs), engine="highs")
+            sol = lp_solve(build_program(inputs))
             plan = extract_plan(sol, inputs)
             assert plan.objective <= best_integer_cost(inputs) + 1e-7
 
@@ -483,7 +471,7 @@ class TestAgainstEnumeration:
             inputs = window_inputs(codebook, rng.uniform(0.0, 3.0, size=t + 1),
                                    counts, price_up=float(rng.uniform(0.1, 2.0)),
                                    price_dn=float(rng.uniform(0.1, 2.0)))
-            sol = lp_solve(build_program(inputs), engine="highs")
+            sol = lp_solve(build_program(inputs))
             width = t + 1
             up = sol.values[q * width : q * width + width]
             dn = sol.values[q * width + width : q * width + 2 * width]
@@ -502,7 +490,6 @@ class TestRoundAndCommit:
             price_dn=np.ones(2),
             delay_prices=np.array([0.0]),
             codebook=codebook,
-            committed_history=np.zeros((0, 1), dtype=np.int64),
             lookahead=1,
         )
 
@@ -602,8 +589,7 @@ class TestRecedingHorizon:
         arrivals = np.array([[1, 0, 1, 0, 0, 0]])
         one_shot = window_inputs(codebook, zic[:6], np.array([[1, 0, 1, 0, 0, 0]]),
                                  delay=0.05)
-        plan = extract_plan(lp_solve(build_program(one_shot), engine="highs"),
-                            one_shot)
+        plan = extract_plan(lp_solve(build_program(one_shot)), one_shot)
         inc = np.diff(np.hstack([[[0.0]], plan.departures]), axis=1)
         assert np.allclose(inc, np.rint(inc), atol=1e-8)
         sched = flat_scheduler(codebook, zic, 5, known_arrivals=arrivals)
@@ -675,17 +661,31 @@ class TestRecedingHorizon:
             np.array_equal(a, b) for a, b in zip(runs[0].committed, runs[1].committed)
         )
 
-    def test_simplex_engine_agrees_with_external_solver(self):
-        codebook = [ChargeCode(id=1, pulse=(2.0,))]
-        zic = np.array([0.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        arrivals = np.array([[1, 1, 0, 0]])
-        costs = []
-        for engine in ("highs", "simplex"):
-            sched = flat_scheduler(codebook, zic, 4, engine=engine,
-                                   known_arrivals=arrivals)
-            traj = sched.run(arrivals)
-            costs.append(traj.total_cost)
-        assert costs[0] == pytest.approx(costs[1], abs=1e-8)
+    @pytest.mark.parametrize("start_lag", [0, 1])
+    def test_window_supply_is_net_of_committed_load(self, start_lag):
+        rng = np.random.default_rng(1013)
+        codebook = [ChargeCode(id=1, pulse=(1.0, 2.0, 0.5)), ChargeCode(id=2, pulse=(1.5,))]
+        zic = rng.uniform(0.0, 4.0, size=40)
+        arrivals = rng.poisson(0.8, size=(2, 10))
+        sched = flat_scheduler(codebook, zic, 6, arrival_rates=np.full(2, 0.8),
+                               deadline_epochs=5, start_lag=start_lag)
+        original = sched.horizon_inputs
+        checked = []
+
+        def checked_inputs():
+            inputs = original()
+            l0, width = sched.epoch, sched.lookahead + 1
+            inc = np.array(sched.trajectory.committed, dtype=float).reshape(l0, 2).T
+            load = synthesize_load(inc, codebook, l0 + width, start_lag=start_lag)
+            expected = zic[l0 : l0 + width] - load[l0:]
+            np.testing.assert_allclose(inputs.zic_kw, expected, rtol=0, atol=1e-9)
+            checked.append(not np.array_equal(expected, zic[l0 : l0 + width]))
+            return inputs
+
+        sched.horizon_inputs = checked_inputs
+        traj = sched.run(arrivals)
+        assert len(checked) == len(traj)
+        assert sum(checked) > len(traj) // 2  # most windows carry committed tails
 
     def test_flex_load_matches_synthesis_of_committed(self):
         rng = np.random.default_rng(919)
@@ -696,7 +696,7 @@ class TestRecedingHorizon:
                                deadline_epochs=8)
         traj = sched.run(arrivals)
         inc = np.array(traj.committed).T
-        rebuilt = synthesize_load(inc, codebook, len(traj)).samples
+        rebuilt = synthesize_load(inc, codebook, len(traj))
         assert np.allclose(traj.flex_kw, rebuilt, atol=1e-9)
 
     def test_trajectory_csv_round_trip(self, tmp_path):

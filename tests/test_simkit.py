@@ -21,7 +21,6 @@ from ddls.simkit import (
     default_price_curve,
     events_from_counts,
     generate_arrival_counts,
-    generate_arrivals,
     load_scenario,
     metrics_to_csv,
     run_ddls,
@@ -136,7 +135,7 @@ class TestGenerateArrivals:
         counts = generate_arrival_counts(np.zeros(3), 40, seed=1)
         assert counts.shape == (3, 40)
         assert counts.sum() == 0
-        assert generate_arrivals(np.zeros(1), 5, 1, [ChargeCode(1, (1.0,))]) == []
+        assert events_from_counts(counts, [ChargeCode(q + 1, (1.0,)) for q in range(3)]) == []
 
     def test_seed_reproducibility(self):
         a = generate_arrival_counts([12.0, 6.0], 200, seed=42)
