@@ -13,6 +13,7 @@ import pytest
 
 from ddls.core import ChargeCode, synthesize_load
 from ddls.errors import ConfigurationError
+from ddls import lp
 from ddls.lp import LpSolution
 from ddls.lp import solve as lp_solve
 from ddls.scheduler import (
@@ -426,7 +427,10 @@ class TestWindowStructure:
 
 
 class TestAgainstEnumeration:
-    def test_relaxation_lower_bounds_integer_optimum_small(self):
+    # lp.solve, and the linprog path it falls back to without the HiGHS binding
+    @pytest.mark.parametrize("path", ["highs", "linprog"])
+    def test_relaxation_lower_bounds_integer_optimum_small(self, path):
+        solve = lp_solve if path == "highs" else lp._solve_linprog
         rng = np.random.default_rng(101)
         for _ in range(6):
             q = int(rng.integers(1, 3))
@@ -440,7 +444,7 @@ class TestAgainstEnumeration:
                                    price_up=float(rng.uniform(0.5, 2.0)),
                                    price_dn=float(rng.uniform(0.5, 2.0)),
                                    delay=float(rng.uniform(0.0, 0.2)))
-            sol = lp_solve(build_program(inputs))
+            sol = solve(build_program(inputs))
             plan = extract_plan(sol, inputs)
             assert plan.objective <= best_integer_cost(inputs) + 1e-7
 
