@@ -26,6 +26,23 @@ from .errors import ConfigurationError, SolverError
 
 FEAS_TOL = 1e-7
 
+# (fn, id of each array) -> (arrays, fn(*arrays)); the entry holds the
+# arrays, so their ids stay unique while it lives
+_IDENTITY_CACHE: dict = {}
+_IDENTITY_CACHE_SIZE = 64
+
+
+def _by_identity(fn, *arrays):
+    """``fn(*arrays)``, computed once per identity of the read-only
+    ``arrays``: the scheduler's cached window rows, taken as immutable."""
+    key = (fn, *map(id, arrays))
+    entry = _IDENTITY_CACHE.get(key)
+    if entry is None:
+        if len(_IDENTITY_CACHE) >= _IDENTITY_CACHE_SIZE:
+            del _IDENTITY_CACHE[next(iter(_IDENTITY_CACHE))]
+        entry = _IDENTITY_CACHE[key] = (arrays, fn(*arrays))
+    return entry[1]
+
 
 def _as_matrix(m, rhs, n, label):
     if m is None:
@@ -38,9 +55,15 @@ def _as_matrix(m, rhs, n, label):
         raise ConfigurationError(
             f"{label} shapes inconsistent: matrix {m.shape}, rhs {rhs.shape}, n={n}"
         )
-    if not np.all(np.isfinite(m)) or not np.all(np.isfinite(rhs)):
+    # a read-only matrix (the scheduler's cached window rows) is checked once
+    finite = _finite(m) if m.flags.writeable else _by_identity(_finite, m)
+    if not (finite and _finite(rhs)):
         raise ConfigurationError(f"{label} contains NaN/Inf")
     return m, rhs
+
+
+def _finite(a: np.ndarray) -> bool:
+    return bool(np.isfinite(a).all())
 
 
 @dataclass
@@ -114,12 +137,6 @@ _HIGHS = _load_highs()
 
 # linprog's acceptance tolerance for HiGHS points: sqrt(tol) * 10, tol = 1e-9
 _ACCEPT_TOL = np.sqrt(1e-9) * 10
-
-# (id(eq), id(ineq)) -> (eq, ineq, (indptr, indices, data)); the entry
-# holds both arrays, so their ids stay unique while it lives
-_CSC_CACHE: dict = {}
-_CSC_CACHE_SIZE = 32
-
 
 def solve(program: LinearProgram) -> LpSolution:
     """Solve the program; see the module docstring."""
@@ -206,18 +223,12 @@ _OPTIONS = None if _HIGHS is None else _highs_options()
 def _constraint_csc(eq: np.ndarray, ineq: np.ndarray):
     """CSC arrays of linprog's stacked matrix [-ineq; eq].
 
-    Read-only pairs (the scheduler's cached window rows) are taken as
-    immutable and converted once; any other pair is converted per call.
+    Read-only pairs (the scheduler's cached window rows) are converted
+    once; any other pair is converted per call.
     """
     if eq.flags.writeable or ineq.flags.writeable:
         return _to_csc(eq, ineq)
-    key = (id(eq), id(ineq))
-    entry = _CSC_CACHE.get(key)
-    if entry is None:
-        if len(_CSC_CACHE) >= _CSC_CACHE_SIZE:
-            del _CSC_CACHE[next(iter(_CSC_CACHE))]
-        entry = _CSC_CACHE[key] = (eq, ineq, _to_csc(eq, ineq))
-    return entry[2]
+    return _by_identity(_to_csc, eq, ineq)
 
 
 def _to_csc(eq, ineq):

@@ -182,6 +182,21 @@ class QueueLedger:
                 out.append((q, int(arr_epochs[j]), int(dep_epochs[j] - arr_epochs[j])))
         return out
 
+    def fifo_delay_sum(self) -> tuple[int, int]:
+        """(sum of the FIFO delays, number of departures), the sum and
+        length of ``fifo_delays``, from the counts alone.
+
+        Departures contribute sum_l l*dep_q(l).  They serve the first
+        D_q arrivals of the queue, of which epoch l holds
+        clip(D_q - A_q(l-1), 0, arr_q(l)), A_q(l-1) being the arrivals
+        before l; their arrival epochs are subtracted.
+        """
+        served = self._dep.sum(axis=1)
+        before = np.cumsum(self._arr, axis=1) - self._arr
+        taken = np.clip(served[:, None] - before, 0, self._arr)
+        epochs = np.arange(self._arr.shape[1])
+        return int(epochs @ (self._dep - taken).sum(axis=0)), int(served.sum())
+
     def to_csv(self, path) -> None:
         """Dump cumulative counts, one row per (epoch, queue); queue
         column is the 1-based code id."""

@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .codec import Quantizer
+# unscheduled_load is unused here: bench/spans.py traces it as simkit.unscheduled_load
 from .core import ArrivalEvent, ChargeCode, RawRequest, synthesize_load, unscheduled_load
 from .csvio import atomic_write_text, write_csv
 from .errors import ConfigurationError
@@ -97,9 +97,14 @@ class ScenarioConfig:
         self.codebook = tuple(self.codebook)
         if not self.codebook:
             raise ConfigurationError("scenario needs a nonempty codebook")
+        for name in ("seed", "horizon_epochs", "lookahead", "deadline_epochs",
+                     "n_schedulers", "start_lag"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.horizon_epochs < 1:
             raise ConfigurationError("horizon_epochs must be positive")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 0 < self.interval_s < np.inf:
             raise ConfigurationError("interval_s must be positive and finite")
@@ -385,11 +390,9 @@ def _deviation_cost(flex: np.ndarray, zic: np.ndarray, up: np.ndarray, dn: np.nd
     return float(np.sum(u * np.maximum(dev, 0.0) + d * np.maximum(-dev, 0.0)))
 
 
-def _mean_delay(ledger: QueueLedger) -> float:
-    delays = [delay for _, _, delay in ledger.fifo_delays()]
-    if not delays:
-        return 0.0
-    return float(np.mean(delays))
+def _mean_delay(total: int, served: int) -> float:
+    """Mean FIFO delay from ``QueueLedger.fifo_delay_sum`` totals."""
+    return total / served if served else 0.0
 
 
 def _scenario_counts(config: ScenarioConfig, arrival_counts) -> np.ndarray:
@@ -444,20 +447,22 @@ def _metrics_from_ledger(
         total_cost=deviation + delay_cost,
         deviation_cost=deviation,
         delay_cost=delay_cost,
-        mean_delay_epochs=_mean_delay(ledger),
+        mean_delay_epochs=_mean_delay(*ledger.fifo_delay_sum()),
         peak_kw=peak,
         served=served,
     )
 
 
 def run_uncontrolled(config: ScenarioConfig, arrival_counts=None) -> RunResult:
-    """Serve every appliance the epoch it arrives."""
+    """Serve every appliance the epoch it arrives.
+
+    Departures equal arrivals, so the arrival count matrix is itself the
+    per-queue start increments and the load is its ``synthesize_load``;
+    no appliance is handled one by one.
+    """
     counts = _scenario_counts(config, arrival_counts)
-    events = events_from_counts(counts, config.codebook)
-    quantizer = Quantizer(config.codebook)
-    length = config.padded_length()
-    flex = unscheduled_load(
-        events, list(config.codebook), quantizer, horizon=length, start_lag=config.start_lag
+    flex = synthesize_load(
+        counts, list(config.codebook), config.padded_length(), config.start_lag
     )
 
     ledger = QueueLedger(config.n_queues)
@@ -501,29 +506,39 @@ def run_ddls(config: ScenarioConfig, arrival_counts=None) -> RunResult:
     return RunResult(metrics, sched.trajectory, flex, sched.ledger)
 
 
+def _split_counts(counts: np.ndarray, m: int, seed: int) -> np.ndarray:
+    """(M, Q, L) shares of the counts: each appliance goes to an owner
+    drawn uniformly from the ``SeedSequence([seed, 1])`` stream, one draw
+    of ``counts[q, epoch]`` owners per (queue, epoch), queue-major."""
+    shares = np.zeros((m,) + counts.shape, dtype=np.int64)
+    assign_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    for q in range(counts.shape[0]):
+        for epoch in range(counts.shape[1]):
+            owners = assign_rng.integers(0, m, size=int(counts[q, epoch]))
+            shares[:, q, epoch] = np.bincount(owners, minlength=m)
+    return shares
+
+
 def run_distributed(config: ScenarioConfig, arrival_counts=None) -> RunResult:
     """Split the population across independent schedulers.
 
     Each arrival is assigned uniformly at random (its own seed stream,
-    so the population itself matches the other strategies) and each
-    scheduler chases an equal 1/M share of the supply.  Costs, delays,
-    and served counts are summed; the peak is taken on the aggregate
-    load, since that is what the feeder sees.
+    so the population itself matches the other strategies), counted per
+    (queue, epoch) by ``_split_counts``, and each scheduler chases an
+    equal 1/M share of the supply.  Costs, FIFO delay sums and served
+    counts are summed, so the mean delay is over the whole population;
+    the peak is taken on the aggregate load, since that is what the
+    feeder sees.
     """
     counts = _scenario_counts(config, arrival_counts)
     m = config.n_schedulers
-    shares = np.zeros((m,) + counts.shape, dtype=np.int64)
-    assign_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    for q in range(counts.shape[0]):
-        for epoch in range(counts.shape[1]):
-            for owner in assign_rng.integers(0, m, size=int(counts[q, epoch])):
-                shares[owner, q, epoch] += 1
+    shares = _split_counts(counts, m, config.seed)
 
     zic, up, dn = config.padded_profiles()
     prices = DelayPrices(config.delay_prices)
     deviation = 0.0
     delay_cost = 0.0
-    delays: list[int] = []
+    delay_sum = departures = 0
     flex_parts = []
     trajectories = []
     for owner in range(m):
@@ -532,7 +547,9 @@ def run_distributed(config: ScenarioConfig, arrival_counts=None) -> RunResult:
         flex_part = sched.realized_load()
         deviation += _deviation_cost(flex_part, zic / m, up, dn)
         delay_cost += dci(sched.ledger, 0, len(sched.trajectory) - 1, prices)
-        delays.extend(delay for _, _, delay in sched.ledger.fifo_delays())
+        part_sum, part_departures = sched.ledger.fifo_delay_sum()
+        delay_sum += part_sum
+        departures += part_departures
         flex_parts.append(flex_part)
         trajectories.append(sched.trajectory)
 
@@ -546,7 +563,7 @@ def run_distributed(config: ScenarioConfig, arrival_counts=None) -> RunResult:
         total_cost=deviation + delay_cost,
         deviation_cost=deviation,
         delay_cost=delay_cost,
-        mean_delay_epochs=float(np.mean(delays)) if delays else 0.0,
+        mean_delay_epochs=_mean_delay(delay_sum, departures),
         peak_kw=float(flex.max()) if length else 0.0,
         served=int(counts.sum()),
     )

@@ -276,3 +276,23 @@ class TestValidate:
         rc = main(["validate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert key.split("_")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("horizon_epochs", 10.0),
+        ("lookahead", 4.5),
+        ("deadline_epochs", 4.5),
+        ("n_schedulers", 2.5),
+        ("start_lag", 1.0),
+        ("start_lag", True),
+    ])
+    def test_non_integer_structural_fields_rejected_at_load(self, key, value, tmp_path,
+                                                             capsys):
+        raw = tiny_config().to_dict()
+        raw[key] = value
+        with pytest.raises(ConfigurationError, match=key):
+            ScenarioConfig.from_dict(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["validate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"{key} must be an integer" in capsys.readouterr().err

@@ -213,6 +213,20 @@ class TestFailureModes:
         with pytest.raises(ConfigurationError):
             LinearProgram(np.array([np.nan]))
 
+    def test_read_only_matrix_with_nan_rejected_every_time(self):
+        matrix = np.array([[1.0, np.nan]])
+        matrix.flags.writeable = False
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                LinearProgram(np.ones(2), eq_matrix=matrix, eq_rhs=np.ones(1))
+
+    def test_writable_matrix_checked_on_every_call(self):
+        matrix = np.array([[1.0, 1.0]])
+        LinearProgram(np.ones(2), ineq_matrix=matrix, ineq_rhs=np.ones(1))
+        matrix[0, 1] = np.inf
+        with pytest.raises(ConfigurationError):
+            LinearProgram(np.ones(2), ineq_matrix=matrix, ineq_rhs=np.ones(1))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             LinearProgram(np.array([1.0]), eq_matrix=np.array([[1.0, 2.0]]),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddls.errors import ConfigurationError, FeasibilityError
 from ddls.queues import DelayPrices, QueueLedger, dci
@@ -98,6 +100,20 @@ class TestLedger:
             for q, _arr, delay in ledger.fifo_delays():
                 got[q].append(delay)
             assert got == oracle
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_fifo_delay_sum_matches_fifo_delays(self, data):
+        # partial departures: appliances may still be waiting at the end
+        n_queues = data.draw(st.integers(1, 3))
+        ledger = QueueLedger(n_queues)
+        for l in range(data.draw(st.integers(0, 8))):
+            ledger.record_arrivals(l, data.draw(st.lists(
+                st.integers(0, 3), min_size=n_queues, max_size=n_queues)))
+            ledger.apply_departures(l, [data.draw(st.integers(0, int(b)))
+                                        for b in ledger.backlog(l)])
+        delays = [delay for _, _, delay in ledger.fifo_delays()]
+        assert ledger.fifo_delay_sum() == (sum(delays), len(delays))
 
     def test_csv_dump(self, tmp_path):
         ledger = QueueLedger(2)

@@ -8,10 +8,14 @@ meaningful: same seed, same population, energy conserved.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ddls import codec, simkit
 from ddls.codec import Quantizer
-from ddls.core import ChargeCode
+from ddls.core import ChargeCode, unscheduled_load
 from ddls.errors import ConfigurationError
+from ddls.queues import QueueLedger
 from ddls.simkit import (
     METRICS_HEADER,
     RunMetrics,
@@ -28,6 +32,7 @@ from ddls.simkit import (
     run_price_signal,
     run_scenario,
     run_uncontrolled,
+    _split_counts,
     save_scenario,
     summary_rows,
     summary_to_csv,
@@ -207,6 +212,52 @@ class TestUncontrolled:
         counts = generate_arrival_counts([4.0, 4.0], 10, seed=11)
         assert np.isclose(result.flex_kw.sum(), pulse_energy(config.codebook, counts))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_load_matches_per_appliance_quantization(self, data):
+        # square codes, so quantizing a code's own (rate, duration) request
+        # recovers that code
+        shapes = data.draw(st.lists(
+            st.tuples(st.sampled_from([0.5, 1.0, 2.0, 3.3]), st.integers(1, 3)),
+            min_size=1, max_size=3, unique=True))
+        codebook = tuple(ChargeCode(i + 1, (rate,) * duration)
+                         for i, (rate, duration) in enumerate(shapes))
+        horizon = data.draw(st.integers(1, 6))
+        counts = np.array([data.draw(st.lists(st.integers(0, 3), min_size=horizon,
+                                              max_size=horizon)) for _ in codebook])
+        start_lag = data.draw(st.sampled_from([0, 1]))
+        config = tiny_config(codebook=codebook, horizon_epochs=horizon, zic_kw=1.0,
+                             start_lag=start_lag)
+        oracle = unscheduled_load(events_from_counts(counts, codebook), list(codebook),
+                                  Quantizer(codebook), horizon=config.padded_length(),
+                                  start_lag=start_lag)
+        assert np.array_equal(run_uncontrolled(config, counts).flex_kw, oracle)
+
+
+class TestEveryRunner:
+    def test_energy_conserved_with_non_square_pulses(self):
+        # the second pulse is not square: the square request (max(pulse),
+        # duration) quantizes to the first code, not to the second
+        codebook = (ChargeCode(1, (2.0, 2.0)), ChargeCode(2, (2.0, 0.5)))
+        config = tiny_config(codebook=codebook, horizon_epochs=4, zic_kw=2.0)
+        counts = np.array([[0, 0, 0, 0], [2, 0, 1, 0]])
+        for runner in (run_uncontrolled, run_ddls, run_distributed, run_price_signal):
+            result = runner(config, counts)
+            assert result.flex_kw.sum() == pytest.approx(7.5, abs=1e-9), runner.__name__
+            assert result.metrics.served == 3
+
+    def test_no_runner_handles_appliances_one_by_one(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-appliance path called")
+
+        monkeypatch.setattr(codec, "quantize", forbidden)
+        monkeypatch.setattr(simkit, "events_from_counts", forbidden)
+        monkeypatch.setattr(simkit, "unscheduled_load", forbidden)
+        monkeypatch.setattr(QueueLedger, "fifo_delays", forbidden)
+        config = tiny_config(seed=5, n_schedulers=2)
+        for runner in (run_uncontrolled, run_ddls, run_distributed, run_price_signal):
+            assert runner(config).metrics.served > 0
+
 
 class TestDdlsRunner:
     def test_energy_conserved_and_all_served(self):
@@ -271,6 +322,23 @@ class TestDistributed:
         result = run_distributed(config)
         assert result.metrics.served == counts.sum()
         assert np.isclose(result.flex_kw.sum(), pulse_energy(config.codebook, counts))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_split_matches_per_appliance_assignment(self, data):
+        m = data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n_queues, n_epochs = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+        counts = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 6), min_size=n_epochs, max_size=n_epochs),
+            min_size=n_queues, max_size=n_queues)))
+        oracle = np.zeros((m, n_queues, n_epochs), dtype=np.int64)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        for q in range(n_queues):
+            for epoch in range(n_epochs):
+                for owner in rng.integers(0, m, size=int(counts[q, epoch])):
+                    oracle[owner, q, epoch] += 1
+        assert np.array_equal(_split_counts(counts, m, seed), oracle)
 
     def test_assignment_reproducible(self):
         a = run_distributed(tiny_config(seed=23, n_schedulers=3))
