@@ -37,7 +37,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -57,23 +56,6 @@ from .simkit import (
 )
 
 log = logging.getLogger("ddls.cli")
-
-
-@dataclass(frozen=True)
-class Command:
-    """One parsed invocation."""
-
-    subcommand: str
-    config: Path
-    out: Path
-    seed: int | None = None
-    strategy: str | None = None
-    schedulers: int | None = None
-    lookahead: int | None = None
-    strategies: tuple[str, ...] | None = None
-    window: int = 16
-    cutoff_correlation: float = 0.0
-    cutoff_variance: float = 1.0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,27 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_command(argv) -> Command:
-    ns = build_parser().parse_args(argv)
-    strategies = None
-    if getattr(ns, "strategies", None):
-        strategies = tuple(s.strip() for s in ns.strategies.split(",") if s.strip())
-    return Command(
-        subcommand=ns.subcommand,
-        config=ns.config,
-        out=ns.out,
-        seed=ns.seed,
-        strategy=ns.strategy,
-        schedulers=ns.schedulers,
-        lookahead=ns.lookahead,
-        strategies=strategies,
-        window=getattr(ns, "window", 16),
-        cutoff_correlation=getattr(ns, "cutoff_correlation", 0.0),
-        cutoff_variance=getattr(ns, "cutoff_variance", 1.0),
-    )
-
-
-def load_command_config(command: Command) -> ScenarioConfig:
+def load_command_config(command: argparse.Namespace) -> ScenarioConfig:
     """Read the scenario and apply the command-line overrides."""
     config = load_scenario(command.config)
     overrides = {}
@@ -170,7 +132,7 @@ def _feedback_messages(result):
     return messages
 
 
-def cmd_run(command: Command) -> int:
+def cmd_run(command: argparse.Namespace) -> int:
     config = load_command_config(command)
     log.info("running strategy %s on %s", config.strategy, command.config)
     result = run_scenario(config)
@@ -192,9 +154,9 @@ def cmd_run(command: Command) -> int:
     return 0
 
 
-def cmd_compare(command: Command) -> int:
+def cmd_compare(command: argparse.Namespace) -> int:
     config = load_command_config(command)
-    names = command.strategies or STRATEGIES
+    names = tuple(s.strip() for s in command.strategies.split(",") if s.strip()) or STRATEGIES
     unknown = [n for n in names if n not in STRATEGIES]
     if unknown:
         raise ConfigurationError(f"unknown strategies: {unknown}")
@@ -214,7 +176,7 @@ def cmd_compare(command: Command) -> int:
     return 0
 
 
-def cmd_codebook(command: Command) -> int:
+def cmd_codebook(command: argparse.Namespace) -> int:
     config = load_command_config(command)
     command.out.mkdir(parents=True, exist_ok=True)
     codebook_to_json(Quantizer(config.codebook), command.out / "codebook.json")
@@ -225,7 +187,7 @@ def cmd_codebook(command: Command) -> int:
     return 0
 
 
-def cmd_rates(command: Command) -> int:
+def cmd_rates(command: argparse.Namespace) -> int:
     config = load_command_config(command)
     lam = float(config.epoch_rates().sum(axis=0).mean())
     n_codes = config.n_queues
@@ -245,7 +207,7 @@ def cmd_rates(command: Command) -> int:
     return 0
 
 
-def cmd_validate(command: Command) -> int:
+def cmd_validate(command: argparse.Namespace) -> int:
     load_command_config(command)
     print("ok")
     return 0
@@ -264,7 +226,7 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=getattr(logging, os.environ.get("DDLS_LOG", "WARNING").upper(), logging.WARNING)
     )
-    command = parse_command(argv)
+    command = build_parser().parse_args(argv)
     try:
         return _COMMANDS[command.subcommand](command)
     except FileNotFoundError as exc:

@@ -7,8 +7,11 @@ min c'x  s.t.  A_eq x = b_eq,  A_ge x >= b_ge,  lo <= x <= hi
 options and acceptance checks of ``scipy.optimize.linprog(method="highs")``,
 so the two give the same status, point and objective;
 ``tests/test_lp_direct.py`` checks that over every window of a desk day.
-The call skips linprog's input cleaning and re-conversion, and reuses
-one sparse copy of a read-only constraint matrix pair across solves.
+The call skips linprog's input cleaning and re-conversion.  A
+``LinearProgram`` freezes its rows when it is built: it keeps a
+read-only copy of its matrices, checks them and converts them to sparse
+form once; ``LinearProgram.fill`` reuses those rows for new costs,
+right-hand side and bounds, checking only the new vectors.
 Where this scipy lacks the binding (checked once at import), ``solve``
 falls back to linprog.  Both paths are deterministic.  Bound intervals
 are accepted as nonempty within FEAS_TOL (1e-7).
@@ -16,7 +19,8 @@ are accepted as nonempty within FEAS_TOL (1e-7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
@@ -26,49 +30,40 @@ from .errors import ConfigurationError, SolverError
 
 FEAS_TOL = 1e-7
 
-# (fn, id of each array) -> (arrays, fn(*arrays)); the entry holds the
-# arrays, so their ids stay unique while it lives
-_IDENTITY_CACHE: dict = {}
-_IDENTITY_CACHE_SIZE = 64
 
-
-def _by_identity(fn, *arrays):
-    """``fn(*arrays)``, computed once per identity of the read-only
-    ``arrays``: the scheduler's cached window rows, taken as immutable."""
-    key = (fn, *map(id, arrays))
-    entry = _IDENTITY_CACHE.get(key)
-    if entry is None:
-        if len(_IDENTITY_CACHE) >= _IDENTITY_CACHE_SIZE:
-            del _IDENTITY_CACHE[next(iter(_IDENTITY_CACHE))]
-        entry = _IDENTITY_CACHE[key] = (arrays, fn(*arrays))
-    return entry[1]
-
-
-def _as_matrix(m, rhs, n, label):
-    if m is None:
-        return np.zeros((0, n)), np.zeros(0)
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+def _rows(m, n: int, label) -> np.ndarray:
+    """A read-only float copy of a constraint matrix over ``n`` variables."""
+    m = np.zeros((0, n)) if m is None else np.atleast_2d(np.array(m, dtype=float))
     if m.size == 0:
-        return np.zeros((0, n)), np.zeros(0)
-    if m.shape[1] != n or m.shape[0] != rhs.size:
-        raise ConfigurationError(
-            f"{label} shapes inconsistent: matrix {m.shape}, rhs {rhs.shape}, n={n}"
-        )
-    # a read-only matrix (the scheduler's cached window rows) is checked once
-    finite = _finite(m) if m.flags.writeable else _by_identity(_finite, m)
-    if not (finite and _finite(rhs)):
+        m = np.zeros((0, n))
+    if m.shape[1] != n:
+        raise ConfigurationError(f"{label} matrix has shape {m.shape}, expected {n} columns")
+    if not np.isfinite(m).all():
         raise ConfigurationError(f"{label} contains NaN/Inf")
-    return m, rhs
+    m.flags.writeable = False
+    return m
 
 
-def _finite(a: np.ndarray) -> bool:
-    return bool(np.isfinite(a).all())
+def _rhs(rhs, rows: int, label) -> np.ndarray:
+    """A float copy of the right-hand side of ``rows`` constraint rows."""
+    rhs = np.zeros(0) if rhs is None and not rows else np.atleast_1d(np.array(rhs, dtype=float))
+    if rhs.shape != (rows,):
+        raise ConfigurationError(f"{label} shapes inconsistent: {rows} rows, rhs {rhs.shape}")
+    if not np.isfinite(rhs).all():
+        raise ConfigurationError(f"{label} contains NaN/Inf")
+    return rhs
 
 
 @dataclass
 class LinearProgram:
-    """Dense LP data; inequality rows are >= constraints."""
+    """Dense LP data; inequality rows are >= constraints.
+
+    The rows (both matrices and ``ineq_rhs``) are copied read-only,
+    checked and converted to linprog's stacked CSC ``[-ineq; eq]`` once,
+    when the program is built.  ``fill`` gives programs that share them
+    and differ only in the costs, the equality right-hand side and the
+    bounds.
+    """
 
     objective: np.ndarray
     eq_matrix: np.ndarray | None = None
@@ -77,24 +72,38 @@ class LinearProgram:
     ineq_rhs: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
+    csc: tuple = field(init=False, repr=False)  # (indptr, indices, data), read-only
 
     def __post_init__(self):
+        n = np.size(self.objective)
+        self.eq_matrix = _rows(self.eq_matrix, n, "equality")
+        self.ineq_matrix = _rows(self.ineq_matrix, n, "inequality")
+        self.ineq_rhs = _rhs(self.ineq_rhs, self.ineq_matrix.shape[0], "inequality")
+        stacked = csc_array(np.vstack((-self.ineq_matrix, self.eq_matrix)))
+        self.csc = (stacked.indptr, stacked.indices, stacked.data)
+        for a in (self.ineq_rhs, *self.csc):
+            a.flags.writeable = False
+        self._check_vectors()
+
+    def fill(self, objective, eq_rhs, lower, upper) -> LinearProgram:
+        """This program's rows with new costs, equality right-hand side
+        and bounds; only those are checked."""
+        program = copy.copy(self)
+        program.objective, program.eq_rhs = objective, eq_rhs
+        program.lower, program.upper = lower, upper
+        program._check_vectors()
+        return program
+
+    def _check_vectors(self):
+        n = self.eq_matrix.shape[1]
         self.objective = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        n = self.objective.size
+        if self.objective.shape != (n,):
+            raise ConfigurationError(f"objective has {self.objective.shape}, rows have {n} columns")
         if not np.all(np.isfinite(self.objective)):
             raise ConfigurationError("objective contains NaN/Inf")
-        self.eq_matrix, self.eq_rhs = _as_matrix(self.eq_matrix, self.eq_rhs, n, "equality")
-        self.ineq_matrix, self.ineq_rhs = _as_matrix(
-            self.ineq_matrix, self.ineq_rhs, n, "inequality"
-        )
-        self.lower = (
-            np.full(n, -np.inf) if self.lower is None
-            else np.asarray(self.lower, dtype=float).copy()
-        )
-        self.upper = (
-            np.full(n, np.inf) if self.upper is None
-            else np.asarray(self.upper, dtype=float).copy()
-        )
+        self.eq_rhs = _rhs(self.eq_rhs, self.eq_matrix.shape[0], "equality")
+        self.lower = np.full(n, -np.inf) if self.lower is None else np.array(self.lower, float)
+        self.upper = np.full(n, np.inf) if self.upper is None else np.array(self.upper, float)
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ConfigurationError("bound vectors must match the variable count")
         if np.isnan(self.lower).any() or np.isnan(self.upper).any():
@@ -148,7 +157,7 @@ def solve(program: LinearProgram) -> LpSolution:
     # linprog's layout: the >= rows as -A x <= -b, then the equality rows
     rhs = np.concatenate((-program.ineq_rhs, program.eq_rhs))
     lhs = np.concatenate((np.full(mi, -np.inf), program.eq_rhs))
-    indptr, indices, data = _constraint_csc(program.eq_matrix, program.ineq_matrix)
+    indptr, indices, data = program.csc
 
     lp = h.HighsLp()
     lp.num_col_ = n
@@ -218,22 +227,6 @@ def _highs_options():
 
 
 _OPTIONS = None if _HIGHS is None else _highs_options()
-
-
-def _constraint_csc(eq: np.ndarray, ineq: np.ndarray):
-    """CSC arrays of linprog's stacked matrix [-ineq; eq].
-
-    Read-only pairs (the scheduler's cached window rows) are converted
-    once; any other pair is converted per call.
-    """
-    if eq.flags.writeable or ineq.flags.writeable:
-        return _to_csc(eq, ineq)
-    return _by_identity(_to_csc, eq, ineq)
-
-
-def _to_csc(eq, ineq):
-    matrix = csc_array(np.vstack((-ineq, eq)))
-    return matrix.indptr, matrix.indices, matrix.data
 
 
 def _solve_linprog(program: LinearProgram) -> LpSolution:

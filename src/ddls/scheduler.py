@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -242,14 +242,15 @@ class HorizonInputs:
 
 @functools.lru_cache(maxsize=16)
 def _window_rows(codebook: tuple[ChargeCode, ...], lookahead: int, start_lag: int,
-                relax_completion: bool):
-    """The window LP's constraint rows, which no epoch changes.
+                relax_completion: bool) -> tuple[LinearProgram, np.ndarray]:
+    """The window LP's rows, which no epoch changes, as a template
+    program to ``fill``, and the column of each queue's completion
+    variable (read-only).
 
-    Returns read-only ``(eq_matrix, ineq_matrix, ineq_rhs, completion)``:
-    the T+1 balance rows (gamma, -up, +dn) and one completion row per
-    queue; the Q*T monotonicity rows e(j) - e(j-1) >= 0; and the column
-    of each queue's completion variable.  One copy per key is shared by
-    every window and every scheduler that asks for it.
+    The rows are the T+1 balance rows (gamma, -up, +dn) and one
+    completion row per queue, then the Q*T monotonicity rows
+    e(j) - e(j-1) >= 0.  One template per key is shared by every window
+    and every scheduler that asks for it.
     """
     q, width = len(codebook), lookahead + 1
     n_e = q * width
@@ -259,6 +260,7 @@ def _window_rows(codebook: tuple[ChargeCode, ...], lookahead: int, start_lag: in
     completion = queues * width + np.array(
         [lookahead - code.duration_epochs for code in codebook]
     )
+    completion.flags.writeable = False
 
     eq = np.zeros((width + q, n))
     eq[:width, :n_e] = build_gamma(codebook, lookahead, start_lag)
@@ -272,11 +274,8 @@ def _window_rows(codebook: tuple[ChargeCode, ...], lookahead: int, start_lag: in
     ineq = np.zeros((later.size, n))
     ineq[np.arange(later.size), later] = 1.0
     ineq[np.arange(later.size), later - 1] = -1.0
-    ineq_rhs = np.zeros(later.size)
-
-    for arr in (eq, ineq, ineq_rhs, completion):
-        arr.flags.writeable = False
-    return eq, ineq, ineq_rhs, completion
+    template = LinearProgram(np.zeros(n), eq, np.zeros(width + q), ineq, np.zeros(later.size))
+    return template, completion
 
 
 def build_program(inputs: HorizonInputs, relax_completion: bool = False) -> LinearProgram:
@@ -287,15 +286,13 @@ def build_program(inputs: HorizonInputs, relax_completion: bool = False) -> Line
     the horizon-end completion fall short at a penalty of 10x the
     largest price (numerical-rescue path; in exact arithmetic the
     completion rows are always satisfiable because d = a meets every
-    constraint).  The constraint matrices come from ``_window_rows``;
+    constraint).  The rows come from the ``_window_rows`` template;
     only the cost, the bounds and the equality right-hand side are
     filled per window.
     """
     q, t = inputs.n_queues, inputs.lookahead
     width = t + 1
-    eq, ineq, ineq_rhs, completion = _window_rows(
-        inputs.codebook, t, inputs.start_lag, relax_completion
-    )
+    template, completion = _window_rows(inputs.codebook, t, inputs.start_lag, relax_completion)
     arrivals = inputs.arrival_matrix()
     prior = inputs.prior_departures[:, None]
     shifted = np.maximum(arrivals - prior, 0.0)
@@ -309,12 +306,9 @@ def build_program(inputs: HorizonInputs, relax_completion: bool = False) -> Line
         cost.append(np.full(q, penalty))
 
     floor = np.maximum(inputs.deadline_floor(arrivals) - prior, 0.0)
-    return LinearProgram(
+    return template.fill(
         np.concatenate(cost),
-        eq_matrix=eq,
-        eq_rhs=np.concatenate((inputs.zic_kw, shifted.ravel()[completion])),
-        ineq_matrix=ineq,
-        ineq_rhs=ineq_rhs,
+        np.concatenate((inputs.zic_kw, shifted.ravel()[completion])),
         lower=np.concatenate((np.minimum(floor, shifted).ravel(), np.zeros(n_free))),
         upper=np.concatenate((shifted.ravel(), np.full(n_free, np.inf))),
     )
@@ -392,7 +386,6 @@ def apply_capacity_cap(committed, cap: float | None) -> np.ndarray:
 class StepResult:
     epoch: int
     committed: np.ndarray
-    plan: SchedulePlan
     relaxed_completion: bool
 
 
@@ -564,14 +557,6 @@ class RecedingHorizonScheduler:
                 raise FeasibilityError(
                     f"window LP unsolvable at epoch {l0}: {solution.status}"
                 )
-        width = self.lookahead + 1
-        plan_view = solution
-        if relaxed:
-            # slack columns trail the plan layout, so slice them off
-            plan_view = replace(
-                solution, values=solution.values[: self.n_queues * width + 2 * width]
-            )
-        plan = extract_plan(plan_view, inputs)
         committed = round_and_commit(solution, inputs)
         committed = apply_capacity_cap(committed, self.capacity_cap)
         self.ledger.apply_departures(l0, committed)
@@ -592,8 +577,7 @@ class RecedingHorizonScheduler:
         self.trajectory.append(flex_now, self.zic_kw[l0], backlog, cost, committed)
 
         self.epoch += 1
-        return StepResult(epoch=l0, committed=committed, plan=plan,
-                          relaxed_completion=relaxed)
+        return StepResult(epoch=l0, committed=committed, relaxed_completion=relaxed)
 
     def run(self, arrival_increments, drain: bool = True) -> Trajectory:
         """Feed per-epoch arrival counts column by column, stepping once

@@ -37,6 +37,7 @@ import json
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # unscheduled_load is unused here: bench/spans.py traces it as simkit.unscheduled_load
 from .core import ArrivalEvent, ChargeCode, RawRequest, synthesize_load, unscheduled_load
@@ -65,6 +66,32 @@ def _as_float_array(value, length: int, name: str) -> np.ndarray:
             f"{name} must be a scalar or a length-{length} vector, got shape {arr.shape}"
         )
     return arr.copy()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _charge_code(entry, pos: int) -> ChargeCode:
+    """Codebook entry ``pos`` (1-based) of a scenario dict, checked."""
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"codebook entry {pos} must be an object, got {entry!r}")
+    missing = sorted({"duration_epochs", "rate_kw"} - set(entry))
+    if missing:
+        raise ConfigurationError(f"codebook entry {pos} lacks {missing}")
+    code_id, duration, rate = entry.get("id", pos), entry["duration_epochs"], entry["rate_kw"]
+    if code_id != pos or not _is_int(code_id):
+        raise ConfigurationError(f"codebook ids must run 1..Q, got {code_id!r} at slot {pos}")
+    if not _is_int(duration) or duration < 1:
+        raise ConfigurationError(
+            f"codebook entry {pos}: duration_epochs must be an integer >= 1, got {duration!r}"
+        )
+    real = (int, float, np.integer, np.floating)
+    if isinstance(rate, bool) or not isinstance(rate, real) or not 0 <= rate < np.inf:
+        raise ConfigurationError(
+            f"codebook entry {pos}: rate_kw must be a finite number >= 0, got {rate!r}"
+        )
+    return ChargeCode(pos, (float(rate),) * duration)
 
 
 @dataclass
@@ -100,7 +127,7 @@ class ScenarioConfig:
         for name in ("seed", "horizon_epochs", "lookahead", "deadline_epochs",
                      "n_schedulers", "start_lag"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.horizon_epochs < 1:
             raise ConfigurationError("horizon_epochs must be positive")
@@ -233,18 +260,10 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"scenario schema {version} not supported, expected {SCENARIO_SCHEMA}"
             )
-        try:
-            entries = raw["codebook"]
-        except (KeyError, TypeError):
-            raise ConfigurationError("scenario dict needs a 'codebook' entry")
-        codebook = []
-        for pos, entry in enumerate(entries, start=1):
-            code_id = int(entry.get("id", pos))
-            if code_id != pos:
-                raise ConfigurationError(f"codebook ids must run 1..Q, got {code_id} at slot {pos}")
-            duration = int(entry["duration_epochs"])
-            rate = float(entry["rate_kw"])
-            codebook.append(ChargeCode(code_id, (rate,) * duration))
+        entries = raw.get("codebook")
+        if not isinstance(entries, (list, tuple)):
+            raise ConfigurationError("scenario dict needs a 'codebook' list")
+        codebook = [_charge_code(entry, pos) for pos, entry in enumerate(entries, start=1)]
         known = {f.name for f in dataclass_fields(cls)}
         extra = set(raw) - known
         if extra:
@@ -478,9 +497,15 @@ def run_uncontrolled(config: ScenarioConfig, arrival_counts=None) -> RunResult:
     return RunResult(metrics, trajectory, flex, ledger)
 
 
-def _build_scheduler(config: ScenarioConfig, zic_share: float = 1.0) -> RecedingHorizonScheduler:
+def _run_scheduler(config: ScenarioConfig, counts, zic_share: float = 1.0
+                   ) -> RecedingHorizonScheduler:
+    """Run one scheduler on ``counts`` until its queues drain, then add to
+    its trajectory the epochs after its last step in which the pulses it
+    committed still draw power: the load, the supply share, an empty
+    backlog and the stage cost, with no window solved.  Its stage costs
+    then sum to the run's total cost."""
     zic, up, dn = config.padded_profiles()
-    return RecedingHorizonScheduler(
+    sched = RecedingHorizonScheduler(
         list(config.codebook),
         zic * zic_share,
         up,
@@ -492,13 +517,21 @@ def _build_scheduler(config: ScenarioConfig, zic_share: float = 1.0) -> Receding
         capacity_cap=config.capacity_cap,
         start_lag=config.start_lag,
     )
+    traj = sched.run(counts, drain=True)
+    flex = sched.realized_load()
+    drawn = np.flatnonzero(flex)
+    backlog = np.zeros(config.n_queues, dtype=np.int64)
+    for epoch in range(len(traj), drawn[-1] + 1 if drawn.size else 0):
+        zic_now = sched.zic_kw[epoch]
+        traj.append(flex[epoch], zic_now, backlog,
+                    stage_cost(flex[epoch], zic_now, up[epoch], dn[epoch]))
+    return sched
 
 
 def run_ddls(config: ScenarioConfig, arrival_counts=None) -> RunResult:
     """One receding-horizon scheduler controls the whole population."""
     counts = _scenario_counts(config, arrival_counts)
-    sched = _build_scheduler(config)
-    sched.run(counts, drain=True)
+    sched = _run_scheduler(config, counts)
 
     flex = sched.realized_load()
     last_epoch = len(sched.trajectory) - 1
@@ -542,8 +575,7 @@ def run_distributed(config: ScenarioConfig, arrival_counts=None) -> RunResult:
     flex_parts = []
     trajectories = []
     for owner in range(m):
-        sched = _build_scheduler(config, zic_share=1.0 / m)
-        sched.run(shares[owner], drain=True)
+        sched = _run_scheduler(config, shares[owner], zic_share=1.0 / m)
         flex_part = sched.realized_load()
         deviation += _deviation_cost(flex_part, zic / m, up, dn)
         delay_cost += dci(sched.ledger, 0, len(sched.trajectory) - 1, prices)
@@ -611,15 +643,14 @@ def run_price_signal(config: ScenarioConfig, arrival_counts=None, price=None) ->
     if price.shape != (length,):
         raise ConfigurationError(f"price curve must have shape ({length},), got {price.shape}")
 
+    horizon = config.horizon_epochs
     starts = np.zeros((config.n_queues, length), dtype=np.int64)
     for q, code in enumerate(config.codebook):
-        pulse = np.asarray(code.pulse)
-        window = np.arange(config.deadline_epochs + 1)
-        for epoch in np.nonzero(counts[q])[0]:
-            first = epoch + window + config.start_lag
-            costs = [float(price[f : f + len(pulse)] @ pulse) for f in first]
-            best = int(epoch + window[int(np.argmin(costs))])
-            starts[q, best] += counts[q, epoch]
+        # cost[f]: the pulse's price when it starts drawing at epoch f
+        cost = sliding_window_view(price, code.duration_epochs) @ np.asarray(code.pulse)
+        reach = sliding_window_view(cost[config.start_lag :], config.deadline_epochs + 1)
+        best = np.arange(horizon) + np.argmin(reach[:horizon], axis=1)
+        np.add.at(starts[q], best, counts[q])
 
     flex = synthesize_load(starts, list(config.codebook), length, config.start_lag)
 

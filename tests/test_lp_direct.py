@@ -14,8 +14,9 @@ import pytest
 import scipy.optimize
 
 from ddls import lp, scheduler
+from ddls.errors import ConfigurationError
 from ddls.lp import LinearProgram, solve
-from ddls.simkit import load_scenario, run_ddls
+from ddls.simkit import load_scenario, run_ddls, run_distributed
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_day.json"
 
@@ -61,19 +62,89 @@ def test_every_desk_window_agrees_with_linprog(monkeypatch):
     assert sum(d.iterations for d, _ in windows) > 0
 
 
-def test_read_only_matrices_convert_once():
+def _fresh(program):
+    """The same LP built afresh, rows included."""
+    return LinearProgram(program.objective, program.eq_matrix, program.eq_rhs,
+                         program.ineq_matrix, program.ineq_rhs, program.lower, program.upper)
+
+
+def _template():
+    return LinearProgram(np.zeros(2), eq_matrix=np.array([[1.0, 1.0]]), eq_rhs=np.zeros(1),
+                         ineq_matrix=np.array([[1.0, -1.0]]), ineq_rhs=np.zeros(1))
+
+
+def test_filled_program_shares_the_template_rows():
+    template = _template()
+    filled = template.fill(np.array([1.0, 0.0]), np.array([1.0]), np.zeros(2), np.ones(2))
+    assert filled.eq_matrix is template.eq_matrix
+    assert filled.ineq_matrix is template.ineq_matrix
+    assert filled.ineq_rhs is template.ineq_rhs
+    assert all(a is b for a, b in zip(filled.csc, template.csc))
+    assert not any(a.flags.writeable for a in (filled.eq_matrix, filled.ineq_matrix,
+                                               filled.ineq_rhs, *filled.csc))
+    assert solve(filled).values.tolist() == [0.5, 0.5]
+    # the template itself keeps its own vectors
+    assert template.objective.tolist() == [0.0, 0.0]
+    assert template.lower.tolist() == [-np.inf, -np.inf]
+
+
+def test_rows_are_a_copy_of_the_callers_matrices():
     eq = np.array([[1.0, 1.0]])
-    ineq = np.array([[1.0, -1.0]])
-    eq.flags.writeable = False
-    ineq.flags.writeable = False
-    first = lp._constraint_csc(eq, ineq)
-    assert lp._constraint_csc(eq, ineq) is first
-    # a writable pair may change between solves, so it is never cached
-    assert lp._constraint_csc(eq.copy(), ineq.copy()) is not first
-    program = LinearProgram(np.array([1.0, 0.0]), eq_matrix=eq, eq_rhs=np.array([1.0]),
-                            ineq_matrix=ineq, ineq_rhs=np.array([0.0]),
-                            lower=np.zeros(2), upper=np.ones(2))
-    assert solve(program).values.tolist() == [0.5, 0.5]
+    program = LinearProgram(np.ones(2), eq_matrix=eq, eq_rhs=np.ones(1))
+    eq[0, 0] = np.nan
+    assert program.eq_matrix.tolist() == [[1.0, 1.0]]
+    assert eq.flags.writeable
+
+
+def test_every_filled_desk_window_solves_like_a_fresh_program(monkeypatch):
+    windows = []
+    original = scheduler.lp_solve
+
+    def both(program):
+        windows.append((solve(program), solve(_fresh(program))))
+        return original(program)
+
+    monkeypatch.setattr(scheduler, "lp_solve", both)
+    run_ddls(load_scenario(DESK_CONFIG))
+    assert len(windows) >= 96
+    for i, (filled, fresh) in enumerate(windows):
+        assert filled.status == fresh.status == "optimal", i
+        assert np.array_equal(filled.values, fresh.values), i
+        assert filled.objective == fresh.objective, i
+        assert filled.iterations == fresh.iterations, i
+
+
+@pytest.mark.parametrize("vectors", [
+    dict(objective=np.array([np.nan, 0.0])),
+    dict(eq_rhs=np.array([np.nan])),
+    dict(objective=np.zeros(3)),
+    dict(eq_rhs=np.zeros(2)),
+    dict(lower=np.zeros(3)),
+    dict(lower=np.array([0.0, 2.0]), upper=np.array([1.0, 1.0])),
+], ids=["nan-cost", "nan-rhs", "long-cost", "long-rhs", "long-bounds", "crossed-bounds"])
+def test_fill_checks_the_new_vectors(vectors):
+    given = dict(objective=np.zeros(2), eq_rhs=np.ones(1), lower=np.zeros(2), upper=np.ones(2))
+    with pytest.raises(ConfigurationError):
+        _template().fill(**{**given, **vectors})
+
+
+def test_desk_distributed_builds_rows_once_and_extracts_no_plan(monkeypatch):
+    conversions = []
+    original = lp.csc_array
+
+    def counted(*args, **kwargs):
+        conversions.append(1)
+        return original(*args, **kwargs)
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("the controller extracted a plan")
+
+    monkeypatch.setattr(lp, "csc_array", counted)
+    monkeypatch.setattr(scheduler, "extract_plan", no_plan)
+    scheduler._window_rows.cache_clear()
+    result = run_distributed(load_scenario(DESK_CONFIG))
+    assert result.metrics.served > 0
+    assert len(conversions) == 1
 
 
 def test_missing_binding_falls_back_to_linprog(no_binding, linprog_calls):

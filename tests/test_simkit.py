@@ -6,12 +6,16 @@ scoreboard against the invariants that make cross-strategy numbers
 meaningful: same seed, same population, energy conserved.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddls import codec, simkit
+from ddls import codec, scheduler, simkit
+from ddls.cli import main
 from ddls.codec import Quantizer
 from ddls.core import ChargeCode, unscheduled_load
 from ddls.errors import ConfigurationError
@@ -37,6 +41,9 @@ from ddls.simkit import (
     summary_rows,
     summary_to_csv,
 )
+
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_day.json"
 
 
 def two_code_book():
@@ -122,6 +129,30 @@ class TestScenarioConfig:
         raw["codebook"][0]["id"] = 2
         with pytest.raises(ConfigurationError):
             ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("entry", [
+        {"id": 1, "rate_kw": 2.0, "duration_epochs": 1.7},
+        {"id": 1, "rate_kw": 2.0, "duration_epochs": True},
+        {"id": 1, "rate_kw": 2.0, "duration_epochs": "four"},
+        {"id": 1, "rate_kw": 2.0, "duration_epochs": 0},
+        {"id": 1, "rate_kw": float("nan"), "duration_epochs": 1},
+        {"id": 1, "rate_kw": -2.0, "duration_epochs": 1},
+        {"id": 1, "rate_kw": "2", "duration_epochs": 1},
+        {"id": 1, "duration_epochs": 1},
+        {"id": "1", "rate_kw": 2.0, "duration_epochs": 1},
+        [2.0, 1],
+    ], ids=["fractional-duration", "bool-duration", "text-duration", "zero-duration",
+            "nan-rate", "negative-rate", "text-rate", "missing-rate", "text-id", "not-object"])
+    def test_bad_codebook_entry_rejected_at_load(self, entry, tmp_path, capsys):
+        raw = tiny_config().to_dict()
+        raw["codebook"][0] = entry
+        with pytest.raises(ConfigurationError, match="codebook"):
+            ScenarioConfig.from_dict(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["validate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "codebook" in capsys.readouterr().err
 
     def test_padding_extends_supply_with_zeros_and_prices_with_edge(self):
         config = tiny_config(price_up=np.linspace(1.0, 2.0, 10))
@@ -259,6 +290,56 @@ class TestEveryRunner:
             assert runner(config).metrics.served > 0
 
 
+def _counting(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestTrajectoryCost:
+    """A run's trajectory ends once its last pulse stops drawing power,
+    so its stage costs sum to the run's total cost."""
+
+    RUNNERS = (run_uncontrolled, run_ddls, run_distributed, run_price_signal)
+
+    def _check(self, monkeypatch, config, counts=None):
+        """Each runner's (runner, result, scheduler steps), once its
+        trajectory cost and its solve count are checked."""
+        runs = []
+        for runner in self.RUNNERS:
+            calls = {}
+            with monkeypatch.context() as patch:
+                _counting(patch, scheduler, "lp_solve", calls)
+                _counting(patch, scheduler.RecedingHorizonScheduler, "step", calls)
+                result = runner(config, counts)
+            assert result.trajectory.total_cost == pytest.approx(
+                result.metrics.total_cost, rel=1e-9, abs=0.0), runner.__name__
+            assert calls.get("lp_solve", 0) == calls.get("step", 0), runner.__name__
+            runs.append((runner, result, calls.get("step", 0)))
+        return runs
+
+    def test_desk_day(self, monkeypatch):
+        config = load_scenario(DESK_CONFIG)
+        for runner, result, steps in self._check(monkeypatch, config):
+            if runner in (run_ddls, run_distributed):
+                assert steps > 0
+
+    @pytest.mark.parametrize("start_lag", [0, 1])
+    def test_three_epoch_pulse_committed_at_the_last_step(self, monkeypatch, start_lag):
+        config = tiny_config(codebook=(ChargeCode(1, (1.0, 2.0, 0.5)),), horizon_epochs=4,
+                             zic_kw=0.0, start_lag=start_lag)
+        counts = np.array([[0, 0, 0, 2]])
+        for runner, result, steps in self._check(monkeypatch, config, counts):
+            assert result.flex_kw.sum() == pytest.approx(7.0)
+            if runner is run_ddls:
+                # the last step commits the pulses; they draw for 2 + start_lag more epochs
+                assert len(result.trajectory) == steps + 2 + start_lag
+
+
 class TestDdlsRunner:
     def test_energy_conserved_and_all_served(self):
         config = tiny_config(seed=3)
@@ -356,7 +437,47 @@ class TestDistributed:
         assert np.mean(singles) <= np.mean(splits)
 
 
+def _per_arrival_price_starts(config, counts, price):
+    """The price runner's former search, one arrival epoch at a time: the
+    cheapest start in reach, earliest on ties."""
+    starts = np.zeros((config.n_queues, config.padded_length()), dtype=np.int64)
+    for q, code in enumerate(config.codebook):
+        pulse = np.asarray(code.pulse)
+        window = np.arange(config.deadline_epochs + 1)
+        for epoch in np.nonzero(counts[q])[0]:
+            first = epoch + window + config.start_lag
+            costs = [float(price[f : f + len(pulse)] @ pulse) for f in first]
+            best = int(epoch + window[int(np.argmin(costs))])
+            starts[q, best] += counts[q, epoch]
+    return starts
+
+
 class TestPriceSignal:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_starts_match_the_per_arrival_search(self, data):
+        levels = st.sampled_from([0.5, 1.0, 2.0])
+        pulses = data.draw(st.lists(st.lists(levels, min_size=1, max_size=3),
+                                    min_size=1, max_size=3))
+        codebook = tuple(ChargeCode(i + 1, tuple(p)) for i, p in enumerate(pulses))
+        horizon = data.draw(st.integers(1, 6))
+        deadline = data.draw(st.integers(max(map(len, pulses)), 5))
+        config = tiny_config(codebook=codebook, horizon_epochs=horizon,
+                             deadline_epochs=deadline, lookahead=deadline,
+                             start_lag=data.draw(st.sampled_from([0, 1])))
+        length = config.padded_length()
+        counts = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=horizon, max_size=horizon),
+            min_size=len(codebook), max_size=len(codebook))))
+        if data.draw(st.booleans()):
+            price = np.full(length, 3.0)  # every start ties
+        else:
+            price = np.array(data.draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]),
+                                                min_size=length, max_size=length)))
+        result = run_price_signal(config, counts, price=price)
+        assert np.array_equal(result.ledger.departure_increments(0, length),
+                              _per_arrival_price_starts(config, counts, price))
+
     def test_flat_price_means_start_on_arrival(self):
         config = tiny_config(horizon_epochs=6)
         counts = np.array([[1, 0, 2, 0, 0, 0], [0, 1, 0, 0, 1, 0]])
