@@ -22,8 +22,6 @@ from .core import ChargeCode, RawRequest, fractional_pulse, square_pulse
 from .csvio import atomic_write_text
 from .errors import ConfigurationError
 
-DISTORTION_METRIC = "pulse_sq_error"
-
 
 def pulse_sq_error(a, b) -> float:
     """Squared error between two pulses, zero-padded to a common length."""
@@ -56,7 +54,6 @@ class Quantizer:
     """
 
     codebook: tuple[ChargeCode, ...]
-    distortion_metric: str = DISTORTION_METRIC
 
     def __post_init__(self):
         object.__setattr__(self, "codebook", tuple(self.codebook))
@@ -65,8 +62,6 @@ class Quantizer:
         ids = [code.id for code in self.codebook]
         if ids != list(range(1, len(ids) + 1)):
             raise ConfigurationError(f"code ids must be 1..Q in order, got {ids}")
-        if self.distortion_metric != DISTORTION_METRIC:
-            raise ConfigurationError(f"unknown distortion metric {self.distortion_metric!r}")
 
     @property
     def n_codes(self) -> int:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
 from .errors import ConfigurationError, FeasibilityError
 
 
@@ -196,18 +195,6 @@ class QueueLedger:
         taken = np.clip(served[:, None] - before, 0, self._arr)
         epochs = np.arange(self._arr.shape[1])
         return int(epochs @ (self._dep - taken).sum(axis=0)), int(served.sum())
-
-    def to_csv(self, path) -> None:
-        """Dump cumulative counts, one row per (epoch, queue); queue
-        column is the 1-based code id."""
-        rows = []
-        last = self.current_epoch
-        arr = np.cumsum(self._arr[:, : last + 1], axis=1) if last >= 0 else None
-        dep = np.cumsum(self._dep[:, : last + 1], axis=1) if last >= 0 else None
-        for l in range(last + 1):
-            for q in range(self.n_queues):
-                rows.append((l, q + 1, int(arr[q, l]), int(dep[q, l])))
-        write_csv(path, ["epoch", "queue", "cum_arrivals", "cum_departures"], rows)
 
 
 def dci(ledger: QueueLedger, from_epoch: int, horizon: int, prices: DelayPrices) -> float:

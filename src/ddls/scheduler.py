@@ -85,16 +85,15 @@ def certainty_equivalent_arrivals(observed, rates, start_epoch: int, lookahead: 
                                   known_future=None) -> np.ndarray:
     """Cumulative arrival matrix over the window epochs l0..l0+T.
 
-    ``observed`` is either a QueueLedger or a (Q, l0+1) cumulative count
-    matrix.  Column 0 of the result holds the counts at l0; beyond that
-    the window is split into a full-knowledge interval (offsets 1..t1,
-    realized increments read from ``known_future``, per-epoch counts
-    indexed by absolute epoch), a statistical interval (t1+1..t2,
-    expected per-epoch increments from ``rates``, fractional values
-    allowed), and a no-knowledge tail with zero increments.
+    ``observed`` is a cumulative arrival count matrix, column l being
+    a_q(l), covering at least epochs 0..l0.  Column 0 of the result
+    holds the counts at l0; beyond that the window is split into a
+    full-knowledge interval (offsets 1..t1, realized increments read
+    from ``known_future``, per-epoch counts indexed by absolute epoch),
+    a statistical interval (t1+1..t2, expected per-epoch increments from
+    ``rates``, fractional values allowed), and a no-knowledge tail with
+    zero increments.
     """
-    if isinstance(observed, QueueLedger):
-        observed = np.cumsum(observed.arrival_increments(0, start_epoch + 1), axis=1)
     observed = np.asarray(observed)
     n_queues = observed.shape[0]
     if observed.shape[1] < start_epoch + 1:
@@ -401,22 +400,18 @@ class Trajectory:
     stage_costs: list = field(default_factory=list)
     committed: list = field(default_factory=list)
 
-    def append(self, flex_kw, zic_kw, backlog, cost: float, committed=None) -> None:
+    def append(self, flex_kw, zic_kw, backlog, cost: float, committed) -> None:
         """Record one epoch: the flexible load, the supply, the backlog,
-        the stage cost and the starts committed (none by default).  The
-        up/dn columns are the load's deviation above and below supply."""
+        the stage cost and the starts committed.  The up/dn columns are
+        the load's deviation above and below supply."""
         flex, zic = float(flex_kw), float(zic_kw)
-        backlog = np.array(backlog)
         self.flex_kw.append(flex)
         self.zic_kw.append(zic)
         self.up_kw.append(max(flex - zic, 0.0))
         self.dn_kw.append(max(zic - flex, 0.0))
-        self.backlog.append(backlog)
+        self.backlog.append(np.array(backlog))
         self.stage_costs.append(cost)
-        self.committed.append(
-            np.zeros(backlog.shape, dtype=np.int64) if committed is None
-            else np.array(committed)
-        )
+        self.committed.append(np.array(committed))
 
     def __len__(self) -> int:
         return len(self.flex_kw)

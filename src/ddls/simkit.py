@@ -11,18 +11,23 @@ settings.  Four runners consume the same arrival draws:
 
 ``run_ddls``
     A single receding-horizon scheduler shapes the aggregate onto the
-    supply profile.
+    supply profile: the M = 1 case of ``run_distributed``.
 
 ``run_distributed``
     Arrivals are split uniformly at random across ``n_schedulers``
     independent schedulers, each given an equal share of the supply.
-    With one scheduler this degenerates to ``run_ddls``.
 
 ``run_price_signal``
     Each appliance independently picks the cheapest start time under a
     broadcast price curve.  A price dip over the supply bump makes
     everyone herd into it, which is the classic rebound-peak failure
     mode this comparison is meant to expose.
+
+A runner only decides when appliances start.  It hands one (load,
+ledger) pair per scheduler to ``_score``, which alone builds the
+``RunMetrics``, the ``Trajectory`` and the aggregate load: one pair for
+uncontrolled, price and ddls, M pairs for distributed.  Uncontrolled and
+price record their (arrivals, starts) in a ledger through ``_replay``.
 
 All randomness flows from a single scenario seed through named
 ``SeedSequence`` spawns (one stream per queue for arrival counts, one
@@ -79,6 +84,11 @@ def _charge_code(entry, pos: int) -> ChargeCode:
     missing = sorted({"duration_epochs", "rate_kw"} - set(entry))
     if missing:
         raise ConfigurationError(f"codebook entry {pos} lacks {missing}")
+    extra = set(entry) - {"id", "duration_epochs", "rate_kw"}
+    if extra:
+        raise ConfigurationError(
+            f"codebook entry {pos} has unknown keys {sorted(map(str, extra))}"
+        )
     code_id, duration, rate = entry.get("id", pos), entry["duration_epochs"], entry["rate_kw"]
     if code_id != pos or not _is_int(code_id):
         raise ConfigurationError(f"codebook ids must run 1..Q, got {code_id!r} at slot {pos}")
@@ -315,8 +325,8 @@ class RunResult:
     """Full output of one strategy run.
 
     ``flex_kw`` is the realized flexible load over the padded range,
-    pulse tails included; ``ledger`` is None for the distributed runner,
-    which has one ledger per scheduler.
+    pulse tails included; ``ledger`` is None for a run with more than
+    one scheduler, which has one ledger per scheduler.
     """
 
     metrics: RunMetrics
@@ -409,11 +419,6 @@ def _deviation_cost(flex: np.ndarray, zic: np.ndarray, up: np.ndarray, dn: np.nd
     return float(np.sum(u * np.maximum(dev, 0.0) + d * np.maximum(-dev, 0.0)))
 
 
-def _mean_delay(total: int, served: int) -> float:
-    """Mean FIFO delay from ``QueueLedger.fifo_delay_sum`` totals."""
-    return total / served if served else 0.0
-
-
 def _scenario_counts(config: ScenarioConfig, arrival_counts) -> np.ndarray:
     if arrival_counts is None:
         return generate_arrival_counts(
@@ -430,46 +435,74 @@ def _scenario_counts(config: ScenarioConfig, arrival_counts) -> np.ndarray:
     return counts
 
 
-def _ledger_trajectory(
-    config: ScenarioConfig,
-    flex: np.ndarray,
-    ledger: QueueLedger,
-    last_epoch: int,
-) -> Trajectory:
-    zic, up, dn = config.padded_profiles()
-    delay_prices = DelayPrices(config.delay_prices)
-    traj = Trajectory()
-    for epoch in range(last_epoch + 1):
-        backlog = ledger.backlog(epoch)
-        cost = stage_cost(
-            flex[epoch], zic[epoch], up[epoch], dn[epoch], backlog, delay_prices.at(epoch)
-        )
-        traj.append(flex[epoch], zic[epoch], backlog, cost)
-    return traj
+def _score(config: ScenarioConfig, strategy: str, parts) -> RunResult:
+    """Metrics, trajectory and aggregate load of a run, from one
+    (load, ledger) pair per scheduler.
 
-
-def _metrics_from_ledger(
-    config: ScenarioConfig,
-    strategy: str,
-    flex: np.ndarray,
-    ledger: QueueLedger,
-    served: int,
-    last_epoch: int,
-) -> RunMetrics:
+    Each scheduler is charged on its 1/M share of the supply.  The
+    trajectory runs until every ledger has stopped and every pulse has
+    stopped drawing power; per epoch it holds the aggregate load against
+    the full supply, the summed backlogs and starts, and the sum of the
+    schedulers' stage costs, so its costs add up to the total cost.
+    The peak is that of the aggregate load, which is what the feeder
+    sees, and the mean delay is over the whole population.
+    """
     zic, up, dn = config.padded_profiles()
-    deviation = _deviation_cost(flex, zic, up, dn)
-    delay_cost = dci(ledger, 0, last_epoch, DelayPrices(config.delay_prices))
-    peak = float(flex.max()) if len(flex) else 0.0
-    return RunMetrics(
+    zic_share = zic * (1.0 / len(parts))
+    rows = 0
+    for load, ledger in parts:
+        drawn = np.flatnonzero(load)
+        rows = max(rows, ledger.current_epoch + 1, drawn[-1] + 1 if drawn.size else 0)
+    prices = DelayPrices(config.delay_prices)
+    flex = np.zeros(max(len(load) for load, _ in parts))
+    stage = np.zeros(rows)
+    backlog = np.zeros((config.n_queues, rows), dtype=np.int64)
+    starts = np.zeros((config.n_queues, rows), dtype=np.int64)
+    deviation = delay_cost = 0.0
+    delay_sum = served = 0
+    for load, ledger in parts:
+        flex[: len(load)] += load
+        deviation += _deviation_cost(load, zic_share, up, dn)
+        delay_cost += dci(ledger, 0, rows - 1, prices)
+        part_sum, part_served = ledger.fifo_delay_sum()
+        delay_sum += part_sum
+        served += part_served
+        departed = ledger.departure_increments(0, rows)
+        waiting = np.cumsum(ledger.arrival_increments(0, rows) - departed, axis=1)
+        stage += [
+            stage_cost(load[l], zic_share[l], up[l], dn[l], waiting[:, l], prices.per_queue)
+            for l in range(rows)
+        ]
+        backlog += waiting
+        starts += departed
+
+    trajectory = Trajectory()
+    for l in range(rows):
+        trajectory.append(flex[l], zic[l], backlog[:, l], stage[l], starts[:, l])
+    metrics = RunMetrics(
         strategy=strategy,
         seed=config.seed,
         total_cost=deviation + delay_cost,
         deviation_cost=deviation,
         delay_cost=delay_cost,
-        mean_delay_epochs=_mean_delay(*ledger.fifo_delay_sum()),
-        peak_kw=peak,
+        mean_delay_epochs=delay_sum / served if served else 0.0,
+        peak_kw=float(flex.max()),
         served=served,
     )
+    return RunResult(metrics, trajectory, flex, parts[0][1] if len(parts) == 1 else None)
+
+
+def _replay(config: ScenarioConfig, counts, starts) -> QueueLedger:
+    """The ledger of a run without a controller: ``counts`` arrive over
+    the horizon and ``starts[:, l]`` appliances start at epoch l, for
+    every epoch ``starts`` covers."""
+    arrivals = np.zeros_like(starts)
+    arrivals[:, : config.horizon_epochs] = counts
+    ledger = QueueLedger(config.n_queues)
+    for epoch in range(starts.shape[1]):
+        ledger.record_arrivals(epoch, arrivals[:, epoch])
+        ledger.apply_departures(epoch, starts[:, epoch])
+    return ledger
 
 
 def run_uncontrolled(config: ScenarioConfig, arrival_counts=None) -> RunResult:
@@ -477,66 +510,51 @@ def run_uncontrolled(config: ScenarioConfig, arrival_counts=None) -> RunResult:
 
     Departures equal arrivals, so the arrival count matrix is itself the
     per-queue start increments and the load is its ``synthesize_load``;
-    no appliance is handled one by one.
+    no appliance is handled one by one.  The ledger runs one epoch past
+    the last that a pulse started in the horizon can draw power.
     """
     counts = _scenario_counts(config, arrival_counts)
     flex = synthesize_load(
         counts, list(config.codebook), config.padded_length(), config.start_lag
     )
-
-    ledger = QueueLedger(config.n_queues)
-    for epoch in range(config.horizon_epochs):
-        ledger.record_arrivals(epoch, counts[:, epoch])
-        ledger.apply_departures(epoch, counts[:, epoch])
-
-    last_epoch = config.horizon_epochs - 1 + config.start_lag + config.max_duration
-    metrics = _metrics_from_ledger(
-        config, "uncontrolled", flex, ledger, int(counts.sum()), last_epoch
+    starts = np.zeros(
+        (config.n_queues, config.horizon_epochs + config.start_lag + config.max_duration),
+        dtype=np.int64,
     )
-    trajectory = _ledger_trajectory(config, flex, ledger, last_epoch)
-    return RunResult(metrics, trajectory, flex, ledger)
+    starts[:, : config.horizon_epochs] = counts
+    return _score(config, "uncontrolled", [(flex, _replay(config, counts, starts))])
 
 
-def _run_scheduler(config: ScenarioConfig, counts, zic_share: float = 1.0
-                   ) -> RecedingHorizonScheduler:
-    """Run one scheduler on ``counts`` until its queues drain, then add to
-    its trajectory the epochs after its last step in which the pulses it
-    committed still draw power: the load, the supply share, an empty
-    backlog and the stage cost, with no window solved.  Its stage costs
-    then sum to the run's total cost."""
+def _run_schedulers(config: ScenarioConfig, shares, strategy: str) -> RunResult:
+    """Run one receding-horizon scheduler per row of ``shares`` (M, Q, L)
+    on a 1/M share of the supply and of the forecast rates, each until
+    its queues drain, and score them together."""
     zic, up, dn = config.padded_profiles()
-    sched = RecedingHorizonScheduler(
-        list(config.codebook),
-        zic * zic_share,
-        up,
-        dn,
-        config.delay_prices,
-        config.lookahead,
-        arrival_rates=config.padded_rates() * zic_share,
-        deadline_epochs=config.deadline_epochs,
-        capacity_cap=config.capacity_cap,
-        start_lag=config.start_lag,
-    )
-    traj = sched.run(counts, drain=True)
-    flex = sched.realized_load()
-    drawn = np.flatnonzero(flex)
-    backlog = np.zeros(config.n_queues, dtype=np.int64)
-    for epoch in range(len(traj), drawn[-1] + 1 if drawn.size else 0):
-        zic_now = sched.zic_kw[epoch]
-        traj.append(flex[epoch], zic_now, backlog,
-                    stage_cost(flex[epoch], zic_now, up[epoch], dn[epoch]))
-    return sched
+    share = 1.0 / len(shares)
+    parts = []
+    for counts in shares:
+        sched = RecedingHorizonScheduler(
+            list(config.codebook),
+            zic * share,
+            up,
+            dn,
+            config.delay_prices,
+            config.lookahead,
+            arrival_rates=config.padded_rates() * share,
+            deadline_epochs=config.deadline_epochs,
+            capacity_cap=config.capacity_cap,
+            start_lag=config.start_lag,
+        )
+        sched.run(counts, drain=True)
+        parts.append((sched.realized_load(), sched.ledger))
+    return _score(config, strategy, parts)
 
 
 def run_ddls(config: ScenarioConfig, arrival_counts=None) -> RunResult:
-    """One receding-horizon scheduler controls the whole population."""
+    """One receding-horizon scheduler controls the whole population:
+    the one-share case of ``run_distributed``."""
     counts = _scenario_counts(config, arrival_counts)
-    sched = _run_scheduler(config, counts)
-
-    flex = sched.realized_load()
-    last_epoch = len(sched.trajectory) - 1
-    metrics = _metrics_from_ledger(config, "ddls", flex, sched.ledger, int(counts.sum()), last_epoch)
-    return RunResult(metrics, sched.trajectory, flex, sched.ledger)
+    return _run_schedulers(config, counts[None], "ddls")
 
 
 def _split_counts(counts: np.ndarray, m: int, seed: int) -> np.ndarray:
@@ -558,61 +576,11 @@ def run_distributed(config: ScenarioConfig, arrival_counts=None) -> RunResult:
     Each arrival is assigned uniformly at random (its own seed stream,
     so the population itself matches the other strategies), counted per
     (queue, epoch) by ``_split_counts``, and each scheduler chases an
-    equal 1/M share of the supply.  Costs, FIFO delay sums and served
-    counts are summed, so the mean delay is over the whole population;
-    the peak is taken on the aggregate load, since that is what the
-    feeder sees.
+    equal 1/M share of the supply.
     """
     counts = _scenario_counts(config, arrival_counts)
-    m = config.n_schedulers
-    shares = _split_counts(counts, m, config.seed)
-
-    zic, up, dn = config.padded_profiles()
-    prices = DelayPrices(config.delay_prices)
-    deviation = 0.0
-    delay_cost = 0.0
-    delay_sum = departures = 0
-    flex_parts = []
-    trajectories = []
-    for owner in range(m):
-        sched = _run_scheduler(config, shares[owner], zic_share=1.0 / m)
-        flex_part = sched.realized_load()
-        deviation += _deviation_cost(flex_part, zic / m, up, dn)
-        delay_cost += dci(sched.ledger, 0, len(sched.trajectory) - 1, prices)
-        part_sum, part_departures = sched.ledger.fifo_delay_sum()
-        delay_sum += part_sum
-        departures += part_departures
-        flex_parts.append(flex_part)
-        trajectories.append(sched.trajectory)
-
-    length = max(len(part) for part in flex_parts)
-    flex = np.zeros(length)
-    for part in flex_parts:
-        flex[: len(part)] += part
-    metrics = RunMetrics(
-        strategy="distributed",
-        seed=config.seed,
-        total_cost=deviation + delay_cost,
-        deviation_cost=deviation,
-        delay_cost=delay_cost,
-        mean_delay_epochs=_mean_delay(delay_sum, departures),
-        peak_kw=float(flex.max()) if length else 0.0,
-        served=int(counts.sum()),
-    )
-
-    # Up/dn columns below are aggregate-vs-full-supply diagnostics; the
-    # stage costs are the per-scheduler share costs actually paid, which
-    # do not cancel across schedulers the way aggregate deviations do.
-    traj = Trajectory()
-    last_epoch = max(len(t) for t in trajectories) - 1
-    for epoch in range(last_epoch + 1):
-        stage = sum(t.stage_costs[epoch] for t in trajectories if epoch < len(t))
-        backlog = np.zeros(config.n_queues, dtype=np.int64)
-        for t in trajectories:
-            if epoch < len(t):
-                backlog += t.backlog[epoch]
-        traj.append(flex[epoch], zic[epoch], backlog, stage)
-    return RunResult(metrics, traj, flex, None)
+    shares = _split_counts(counts, config.n_schedulers, config.seed)
+    return _run_schedulers(config, shares, "distributed")
 
 
 def default_price_curve(config: ScenarioConfig, slope: float = 1.0) -> np.ndarray:
@@ -653,18 +621,8 @@ def run_price_signal(config: ScenarioConfig, arrival_counts=None, price=None) ->
         np.add.at(starts[q], best, counts[q])
 
     flex = synthesize_load(starts, list(config.codebook), length, config.start_lag)
+    return _score(config, "price", [(flex, _replay(config, counts, starts))])
 
-    ledger = QueueLedger(config.n_queues)
-    horizon_arrivals = np.zeros((config.n_queues, starts.shape[1]), dtype=np.int64)
-    horizon_arrivals[:, : config.horizon_epochs] = counts
-    for epoch in range(starts.shape[1]):
-        ledger.record_arrivals(epoch, horizon_arrivals[:, epoch])
-        ledger.apply_departures(epoch, starts[:, epoch])
-
-    last_epoch = length - 1
-    metrics = _metrics_from_ledger(config, "price", flex, ledger, int(counts.sum()), last_epoch)
-    trajectory = _ledger_trajectory(config, flex, ledger, last_epoch)
-    return RunResult(metrics, trajectory, flex, ledger)
 
 
 _RUNNERS = {

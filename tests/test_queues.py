@@ -115,17 +115,6 @@ class TestLedger:
         delays = [delay for _, _, delay in ledger.fifo_delays()]
         assert ledger.fifo_delay_sum() == (sum(delays), len(delays))
 
-    def test_csv_dump(self, tmp_path):
-        ledger = QueueLedger(2)
-        ledger.record_arrivals(0, [1, 0])
-        ledger.apply_departures(1, [1, 0])
-        path = tmp_path / "queues.csv"
-        ledger.to_csv(path)
-        assert path.read_text() == (
-            "epoch,queue,cum_arrivals,cum_departures\n"
-            "0,1,1,0\n0,2,0,0\n1,1,1,1\n1,2,0,0\n"
-        )
-
 
 class TestDelayPrices:
     def test_stationary(self):

@@ -6,6 +6,7 @@ scoreboard against the invariants that make cross-strategy numbers
 meaningful: same seed, same population, energy conserved.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -140,9 +141,11 @@ class TestScenarioConfig:
         {"id": 1, "rate_kw": "2", "duration_epochs": 1},
         {"id": 1, "duration_epochs": 1},
         {"id": "1", "rate_kw": 2.0, "duration_epochs": 1},
+        {"id": 1, "rate_kw": 2.0, "duration_epochs": 1, "pulse": [5.0, 5.0]},
         [2.0, 1],
     ], ids=["fractional-duration", "bool-duration", "text-duration", "zero-duration",
-            "nan-rate", "negative-rate", "text-rate", "missing-rate", "text-id", "not-object"])
+            "nan-rate", "negative-rate", "text-rate", "missing-rate", "text-id", "unknown-key",
+            "not-object"])
     def test_bad_codebook_entry_rejected_at_load(self, entry, tmp_path, capsys):
         raw = tiny_config().to_dict()
         raw["codebook"][0] = entry
@@ -318,6 +321,11 @@ class TestTrajectoryCost:
                 result = runner(config, counts)
             assert result.trajectory.total_cost == pytest.approx(
                 result.metrics.total_cost, rel=1e-9, abs=0.0), runner.__name__
+            drawn = counts if counts is not None else generate_arrival_counts(
+                config.arrival_rates_per_hour, config.horizon_epochs, config.seed,
+                config.interval_s)
+            assert np.array_equal(np.sum(result.trajectory.committed, axis=0),
+                                  drawn.sum(axis=1)), runner.__name__
             assert calls.get("lp_solve", 0) == calls.get("step", 0), runner.__name__
             runs.append((runner, result, calls.get("step", 0)))
         return runs
@@ -390,12 +398,9 @@ class TestDistributed:
         config = tiny_config(seed=13, n_schedulers=1)
         split = run_distributed(config)
         single = run_ddls(config)
-        for field in ("total_cost", "deviation_cost", "delay_cost",
-                      "mean_delay_epochs", "peak_kw", "served"):
-            assert getattr(split.metrics, field) == pytest.approx(
-                getattr(single.metrics, field))
-        assert np.allclose(split.flex_kw, single.flex_kw)
-        assert np.allclose(split.trajectory.stage_costs, single.trajectory.stage_costs)
+        assert split.metrics == dataclasses.replace(single.metrics, strategy="distributed")
+        assert np.array_equal(split.flex_kw, single.flex_kw)
+        assert split.trajectory.stage_costs == single.trajectory.stage_costs
 
     def test_population_preserved_across_split(self):
         config = tiny_config(seed=17, n_schedulers=3)
