@@ -6,7 +6,10 @@ expected increments (certainty-equivalent control), rounds the
 first-epoch decision to integers, commits it, subtracts the realized
 load (the committed pulses, tails included) from the supply profile,
 and re-solves one epoch later.  Only the first epoch of every plan is
-ever executed.
+ever executed.  The scheduler only decides: it keeps the queue ledger
+and the realized load, and ``simkit`` charges the run from them.  A
+start that the capacity cap holds back past the deadline is refused
+with ``FeasibilityError``.
 
 Decision variables are the shifted cumulative departures
 e_q(j) = d_q(l0+j) - d_q(l0-1), stacked queue-major, followed by the
@@ -27,12 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ChargeCode
-from .csvio import write_csv
 from .errors import ConfigurationError, FeasibilityError
 from .lp import LinearProgram, LpSolution
 from .lp import solve as lp_solve
-from .market import stage_cost
-from .queues import DelayPrices, QueueLedger
+# unused here: bench/spans.py traces ddls.scheduler.stage_cost until ROADMAP item 1 drops it
+from .market import stage_cost  # noqa: F401
+from .queues import QueueLedger
 
 log = logging.getLogger("ddls.scheduler")
 
@@ -388,61 +391,6 @@ class StepResult:
     relaxed_completion: bool
 
 
-@dataclass
-class Trajectory:
-    """Per-epoch record of a run, one row per epoch added by ``append``."""
-
-    flex_kw: list = field(default_factory=list)
-    zic_kw: list = field(default_factory=list)
-    up_kw: list = field(default_factory=list)
-    dn_kw: list = field(default_factory=list)
-    backlog: list = field(default_factory=list)
-    stage_costs: list = field(default_factory=list)
-    committed: list = field(default_factory=list)
-
-    def append(self, flex_kw, zic_kw, backlog, cost: float, committed) -> None:
-        """Record one epoch: the flexible load, the supply, the backlog,
-        the stage cost and the starts committed.  The up/dn columns are
-        the load's deviation above and below supply."""
-        flex, zic = float(flex_kw), float(zic_kw)
-        self.flex_kw.append(flex)
-        self.zic_kw.append(zic)
-        self.up_kw.append(max(flex - zic, 0.0))
-        self.dn_kw.append(max(zic - flex, 0.0))
-        self.backlog.append(np.array(backlog))
-        self.stage_costs.append(cost)
-        self.committed.append(np.array(committed))
-
-    def __len__(self) -> int:
-        return len(self.flex_kw)
-
-    @property
-    def cumulative_costs(self) -> np.ndarray:
-        return np.cumsum(self.stage_costs)
-
-    @property
-    def total_cost(self) -> float:
-        return float(np.sum(self.stage_costs))
-
-    def to_csv(self, path) -> None:
-        n_queues = len(self.backlog[0]) if self.backlog else 0
-        header = (
-            ["epoch", "base_kw", "flex_kw", "zic_kw", "up_kw", "dn_kw"]
-            + [f"backlog_q{qi + 1}" for qi in range(n_queues)]
-            + ["stage_cost", "cum_cost"]
-        )
-        cum = self.cumulative_costs
-        rows = []
-        for l in range(len(self)):
-            # base_kw stays in the file format; runs carry no base load
-            rows.append(
-                (l, 0.0, self.flex_kw[l], self.zic_kw[l], self.up_kw[l], self.dn_kw[l])
-                + tuple(int(b) for b in self.backlog[l])
-                + (self.stage_costs[l], cum[l])
-            )
-        write_csv(path, header, rows)
-
-
 class RecedingHorizonScheduler:
     """Owns the queue ledger and the committed-load bookkeeping for one
     scheduler instance and advances it epoch by epoch.
@@ -465,8 +413,6 @@ class RecedingHorizonScheduler:
         horizon = self.zic_kw.size
         self.price_up = self._stretch(price_up, horizon, "price_up")
         self.price_dn = self._stretch(price_dn, horizon, "price_dn")
-        if isinstance(delay_prices, DelayPrices):
-            delay_prices = delay_prices.per_queue
         self.delay_prices = np.asarray(delay_prices, dtype=float)
         if self.delay_prices.shape != (self.n_queues,):
             raise ConfigurationError("delay_prices must have one entry per queue")
@@ -489,7 +435,6 @@ class RecedingHorizonScheduler:
         self.ledger = QueueLedger(self.n_queues)
         self.epoch = 0
         self._flex = np.zeros(horizon + max_u + 1)
-        self.trajectory = Trajectory()
 
     @staticmethod
     def _stretch(vec, horizon, name):
@@ -554,6 +499,14 @@ class RecedingHorizonScheduler:
                 )
         committed = round_and_commit(solution, inputs)
         committed = apply_capacity_cap(committed, self.capacity_cap)
+        if self.deadline_epochs is not None:
+            due = self.ledger.cumulative_arrivals(l0 - self.deadline_epochs)
+            late = np.flatnonzero(inputs.prior_departures + committed < due)
+            if late.size:
+                raise FeasibilityError(
+                    f"epoch {l0}: queue {late[0] + 1} has appliances waiting past the "
+                    f"{self.deadline_epochs}-epoch deadline (capacity cap {self.capacity_cap})"
+                )
         self.ledger.apply_departures(l0, committed)
         for qi, code in enumerate(self.codebook):
             if committed[qi]:
@@ -563,18 +516,10 @@ class RecedingHorizonScheduler:
                     code.pulse[: stop - startat]
                 )
 
-        backlog = self.ledger.backlog(l0)
-        flex_now = float(self._flex[l0])
-        cost = stage_cost(
-            flex_now, float(self.zic_kw[l0]), float(self.price_up[l0]),
-            float(self.price_dn[l0]), backlog=backlog, delay_prices=self.delay_prices,
-        )
-        self.trajectory.append(flex_now, self.zic_kw[l0], backlog, cost, committed)
-
         self.epoch += 1
         return StepResult(epoch=l0, committed=committed, relaxed_completion=relaxed)
 
-    def run(self, arrival_increments, drain: bool = True) -> Trajectory:
+    def run(self, arrival_increments, drain: bool = True) -> None:
         """Feed per-epoch arrival counts column by column, stepping once
         per epoch; then, with ``drain``, keep stepping on zero arrivals
         until every queue is empty."""
@@ -600,4 +545,3 @@ class RecedingHorizonScheduler:
                 self.observe_arrivals(np.zeros(self.n_queues, dtype=np.int64))
                 self.step()
                 spent += 1
-        return self.trajectory

@@ -24,10 +24,13 @@ settings.  Four runners consume the same arrival draws:
     mode this comparison is meant to expose.
 
 A runner only decides when appliances start.  It hands one (load,
-ledger) pair per scheduler to ``_score``, which alone builds the
-``RunMetrics``, the ``Trajectory`` and the aggregate load: one pair for
-uncontrolled, price and ddls, M pairs for distributed.  Uncontrolled and
-price record their (arrivals, starts) in a ledger through ``_replay``.
+ledger) pair per scheduler to ``_score``, which alone charges the run
+and builds the ``RunMetrics``, the column-wise ``Trajectory`` and the
+aggregate load: one pair for uncontrolled, price and ddls, M pairs for
+distributed.  Each scheduler is charged in whole arrays, one
+``stage_cost`` call over the padded range plus delay prices times its
+backlog table.  Uncontrolled and price record their (arrivals, starts)
+in a ledger through ``_replay``.
 
 All randomness flows from a single scenario seed through named
 ``SeedSequence`` spawns (one stream per queue for arrival counts, one
@@ -50,7 +53,7 @@ from .csvio import atomic_write_text, write_csv
 from .errors import ConfigurationError
 from .market import stage_cost
 from .queues import DelayPrices, QueueLedger, dci
-from .scheduler import RecedingHorizonScheduler, Trajectory
+from .scheduler import RecedingHorizonScheduler
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -61,7 +64,7 @@ SCENARIO_SCHEMA = 1
 
 def _as_float_array(value, length: int, name: str) -> np.ndarray:
     """Broadcast a scalar to ``length`` samples or validate a vector."""
-    arr = np.asarray(value, dtype=float)
+    arr = _numeric(value, name)
     if not np.isfinite(arr).all():
         raise ConfigurationError(f"{name} must be finite")
     if arr.ndim == 0:
@@ -73,8 +76,24 @@ def _as_float_array(value, length: int, name: str) -> np.ndarray:
     return arr.copy()
 
 
+def _numeric(value, name: str) -> np.ndarray:
+    """``value`` as a float array, refused by ``name`` if it holds a
+    string or a boolean or is ragged."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ConfigurationError(f"{name} must be numeric, got {value!r}")
+    return arr.astype(float)
+
+
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def _charge_code(entry, pos: int) -> ChargeCode:
@@ -96,8 +115,7 @@ def _charge_code(entry, pos: int) -> ChargeCode:
         raise ConfigurationError(
             f"codebook entry {pos}: duration_epochs must be an integer >= 1, got {duration!r}"
         )
-    real = (int, float, np.integer, np.floating)
-    if isinstance(rate, bool) or not isinstance(rate, real) or not 0 <= rate < np.inf:
+    if not _is_real(rate) or not 0 <= rate < np.inf:
         raise ConfigurationError(
             f"codebook entry {pos}: rate_kw must be a finite number >= 0, got {rate!r}"
         )
@@ -143,8 +161,10 @@ class ScenarioConfig:
             raise ConfigurationError("horizon_epochs must be positive")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 0 < self.interval_s < np.inf:
-            raise ConfigurationError("interval_s must be positive and finite")
+        if not _is_real(self.interval_s) or not 0 < self.interval_s < np.inf:
+            raise ConfigurationError(
+                f"interval_s must be a positive finite number, got {self.interval_s!r}"
+            )
         max_u = max(code.duration_epochs for code in self.codebook)
         if self.deadline_epochs < max_u:
             raise ConfigurationError(
@@ -161,11 +181,15 @@ class ScenarioConfig:
             )
         if self.start_lag not in (0, 1):
             raise ConfigurationError("start_lag must be 0 or 1")
-        if self.capacity_cap is not None and not self.capacity_cap >= 0:
-            raise ConfigurationError(f"capacity_cap must be >= 0, got {self.capacity_cap}")
+        if self.capacity_cap is not None and not (
+            _is_real(self.capacity_cap) and self.capacity_cap >= 0
+        ):
+            raise ConfigurationError(
+                f"capacity_cap must be a number >= 0, got {self.capacity_cap!r}"
+            )
 
         q = len(self.codebook)
-        rates = np.asarray(self.arrival_rates_per_hour, dtype=float)
+        rates = _numeric(self.arrival_rates_per_hour, "arrival_rates_per_hour")
         if rates.ndim == 0:
             rates = np.full(q, float(rates))
         if rates.ndim == 1:
@@ -182,22 +206,16 @@ class ScenarioConfig:
         else:
             raise ConfigurationError("arrival rates must be scalar, (Q,), or (Q, horizon)")
         if not np.isfinite(rates).all() or np.any(rates < 0):
-            raise ConfigurationError("arrival rates must be finite and nonnegative")
+            raise ConfigurationError("arrival_rates_per_hour must be finite and nonnegative")
         self.arrival_rates_per_hour = rates
 
         self.zic_kw = _as_float_array(self.zic_kw, self.horizon_epochs, "zic_kw")
         self.price_up = _as_float_array(self.price_up, self.horizon_epochs, "price_up")
         self.price_dn = _as_float_array(self.price_dn, self.horizon_epochs, "price_dn")
-        if np.any(self.price_up < 0) or np.any(self.price_dn < 0):
-            raise ConfigurationError("deviation prices must be nonnegative")
-        delay = np.asarray(self.delay_prices, dtype=float)
-        if delay.ndim == 0:
-            delay = np.full(q, float(delay))
-        if delay.shape != (q,):
-            raise ConfigurationError(f"delay_prices must have shape ({q},)")
-        if not np.isfinite(delay).all() or np.any(delay < 0):
-            raise ConfigurationError("delay prices must be finite and nonnegative")
-        self.delay_prices = delay
+        self.delay_prices = _as_float_array(self.delay_prices, q, "delay_prices")
+        for name in ("price_up", "price_dn", "delay_prices"):
+            if np.any(getattr(self, name) < 0):
+                raise ConfigurationError(f"{name} must be nonnegative")
 
     @property
     def n_queues(self) -> int:
@@ -219,15 +237,15 @@ class ScenarioConfig:
         window fits, including the post-horizon drain."""
         return self.horizon_epochs + self.deadline_epochs + self.max_duration + self.lookahead + 4
 
-    def padded_profiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(zic, price_up, price_dn) extended past the horizon.
+    def padded_profiles(self, length: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(zic, price_up, price_dn) extended past the horizon, to
+        ``padded_length()`` epochs or to ``length`` if that is longer.
 
         Supply is padded with zeros: there is no scheduled purchase
         after the day ends, so late service is pure up-deviation.
         Prices persist at their final value.
         """
-        length = self.padded_length()
-        pad = length - self.horizon_epochs
+        pad = max(self.padded_length(), length) - self.horizon_epochs
         zic = np.concatenate([self.zic_kw, np.zeros(pad)])
         up = np.concatenate([self.price_up, np.full(pad, self.price_up[-1])])
         dn = np.concatenate([self.price_dn, np.full(pad, self.price_dn[-1])])
@@ -321,6 +339,46 @@ class RunMetrics:
 
 
 @dataclass
+class Trajectory:
+    """Per-epoch record of a run, stored as columns; row l is epoch l.
+    ``backlog`` counts the appliances still waiting at the end of the
+    epoch and ``committed`` those started in it."""
+
+    flex_kw: np.ndarray      # (L,)
+    zic_kw: np.ndarray       # (L,)
+    backlog: np.ndarray      # (L, Q)
+    stage_costs: np.ndarray  # (L,)
+    committed: np.ndarray    # (L, Q)
+
+    def __len__(self) -> int:
+        return len(self.flex_kw)
+
+    @property
+    def up_kw(self) -> np.ndarray:
+        return np.maximum(self.flex_kw - self.zic_kw, 0.0)
+
+    @property
+    def dn_kw(self) -> np.ndarray:
+        return np.maximum(self.zic_kw - self.flex_kw, 0.0)
+
+    @property
+    def total_cost(self) -> float:
+        return float(np.sum(self.stage_costs))
+
+    def to_csv(self, path) -> None:
+        header = (
+            ["epoch", "base_kw", "flex_kw", "zic_kw", "up_kw", "dn_kw"]
+            + [f"backlog_q{qi + 1}" for qi in range(self.backlog.shape[1])]
+            + ["stage_cost", "cum_cost"]
+        )
+        # base_kw stays in the file format; runs carry no base load
+        columns = (np.arange(len(self)), np.zeros(len(self)), self.flex_kw, self.zic_kw,
+                   self.up_kw, self.dn_kw, *self.backlog.T, self.stage_costs,
+                   np.cumsum(self.stage_costs))
+        write_csv(path, header, zip(*(column.tolist() for column in columns)))
+
+
+@dataclass
 class RunResult:
     """Full output of one strategy run.
 
@@ -405,20 +463,6 @@ def events_from_counts(counts, codebook) -> list[ArrivalEvent]:
     return events
 
 
-def _deviation_cost(flex: np.ndarray, zic: np.ndarray, up: np.ndarray, dn: np.ndarray) -> float:
-    length = max(len(flex), len(zic))
-    f = np.zeros(length)
-    f[: len(flex)] = flex
-    p = np.zeros(length)
-    p[: len(zic)] = zic
-    u = np.full(length, up[-1])
-    u[: len(up)] = up
-    d = np.full(length, dn[-1])
-    d[: len(dn)] = dn
-    dev = f - p
-    return float(np.sum(u * np.maximum(dev, 0.0) + d * np.maximum(-dev, 0.0)))
-
-
 def _scenario_counts(config: ScenarioConfig, arrival_counts) -> np.ndarray:
     if arrival_counts is None:
         return generate_arrival_counts(
@@ -437,48 +481,43 @@ def _scenario_counts(config: ScenarioConfig, arrival_counts) -> np.ndarray:
 
 def _score(config: ScenarioConfig, strategy: str, parts) -> RunResult:
     """Metrics, trajectory and aggregate load of a run, from one
-    (load, ledger) pair per scheduler.
-
-    Each scheduler is charged on its 1/M share of the supply.  The
-    trajectory runs until every ledger has stopped and every pulse has
-    stopped drawing power; per epoch it holds the aggregate load against
-    the full supply, the summed backlogs and starts, and the sum of the
-    schedulers' stage costs, so its costs add up to the total cost.
-    The peak is that of the aggregate load, which is what the feeder
-    sees, and the mean delay is over the whole population.
+    (load, ledger) pair per scheduler, each charged on its 1/M share of
+    the supply.  The trajectory runs until every ledger has stopped and
+    every pulse has stopped drawing power; per epoch it holds the
+    aggregate load against the full supply, the summed backlogs and
+    starts, and the schedulers' summed stage costs, so its costs add up
+    to the total cost.  The peak is that of the aggregate load, which is
+    what the feeder sees, and the mean delay is over the whole population.
     """
-    zic, up, dn = config.padded_profiles()
+    zic, up, dn = config.padded_profiles(max(len(load) for load, _ in parts))
     zic_share = zic * (1.0 / len(parts))
     rows = 0
     for load, ledger in parts:
         drawn = np.flatnonzero(load)
         rows = max(rows, ledger.current_epoch + 1, drawn[-1] + 1 if drawn.size else 0)
     prices = DelayPrices(config.delay_prices)
-    flex = np.zeros(max(len(load) for load, _ in parts))
+    flex = np.zeros(zic.size)
     stage = np.zeros(rows)
     backlog = np.zeros((config.n_queues, rows), dtype=np.int64)
     starts = np.zeros((config.n_queues, rows), dtype=np.int64)
     deviation = delay_cost = 0.0
     delay_sum = served = 0
     for load, ledger in parts:
-        flex[: len(load)] += load
-        deviation += _deviation_cost(load, zic_share, up, dn)
+        load = np.pad(load, (0, zic.size - len(load)))
+        flex += load
+        charge = stage_cost(load, zic_share, up, dn)
+        deviation += float(np.sum(charge))
         delay_cost += dci(ledger, 0, rows - 1, prices)
         part_sum, part_served = ledger.fifo_delay_sum()
         delay_sum += part_sum
         served += part_served
         departed = ledger.departure_increments(0, rows)
         waiting = np.cumsum(ledger.arrival_increments(0, rows) - departed, axis=1)
-        stage += [
-            stage_cost(load[l], zic_share[l], up[l], dn[l], waiting[:, l], prices.per_queue)
-            for l in range(rows)
-        ]
+        stage += charge[:rows] + prices.per_queue @ waiting
         backlog += waiting
         starts += departed
 
-    trajectory = Trajectory()
-    for l in range(rows):
-        trajectory.append(flex[l], zic[l], backlog[:, l], stage[l], starts[:, l])
+    trajectory = Trajectory(flex[:rows], zic[:rows], backlog.T, stage, starts.T)
     metrics = RunMetrics(
         strategy=strategy,
         seed=config.seed,

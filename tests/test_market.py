@@ -14,10 +14,6 @@ class TestStageCost:
     def test_on_profile_is_free(self):
         assert stage_cost(30.0, 30.0, 2.0, 3.0) == 0.0
 
-    def test_backlog_charges(self):
-        got = stage_cost(30.0, 30.0, 1.0, 1.0, backlog=[3, 0], delay_prices=[0.5, 1.0])
-        assert got == 1.5
-
     def test_downward_settlement(self):
         assert stage_cost(10.0, 30.0, 1.0, 0.25) == 5.0
 
@@ -26,17 +22,23 @@ class TestStageCost:
         for _ in range(200):
             flex, zic = rng.uniform(0, 50, size=2)
             cup, cdn = rng.uniform(0.01, 3.0, size=2)
-            backlog = rng.integers(0, 4, size=3)
-            rates = rng.uniform(0.01, 1.0, size=3)
-            cost = stage_cost(flex, zic, cup, cdn, backlog=backlog, delay_prices=rates)
+            cost = stage_cost(flex, zic, cup, cdn)
             assert cost >= 0.0
             if cost == 0.0:
-                assert flex == zic and backlog.sum() == 0
+                assert flex == zic
+
+    def test_arrays_charge_each_epoch_as_its_scalar(self):
+        rng = np.random.default_rng(SEED + 2)
+        flex, zic = rng.uniform(0, 50, size=(2, 64))
+        flex[::7] = zic[::7]
+        cup, cdn = rng.uniform(0.0, 3.0, size=(2, 64))
+        got = stage_cost(flex, zic, cup, cdn)
+        assert got.shape == (64,)
+        expected = [stage_cost(*column) for column in zip(flex, zic, cup, cdn)]
+        assert got.tolist() == expected
 
     def test_negative_prices_rejected(self):
         with pytest.raises(ConfigurationError):
             stage_cost(1.0, 1.0, -0.1, 1.0)
-
-    def test_backlog_without_prices_rejected(self):
         with pytest.raises(ConfigurationError):
-            stage_cost(1.0, 1.0, 1.0, 1.0, backlog=[1])
+            stage_cost(np.ones(3), np.ones(3), 1.0, np.array([1.0, -0.1, 1.0]))

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from ddls.core import ChargeCode, synthesize_load
-from ddls.errors import ConfigurationError
+from ddls.errors import ConfigurationError, FeasibilityError
 from ddls import lp
 from ddls.lp import LpSolution
 from ddls.lp import solve as lp_solve
+from ddls.queues import DelayPrices, dci
 from ddls.scheduler import (
     HorizonInputs,
     RecedingHorizonScheduler,
@@ -564,15 +565,35 @@ def flat_scheduler(codebook, zic, lookahead, **kw):
                                     lookahead, **kw)
 
 
+def ledger_columns(sched):
+    """Per-epoch (arrivals, starts, backlog) of every epoch stepped, each (Q, L)."""
+    arrived = sched.ledger.arrival_increments(0, sched.epoch)
+    started = sched.ledger.departure_increments(0, sched.epoch)
+    return arrived, started, np.cumsum(arrived - started, axis=1)
+
+
+def realized_cost(sched):
+    """What the run costs, as the acceptance suite's ``_receding_cost``
+    takes it: the realized load against the zero-padded supply, plus
+    ``dci`` over the epochs stepped."""
+    flex = sched.realized_load()
+    pad = flex.size - sched.zic_kw.size
+    dev = flex - np.pad(sched.zic_kw, (0, pad))
+    up = np.pad(sched.price_up, (0, pad), mode="edge")
+    dn = np.pad(sched.price_dn, (0, pad), mode="edge")
+    return (float(up @ np.maximum(dev, 0.0) + dn @ np.maximum(-dev, 0.0))
+            + dci(sched.ledger, 0, sched.epoch - 1, DelayPrices(sched.delay_prices)))
+
+
 class TestRecedingHorizon:
     def test_no_arrivals_gives_zero_trajectory(self):
         codebook = [ChargeCode(id=1, pulse=(1.0,))]
         sched = flat_scheduler(codebook, np.zeros(10), 3)
-        traj = sched.run(np.zeros((1, 4), dtype=int))
-        assert len(traj) == 4
-        assert traj.flex_kw == [0.0] * 4
-        assert traj.total_cost == 0.0
-        assert all(b.sum() == 0 for b in traj.backlog)
+        sched.run(np.zeros((1, 4), dtype=int))
+        assert sched.epoch == 4
+        assert not sched.realized_load().any()
+        assert realized_cost(sched) == 0.0
+        assert not ledger_columns(sched)[2].any()
 
     def test_matches_enumeration_on_flat_supply_toy(self):
         # 2 appliances, unit pulses, supply 1 kW for six epochs
@@ -580,12 +601,12 @@ class TestRecedingHorizon:
         zic = np.concatenate([np.ones(6), np.zeros(6)])
         arrivals = np.array([[2, 0, 0, 0, 0, 0]])
         sched = flat_scheduler(codebook, zic, 6, known_arrivals=arrivals)
-        traj = sched.run(arrivals)
+        sched.run(arrivals)
         # realized: serve one per epoch while supply lasts
-        assert traj.flex_kw[:2] == [1.0, 1.0]
+        assert sched.realized_load()[:2].tolist() == [1.0, 1.0]
         inputs = window_inputs(codebook, zic[:7], np.hstack([arrivals, [[0]]]),
                                delay=0.05)
-        assert traj.total_cost <= best_integer_cost(inputs) + 1e-7
+        assert realized_cost(sched) <= best_integer_cost(inputs) + 1e-7
 
     def test_one_shot_and_receding_horizon_agree_when_integral(self):
         codebook = [ChargeCode(id=1, pulse=(2.0,))]
@@ -597,8 +618,8 @@ class TestRecedingHorizon:
         inc = np.diff(np.hstack([[[0.0]], plan.departures]), axis=1)
         assert np.allclose(inc, np.rint(inc), atol=1e-8)
         sched = flat_scheduler(codebook, zic, 5, known_arrivals=arrivals)
-        traj = sched.run(arrivals, drain=True)
-        committed = np.array([c[0] for c in traj.committed], dtype=float)
+        sched.run(arrivals, drain=True)
+        committed = ledger_columns(sched)[1][0].astype(float)
         assert np.allclose(committed[:6], inc[0], atol=1e-8)
 
     def test_backlog_never_negative_and_always_drained(self):
@@ -608,11 +629,11 @@ class TestRecedingHorizon:
         arrivals = rng.poisson(0.6, size=(2, 10))
         sched = flat_scheduler(codebook, zic, 6, arrival_rates=np.full(2, 0.6),
                                deadline_epochs=6)
-        traj = sched.run(arrivals)
-        assert all((b >= 0).all() for b in traj.backlog)
-        assert traj.backlog[-1].sum() == 0
-        served = sum(int(c.sum()) for c in traj.committed)
-        assert served == int(arrivals.sum())
+        sched.run(arrivals)
+        _, started, backlog = ledger_columns(sched)
+        assert (backlog >= 0).all()
+        assert backlog[:, -1].sum() == 0
+        assert started.sum() == arrivals.sum()
 
     def test_deadline_bounds_every_wait(self):
         rng = np.random.default_rng(601)
@@ -622,7 +643,7 @@ class TestRecedingHorizon:
         arrivals = rng.poisson(0.8, size=(1, 12))
         sched = flat_scheduler(codebook, zic, 8, deadline_epochs=4,
                                delay_prices=np.zeros(1))
-        traj = sched.run(arrivals)
+        sched.run(arrivals)
         delays = [wait for _, _, wait in sched.ledger.fifo_delays()]
         assert delays and max(delays) <= 4
 
@@ -631,23 +652,21 @@ class TestRecedingHorizon:
         zic = np.full(16, 10.0)
         arrivals = np.array([[5, 0, 0, 0]])
         sched = flat_scheduler(codebook, zic, 4, capacity_cap=2, deadline_epochs=4)
-        traj = sched.run(arrivals)
-        assert all(int(c.sum()) <= 2 for c in traj.committed)
-        assert sum(int(c.sum()) for c in traj.committed) == 5
+        sched.run(arrivals)
+        started = ledger_columns(sched)[1].sum(axis=0)
+        assert started.max() <= 2
+        assert started.sum() == 5
 
-    def test_stage_costs_match_market_recomputation(self):
-        rng = np.random.default_rng(707)
-        codebook = [ChargeCode(id=1, pulse=(1.0, 1.0))]
-        zic = rng.uniform(0.0, 3.0, size=24)
-        arrivals = rng.poisson(0.5, size=(1, 8))
-        sched = flat_scheduler(codebook, zic, 6, arrival_rates=np.array([0.5]),
-                               deadline_epochs=8, price_up=1.3, price_dn=0.7)
-        traj = sched.run(arrivals)
-        for l in range(len(traj)):
-            dev = traj.flex_kw[l] - traj.zic_kw[l]
-            expected = 1.3 * max(dev, 0.0) + 0.7 * max(-dev, 0.0)
-            expected += 0.05 * traj.backlog[l].sum()
-            assert traj.stage_costs[l] == pytest.approx(expected, abs=1e-9)
+    def test_capacity_cap_that_breaks_the_deadline_is_refused(self):
+        codebook = [ChargeCode(id=1, pulse=(1.0,))]
+        arrivals = np.array([[5, 0, 0, 0]])
+        sched = flat_scheduler(codebook, np.full(16, 10.0), 4, capacity_cap=1,
+                               deadline_epochs=2)
+        with pytest.raises(FeasibilityError, match="2-epoch deadline"):
+            sched.run(arrivals)
+        # epoch 2 would leave two of epoch 0's arrivals waiting; nothing of it is kept
+        assert sched.epoch == 2
+        assert sched.ledger.cumulative_departures(2).tolist() == [2]
 
     def test_runs_are_deterministic(self):
         rng = np.random.default_rng(811)
@@ -658,12 +677,11 @@ class TestRecedingHorizon:
         for _ in range(2):
             sched = flat_scheduler(codebook, zic, 6, arrival_rates=np.full(2, 0.7),
                                    deadline_epochs=8)
-            runs.append(sched.run(arrivals.copy()))
-        assert runs[0].flex_kw == runs[1].flex_kw
-        assert runs[0].stage_costs == runs[1].stage_costs
-        assert all(
-            np.array_equal(a, b) for a, b in zip(runs[0].committed, runs[1].committed)
-        )
+            sched.run(arrivals.copy())
+            runs.append((sched.realized_load(), ledger_columns(sched)[1], realized_cost(sched)))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
+        assert runs[0][2] == runs[1][2]
 
     @pytest.mark.parametrize("start_lag", [0, 1])
     def test_window_supply_is_net_of_committed_load(self, start_lag):
@@ -679,7 +697,7 @@ class TestRecedingHorizon:
         def checked_inputs():
             inputs = original()
             l0, width = sched.epoch, sched.lookahead + 1
-            inc = np.array(sched.trajectory.committed, dtype=float).reshape(l0, 2).T
+            inc = sched.ledger.departure_increments(0, l0).astype(float)
             load = synthesize_load(inc, codebook, l0 + width, start_lag=start_lag)
             expected = zic[l0 : l0 + width] - load[l0:]
             np.testing.assert_allclose(inputs.zic_kw, expected, rtol=0, atol=1e-9)
@@ -687,9 +705,9 @@ class TestRecedingHorizon:
             return inputs
 
         sched.horizon_inputs = checked_inputs
-        traj = sched.run(arrivals)
-        assert len(checked) == len(traj)
-        assert sum(checked) > len(traj) // 2  # most windows carry committed tails
+        sched.run(arrivals)
+        assert len(checked) == sched.epoch
+        assert sum(checked) > sched.epoch // 2  # most windows carry committed tails
 
     def test_flex_load_matches_synthesis_of_committed(self):
         rng = np.random.default_rng(919)
@@ -698,25 +716,10 @@ class TestRecedingHorizon:
         arrivals = rng.poisson(0.5, size=(2, 8))
         sched = flat_scheduler(codebook, zic, 6, arrival_rates=np.full(2, 0.5),
                                deadline_epochs=8)
-        traj = sched.run(arrivals)
-        inc = np.array(traj.committed).T
-        rebuilt = synthesize_load(inc, codebook, len(traj))
-        assert np.allclose(traj.flex_kw, rebuilt, atol=1e-9)
-
-    def test_trajectory_csv_round_trip(self, tmp_path):
-        codebook = [ChargeCode(id=1, pulse=(1.0,))]
-        zic = np.concatenate([np.ones(3), np.zeros(8)])
-        arrivals = np.array([[1, 1, 0]])
-        sched = flat_scheduler(codebook, zic, 3, known_arrivals=arrivals)
-        traj = sched.run(arrivals)
-        path = tmp_path / "trajectory.csv"
-        traj.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "epoch,base_kw,flex_kw,zic_kw,up_kw,dn_kw,backlog_q1,stage_cost,cum_cost"
-        assert len(lines) == len(traj) + 1
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[2]) == traj.flex_kw[0]
+        sched.run(arrivals)
+        flex = sched.realized_load()
+        rebuilt = synthesize_load(ledger_columns(sched)[1], codebook, flex.size)
+        assert np.allclose(flex, rebuilt, atol=1e-9)
 
     def test_supply_profile_too_short_rejected(self):
         codebook = [ChargeCode(id=1, pulse=(1.0,))]

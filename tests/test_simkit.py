@@ -19,7 +19,7 @@ from ddls import codec, scheduler, simkit
 from ddls.cli import main
 from ddls.codec import Quantizer
 from ddls.core import ChargeCode, unscheduled_load
-from ddls.errors import ConfigurationError
+from ddls.errors import ConfigurationError, FeasibilityError
 from ddls.queues import QueueLedger
 from ddls.simkit import (
     METRICS_HEADER,
@@ -347,8 +347,89 @@ class TestTrajectoryCost:
                 # the last step commits the pulses; they draw for 2 + start_lag more epochs
                 assert len(result.trajectory) == steps + 2 + start_lag
 
+    def test_stage_costs_match_market_recomputation(self):
+        zic = np.random.default_rng(707).uniform(0.0, 3.0, size=10)
+        config = tiny_config(codebook=(ChargeCode(1, (1.0, 1.0)),), zic_kw=zic, price_up=1.3,
+                             price_dn=0.7, lookahead=6, deadline_epochs=8)
+        for runner in (run_uncontrolled, run_ddls, run_price_signal):
+            traj = runner(config).trajectory
+            assert np.array_equal(traj.zic_kw, config.padded_profiles(len(traj))[0][: len(traj)])
+            for l in range(len(traj)):
+                dev = traj.flex_kw[l] - traj.zic_kw[l]
+                expected = 1.3 * max(dev, 0.0) + 0.7 * max(-dev, 0.0)
+                expected += 0.05 * traj.backlog[l].sum()
+                assert traj.stage_costs[l] == pytest.approx(expected, abs=1e-9), runner.__name__
+
+    def test_trajectory_csv_round_trip(self, tmp_path):
+        traj = run_ddls(tiny_config(seed=5)).trajectory
+        path = tmp_path / "trajectory.csv"
+        traj.to_csv(path)
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == ("epoch,base_kw,flex_kw,zic_kw,up_kw,dn_kw,backlog_q1,backlog_q2,"
+                            "stage_cost,cum_cost")
+        assert len(lines) == len(traj) + 1
+        table = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        assert table[:, 0].tolist() == list(range(len(traj)))
+        expected = np.column_stack((np.zeros(len(traj)), traj.flex_kw, traj.zic_kw, traj.up_kw,
+                                    traj.dn_kw, traj.backlog, traj.stage_costs,
+                                    np.cumsum(traj.stage_costs)))
+        np.testing.assert_allclose(table[:, 1:], expected, rtol=1e-8, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_run_charges_what_it_reports(self, data):
+        levels = st.sampled_from([0.5, 1.0, 2.0])
+        pulses = data.draw(st.lists(st.lists(levels, min_size=1, max_size=3),
+                                    min_size=1, max_size=2))
+        codebook = tuple(ChargeCode(q + 1, tuple(p)) for q, p in enumerate(pulses))
+        longest = max(len(p) for p in pulses)
+        horizon = data.draw(st.integers(1, 8))
+        config = tiny_config(
+            horizon_epochs=horizon,
+            codebook=codebook,
+            zic_kw=data.draw(st.lists(st.floats(0.0, 4.0), min_size=horizon, max_size=horizon)),
+            price_up=data.draw(st.floats(0.1, 2.0)),
+            price_dn=data.draw(st.floats(0.0, 1.0)),
+            delay_prices=data.draw(st.lists(st.floats(0.0, 0.3), min_size=len(pulses),
+                                            max_size=len(pulses))),
+            lookahead=data.draw(st.integers(longest, longest + 3)),
+            deadline_epochs=data.draw(st.integers(longest, longest + 3)),
+            n_schedulers=data.draw(st.integers(1, 3)),
+            start_lag=data.draw(st.integers(0, 1)),
+        )
+        counts = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=horizon, max_size=horizon),
+            min_size=len(pulses), max_size=len(pulses))))
+        for runner in self.RUNNERS:
+            result = runner(config, counts)
+            traj, metrics = result.trajectory, result.metrics
+            assert traj.total_cost == pytest.approx(metrics.total_cost, rel=1e-9, abs=1e-9)
+            assert metrics.total_cost == pytest.approx(
+                metrics.deviation_cost + metrics.delay_cost, rel=1e-9, abs=1e-9)
+            assert np.array_equal(traj.committed.sum(axis=0), counts.sum(axis=1))
+            assert (traj.backlog >= 0).all() and not traj.backlog[-1].any()
+            if runner is run_distributed and config.n_schedulers > 1:
+                continue
+            zic, up, dn = config.padded_profiles(len(traj))
+            for l in range(len(traj)):
+                dev = float(traj.flex_kw[l]) - zic[l]
+                expected = (up[l] * max(dev, 0.0) + dn[l] * max(-dev, 0.0)
+                            + float(config.delay_prices @ traj.backlog[l]))
+                assert abs(traj.stage_costs[l] - expected) <= 1e-9, (runner.__name__, l)
+
 
 class TestDdlsRunner:
+    def test_desk_capacity_cap_that_keeps_the_deadline_runs(self):
+        result = run_ddls(dataclasses.replace(load_scenario(DESK_CONFIG), capacity_cap=12))
+        delays = [delay for _, _, delay in result.ledger.fifo_delays()]
+        assert len(delays) == result.metrics.served
+        assert max(delays) == 26
+
+    def test_desk_capacity_cap_that_breaks_the_deadline_is_refused(self):
+        config = dataclasses.replace(load_scenario(DESK_CONFIG), capacity_cap=6)
+        with pytest.raises(FeasibilityError, match="32-epoch deadline"):
+            run_ddls(config)
+
     def test_energy_conserved_and_all_served(self):
         config = tiny_config(seed=3)
         counts = generate_arrival_counts([4.0, 4.0], 10, seed=3)
@@ -400,7 +481,7 @@ class TestDistributed:
         single = run_ddls(config)
         assert split.metrics == dataclasses.replace(single.metrics, strategy="distributed")
         assert np.array_equal(split.flex_kw, single.flex_kw)
-        assert split.trajectory.stage_costs == single.trajectory.stage_costs
+        assert np.array_equal(split.trajectory.stage_costs, single.trajectory.stage_costs)
 
     def test_population_preserved_across_split(self):
         config = tiny_config(seed=17, n_schedulers=3)
