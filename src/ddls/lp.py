@@ -3,18 +3,26 @@
 min c'x  s.t.  A_eq x = b_eq,  A_ge x >= b_ge,  lo <= x <= hi
 
 ``solve`` calls scipy's bundled HiGHS binding
-(``scipy.optimize._highspy._core``) directly, with exactly the model,
-options and acceptance checks of ``scipy.optimize.linprog(method="highs")``,
-so the two give the same status, point and objective;
-``tests/test_lp_direct.py`` checks that over every window of a desk day.
+(``scipy.optimize._highspy._core``) directly.  Its cold path, a fresh
+HiGHS model per call, has exactly the model, options and acceptance
+checks of ``scipy.optimize.linprog(method="highs")``, so the two give the
+same status, point and objective; ``tests/test_lp_direct.py`` checks
+that over every window of a desk day.  Given a ``Model``, ``solve``
+instead re-solves one persistent HiGHS model from the basis its last
+solve left (presolve off), with the same acceptance checks, and falls
+back to the cold path when that run does not end optimal.  The warm path
+matches the cold path's status and objective, not its point: a window
+LP often has several optimal vertices, and a warm start may end at
+another one.
 The call skips linprog's input cleaning and re-conversion.  A
 ``LinearProgram`` freezes its rows when it is built: it keeps a
 read-only copy of its matrices, checks them and converts them to sparse
 form once; ``LinearProgram.fill`` reuses those rows for new costs,
 right-hand side and bounds, checking only the new vectors.
 Where this scipy lacks the binding (checked once at import), ``solve``
-falls back to linprog.  Both paths are deterministic.  Bound intervals
-are accepted as nonempty within FEAS_TOL (1e-7).
+ignores any model and falls back to linprog.  Both paths are
+deterministic.  Bound intervals are accepted as nonempty within
+FEAS_TOL (1e-7).
 """
 
 from __future__ import annotations
@@ -147,18 +155,79 @@ _HIGHS = _load_highs()
 # linprog's acceptance tolerance for HiGHS points: sqrt(tol) * 10, tol = 1e-9
 _ACCEPT_TOL = np.sqrt(1e-9) * 10
 
-def solve(program: LinearProgram) -> LpSolution:
-    """Solve the program; see the module docstring."""
+
+def solve(program: LinearProgram, model: Model | None = None) -> LpSolution:
+    """Solve the program; see the module docstring.  With a ``model``
+    built for the program's rows, start from that model's last basis."""
     if _HIGHS is None:
         return _solve_linprog(program)
+    if model is not None:
+        solution = model.warm_solve(program)
+        if solution is not None:
+            return solution
+    return _solve_cold(program)
+
+
+class Model:
+    """One persistent HiGHS model of a template's rows.
+
+    The first ``warm_solve`` loads the whole program; each later one
+    pushes only the costs, the bounds and the equality right-hand side,
+    and runs the simplex from the basis the previous solve left.
+    Presolve is off, because presolve discards that basis.  A run that
+    does not end optimal, or whose point fails linprog's checks, clears
+    the basis and counts in ``cold_retries``; ``solve`` then answers
+    from a cold solve.  A model is not shared: its answers depend on the
+    sequence of programs it has solved.
+    """
+
+    def __init__(self, template: LinearProgram):
+        self._rows = template.csc
+        self.cold_retries = 0
+        self._highs = None
+        self._cols = np.arange(template.n_vars, dtype=np.int32)
+        mi = template.ineq_matrix.shape[0]
+        self._eq_rows = range(mi, mi + template.eq_matrix.shape[0])
+
+    def warm_solve(self, program: LinearProgram) -> LpSolution | None:
+        """The optimal solution from the retained basis, or None where
+        the warm run gives no accepted optimum."""
+        if program.csc is not self._rows:
+            raise ConfigurationError("the program's rows are not this model's")
+        h = _HIGHS
+        if self._highs is None:
+            highs = h._Highs()
+            highs.passOptions(_WARM_OPTIONS)
+            if highs.passModel(_highs_lp(program)) == h.HighsStatus.kError:
+                self.cold_retries += 1
+                return None
+            self._highs = highs
+        else:
+            highs = self._highs
+            n = self._cols.size
+            highs.changeColsCost(n, self._cols, program.objective)
+            highs.changeColsBounds(n, self._cols, _highs_inf(program.lower),
+                                   _highs_inf(program.upper))
+            for row, value in zip(self._eq_rows, program.eq_rhs.tolist()):
+                highs.changeRowBounds(row, value, value)
+        highs.run()
+        if highs.getModelStatus() == h.HighsModelStatus.kOptimal:
+            solution = _checked_point(highs, program)
+            if solution is not None:
+                return solution
+        highs.clearSolver()
+        self.cold_retries += 1
+        return None
+
+
+def _highs_lp(program: LinearProgram):
+    """linprog's model: the >= rows as -A x <= -b, then the equality rows."""
     h = _HIGHS
     n = program.n_vars
     mi = program.ineq_matrix.shape[0]
-    # linprog's layout: the >= rows as -A x <= -b, then the equality rows
     rhs = np.concatenate((-program.ineq_rhs, program.eq_rhs))
     lhs = np.concatenate((np.full(mi, -np.inf), program.eq_rhs))
     indptr, indices, data = program.csc
-
     lp = h.HighsLp()
     lp.num_col_ = n
     lp.num_row_ = rhs.size
@@ -173,16 +242,40 @@ def solve(program: LinearProgram) -> LpSolution:
     lp.a_matrix_.start_ = indptr
     lp.a_matrix_.index_ = indices
     lp.a_matrix_.value_ = data
+    return lp
 
+
+def _checked_point(highs, program: LinearProgram) -> LpSolution | None:
+    """An optimal run's solution, or None where its point fails
+    linprog's _check_result: bound, slack and equality residuals."""
+    info = highs.getInfo()
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    fun = info.objective_function_value
+    mi = program.ineq_matrix.shape[0]
+    rhs = np.concatenate((-program.ineq_rhs, program.eq_rhs))
+    residual = rhs - np.array(solution.row_value)
+    if (
+        np.isnan(x).any() or np.isnan(fun) or np.isnan(residual).any()
+        or not np.all((x >= program.lower - _ACCEPT_TOL) & (x <= program.upper + _ACCEPT_TOL))
+        or (residual[:mi] < -_ACCEPT_TOL).any()
+        or (np.abs(residual[mi:]) > _ACCEPT_TOL).any()
+    ):
+        return None
+    return LpSolution("optimal", x, float(fun), int(info.simplex_iteration_count))
+
+
+def _solve_cold(program: LinearProgram) -> LpSolution:
+    """A fresh HiGHS model with linprog's options: linprog's point."""
+    h = _HIGHS
     highs = h._Highs()
     highs.passOptions(_OPTIONS)
-    if highs.passModel(lp) == h.HighsStatus.kError:
+    if highs.passModel(_highs_lp(program)) == h.HighsStatus.kError:
         model_status = h.HighsModelStatus.kModelError
     else:
         highs.run()
         model_status = highs.getModelStatus()
-    info = highs.getInfo()
-    iterations = int(info.simplex_iteration_count)
+    iterations = int(highs.getInfo().simplex_iteration_count)
     if model_status in (h.HighsModelStatus.kInfeasible, h.HighsModelStatus.kModelError):
         return LpSolution("infeasible", None, float("nan"), iterations)
     if model_status == h.HighsModelStatus.kUnbounded:
@@ -191,22 +284,13 @@ def solve(program: LinearProgram) -> LpSolution:
         raise SolverError(
             f"external solver failed: HiGHS status {highs.modelStatusToString(model_status)}"
         )
-    solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    fun = info.objective_function_value
-    # linprog's _check_result: bound, slack and equality residuals
-    residual = rhs - np.array(solution.row_value)
-    if (
-        np.isnan(x).any() or np.isnan(fun) or np.isnan(residual).any()
-        or not np.all((x >= program.lower - _ACCEPT_TOL) & (x <= program.upper + _ACCEPT_TOL))
-        or (residual[:mi] < -_ACCEPT_TOL).any()
-        or (np.abs(residual[mi:]) > _ACCEPT_TOL).any()
-    ):
+    solution = _checked_point(highs, program)
+    if solution is None:
         raise SolverError(
             f"external solver failed: HiGHS point violates the constraints by more "
             f"than {_ACCEPT_TOL:.2e}"
         )
-    return LpSolution("optimal", x, float(fun), iterations)
+    return solution
 
 
 def _highs_inf(values: np.ndarray) -> np.ndarray:
@@ -214,11 +298,12 @@ def _highs_inf(values: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(values), np.copysign(_HIGHS.kHighsInf, values), values)
 
 
-def _highs_options():
-    """linprog's HiGHS options: presolve on, dual simplex, no output."""
+def _highs_options(presolve: str):
+    """linprog's HiGHS options, with ``presolve`` "on" as in linprog:
+    dual simplex, no output."""
     h = _HIGHS
     opts = h.HighsOptions()
-    opts.presolve = "on"
+    opts.presolve = presolve
     opts.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     opts.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
     opts.log_to_console = False
@@ -226,7 +311,8 @@ def _highs_options():
     return opts
 
 
-_OPTIONS = None if _HIGHS is None else _highs_options()
+_OPTIONS = None if _HIGHS is None else _highs_options("on")
+_WARM_OPTIONS = None if _HIGHS is None else _highs_options("off")
 
 
 def _solve_linprog(program: LinearProgram) -> LpSolution:

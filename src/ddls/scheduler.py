@@ -6,10 +6,14 @@ expected increments (certainty-equivalent control), rounds the
 first-epoch decision to integers, commits it, subtracts the realized
 load (the committed pulses, tails included) from the supply profile,
 and re-solves one epoch later.  Only the first epoch of every plan is
-ever executed.  The scheduler only decides: it keeps the queue ledger
-and the realized load, and ``simkit`` charges the run from them.  A
-start that the capacity cap holds back past the deadline is refused
-with ``FeasibilityError``.
+ever executed.  Consecutive windows differ only in their costs, bounds
+and right-hand side, so each scheduler keeps one ``lp.Model`` and starts
+every window's simplex from the basis the last one left; the
+relaxed-completion retry, which has other rows, solves cold.  The
+scheduler only decides: it keeps the queue ledger and the realized
+load, and ``simkit`` charges the run from them.  A start that the
+capacity cap holds back past the deadline is refused with
+``FeasibilityError``.
 
 Decision variables are the shifted cumulative departures
 e_q(j) = d_q(l0+j) - d_q(l0-1), stacked queue-major, followed by the
@@ -31,7 +35,7 @@ import numpy as np
 
 from .core import ChargeCode
 from .errors import ConfigurationError, FeasibilityError
-from .lp import LinearProgram, LpSolution
+from .lp import LinearProgram, LpSolution, Model
 from .lp import solve as lp_solve
 # unused here: bench/spans.py traces ddls.scheduler.stage_cost until ROADMAP item 1 drops it
 from .market import stage_cost  # noqa: F401
@@ -115,21 +119,18 @@ def certainty_equivalent_arrivals(observed, rates, start_epoch: int, lookahead: 
         known_future = np.asarray(known_future)
     r = None if rates is None else np.asarray(rates, dtype=float)
 
-    a = np.zeros((n_queues, lookahead + 1))
-    a[:, 0] = observed[:, start_epoch]
-    for j in range(1, lookahead + 1):
-        epoch = start_epoch + j
-        inc = np.zeros(n_queues)
-        if j <= t1:
-            if epoch < known_future.shape[1]:
-                inc = known_future[:, epoch]
-        elif j <= t2 and r is not None:
-            if r.ndim == 1:
-                inc = r
-            elif epoch < r.shape[1]:
-                inc = r[:, epoch]
-        a[:, j] = a[:, j - 1] + inc
-    return a
+    # increments by window offset j; column 0 holds the counts at l0
+    inc = np.zeros((n_queues, lookahead + 1))
+    inc[:, 0] = observed[:, start_epoch]
+    if t1:
+        known = known_future[:, start_epoch + 1 : start_epoch + 1 + t1]
+        inc[:, 1 : 1 + known.shape[1]] = known
+    if r is not None and r.ndim == 1:
+        inc[:, t1 + 1 : t2 + 1] = r[:, None]
+    elif r is not None:
+        forecast = r[:, start_epoch + t1 + 1 : start_epoch + t2 + 1]
+        inc[:, t1 + 1 : t1 + 1 + forecast.shape[1]] = forecast
+    return np.cumsum(inc, axis=1)
 
 
 @dataclass(frozen=True)
@@ -435,6 +436,7 @@ class RecedingHorizonScheduler:
         self.ledger = QueueLedger(self.n_queues)
         self.epoch = 0
         self._flex = np.zeros(horizon + max_u + 1)
+        self._model = None  # this scheduler's warm-started window LP
 
     @staticmethod
     def _stretch(vec, horizon, name):
@@ -484,7 +486,9 @@ class RecedingHorizonScheduler:
         l0 = self.epoch
         inputs = self.horizon_inputs()
         program = build_program(inputs)
-        solution = lp_solve(program)
+        if self._model is None:
+            self._model = Model(program)
+        solution = lp_solve(program, model=self._model)
         relaxed = False
         if not solution.is_optimal:
             log.warning(

@@ -564,14 +564,23 @@ def run_uncontrolled(config: ScenarioConfig, arrival_counts=None) -> RunResult:
     return _score(config, "uncontrolled", [(flex, _replay(config, counts, starts))])
 
 
+def _cap_share(cap, i: int, m: int):
+    """Scheduler i's whole-appliance share of a finite capacity cap; the
+    M shares sum to the cap."""
+    if cap is None or not np.isfinite(cap):
+        return cap
+    cap = int(cap)
+    return cap // m + (i < cap % m)
+
+
 def _run_schedulers(config: ScenarioConfig, shares, strategy: str) -> RunResult:
     """Run one receding-horizon scheduler per row of ``shares`` (M, Q, L)
-    on a 1/M share of the supply and of the forecast rates, each until
-    its queues drain, and score them together."""
+    on a 1/M share of the supply, of the forecast rates and of the
+    capacity cap, each until its queues drain, and score them together."""
     zic, up, dn = config.padded_profiles()
     share = 1.0 / len(shares)
     parts = []
-    for counts in shares:
+    for i, counts in enumerate(shares):
         sched = RecedingHorizonScheduler(
             list(config.codebook),
             zic * share,
@@ -581,7 +590,7 @@ def _run_schedulers(config: ScenarioConfig, shares, strategy: str) -> RunResult:
             config.lookahead,
             arrival_rates=config.padded_rates() * share,
             deadline_epochs=config.deadline_epochs,
-            capacity_cap=config.capacity_cap,
+            capacity_cap=_cap_share(config.capacity_cap, i, len(shares)),
             start_lag=config.start_lag,
         )
         sched.run(counts, drain=True)

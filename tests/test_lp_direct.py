@@ -1,9 +1,11 @@
 """The direct HiGHS path against scipy.optimize.linprog, its reference.
 
 ``lp.solve`` calls scipy's HiGHS binding itself, with
-linprog's model, options and acceptance checks.  These tests hold it to
-exactly linprog's answers over every window of a desk day, and check
-that it falls back to linprog when the binding is missing.
+linprog's model, options and acceptance checks.  These tests hold its
+cold path to exactly linprog's answers over every window of a desk day,
+hold the warm path (an ``lp.Model`` re-solved from its last basis) to
+the cold path's status and objective, and check that both fall back to
+linprog when the binding is missing.
 """
 
 import sys
@@ -13,9 +15,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from dataclasses import replace
+
 from ddls import lp, scheduler
 from ddls.errors import ConfigurationError
-from ddls.lp import LinearProgram, solve
+from ddls.lp import LinearProgram, Model, solve
 from ddls.simkit import load_scenario, run_ddls, run_distributed
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_day.json"
@@ -45,11 +49,11 @@ def test_every_desk_window_agrees_with_linprog(monkeypatch):
     windows = []
     original = scheduler.lp_solve
 
-    def both(program):
+    def both(program, model=None):
         direct = solve(program)
         reference = lp._solve_linprog(program)
         windows.append((direct, reference))
-        return original(program)
+        return original(program, model=model)
 
     monkeypatch.setattr(scheduler, "lp_solve", both)
     run_ddls(load_scenario(DESK_CONFIG))
@@ -100,9 +104,9 @@ def test_every_filled_desk_window_solves_like_a_fresh_program(monkeypatch):
     windows = []
     original = scheduler.lp_solve
 
-    def both(program):
+    def both(program, model=None):
         windows.append((solve(program), solve(_fresh(program))))
-        return original(program)
+        return original(program, model=model)
 
     monkeypatch.setattr(scheduler, "lp_solve", both)
     run_ddls(load_scenario(DESK_CONFIG))
@@ -157,13 +161,87 @@ def test_missing_binding_falls_back_to_linprog(no_binding, linprog_calls):
 
 
 def test_fallback_day_matches_the_direct_day(monkeypatch, linprog_calls):
+    """linprog reproduces the cold point, so the fallback day, which
+    ignores the scheduler's model, equals a direct day without one."""
     config = load_scenario(DESK_CONFIG)
-    direct = run_ddls(config).metrics
+    with monkeypatch.context() as cold:
+        cold.setattr(scheduler, "lp_solve", lambda program, model=None: solve(program))
+        direct = run_ddls(config).metrics
     assert not linprog_calls
     monkeypatch.setattr(lp, "_HIGHS", None)
     fallback = run_ddls(config).metrics
     assert len(linprog_calls) >= 96
     assert fallback == direct
+
+
+def _desk_windows(runner, seed):
+    """(program, warm solution, cold solution, model) of every window of
+    one desk day, the day following the warm solutions."""
+    windows = []
+    original = scheduler.lp_solve
+
+    def both(program, model=None):
+        warm = original(program, model=model)
+        windows.append((program, warm, solve(program), model))
+        return warm
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "lp_solve", both)
+        runner(replace(load_scenario(DESK_CONFIG), seed=seed))
+    return windows
+
+
+@pytest.mark.skipif(lp._HIGHS is None, reason="this scipy has no HiGHS binding")
+@pytest.mark.parametrize("runner", [run_ddls, run_distributed], ids=["ddls", "distributed"])
+def test_every_warm_desk_window_has_the_cold_objective(runner):
+    windows = [w for seed in range(4) for w in _desk_windows(runner, seed)]
+    assert len(windows) >= 4 * 96
+    for i, (_, warm, cold, model) in enumerate(windows):
+        assert isinstance(model, Model), i
+        assert warm.status == cold.status == "optimal", i
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9), i
+    assert np.mean([warm.iterations for _, warm, _, _ in windows]) < 20
+    assert sum(m.cold_retries for m in {id(w[3]): w[3] for w in windows}.values()) == 0
+
+
+@pytest.mark.skipif(lp._HIGHS is None, reason="this scipy has no HiGHS binding")
+def test_a_warm_run_that_is_not_optimal_retries_cold():
+    programs = [program for program, *_ in _desk_windows(run_ddls, 0)]
+    model = Model(programs[0])
+    assert solve(programs[0], model=model).is_optimal
+    later = next(p for p in programs[1:] if solve(p).iterations > 0)
+    model._highs.setOptionValue("simplex_iteration_limit", 0)
+    retried = solve(later, model=model)
+    cold = solve(later)
+    assert model.cold_retries == 1
+    assert retried.status == cold.status == "optimal"
+    assert np.array_equal(retried.values, cold.values)
+    assert retried.objective == cold.objective
+    assert retried.iterations == cold.iterations
+
+
+@pytest.mark.skipif(lp._HIGHS is None, reason="this scipy has no HiGHS binding")
+def test_a_model_refuses_other_rows():
+    template = _template()
+    other = LinearProgram(np.zeros(2), eq_matrix=np.array([[1.0, 1.0]]), eq_rhs=np.ones(1))
+    with pytest.raises(ConfigurationError, match="rows"):
+        solve(other, model=Model(template))
+
+
+def test_without_the_binding_a_model_is_ignored(no_binding, linprog_calls):
+    template = _template()
+    model = Model(template)
+    filled = template.fill(np.array([1.0, 0.0]), np.array([1.0]), np.zeros(2), np.ones(2))
+    assert solve(filled, model=model).values.tolist() == [0.5, 0.5]
+    assert len(linprog_calls) == 1
+    assert model.cold_retries == 0
+
+
+def test_two_distributed_days_in_one_process_are_equal():
+    config = load_scenario(DESK_CONFIG)
+    first, second = run_distributed(config), run_distributed(config)
+    assert first.metrics == second.metrics
+    assert np.array_equal(first.flex_kw, second.flex_kw)
 
 
 def test_import_without_binding_selects_linprog(monkeypatch):

@@ -10,10 +10,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddls.core import ChargeCode, synthesize_load
 from ddls.errors import ConfigurationError, FeasibilityError
-from ddls import lp
+from ddls import lp, scheduler
 from ddls.lp import LpSolution
 from ddls.lp import solve as lp_solve
 from ddls.queues import DelayPrices, dci
@@ -203,6 +205,58 @@ class TestCertaintyEquivalent:
         sampled = cum.mean(axis=0)
         rel = np.abs(sampled - a[:, 1:]) / a[:, 1:]
         assert rel.max() < 0.02
+
+    @staticmethod
+    def loop_reference(observed, rates, start_epoch, lookahead, t1, t2, known_future):
+        """The epoch-by-epoch accumulation that the one-cumsum form replaced."""
+        r = None if rates is None else np.asarray(rates, dtype=float)
+        a = np.zeros((observed.shape[0], lookahead + 1))
+        a[:, 0] = observed[:, start_epoch]
+        for j in range(1, lookahead + 1):
+            epoch = start_epoch + j
+            inc = np.zeros(observed.shape[0])
+            if j <= t1:
+                if epoch < known_future.shape[1]:
+                    inc = known_future[:, epoch]
+            elif j <= t2 and r is not None:
+                if r.ndim == 1:
+                    inc = r
+                elif epoch < r.shape[1]:
+                    inc = r[:, epoch]
+            a[:, j] = a[:, j - 1] + inc
+        return a
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_epoch_loop_bit_for_bit(self, data):
+        q = data.draw(st.integers(1, 3))
+        t = data.draw(st.integers(0, 8))
+        l0 = data.draw(st.integers(0, 5))
+        t2 = data.draw(st.integers(0, t))
+        t1 = data.draw(st.integers(0, t2))
+        observed = np.cumsum(data.draw(st.lists(
+            st.lists(st.integers(0, 4), min_size=l0 + 1, max_size=l0 + 1),
+            min_size=q, max_size=q)), axis=1)
+        # the known future and 2-D rates may stop before, inside or after the window
+        def matrix(elements):
+            width = data.draw(st.integers(0, l0 + t + 3))
+            return np.array(data.draw(st.lists(elements, min_size=q * width,
+                                               max_size=q * width))).reshape(q, width)
+
+        known = matrix(st.integers(0, 4))
+        floats = st.floats(0.0, 3.0, allow_subnormal=False)
+        rates = data.draw(st.sampled_from(["none", "1-D", "2-D"]))
+        if rates == "none":
+            rates = None
+        elif rates == "1-D":
+            rates = np.array(data.draw(st.lists(floats, min_size=q, max_size=q)))
+        else:
+            rates = matrix(floats)
+        a = certainty_equivalent_arrivals(observed, rates, l0, t, t1=t1, t2=t2,
+                                          known_future=known)
+        expected = self.loop_reference(observed, rates, l0, t, t1, t2, known)
+        assert a.shape == expected.shape
+        assert np.array_equal(a, expected)
 
     def test_bad_knowledge_partition_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -727,3 +781,21 @@ class TestRecedingHorizon:
         sched.observe_arrivals(np.array([1]))
         with pytest.raises(ConfigurationError):
             sched.step()
+
+    def test_relaxed_completion_retry_passes_no_model(self, monkeypatch):
+        calls = []
+
+        def first_window_infeasible(program, model=None):
+            calls.append(model)
+            if len(calls) == 1:
+                return LpSolution("infeasible", None, float("nan"))
+            return lp_solve(program, model=model)
+
+        monkeypatch.setattr(scheduler, "lp_solve", first_window_infeasible)
+        codebook = [ChargeCode(id=1, pulse=(1.0,))]
+        sched = flat_scheduler(codebook, np.full(16, 1.0), 4, deadline_epochs=4)
+        assert sched.step().relaxed_completion
+        assert isinstance(calls[0], lp.Model)
+        assert calls[1] is None
+        assert not sched.step().relaxed_completion
+        assert calls[2] is calls[0]

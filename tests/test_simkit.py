@@ -420,10 +420,12 @@ class TestTrajectoryCost:
 
 class TestDdlsRunner:
     def test_desk_capacity_cap_that_keeps_the_deadline_runs(self):
-        result = run_ddls(dataclasses.replace(load_scenario(DESK_CONFIG), capacity_cap=12))
+        config = dataclasses.replace(load_scenario(DESK_CONFIG), capacity_cap=12)
+        result = run_ddls(config)
         delays = [delay for _, _, delay in result.ledger.fifo_delays()]
         assert len(delays) == result.metrics.served
-        assert max(delays) == 26
+        assert max(delays) == 27
+        assert max(delays) <= config.deadline_epochs
 
     def test_desk_capacity_cap_that_breaks_the_deadline_is_refused(self):
         config = dataclasses.replace(load_scenario(DESK_CONFIG), capacity_cap=6)
@@ -506,6 +508,19 @@ class TestDistributed:
                 for owner in rng.integers(0, m, size=int(counts[q, epoch])):
                     oracle[owner, q, epoch] += 1
         assert np.array_equal(_split_counts(counts, m, seed), oracle)
+
+    def test_desk_capacity_cap_limits_the_aggregate_starts(self):
+        config = dataclasses.replace(load_scenario(DESK_CONFIG), capacity_cap=16)
+        assert config.n_schedulers == 8
+        starts = run_distributed(config).trajectory.committed.sum(axis=1)
+        assert starts.max() <= 16
+
+    def test_desk_capacity_cap_shared_too_thin_is_refused(self):
+        # shares 1, 1, 1, 0, 0, 0, 0, 0: a scheduler that may start
+        # nothing cannot keep the deadline
+        config = dataclasses.replace(load_scenario(DESK_CONFIG), capacity_cap=3)
+        with pytest.raises(FeasibilityError, match="deadline"):
+            run_distributed(config)
 
     def test_assignment_reproducible(self):
         a = run_distributed(tiny_config(seed=23, n_schedulers=3))
