@@ -18,6 +18,7 @@ identifiers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,7 @@ def encode_thresholds(ledger: QueueLedger, targets, epoch: int) -> ThresholdMess
         targets = rounded.astype(np.int64)
     if (targets < 0).any():
         raise ConfigurationError("departure targets must be >= 0")
-    cum = np.cumsum(ledger.arrival_increments(0, epoch + 1), axis=1)
+    cum = ledger.arrival_history(epoch)
     if (targets > cum[:, -1]).any():
         q = int(np.argmax(targets - cum[:, -1]))
         raise ConfigurationError(
@@ -117,22 +118,27 @@ def decode_and_admit(arrival_log, message: ThresholdMessage,
     same-epoch, same-queue entries.  Admits every appliance at or before
     its queue's cutoff plus the first ``spill`` of the following batch,
     minus anything in ``already_admitted``; re-applying the same message
-    therefore admits nothing new.
+    therefore admits nothing new.  The log is read once, as an array.
     """
-    new = set()
-    batch_rank = [0] * message.n_queues
-    for idx, (epoch, q) in enumerate(arrival_log):
-        if not 0 <= q < message.n_queues:
-            raise ConfigurationError(f"arrival log names unknown queue index {q}")
-        cut = message.cutoffs[q]
-        batch_epoch = 0 if cut is None else cut + 1
-        if cut is not None and epoch <= cut:
-            new.add(idx)
-        elif epoch == batch_epoch:
-            if batch_rank[q] < message.spill[q]:
-                new.add(idx)
-            batch_rank[q] += 1
-    return new - set(already_admitted)
+    log = np.fromiter(itertools.chain.from_iterable(arrival_log), np.int64,
+                      2 * len(arrival_log)).reshape(-1, 2)
+    epochs, queues = log[:, 0], log[:, 1]
+    unknown = (queues < 0) | (queues >= message.n_queues)
+    if unknown.any():
+        raise ConfigurationError(
+            f"arrival log names unknown queue index {queues[np.argmax(unknown)]}"
+        )
+    has_cut = np.array([cut is not None for cut in message.cutoffs], dtype=bool)
+    cut = np.array([-1 if c is None else c for c in message.cutoffs], dtype=np.int64)
+    admit = has_cut[queues] & (epochs <= cut[queues])
+    # the first ``spill`` of the batch after each cutoff (epoch 0 without one)
+    batch = epochs == cut[queues] + 1
+    for q, spill in enumerate(message.spill):
+        admit[np.flatnonzero(batch & (queues == q))[:spill]] = True
+    if already_admitted:
+        prior = np.fromiter(already_admitted, np.int64, len(already_admitted))
+        admit[prior[(prior >= 0) & (prior < admit.size)]] = False
+    return set(np.flatnonzero(admit).tolist())
 
 
 def message_log_to_csv(messages, path) -> None:

@@ -9,8 +9,9 @@ checks of ``scipy.optimize.linprog(method="highs")``, so the two give the
 same status, point and objective; ``tests/test_lp_direct.py`` checks
 that over every window of a desk day.  Given a ``Model``, ``solve``
 instead re-solves one persistent HiGHS model from the basis its last
-solve left (presolve off), with the same acceptance checks, and falls
-back to the cold path when that run does not end optimal.  The warm path
+solve left (presolve off), pushing only the data that changed since,
+with the same acceptance checks, and falls back to the cold path when
+that run does not end optimal.  The warm path
 matches the cold path's status and objective, not its point: a window
 LP often has several optimal vertices, and a warm start may end at
 another one.
@@ -172,8 +173,9 @@ class Model:
     """One persistent HiGHS model of a template's rows.
 
     The first ``warm_solve`` loads the whole program; each later one
-    pushes only the costs, the bounds and the equality right-hand side,
-    and runs the simplex from the basis the previous solve left.
+    pushes the bounds, the costs if they differ from the model's, and
+    the equality right-hand sides that differ, and runs the simplex from
+    the basis the previous solve left.
     Presolve is off, because presolve discards that basis.  A run that
     does not end optimal, or whose point fails linprog's checks, clears
     the basis and counts in ``cold_retries``; ``solve`` then answers
@@ -186,8 +188,8 @@ class Model:
         self.cold_retries = 0
         self._highs = None
         self._cols = np.arange(template.n_vars, dtype=np.int32)
-        mi = template.ineq_matrix.shape[0]
-        self._eq_rows = range(mi, mi + template.eq_matrix.shape[0])
+        self._eq_row0 = template.ineq_matrix.shape[0]
+        self._cost = self._eq_rhs = None  # the data the model holds
 
     def warm_solve(self, program: LinearProgram) -> LpSolution | None:
         """The optimal solution from the retained basis, or None where
@@ -205,11 +207,15 @@ class Model:
         else:
             highs = self._highs
             n = self._cols.size
-            highs.changeColsCost(n, self._cols, program.objective)
+            if not np.array_equal(program.objective, self._cost):
+                highs.changeColsCost(n, self._cols, program.objective)
             highs.changeColsBounds(n, self._cols, _highs_inf(program.lower),
                                    _highs_inf(program.upper))
-            for row, value in zip(self._eq_rows, program.eq_rhs.tolist()):
+            changed = np.flatnonzero(program.eq_rhs != self._eq_rhs)
+            for row, value in zip((changed + self._eq_row0).tolist(),
+                                  program.eq_rhs[changed].tolist()):
                 highs.changeRowBounds(row, value, value)
+        self._cost, self._eq_rhs = program.objective.copy(), program.eq_rhs.copy()
         highs.run()
         if highs.getModelStatus() == h.HighsModelStatus.kOptimal:
             solution = _checked_point(highs, program)

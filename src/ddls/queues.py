@@ -5,6 +5,10 @@ Each queue is FIFO in arrival order.  The ledger stores step functions
 a_q(l) (cumulative arrivals through epoch l) and d_q(l) (cumulative
 departures); both are constant past the last recorded epoch.  The
 backlog a_q(l) - d_q(l) is the number of appliances waiting at l.
+It keeps both as running cumulative tables, updated as counts are
+recorded, so a_q(l), d_q(l) and the backlog at one epoch are O(Q)
+reads, not sums over the history; per-epoch counts are their first
+differences.
 """
 
 from __future__ import annotations
@@ -67,8 +71,11 @@ class QueueLedger:
         if n_queues < 1:
             raise ConfigurationError(f"need at least one queue, got {n_queues}")
         self.n_queues = n_queues
-        self._arr = np.zeros((n_queues, 0), dtype=np.int64)
-        self._dep = np.zeros((n_queues, 0), dtype=np.int64)
+        # the cumulative tables: column l + 1 holds a_q(l) (d_q(l)) and
+        # column 0 the zero before epoch 0; valid through the last epoch
+        # each has recorded, constant after it
+        self._cum_arr = np.zeros((n_queues, 1), dtype=np.int64)
+        self._cum_dep = np.zeros((n_queues, 1), dtype=np.int64)
         self._last_arrival_epoch = -1
         self._last_departure_epoch = -1
         # (epoch, queue_index) per appliance, in recording order
@@ -79,13 +86,23 @@ class QueueLedger:
         return max(self._last_arrival_epoch, self._last_departure_epoch)
 
     def _grow(self, epoch: int) -> None:
-        width = self._arr.shape[1]
-        if epoch < width:
+        width = self._cum_arr.shape[1]
+        if epoch + 1 < width:
             return
-        new = max(epoch + 1, 2 * width, 8)
-        pad = np.zeros((self.n_queues, new - width), dtype=np.int64)
-        self._arr = np.hstack([self._arr, pad])
-        self._dep = np.hstack([self._dep, pad.copy()])
+        pad = np.zeros((self.n_queues, max(epoch + 2, 2 * width, 9) - width), dtype=np.int64)
+        self._cum_arr = np.hstack((self._cum_arr, pad))
+        self._cum_dep = np.hstack((self._cum_dep, pad))
+
+    @staticmethod
+    def _add(cum: np.ndarray, last: int, epoch: int, counts: np.ndarray) -> None:
+        """Add ``counts`` at ``epoch`` >= ``last`` to a cumulative table
+        valid through ``last``, carrying it over any skipped epochs."""
+        if epoch == last:
+            cum[:, epoch + 1] += counts
+            return
+        if epoch > last + 1:
+            cum[:, last + 2 : epoch + 1] = cum[:, last + 1 : last + 2]
+        cum[:, epoch + 1] = cum[:, epoch] + counts
 
     @staticmethod
     def _check_counts(counts, n_queues: int) -> np.ndarray:
@@ -110,8 +127,8 @@ class QueueLedger:
                 f"arrivals recorded out of order: epoch {epoch} after {self._last_arrival_epoch}"
             )
         self._grow(epoch)
-        self._arr[:, epoch] += counts
-        self._last_arrival_epoch = max(self._last_arrival_epoch, epoch)
+        self._add(self._cum_arr, self._last_arrival_epoch, epoch, counts)
+        self._last_arrival_epoch = epoch
         for q in range(self.n_queues):
             self.arrival_log.extend([(epoch, q)] * int(counts[q]))
 
@@ -123,49 +140,57 @@ class QueueLedger:
             raise ConfigurationError(
                 f"departures recorded out of order: epoch {epoch} after {self._last_departure_epoch}"
             )
-        self._grow(epoch)
-        backlog = self.cumulative_arrivals(epoch) - self.cumulative_departures(epoch)
+        backlog = self.backlog(epoch)
         if (counts > backlog).any():
             q = int(np.argmax(counts - backlog))
             raise FeasibilityError(
                 f"departure count {int(counts[q])} exceeds queue {q + 1} length {int(backlog[q])} "
                 f"at epoch {epoch}"
             )
-        self._dep[:, epoch] += counts
-        self._last_departure_epoch = max(self._last_departure_epoch, epoch)
+        self._grow(epoch)
+        self._add(self._cum_dep, self._last_departure_epoch, epoch, counts)
+        self._last_departure_epoch = epoch
 
-    def _cumulative(self, table: np.ndarray, epoch: int) -> np.ndarray:
-        if epoch < 0:
-            return np.zeros(self.n_queues, dtype=np.int64)
-        stop = min(epoch + 1, table.shape[1])
-        return table[:, :stop].sum(axis=1)
+    @staticmethod
+    def _column(cum: np.ndarray, last: int, epoch: int) -> np.ndarray:
+        return cum[:, max(min(epoch, last), -1) + 1].copy()
 
     def cumulative_arrivals(self, epoch: int) -> np.ndarray:
         """a_q(epoch) for every queue."""
-        return self._cumulative(self._arr, epoch)
+        return self._column(self._cum_arr, self._last_arrival_epoch, epoch)
 
     def cumulative_departures(self, epoch: int) -> np.ndarray:
         """d_q(epoch) for every queue."""
-        return self._cumulative(self._dep, epoch)
+        return self._column(self._cum_dep, self._last_departure_epoch, epoch)
+
+    @staticmethod
+    def _history(cum: np.ndarray, last: int, epoch: int) -> np.ndarray:
+        """Columns 0..epoch+1 of a cumulative table, the leading zero
+        included, carried past ``last``."""
+        out = np.empty((cum.shape[0], epoch + 2), dtype=np.int64)
+        known = max(min(epoch, last), -1) + 2
+        out[:, :known] = cum[:, :known]
+        out[:, known:] = cum[:, known - 1 : known]
+        return out
+
+    def arrival_history(self, epoch: int) -> np.ndarray:
+        """a_q(0..epoch), shape (Q, epoch+1): the cumulative arrival table."""
+        return self._history(self._cum_arr, self._last_arrival_epoch, epoch)[:, 1:]
 
     def backlog(self, epoch: int) -> np.ndarray:
         return self.cumulative_arrivals(epoch) - self.cumulative_departures(epoch)
 
     def arrival_increments(self, start: int, stop: int) -> np.ndarray:
         """Per-epoch arrival counts for epochs start..stop-1, shape (Q, stop-start)."""
-        return self._slice(self._arr, start, stop)
+        return self._increments(self._cum_arr, self._last_arrival_epoch, start, stop)
 
     def departure_increments(self, start: int, stop: int) -> np.ndarray:
-        return self._slice(self._dep, start, stop)
+        return self._increments(self._cum_dep, self._last_departure_epoch, start, stop)
 
-    def _slice(self, table: np.ndarray, start: int, stop: int) -> np.ndarray:
+    def _increments(self, cum: np.ndarray, last: int, start: int, stop: int) -> np.ndarray:
         if start < 0 or stop < start:
             raise ConfigurationError(f"bad epoch range [{start}, {stop})")
-        out = np.zeros((self.n_queues, stop - start), dtype=np.int64)
-        hi = min(stop, table.shape[1])
-        if hi > start:
-            out[:, : hi - start] = table[:, start:hi]
-        return out
+        return np.diff(self._history(cum, last, stop - 1)[:, start:], axis=1)
 
     def fifo_delays(self) -> list[tuple[int, int, int]]:
         """Per-appliance (queue_index, arrival_epoch, delay_epochs) under
@@ -173,10 +198,12 @@ class QueueLedger:
         departure from a queue serves its j-th arrival; the delay is the
         departure epoch minus the arrival epoch."""
         out = []
-        width = self._arr.shape[1]
+        width = self.current_epoch + 1
+        arrived = self.arrival_increments(0, width)
+        departed = self.departure_increments(0, width)
         for q in range(self.n_queues):
-            arr_epochs = np.repeat(np.arange(width), self._arr[q, :width])
-            dep_epochs = np.repeat(np.arange(width), self._dep[q, :width])
+            arr_epochs = np.repeat(np.arange(width), arrived[q])
+            dep_epochs = np.repeat(np.arange(width), departed[q])
             for j in range(dep_epochs.size):
                 out.append((q, int(arr_epochs[j]), int(dep_epochs[j] - arr_epochs[j])))
         return out
@@ -190,11 +217,13 @@ class QueueLedger:
         clip(D_q - A_q(l-1), 0, arr_q(l)), A_q(l-1) being the arrivals
         before l; their arrival epochs are subtracted.
         """
-        served = self._dep.sum(axis=1)
-        before = np.cumsum(self._arr, axis=1) - self._arr
-        taken = np.clip(served[:, None] - before, 0, self._arr)
-        epochs = np.arange(self._arr.shape[1])
-        return int(epochs @ (self._dep - taken).sum(axis=0)), int(served.sum())
+        last = self.current_epoch
+        cum_arrived = self._history(self._cum_arr, self._last_arrival_epoch, last)
+        departed = self.departure_increments(0, last + 1)
+        served = self.cumulative_departures(last)
+        taken = np.clip(served[:, None] - cum_arrived[:, :-1], 0, np.diff(cum_arrived, axis=1))
+        epochs = np.arange(last + 1)
+        return int(epochs @ (departed - taken).sum(axis=0)), int(served.sum())
 
 
 def dci(ledger: QueueLedger, from_epoch: int, horizon: int, prices: DelayPrices) -> float:

@@ -6,14 +6,15 @@ expected increments (certainty-equivalent control), rounds the
 first-epoch decision to integers, commits it, subtracts the realized
 load (the committed pulses, tails included) from the supply profile,
 and re-solves one epoch later.  Only the first epoch of every plan is
-ever executed.  Consecutive windows differ only in their costs, bounds
-and right-hand side, so each scheduler keeps one ``lp.Model`` and starts
-every window's simplex from the basis the last one left; the
-relaxed-completion retry, which has other rows, solves cold.  The
-scheduler only decides: it keeps the queue ledger and the realized
-load, and ``simkit`` charges the run from them.  A start that the
-capacity cap holds back past the deadline is refused with
-``FeasibilityError``.
+ever executed.  An epoch at which every queue is empty has nothing to
+decide: ``run`` records zero starts for it and solves no window.
+Consecutive windows differ only in their costs, bounds and right-hand
+side, so each scheduler keeps one ``lp.Model`` and starts every window's
+simplex from the basis the last one left; the relaxed-completion retry,
+which has other rows, solves cold.  The scheduler only decides: it keeps
+the queue ledger and the realized load, and ``simkit`` charges the run
+from them.  A start that the capacity cap holds back past the deadline
+is refused with ``FeasibilityError``.
 
 Decision variables are the shifted cumulative departures
 e_q(j) = d_q(l0+j) - d_q(l0-1), stacked queue-major, followed by the
@@ -464,10 +465,9 @@ class RecedingHorizonScheduler:
                 f"supply profile ends at epoch {self.zic_kw.size - 1}, "
                 f"window needs {l0 + t}"
             )
-        observed = np.cumsum(self.ledger.arrival_increments(0, l0 + 1), axis=1)
         return HorizonInputs(
             start_epoch=l0,
-            observed=observed,
+            observed=self.ledger.arrival_history(l0),
             prior_departures=self.ledger.cumulative_departures(l0 - 1),
             zic_kw=self.zic_kw[l0 : l0 + t + 1] - self._flex[l0 : l0 + t + 1],
             price_up=self.price_up[l0 : l0 + t + 1],
@@ -526,16 +526,26 @@ class RecedingHorizonScheduler:
     def run(self, arrival_increments, drain: bool = True) -> None:
         """Feed per-epoch arrival counts column by column, stepping once
         per epoch; then, with ``drain``, keep stepping on zero arrivals
-        until every queue is empty."""
+        until every queue is empty.
+
+        An epoch at which every queue is empty is not stepped: its only
+        decision is zero starts (``round_and_commit`` would clip any
+        solution to that, the capacity cap has nothing to limit and no
+        appliance can be late), so it is recorded without a window."""
         arrival_increments = np.asarray(arrival_increments)
         if arrival_increments.shape[0] != self.n_queues:
             raise ConfigurationError(
                 f"arrival rows {arrival_increments.shape[0]} != {self.n_queues} queues"
             )
         n_epochs = arrival_increments.shape[1]
+        none = np.zeros(self.n_queues, dtype=np.int64)
         for l in range(n_epochs):
             self.observe_arrivals(arrival_increments[:, l])
-            self.step()
+            if self.ledger.backlog(self.epoch).any():
+                self.step()
+            else:
+                self.ledger.apply_departures(self.epoch, none)
+                self.epoch += 1
         if drain:
             max_u = max(code.duration_epochs for code in self.codebook)
             budget = (self.deadline_epochs or 2 * self.lookahead) + max_u + 2
@@ -546,6 +556,6 @@ class RecedingHorizonScheduler:
                         f"queues not drained after {budget} extra epochs; "
                         "set a deadline or positive delay prices"
                     )
-                self.observe_arrivals(np.zeros(self.n_queues, dtype=np.int64))
+                self.observe_arrivals(none)
                 self.step()
                 spent += 1

@@ -50,7 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 # unscheduled_load is unused here: bench/spans.py traces it as simkit.unscheduled_load
 from .core import ArrivalEvent, ChargeCode, RawRequest, synthesize_load, unscheduled_load
 from .csvio import atomic_write_text, write_csv
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FeasibilityError
 from .market import stage_cost
 from .queues import DelayPrices, QueueLedger, dci
 from .scheduler import RecedingHorizonScheduler
@@ -578,9 +578,11 @@ def _run_schedulers(config: ScenarioConfig, shares, strategy: str) -> RunResult:
     on a 1/M share of the supply, of the forecast rates and of the
     capacity cap, each until its queues drain, and score them together."""
     zic, up, dn = config.padded_profiles()
-    share = 1.0 / len(shares)
+    m = len(shares)
+    share = 1.0 / m
     parts = []
     for i, counts in enumerate(shares):
+        cap = _cap_share(config.capacity_cap, i, m)
         sched = RecedingHorizonScheduler(
             list(config.codebook),
             zic * share,
@@ -590,10 +592,15 @@ def _run_schedulers(config: ScenarioConfig, shares, strategy: str) -> RunResult:
             config.lookahead,
             arrival_rates=config.padded_rates() * share,
             deadline_epochs=config.deadline_epochs,
-            capacity_cap=_cap_share(config.capacity_cap, i, len(shares)),
+            capacity_cap=cap,
             start_lag=config.start_lag,
         )
-        sched.run(counts, drain=True)
+        try:
+            sched.run(counts, drain=True)
+        except FeasibilityError as exc:
+            limit = ("no capacity_cap" if config.capacity_cap is None else
+                     f"a share of {cap} of capacity_cap {config.capacity_cap:g}")
+            raise FeasibilityError(f"scheduler {i + 1} of {m}, {limit}: {exc}") from exc
         parts.append((sched.realized_load(), sched.ledger))
     return _score(config, strategy, parts)
 

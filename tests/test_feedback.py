@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddls.core import ChargeCode
 from ddls.errors import ConfigurationError
@@ -30,6 +32,24 @@ def admitted_per_queue(arrival_log, admitted, n_queues):
     for idx in admitted:
         counts[arrival_log[idx][1]] += 1
     return counts
+
+
+def decode_and_admit_loop(arrival_log, message, already_admitted=frozenset()):
+    """The reference decoder: one pass over the log in Python."""
+    new = set()
+    batch_rank = [0] * message.n_queues
+    for idx, (epoch, q) in enumerate(arrival_log):
+        if not 0 <= q < message.n_queues:
+            raise ConfigurationError(f"arrival log names unknown queue index {q}")
+        cut = message.cutoffs[q]
+        batch_epoch = 0 if cut is None else cut + 1
+        if cut is not None and epoch <= cut:
+            new.add(idx)
+        elif epoch == batch_epoch:
+            if batch_rank[q] < message.spill[q]:
+                new.add(idx)
+            batch_rank[q] += 1
+    return new - set(already_admitted)
 
 
 class TestEncode:
@@ -195,6 +215,35 @@ class TestDecode:
             admitted |= new
             counts = admitted_per_queue(log, admitted, 2)
             assert np.array_equal(counts, targets)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_loop_decoder(self, data):
+        # any log, in any order, with any admitted set; an unknown queue
+        # index must be refused by both
+        n_queues = data.draw(st.integers(1, 3))
+        epoch = data.draw(st.integers(0, 5))
+        cutoffs = data.draw(st.lists(st.none() | st.integers(0, epoch),
+                                     min_size=n_queues, max_size=n_queues))
+        spill = [0 if cut == epoch else data.draw(st.integers(0, 4)) for cut in cutoffs]
+        message = ThresholdMessage(epoch=epoch, cutoffs=cutoffs, spill=spill)
+        log = data.draw(st.lists(st.tuples(st.integers(0, epoch + 2),
+                                           st.integers(0, n_queues - 1)), max_size=40))
+        if data.draw(st.integers(0, 4)) == 0:
+            log.insert(data.draw(st.integers(0, len(log))),
+                       (0, data.draw(st.sampled_from([-1, n_queues, n_queues + 2]))))
+        already = data.draw(st.sets(st.integers(-2, len(log) + 2)))
+        try:
+            expected = decode_and_admit_loop(log, message, already)
+        except ConfigurationError as refused:
+            with pytest.raises(ConfigurationError) as got:
+                decode_and_admit(log, message, already)
+            assert str(got.value) == str(refused)
+            return
+        got = decode_and_admit(log, message, already)
+        assert got == expected
+        assert all(type(idx) is int for idx in got)
 
 
 class TestCsv:

@@ -18,8 +18,10 @@ import scipy.optimize
 from dataclasses import replace
 
 from ddls import lp, scheduler
+from ddls.core import ChargeCode
 from ddls.errors import ConfigurationError
 from ddls.lp import LinearProgram, Model, solve
+from ddls.scheduler import RecedingHorizonScheduler
 from ddls.simkit import load_scenario, run_ddls, run_distributed
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_day.json"
@@ -218,6 +220,78 @@ def test_a_warm_run_that_is_not_optimal_retries_cold():
     assert np.array_equal(retried.values, cold.values)
     assert retried.objective == cold.objective
     assert retried.iterations == cold.iterations
+
+
+class _PushSpy:
+    """A model's HiGHS object that notes every cost and row push in the
+    last entry of ``windows``."""
+
+    def __init__(self, highs, windows):
+        self._highs, self._windows = highs, windows
+
+    def changeColsCost(self, n, cols, costs):
+        self._windows[-1][1]["cost"] = np.array(costs)
+        return self._highs.changeColsCost(n, cols, costs)
+
+    def changeRowBounds(self, row, lower, upper):
+        self._windows[-1][1]["rows"][row] = (lower, upper)
+        return self._highs.changeRowBounds(row, lower, upper)
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+
+def _pushed_windows(monkeypatch, day):
+    """(program, pushes) of every warm window of ``day``; ``day`` runs
+    one scheduler."""
+    windows = []
+
+    class SpiedModel(Model):
+        def warm_solve(self, program):
+            windows.append((program, {"cost": None, "rows": {}}))
+            if self._highs is not None and not isinstance(self._highs, _PushSpy):
+                self._highs = _PushSpy(self._highs, windows)
+            return super().warm_solve(program)
+
+    monkeypatch.setattr(scheduler, "Model", SpiedModel)
+    day()
+    return windows
+
+
+def _varying_price_day():
+    codebook = [ChargeCode(id=1, pulse=(1.0, 2.0)), ChargeCode(id=2, pulse=(1.5,))]
+    rng = np.random.default_rng(4409)
+    price_up = np.repeat(rng.uniform(0.5, 2.0, size=5), 8)  # changes every 8 epochs
+    sched = RecedingHorizonScheduler(codebook, rng.uniform(0.0, 4.0, size=40), price_up, 1.0,
+                                     np.full(2, 0.05), 6, arrival_rates=np.full(2, 0.8),
+                                     deadline_epochs=5)
+    sched.run(rng.poisson(0.8, size=(2, 24)))
+
+
+@pytest.mark.skipif(lp._HIGHS is None, reason="this scipy has no HiGHS binding")
+@pytest.mark.parametrize("day", [lambda: run_ddls(load_scenario(DESK_CONFIG)), _varying_price_day],
+                         ids=["flat-price desk", "varying price"])
+def test_a_warm_window_pushes_only_the_costs_and_rows_that_changed(monkeypatch, day):
+    windows = _pushed_windows(monkeypatch, day)
+    assert len(windows) > 20
+    cost_pushes = 0
+    for i, ((program, pushed), (before, _)) in enumerate(zip(windows[1:], windows), 1):
+        if np.array_equal(program.objective, before.objective):
+            assert pushed["cost"] is None, i
+        else:
+            cost_pushes += 1
+            assert np.array_equal(pushed["cost"], program.objective), i
+        row0 = program.ineq_matrix.shape[0]
+        changed = np.flatnonzero(program.eq_rhs != before.eq_rhs)
+        assert sorted(pushed["rows"]) == (changed + row0).tolist(), i
+        for row in changed:
+            assert pushed["rows"][row + row0] == (program.eq_rhs[row], program.eq_rhs[row]), i
+    rows = windows[0][0].eq_rhs.size
+    assert 0 < np.mean([len(p["rows"]) for _, p in windows[1:]]) < rows
+    if day is _varying_price_day:
+        assert 0 < cost_pushes < len(windows) - 1
+    else:
+        assert cost_pushes == 0  # loaded once with the first window
 
 
 @pytest.mark.skipif(lp._HIGHS is None, reason="this scipy has no HiGHS binding")

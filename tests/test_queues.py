@@ -116,6 +116,45 @@ class TestLedger:
         assert ledger.fifo_delay_sum() == (sum(delays), len(delays))
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_running_cumulatives_match_resumming_the_counts(self, data):
+        # arrivals and departures on their own clocks: epochs may repeat
+        # or skip, and either side may run ahead of the other
+        n_queues = data.draw(st.integers(1, 3))
+        ledger = QueueLedger(n_queues)
+        clocks = {"arrivals": 0, "departures": 0}
+        # the reference: the counts fed in, per epoch, re-summed on demand
+        fed = {kind: np.zeros((n_queues, 50), dtype=np.int64) for kind in clocks}
+        for _ in range(data.draw(st.integers(0, 14))):
+            kind = data.draw(st.sampled_from(sorted(clocks)))
+            clocks[kind] += data.draw(st.integers(0, 3))
+            epoch = clocks[kind]
+            if kind == "arrivals":
+                counts = data.draw(st.lists(st.integers(0, 3), min_size=n_queues,
+                                            max_size=n_queues))
+                ledger.record_arrivals(epoch, counts)
+            else:
+                counts = [data.draw(st.integers(0, int(b))) for b in ledger.backlog(epoch)]
+                ledger.apply_departures(epoch, counts)
+            fed[kind][:, epoch] += counts
+        for epoch in range(-2, max(clocks.values()) + 4):
+            arrived = fed["arrivals"][:, : max(epoch + 1, 0)].sum(axis=1)
+            departed = fed["departures"][:, : max(epoch + 1, 0)].sum(axis=1)
+            np.testing.assert_array_equal(ledger.cumulative_arrivals(epoch), arrived)
+            np.testing.assert_array_equal(ledger.cumulative_departures(epoch), departed)
+            np.testing.assert_array_equal(ledger.backlog(epoch), arrived - departed)
+            if epoch >= 0:
+                np.testing.assert_array_equal(
+                    ledger.arrival_history(epoch),
+                    np.cumsum(fed["arrivals"][:, : epoch + 1], axis=1))
+                for start in range(epoch + 2):
+                    np.testing.assert_array_equal(ledger.arrival_increments(start, epoch + 1),
+                                                  fed["arrivals"][:, start : epoch + 1])
+                    np.testing.assert_array_equal(ledger.departure_increments(start, epoch + 1),
+                                                  fed["departures"][:, start : epoch + 1])
+
+
 class TestDelayPrices:
     def test_stationary(self):
         prices = DelayPrices(np.array([1.0, 2.0]))

@@ -639,6 +639,17 @@ def realized_cost(sched):
             + dci(sched.ledger, 0, sched.epoch - 1, DelayPrices(sched.delay_prices)))
 
 
+def record_epochs(patch, sched, name, seen):
+    """Patch ``scheduler.<name>`` to note ``sched``'s epoch at every call."""
+    original = getattr(scheduler, name)
+
+    def recorded(*args, **kwargs):
+        seen.append(sched.epoch)
+        return original(*args, **kwargs)
+
+    patch.setattr(scheduler, name, recorded)
+
+
 class TestRecedingHorizon:
     def test_no_arrivals_gives_zero_trajectory(self):
         codebook = [ChargeCode(id=1, pulse=(1.0,))]
@@ -746,7 +757,7 @@ class TestRecedingHorizon:
         sched = flat_scheduler(codebook, zic, 6, arrival_rates=np.full(2, 0.8),
                                deadline_epochs=5, start_lag=start_lag)
         original = sched.horizon_inputs
-        checked = []
+        checked = {}
 
         def checked_inputs():
             inputs = original()
@@ -755,13 +766,59 @@ class TestRecedingHorizon:
             load = synthesize_load(inc, codebook, l0 + width, start_lag=start_lag)
             expected = zic[l0 : l0 + width] - load[l0:]
             np.testing.assert_allclose(inputs.zic_kw, expected, rtol=0, atol=1e-9)
-            checked.append(not np.array_equal(expected, zic[l0 : l0 + width]))
+            checked[l0] = not np.array_equal(expected, zic[l0 : l0 + width])
             return inputs
 
         sched.horizon_inputs = checked_inputs
         sched.run(arrivals)
-        assert len(checked) == sched.epoch
-        assert sum(checked) > sched.epoch // 2  # most windows carry committed tails
+        # one window at every epoch with something waiting, none at the others
+        ledger = sched.ledger
+        waiting = [l for l in range(sched.epoch)
+                   if (ledger.cumulative_arrivals(l) > ledger.cumulative_departures(l - 1)).any()]
+        assert list(checked) == waiting
+        assert len(waiting) < sched.epoch  # the draw has idle epochs
+        assert sum(checked.values()) > len(checked) // 2  # most windows carry committed tails
+
+    @pytest.mark.parametrize("start_lag", [0, 1])
+    def test_idle_epochs_solve_nothing_and_commit_zero_starts(self, monkeypatch, start_lag):
+        codebook = [ChargeCode(id=1, pulse=(1.0, 2.0)), ChargeCode(id=2, pulse=(1.5,))]
+        zic = np.random.default_rng(1117).uniform(0.0, 4.0, size=40)
+        arrivals = np.array([[0, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],
+                             [0, 0, 0, 1, 0, 0, 0, 0, 0, 3, 0, 0]])
+        # cold solves: a window solved at an idle epoch would otherwise
+        # move the next window's warm start
+        monkeypatch.setattr(scheduler, "lp_solve", lambda program, model=None: lp_solve(program))
+
+        def stepped_day(step_every_epoch):
+            sched = flat_scheduler(codebook, zic, 6, arrival_rates=np.full(2, 0.3),
+                                   deadline_epochs=5, start_lag=start_lag)
+            epochs = {"lp_solve": [], "build_program": []}
+            with monkeypatch.context() as patch:
+                for name, seen in epochs.items():
+                    record_epochs(patch, sched, name, seen)
+                if step_every_epoch:
+                    for l in range(arrivals.shape[1]):
+                        sched.observe_arrivals(arrivals[:, l])
+                        sched.step()
+                else:
+                    sched.run(arrivals, drain=False)
+            return sched, epochs
+
+        sched, epochs = stepped_day(False)
+        ledger = sched.ledger
+        waiting = [l for l in range(arrivals.shape[1])
+                   if (ledger.cumulative_arrivals(l) > ledger.cumulative_departures(l - 1)).any()]
+        idle = sorted(set(range(arrivals.shape[1])) - set(waiting))
+        assert 0 in idle and len(idle) > 2
+        assert epochs["lp_solve"] == epochs["build_program"] == waiting
+        assert not ledger.departure_increments(0, sched.epoch)[:, idle].any()
+        assert sched.epoch == arrivals.shape[1]
+        # the same day stepped at every epoch commits the same starts
+        every, every_epochs = stepped_day(True)
+        assert every_epochs["lp_solve"] == list(range(arrivals.shape[1]))
+        np.testing.assert_array_equal(ledger.departure_increments(0, sched.epoch),
+                                      every.ledger.departure_increments(0, every.epoch))
+        np.testing.assert_array_equal(sched.realized_load(), every.realized_load())
 
     def test_flex_load_matches_synthesis_of_committed(self):
         rng = np.random.default_rng(919)

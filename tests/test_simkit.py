@@ -8,6 +8,7 @@ meaningful: same seed, same population, energy conserved.
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -310,14 +311,21 @@ class TestTrajectoryCost:
     RUNNERS = (run_uncontrolled, run_ddls, run_distributed, run_price_signal)
 
     def _check(self, monkeypatch, config, counts=None):
-        """Each runner's (runner, result, scheduler steps), once its
-        trajectory cost and its solve count are checked."""
+        """Each runner's (runner, result, epochs of its scheduler steps),
+        once its trajectory cost and its solve count are checked."""
         runs = []
+        step = scheduler.RecedingHorizonScheduler.step
         for runner in self.RUNNERS:
             calls = {}
+            stepped = []
+
+            def recorded_step(sched):
+                stepped.append(sched.epoch)
+                return step(sched)
+
             with monkeypatch.context() as patch:
                 _counting(patch, scheduler, "lp_solve", calls)
-                _counting(patch, scheduler.RecedingHorizonScheduler, "step", calls)
+                patch.setattr(scheduler.RecedingHorizonScheduler, "step", recorded_step)
                 result = runner(config, counts)
             assert result.trajectory.total_cost == pytest.approx(
                 result.metrics.total_cost, rel=1e-9, abs=0.0), runner.__name__
@@ -326,15 +334,15 @@ class TestTrajectoryCost:
                 config.interval_s)
             assert np.array_equal(np.sum(result.trajectory.committed, axis=0),
                                   drawn.sum(axis=1)), runner.__name__
-            assert calls.get("lp_solve", 0) == calls.get("step", 0), runner.__name__
-            runs.append((runner, result, calls.get("step", 0)))
+            assert calls.get("lp_solve", 0) == len(stepped), runner.__name__
+            runs.append((runner, result, stepped))
         return runs
 
     def test_desk_day(self, monkeypatch):
         config = load_scenario(DESK_CONFIG)
         for runner, result, steps in self._check(monkeypatch, config):
             if runner in (run_ddls, run_distributed):
-                assert steps > 0
+                assert steps
 
     @pytest.mark.parametrize("start_lag", [0, 1])
     def test_three_epoch_pulse_committed_at_the_last_step(self, monkeypatch, start_lag):
@@ -344,8 +352,10 @@ class TestTrajectoryCost:
         for runner, result, steps in self._check(monkeypatch, config, counts):
             assert result.flex_kw.sum() == pytest.approx(7.0)
             if runner is run_ddls:
-                # the last step commits the pulses; they draw for 2 + start_lag more epochs
-                assert len(result.trajectory) == steps + 2 + start_lag
+                # nothing waits at epochs 0-2, so the one step is at epoch 3;
+                # it commits the pulses, which draw for 2 + start_lag more epochs
+                assert steps == [3]
+                assert len(result.trajectory) == steps[-1] + 1 + 2 + start_lag
 
     def test_stage_costs_match_market_recomputation(self):
         zic = np.random.default_rng(707).uniform(0.0, 3.0, size=10)
@@ -516,11 +526,13 @@ class TestDistributed:
         assert starts.max() <= 16
 
     def test_desk_capacity_cap_shared_too_thin_is_refused(self):
-        # shares 1, 1, 1, 0, 0, 0, 0, 0: a scheduler that may start
-        # nothing cannot keep the deadline
+        # shares 1, 1, 1, 0, 0, 0, 0, 0 are too thin to keep the deadline
         config = dataclasses.replace(load_scenario(DESK_CONFIG), capacity_cap=3)
-        with pytest.raises(FeasibilityError, match="deadline"):
+        with pytest.raises(FeasibilityError, match="deadline") as refused:
             run_distributed(config)
+        # the message names the scheduler, its share and the configured cap
+        assert re.match(r"scheduler [1-8] of 8, a share of [01] of capacity_cap 3: ",
+                        str(refused.value))
 
     def test_assignment_reproducible(self):
         a = run_distributed(tiny_config(seed=23, n_schedulers=3))
