@@ -8,29 +8,24 @@ the same directory, then rename).
 
 from __future__ import annotations
 
+import itertools
 import os
 from pathlib import Path
 
 import numpy as np
 
 
-def fmt_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.9g" % float(value)
-    if value is None:
-        return ""
-    return str(value)
+_CELL = {"f": "%.9g", "i": "%d", "u": "%d", "b": "%d"}  # by dtype kind; text: %s
 
 
-def render_csv(header, rows) -> str:
-    lines = [",".join(str(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(fmt_cell(c) for c in row))
-    return "\n".join(lines) + "\n"
+def render_columns(header, columns) -> str:
+    """CSV text of equal-length columns, formatted in one pass: floats
+    with %.9g, integers and booleans as integers, anything else as text."""
+    columns = [np.asarray(column) for column in columns]
+    row = ",".join(_CELL.get(column.dtype.kind, "%s") for column in columns) + "\n"
+    cells = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
+    rows = row * len(columns[0]) if columns else ""
+    return ",".join(str(h) for h in header) + "\n" + rows % cells
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -42,4 +37,5 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    atomic_write_text(path, render_csv(header, rows))
+    atomic_write_text(path, render_columns(header, list(zip(*rows))))
+

@@ -13,7 +13,8 @@ first batch after the cutoff are admitted, lowest arrival sequence
 first.  The spill is always smaller than that batch, and a cutoff of
 ``None`` (nobody fully admitted) pins the batch to epoch 0.  Messages
 stay anonymous: they hold per-queue epochs and counts, never appliance
-identifiers.
+identifiers.  As a_q is nondecreasing, T_q(l) is the number of epochs
+with a_q(tau) <= d_q(l), minus one: one comparison over the history.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import atomic_write_text, render_columns
 from .errors import ConfigurationError
 from .queues import QueueLedger
 
@@ -43,7 +44,7 @@ class ThresholdMessage:
 
     def __post_init__(self):
         object.__setattr__(self, "cutoffs", tuple(self.cutoffs))
-        object.__setattr__(self, "spill", tuple(int(s) for s in self.spill))
+        object.__setattr__(self, "spill", tuple(map(int, self.spill)))
         if self.epoch < 0:
             raise ConfigurationError(f"epoch must be >= 0, got {self.epoch}")
         if len(self.cutoffs) != len(self.spill):
@@ -79,32 +80,30 @@ def encode_thresholds(ledger: QueueLedger, targets, epoch: int) -> ThresholdMess
         raise ConfigurationError(
             f"targets shape {targets.shape}, expected ({ledger.n_queues},)"
         )
-    if not np.issubdtype(targets.dtype, np.integer):
+    if targets.dtype.kind not in "iu":
         rounded = np.rint(np.asarray(targets, dtype=float))
         if not np.allclose(targets, rounded, atol=1e-9):
             raise ConfigurationError("departure targets must be integers")
         targets = rounded.astype(np.int64)
-    if (targets < 0).any():
-        raise ConfigurationError("departure targets must be >= 0")
     cum = ledger.arrival_history(epoch)
-    if (targets > cum[:, -1]).any():
-        q = int(np.argmax(targets - cum[:, -1]))
+    wanted, arrived = targets.tolist(), cum[:, -1].tolist()
+    if min(wanted) < 0:
+        raise ConfigurationError("departure targets must be >= 0")
+    excess = [d - a for d, a in zip(wanted, arrived)]
+    if max(excess) > 0:
+        q = excess.index(max(excess))
         raise ConfigurationError(
-            f"target {int(targets[q])} exceeds the {int(cum[q, -1])} arrivals "
+            f"target {wanted[q]} exceeds the {arrived[q]} arrivals "
             f"recorded for queue {q + 1} through epoch {epoch}"
         )
-    cutoffs = []
-    spill = []
-    for q in range(ledger.n_queues):
-        d = int(targets[q])
-        admitted_epochs = np.nonzero(cum[q] <= d)[0]
-        if admitted_epochs.size == 0:
-            cutoffs.append(None)
-            spill.append(d)
-        else:
-            cut = int(admitted_epochs[-1])
-            cutoffs.append(cut)
-            spill.append(d - int(cum[q, cut]))
+    # a_q is nondecreasing, so the last epoch with a_q <= d_q is the
+    # number of such epochs minus one (none: all of d_q spills)
+    covered = (cum <= targets[:, None]).sum(axis=1)
+    at_cutoff = cum[np.arange(covered.size), covered - 1].tolist()
+    cutoffs, spill = [], []
+    for n, d, a in zip(covered.tolist(), wanted, at_cutoff):
+        cutoffs.append(n - 1 if n else None)
+        spill.append(d - a if n else d)
     return ThresholdMessage(epoch=epoch, cutoffs=tuple(cutoffs), spill=tuple(spill))
 
 
@@ -143,9 +142,9 @@ def decode_and_admit(arrival_log, message: ThresholdMessage,
 
 def message_log_to_csv(messages, path) -> None:
     """One row per (epoch, queue); absent cutoffs are written as -1."""
-    rows = []
-    for msg in messages:
-        for q in range(msg.n_queues):
-            cut = msg.cutoffs[q]
-            rows.append((msg.epoch, q + 1, -1 if cut is None else cut))
-    write_csv(path, ["epoch", "queue", "cutoff"], rows)
+    sizes = [msg.n_queues for msg in messages]
+    epochs = np.repeat(np.array([msg.epoch for msg in messages], dtype=np.int64), sizes)
+    queues = [q for n in sizes for q in range(1, n + 1)]
+    cutoffs = [-1 if cut is None else cut for msg in messages for cut in msg.cutoffs]
+    atomic_write_text(path, render_columns(["epoch", "queue", "cutoff"],
+                                           [epochs, queues, cutoffs]))

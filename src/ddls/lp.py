@@ -19,7 +19,8 @@ The call skips linprog's input cleaning and re-conversion.  A
 ``LinearProgram`` freezes its rows when it is built: it keeps a
 read-only copy of its matrices, checks them and converts them to sparse
 form once; ``LinearProgram.fill`` reuses those rows for new costs,
-right-hand side and bounds, checking only the new vectors.
+right-hand side and bounds, checking only the new vectors
+(``fill_unchecked``: vectors the caller has already checked).
 Where this scipy lacks the binding (checked once at import), ``solve``
 ignores any model and falls back to linprog.  Both paths are
 deterministic.  Bound intervals are accepted as nonempty within
@@ -28,7 +29,6 @@ FEAS_TOL (1e-7).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,10 +97,15 @@ class LinearProgram:
     def fill(self, objective, eq_rhs, lower, upper) -> LinearProgram:
         """This program's rows with new costs, equality right-hand side
         and bounds; only those are checked."""
-        program = copy.copy(self)
-        program.objective, program.eq_rhs = objective, eq_rhs
-        program.lower, program.upper = lower, upper
+        program = self.fill_unchecked(objective, eq_rhs, lower, upper)
         program._check_vectors()
+        return program
+
+    def fill_unchecked(self, objective, eq_rhs, lower, upper) -> LinearProgram:
+        """``fill`` of float vectors known to pass its checks, taken as they are."""
+        program = object.__new__(type(self))
+        program.__dict__.update(self.__dict__, objective=objective, eq_rhs=eq_rhs,
+                                lower=lower, upper=upper)
         return program
 
     def _check_vectors(self):
@@ -173,9 +178,9 @@ class Model:
     """One persistent HiGHS model of a template's rows.
 
     The first ``warm_solve`` loads the whole program; each later one
-    pushes the bounds, the costs if they differ from the model's, and
-    the equality right-hand sides that differ, and runs the simplex from
-    the basis the previous solve left.
+    pushes the costs if they differ from the model's, and the column
+    bounds and equality right-hand sides that differ, and runs the
+    simplex from the basis the previous solve left.
     Presolve is off, because presolve discards that basis.  A run that
     does not end optimal, or whose point fails linprog's checks, clears
     the basis and counts in ``cold_retries``; ``solve`` then answers
@@ -189,7 +194,9 @@ class Model:
         self._highs = None
         self._cols = np.arange(template.n_vars, dtype=np.int32)
         self._eq_row0 = template.ineq_matrix.shape[0]
-        self._cost = self._eq_rhs = None  # the data the model holds
+        # copies of the costs, bounds and stacked [-ineq_rhs; eq_rhs] HiGHS holds
+        self._cost = self._lower = self._upper = None
+        self._rhs = np.concatenate((-template.ineq_rhs, template.eq_rhs))
 
     def warm_solve(self, program: LinearProgram) -> LpSolution | None:
         """The optimal solution from the retained basis, or None where
@@ -197,6 +204,7 @@ class Model:
         if program.csc is not self._rows:
             raise ConfigurationError("the program's rows are not this model's")
         h = _HIGHS
+        eq_rhs = self._rhs[self._eq_row0 :]
         if self._highs is None:
             highs = h._Highs()
             highs.passOptions(_WARM_OPTIONS)
@@ -204,21 +212,29 @@ class Model:
                 self.cold_retries += 1
                 return None
             self._highs = highs
+            self._cost = program.objective.copy()
+            self._lower, self._upper = program.lower.copy(), program.upper.copy()
+            eq_rhs[:] = program.eq_rhs
         else:
             highs = self._highs
-            n = self._cols.size
             if not np.array_equal(program.objective, self._cost):
-                highs.changeColsCost(n, self._cols, program.objective)
-            highs.changeColsBounds(n, self._cols, _highs_inf(program.lower),
-                                   _highs_inf(program.upper))
-            changed = np.flatnonzero(program.eq_rhs != self._eq_rhs)
-            for row, value in zip((changed + self._eq_row0).tolist(),
-                                  program.eq_rhs[changed].tolist()):
-                highs.changeRowBounds(row, value, value)
-        self._cost, self._eq_rhs = program.objective.copy(), program.eq_rhs.copy()
+                highs.changeColsCost(self._cols.size, self._cols, program.objective)
+                self._cost = program.objective.copy()
+            cols = ((program.lower != self._lower) | (program.upper != self._upper)).nonzero()[0]
+            if cols.size:
+                lower, upper = program.lower[cols], program.upper[cols]
+                self._lower[cols], self._upper[cols] = lower, upper
+                highs.changeColsBounds(cols.size, self._cols[cols], _highs_inf(lower),
+                                       _highs_inf(upper))
+            rows = (program.eq_rhs != eq_rhs).nonzero()[0]
+            if rows.size:
+                values = program.eq_rhs[rows]
+                eq_rhs[rows] = values
+                for row, value in zip((rows + self._eq_row0).tolist(), values.tolist()):
+                    highs.changeRowBounds(row, value, value)
         highs.run()
         if highs.getModelStatus() == h.HighsModelStatus.kOptimal:
-            solution = _checked_point(highs, program)
+            solution = _checked_point(highs, program, self._rhs)
             if solution is not None:
                 return solution
         highs.clearSolver()
@@ -251,24 +267,28 @@ def _highs_lp(program: LinearProgram):
     return lp
 
 
-def _checked_point(highs, program: LinearProgram) -> LpSolution | None:
+def _checked_point(highs, program: LinearProgram, rhs=None) -> LpSolution | None:
     """An optimal run's solution, or None where its point fails
-    linprog's _check_result: bound, slack and equality residuals."""
-    info = highs.getInfo()
+    linprog's _check_result: bound, slack and equality residuals.
+    ``rhs`` is linprog's stacked right-hand side, when the caller holds it."""
     solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    fun = info.objective_function_value
+    x = np.fromiter(solution.col_value, float, program.n_vars)
+    row_value = solution.row_value
+    fun = highs.getObjectiveValue()
     mi = program.ineq_matrix.shape[0]
-    rhs = np.concatenate((-program.ineq_rhs, program.eq_rhs))
-    residual = rhs - np.array(solution.row_value)
-    if (
-        np.isnan(x).any() or np.isnan(fun) or np.isnan(residual).any()
-        or not np.all((x >= program.lower - _ACCEPT_TOL) & (x <= program.upper + _ACCEPT_TOL))
-        or (residual[:mi] < -_ACCEPT_TOL).any()
-        or (np.abs(residual[mi:]) > _ACCEPT_TOL).any()
+    if rhs is None:
+        rhs = np.concatenate((-program.ineq_rhs, program.eq_rhs))
+    residual = rhs - np.fromiter(row_value, float, len(row_value))
+    # each test fails on a NaN, as linprog's does
+    if not (
+        fun == fun
+        and ((x >= program.lower - _ACCEPT_TOL) & (x <= program.upper + _ACCEPT_TOL)).all()
+        and (residual[:mi] >= -_ACCEPT_TOL).all()
+        and (np.abs(residual[mi:]) <= _ACCEPT_TOL).all()
     ):
         return None
-    return LpSolution("optimal", x, float(fun), int(info.simplex_iteration_count))
+    iterations = highs.getInfoValue("simplex_iteration_count")[1]
+    return LpSolution("optimal", x, float(fun), int(iterations))
 
 
 def _solve_cold(program: LinearProgram) -> LpSolution:

@@ -109,14 +109,14 @@ class QueueLedger:
         arr = np.asarray(counts)
         if arr.shape != (n_queues,):
             raise ConfigurationError(f"counts shape {arr.shape}, expected ({n_queues},)")
-        if not np.issubdtype(arr.dtype, np.integer):
+        if arr.dtype.kind not in "iu":
             rounded = np.rint(np.asarray(arr, dtype=float))
             if not np.allclose(arr, rounded, atol=1e-9):
                 raise ConfigurationError("counts must be integers")
-            arr = rounded.astype(np.int64)
+            arr = rounded
         if (arr < 0).any():
             raise ConfigurationError("counts must be >= 0")
-        return arr.astype(np.int64)
+        return arr.astype(np.int64, copy=False)
 
     def record_arrivals(self, epoch: int, counts) -> None:
         counts = self._check_counts(counts, self.n_queues)
@@ -129,8 +129,8 @@ class QueueLedger:
         self._grow(epoch)
         self._add(self._cum_arr, self._last_arrival_epoch, epoch, counts)
         self._last_arrival_epoch = epoch
-        for q in range(self.n_queues):
-            self.arrival_log.extend([(epoch, q)] * int(counts[q]))
+        for q, count in enumerate(counts.tolist()):
+            self.arrival_log.extend([(epoch, q)] * count)
 
     def apply_departures(self, epoch: int, counts) -> None:
         counts = self._check_counts(counts, self.n_queues)
@@ -174,8 +174,12 @@ class QueueLedger:
         return out
 
     def arrival_history(self, epoch: int) -> np.ndarray:
-        """a_q(0..epoch), shape (Q, epoch+1): the cumulative arrival table."""
-        return self._history(self._cum_arr, self._last_arrival_epoch, epoch)[:, 1:]
+        """a_q(0..epoch), shape (Q, epoch+1): the cumulative arrival table,
+        read-only, and through the last recorded epoch the ledger's own."""
+        history = (self._cum_arr[:, 1 : epoch + 2] if epoch <= self._last_arrival_epoch
+                   else self._history(self._cum_arr, self._last_arrival_epoch, epoch)[:, 1:])
+        history.flags.writeable = False
+        return history
 
     def backlog(self, epoch: int) -> np.ndarray:
         return self.cumulative_arrivals(epoch) - self.cumulative_departures(epoch)

@@ -16,6 +16,11 @@ the queue ledger and the realized load, and ``simkit`` charges the run
 from them.  A start that the capacity cap holds back past the deadline
 is refused with ``FeasibilityError``.
 
+A scheduler checks its static inputs once, when it is built; its
+windows read the ledger's table in place and are not checked again, so
+a window costs its simplex plus O(Q*T) array work.  A ``HorizonInputs``
+built by a caller keeps its own checks, and so does its program.
+
 Decision variables are the shifted cumulative departures
 e_q(j) = d_q(l0+j) - d_q(l0-1), stacked queue-major, followed by the
 per-epoch upward and downward balancing purchases.  The balance rows
@@ -169,6 +174,7 @@ class HorizonInputs:
     known_future: np.ndarray | None = None
     start_lag: int = 0
     _arrivals: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.codebook = tuple(self.codebook)
@@ -231,11 +237,13 @@ class HorizonInputs:
         floor = np.zeros((q, t + 1))
         if self.deadline_epochs is None:
             return floor
-        cutoff = self.start_epoch + np.arange(t + 1) - self.deadline_epochs
-        due = cutoff >= 0
-        # cumulative arrivals by absolute epoch: observed, then the forecast
-        history = np.hstack((self.observed, arrivals[:, 1:]))
-        floor[:, due] = history[:, cutoff[due]]
+        l0, deadline = self.start_epoch, self.deadline_epochs
+        # offset j is due from l0 + j - deadline: observed up to j = deadline, then forecast
+        first, mid = max(deadline - l0, 0), min(deadline, t) + 1
+        if first < mid:
+            floor[:, first:mid] = self.observed[:, l0 - deadline + first : l0 - deadline + mid]
+        if mid <= t:
+            floor[:, mid:] = arrivals[:, 1 : t + 1 - deadline]
         return floor
 
     def delay_constant(self, arrivals: np.ndarray) -> float:
@@ -292,17 +300,19 @@ def build_program(inputs: HorizonInputs, relax_completion: bool = False) -> Line
     completion rows are always satisfiable because d = a meets every
     constraint).  The rows come from the ``_window_rows`` template;
     only the cost, the bounds and the equality right-hand side are
-    filled per window.
+    filled per window, and checked unless a scheduler built the inputs.
     """
     q, t = inputs.n_queues, inputs.lookahead
     width = t + 1
-    template, completion = _window_rows(inputs.codebook, t, inputs.start_lag, relax_completion)
+    template, completion = (inputs._rows if inputs._rows and not relax_completion else
+                            _window_rows(inputs.codebook, t, inputs.start_lag, relax_completion))
+    fill = template.fill if inputs._rows is None else template.fill_unchecked
     arrivals = inputs.arrival_matrix()
     prior = inputs.prior_departures[:, None]
     shifted = np.maximum(arrivals - prior, 0.0)
     n_free = 2 * width + (q if relax_completion else 0)
 
-    cost = [np.repeat(-inputs.delay_prices, width), inputs.price_up, inputs.price_dn]
+    cost = [(-inputs.delay_prices).repeat(width), inputs.price_up, inputs.price_dn]
     if relax_completion:
         penalty = 10.0 * max(
             inputs.price_up.max(), inputs.price_dn.max(), inputs.delay_prices.max(), 1.0
@@ -310,7 +320,7 @@ def build_program(inputs: HorizonInputs, relax_completion: bool = False) -> Line
         cost.append(np.full(q, penalty))
 
     floor = np.maximum(inputs.deadline_floor(arrivals) - prior, 0.0)
-    return template.fill(
+    return fill(
         np.concatenate(cost),
         np.concatenate((inputs.zic_kw, shifted.ravel()[completion])),
         lower=np.concatenate((np.minimum(floor, shifted).ravel(), np.zeros(n_free))),
@@ -354,12 +364,24 @@ def round_and_commit(relaxed: LpSolution, inputs: HorizonInputs) -> np.ndarray:
     if not relaxed.is_optimal:
         raise ConfigurationError(f"cannot commit from status {relaxed.status!r}")
     width = inputs.lookahead + 1
-    q = inputs.n_queues
-    e0 = relaxed.values[np.arange(q) * width]
-    d0 = np.round(e0 + inputs.prior_departures)
-    observed_now = inputs.observed[:, -1]
-    d0 = np.clip(d0, inputs.prior_departures, observed_now)
-    return (d0 - inputs.prior_departures).astype(np.int64)
+    prior = inputs.prior_departures
+    e0 = relaxed.values[: inputs.n_queues * width : width]
+    d0 = np.minimum(np.maximum((e0 + prior).round(), prior), inputs.observed[:, -1])
+    return (d0 - prior).astype(np.int64)
+
+
+def _checked(values, name: str, negative: bool = False, length=None) -> np.ndarray:
+    """Float ``values``, a scalar stretched to ``length``; finite, and >= 0 unless ``negative``."""
+    arr = np.asarray(values, dtype=float)
+    if length is not None and arr.ndim == 0:
+        arr = np.full(length, float(arr))
+    elif length is not None and arr.shape != (length,):
+        raise ConfigurationError(f"{name} must be scalar or length {length}")
+    if not np.isfinite(arr).all():
+        raise ConfigurationError(f"{name} must be finite")
+    if not negative and (arr < 0).any():
+        raise ConfigurationError(f"{name} must be >= 0")
+    return arr
 
 
 def apply_capacity_cap(committed, cap: float | None) -> np.ndarray:
@@ -411,11 +433,11 @@ class RecedingHorizonScheduler:
         if not self.codebook:
             raise ConfigurationError("empty codebook")
         self.n_queues = len(self.codebook)
-        self.zic_kw = np.asarray(zic_kw, dtype=float)
+        self.zic_kw = _checked(zic_kw, "zic_kw", negative=True)
         horizon = self.zic_kw.size
-        self.price_up = self._stretch(price_up, horizon, "price_up")
-        self.price_dn = self._stretch(price_dn, horizon, "price_dn")
-        self.delay_prices = np.asarray(delay_prices, dtype=float)
+        self.price_up = _checked(price_up, "price_up", length=horizon)
+        self.price_dn = _checked(price_dn, "price_dn", length=horizon)
+        self.delay_prices = _checked(delay_prices, "delay_prices")
         if self.delay_prices.shape != (self.n_queues,):
             raise ConfigurationError("delay_prices must have one entry per queue")
         self.lookahead = int(lookahead)
@@ -424,29 +446,26 @@ class RecedingHorizonScheduler:
             raise ConfigurationError(
                 f"lookahead {self.lookahead} shorter than the longest pulse ({max_u})"
             )
+        if deadline_epochs is not None and deadline_epochs < max_u:
+            raise ConfigurationError(f"deadline of {deadline_epochs} epochs is shorter than "
+                                     "the longest pulse")
         self.arrival_rates = (
-            None if arrival_rates is None else np.asarray(arrival_rates, dtype=float)
+            None if arrival_rates is None else _checked(arrival_rates, "arrival_rates")
         )
         self.deadline_epochs = deadline_epochs
         self.capacity_cap = capacity_cap
         self.start_lag = int(start_lag)
         self.known_arrivals = (
-            None if known_arrivals is None else np.asarray(known_arrivals)
+            None if known_arrivals is None else _checked(known_arrivals, "known_arrivals")
         )
 
         self.ledger = QueueLedger(self.n_queues)
         self.epoch = 0
         self._flex = np.zeros(horizon + max_u + 1)
-        self._model = None  # this scheduler's warm-started window LP
-
-    @staticmethod
-    def _stretch(vec, horizon, name):
-        arr = np.asarray(vec, dtype=float)
-        if arr.ndim == 0:
-            return np.full(horizon, float(arr))
-        if arr.shape != (horizon,):
-            raise ConfigurationError(f"{name} must be scalar or length {horizon}")
-        return arr
+        self._rows = _window_rows(self.codebook, self.lookahead, self.start_lag, False)
+        self._model = Model(self._rows[0])  # this scheduler's warm-started window LP
+        self._pulses = np.array([code.pulse + (0.0,) * (max_u - code.duration_epochs)
+                                 for code in self.codebook])  # zero-padded to the longest
 
     def observe_arrivals(self, counts) -> None:
         self.ledger.record_arrivals(self.epoch, counts)
@@ -465,7 +484,12 @@ class RecedingHorizonScheduler:
                 f"supply profile ends at epoch {self.zic_kw.size - 1}, "
                 f"window needs {l0 + t}"
             )
-        return HorizonInputs(
+        # checked when the scheduler was built, so not again: built without
+        # __init__, and with the template that build_program fills unchecked
+        inputs = HorizonInputs.__new__(HorizonInputs)
+        inputs.__dict__.update(
+            _arrivals=None,
+            _rows=self._rows,
             start_epoch=l0,
             observed=self.ledger.arrival_history(l0),
             prior_departures=self.ledger.cumulative_departures(l0 - 1),
@@ -481,13 +505,12 @@ class RecedingHorizonScheduler:
             known_future=self.known_arrivals,
             start_lag=self.start_lag,
         )
+        return inputs
 
     def step(self) -> StepResult:
         l0 = self.epoch
         inputs = self.horizon_inputs()
         program = build_program(inputs)
-        if self._model is None:
-            self._model = Model(program)
         solution = lp_solve(program, model=self._model)
         relaxed = False
         if not solution.is_optimal:
@@ -512,13 +535,10 @@ class RecedingHorizonScheduler:
                     f"{self.deadline_epochs}-epoch deadline (capacity cap {self.capacity_cap})"
                 )
         self.ledger.apply_departures(l0, committed)
-        for qi, code in enumerate(self.codebook):
-            if committed[qi]:
-                startat = l0 + self.start_lag
-                stop = min(startat + code.duration_epochs, self._flex.size)
-                self._flex[startat:stop] += committed[qi] * np.asarray(
-                    code.pulse[: stop - startat]
-                )
+        # a window ends before the realized load does, so no pulse is cut
+        load = self._flex[l0 + self.start_lag :][: self._pulses.shape[1]]
+        for qi in committed.nonzero()[0].tolist():
+            load += committed[qi] * self._pulses[qi]
 
         self.epoch += 1
         return StepResult(epoch=l0, committed=committed, relaxed_completion=relaxed)

@@ -34,9 +34,9 @@ in a ledger through ``_replay``.
 
 All randomness flows from a single scenario seed through named
 ``SeedSequence`` spawns (one stream per queue for arrival counts, one
-extra stream for the distributed assignment), so runs are reproducible
-across platforms and the same seed yields the identical appliance
-population for every strategy.
+extra stream for the distributed assignment, drawn in one call for the
+whole population), so runs are reproducible across platforms and the
+same seed yields the identical appliance population for every strategy.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 # unscheduled_load is unused here: bench/spans.py traces it as simkit.unscheduled_load
 from .core import ArrivalEvent, ChargeCode, RawRequest, synthesize_load, unscheduled_load
-from .csvio import atomic_write_text, write_csv
+from .csvio import atomic_write_text, render_columns, write_csv
 from .errors import ConfigurationError, FeasibilityError
 from .market import stage_cost
 from .queues import DelayPrices, QueueLedger, dci
@@ -375,7 +375,7 @@ class Trajectory:
         columns = (np.arange(len(self)), np.zeros(len(self)), self.flex_kw, self.zic_kw,
                    self.up_kw, self.dn_kw, *self.backlog.T, self.stage_costs,
                    np.cumsum(self.stage_costs))
-        write_csv(path, header, zip(*(column.tolist() for column in columns)))
+        atomic_write_text(path, render_columns(header, columns))
 
 
 @dataclass
@@ -614,15 +614,14 @@ def run_ddls(config: ScenarioConfig, arrival_counts=None) -> RunResult:
 
 def _split_counts(counts: np.ndarray, m: int, seed: int) -> np.ndarray:
     """(M, Q, L) shares of the counts: each appliance goes to an owner
-    drawn uniformly from the ``SeedSequence([seed, 1])`` stream, one draw
-    of ``counts[q, epoch]`` owners per (queue, epoch), queue-major."""
-    shares = np.zeros((m,) + counts.shape, dtype=np.int64)
+    drawn uniformly from the ``SeedSequence([seed, 1])`` stream, the
+    owners of ``counts[q, epoch]`` appliances per (queue, epoch) in turn,
+    queue-major, all in one draw."""
     assign_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    for q in range(counts.shape[0]):
-        for epoch in range(counts.shape[1]):
-            owners = assign_rng.integers(0, m, size=int(counts[q, epoch]))
-            shares[:, q, epoch] = np.bincount(owners, minlength=m)
-    return shares
+    owners = assign_rng.integers(0, m, size=int(counts.sum()))
+    segment = np.repeat(np.arange(counts.size), counts.ravel())
+    shares = np.bincount(segment * m + owners, minlength=counts.size * m)
+    return np.ascontiguousarray(shares.reshape(counts.shape + (m,)).transpose(2, 0, 1))
 
 
 def run_distributed(config: ScenarioConfig, arrival_counts=None) -> RunResult:

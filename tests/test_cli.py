@@ -1,6 +1,7 @@
 """Command-line front end tests: artifact writing, overrides,
 determinism, and the printed rate/validation reports."""
 
+import hashlib
 import json
 import math
 import re
@@ -308,3 +309,43 @@ class TestValidate:
         rc = main(["validate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+# SHA-256 of every CSV ``ddls run`` writes for desk seed 0.  A change that
+# moves a schedule on purpose records new digests and says why.
+DESK_SEED0_DIGESTS = {
+    "uncontrolled/metrics.csv":
+        "c50339ee8305deed8c8b35b2d799ecf4eb7a98257bf4b693396b9b7812d96153",
+    "uncontrolled/trajectory.csv":
+        "ef74b06b6524fe7a735d7d7cb3c5bf37bc3da0c6bb47bbb4f189b02b501bcce7",
+    "uncontrolled/feedback.csv":
+        "7d06934976c000d36d550898cbc758464e7678ad95ea5580186debcece125bb9",
+    "ddls/metrics.csv":
+        "22a693db0a975181e23c691a1ad68bc29f1ac2ba52a7b873dc2a46aeb4e0f415",
+    "ddls/trajectory.csv":
+        "18579be6f5632aa48b1aa07a89becfe792b480ba4711f7e27746003fc4d2305b",
+    "ddls/feedback.csv":
+        "014e77c9047231c42f0240a96f8276979df2b39c94fbd754903fef4f33c17a43",
+    "distributed/metrics.csv":
+        "90f8f9b5d7d1ce5a5d6d5a2b6056c4929370384ca0f3fd0562abfadc5ac58dc4",
+    "distributed/trajectory.csv":
+        "6fd6420c6851664b16aa5a1128c826356ae7cb30344b872848c22b3ea7e5fd10",
+    "distributed/feedback.csv":
+        "f11fd4414c4a739405d76dbca09bf7db60e528dfe1683eb436484c559725ed60",
+    "price/metrics.csv":
+        "08ee3394c0501b89adc7727a557937753efcc08088d24b32f1f909e29bff2772",
+    "price/trajectory.csv":
+        "f88cefe4ae0c547e271952413a5220a23cc8600eab5568ee922921edcecec164",
+    "price/feedback.csv":
+        "6b7fe0146bed2c99cd87cb25b03c3757718e5fcbf82191f7680ad19402edff30",
+}
+
+
+@pytest.mark.parametrize("strategy", ["uncontrolled", "ddls", "distributed", "price"])
+def test_desk_day_csvs_match_their_recorded_digests(strategy, tmp_path, capsys):
+    out = tmp_path / strategy
+    assert main(["run", "--config", str(DESK_CONFIG), "--seed", "0",
+                 "--strategy", strategy, "--out", str(out)]) == 0
+    for name in ("metrics.csv", "trajectory.csv", "feedback.csv"):
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == DESK_SEED0_DIGESTS[f"{strategy}/{name}"], name

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddls.core import ChargeCode
+from ddls.csvio import render_columns
 from ddls.errors import ConfigurationError
 from ddls.feedback import (
     ThresholdMessage,
@@ -52,7 +53,41 @@ def decode_and_admit_loop(arrival_log, message, already_admitted=frozenset()):
     return new - set(already_admitted)
 
 
+def encode_thresholds_loop(ledger, targets, epoch):
+    """The reference encoder: the cutoff and spill of each queue in turn,
+    from a copy of its arrival history."""
+    cum = np.cumsum(ledger.arrival_increments(0, epoch + 1), axis=1)
+    cutoffs, spill = [], []
+    for q, d in enumerate(targets):
+        admitted_epochs = np.nonzero(cum[q] <= d)[0]
+        if admitted_epochs.size == 0:
+            cutoffs.append(None)
+            spill.append(int(d))
+        else:
+            cut = int(admitted_epochs[-1])
+            cutoffs.append(cut)
+            spill.append(int(d) - int(cum[q, cut]))
+    return ThresholdMessage(epoch=epoch, cutoffs=cutoffs, spill=spill)
+
+
 class TestEncode:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_loop_encoder(self, data):
+        # the message epoch may lie past the last recorded arrivals
+        n_queues = data.draw(st.integers(1, 3))
+        recorded = data.draw(st.integers(1, 6))
+        increments = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=recorded, max_size=recorded),
+            min_size=n_queues, max_size=n_queues)))
+        ledger = ledger_from_increments(increments)
+        epoch = data.draw(st.integers(0, recorded + 2))
+        arrived = ledger.cumulative_arrivals(epoch)
+        targets = np.array([data.draw(st.integers(0, int(a))) for a in arrived])
+        got = encode_thresholds(ledger, targets, epoch)
+        assert got == encode_thresholds_loop(ledger, targets, epoch)
+        assert all(c is None or type(c) is int for c in got.cutoffs)
+
     def test_interior_target_picks_last_covered_epoch(self):
         ledger = ledger_from_increments([[1, 1, 1]])  # a = [1, 2, 3]
         msg = encode_thresholds(ledger, np.array([2]), 2)
@@ -247,6 +282,34 @@ class TestDecode:
 
 
 class TestCsv:
+    @staticmethod
+    def cell(value) -> str:
+        """The reference cell: one value at a time."""
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, float):
+            return "%.9g" % value
+        return str(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_columns_render_as_cells_do(self, data):
+        rows = data.draw(st.integers(0, 6))
+        floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 1e-300])
+
+        def column(elements, dtype):
+            return np.array(data.draw(st.lists(elements, min_size=rows, max_size=rows)), dtype)
+
+        columns = [np.arange(rows), column(floats, float), column(st.booleans(), bool),
+                   column(st.integers(-2**62, 2**62), np.int64),
+                   column(st.sampled_from(["ddls", "price", "a%sb"]), str)]
+        header = ["epoch", "value", "flag", "count", "strategy"]
+        expected = "".join(",".join(self.cell(v) for v in row) + "\n"
+                           for row in zip(*(c.tolist() for c in columns)))
+        assert render_columns(header, columns) == ",".join(header) + "\n" + expected
+
     def test_message_log_golden(self, tmp_path):
         messages = [
             ThresholdMessage(epoch=0, cutoffs=(None, 0), spill=(0, 0)),

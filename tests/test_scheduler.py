@@ -6,7 +6,9 @@ synthesized load, and the LP relaxation must come in at or below the
 best of them.
 """
 
+import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,9 @@ from ddls.scheduler import (
     pulse_toeplitz,
     round_and_commit,
 )
+from ddls.simkit import load_scenario, run_ddls, run_distributed
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_day.json"
 
 
 def window_inputs(codebook, zic, counts, *, price_up=1.0, price_dn=1.0,
@@ -856,3 +861,140 @@ class TestRecedingHorizon:
         assert calls[1] is None
         assert not sched.step().relaxed_completion
         assert calls[2] is calls[0]
+
+
+def _bad_at(values, epoch, bad):
+    values = np.array(values, dtype=float)
+    values[epoch] = bad
+    return values
+
+
+class TestInputsCheckedOnce:
+    """A scheduler checks its static inputs when it is built, so a bad
+    one is refused before any window is solved; a ``HorizonInputs``
+    built by a caller keeps its own checks."""
+
+    CODEBOOK = (ChargeCode(id=1, pulse=(1.0, 2.0)), ChargeCode(id=2, pulse=(1.5,)))
+    ZIC = np.random.default_rng(2207).uniform(0.0, 4.0, size=40)
+    KNOWN = np.random.default_rng(2208).poisson(0.8, size=(2, 40)).astype(float)
+
+    def scheduler_kwargs(self, known=False):
+        kwargs = dict(codebook=self.CODEBOOK, zic_kw=self.ZIC, price_up=np.ones(40),
+                      price_dn=np.ones(40), delay_prices=np.full(2, 0.05), lookahead=6,
+                      deadline_epochs=5)
+        if known:
+            kwargs["known_arrivals"] = self.KNOWN
+        else:
+            kwargs["arrival_rates"] = np.full(2, 0.8)
+        return kwargs
+
+    @pytest.mark.parametrize("field, bad", [
+        ("zic_kw", _bad_at(ZIC, 30, np.nan)),
+        ("zic_kw", _bad_at(ZIC, 30, np.inf)),
+        ("price_up", _bad_at(np.ones(40), 30, -1.0)),
+        ("price_up", _bad_at(np.ones(40), 30, np.nan)),
+        ("price_dn", _bad_at(np.ones(40), 30, np.nan)),
+        ("price_dn", _bad_at(np.ones(40), 30, -0.5)),
+        ("price_dn", np.inf),
+        ("delay_prices", np.array([0.05, -0.01])),
+        ("delay_prices", np.array([np.nan, 0.05])),
+        ("arrival_rates", np.array([0.8, -0.1])),
+        ("arrival_rates", np.array([np.inf, 0.8])),
+        ("known_arrivals", np.where(np.arange(40) == 30, -1.0, KNOWN)),
+        ("known_arrivals", np.where(np.arange(40) == 30, np.nan, KNOWN)),
+    ], ids=["zic-nan", "zic-inf", "price_up-negative", "price_up-nan", "price_dn-nan",
+            "price_dn-negative", "price_dn-inf", "delay-negative", "delay-nan",
+            "rates-negative", "rates-inf", "known-negative", "known-nan"])
+    def test_a_bad_static_input_is_refused_before_any_window(self, monkeypatch, field, bad):
+        solves = []
+        monkeypatch.setattr(scheduler, "lp_solve", lambda *args, **kw: solves.append(args))
+        kwargs = self.scheduler_kwargs(known=field == "known_arrivals")
+        kwargs[field] = bad
+        with pytest.raises(ConfigurationError, match=field):
+            RecedingHorizonScheduler(**kwargs).run(self.KNOWN[:, :30].astype(np.int64))
+        assert solves == []
+
+    def test_a_deadline_shorter_than_a_pulse_is_refused_when_built(self):
+        with pytest.raises(ConfigurationError, match="deadline"):
+            RecedingHorizonScheduler(**{**self.scheduler_kwargs(), "deadline_epochs": 1})
+
+    @staticmethod
+    def fields(inputs):
+        return {f.name: getattr(inputs, f.name) for f in dataclasses.fields(inputs) if f.init}
+
+    @pytest.mark.parametrize("change", [
+        dict(codebook=()),
+        dict(lookahead=2),
+        dict(observed=np.zeros((3, 4))),
+        dict(observed=np.array([[0, 2, 1, 3, 3, 4, 5]] * 3)),
+        dict(zic_kw=np.zeros(5)),
+        dict(price_up=-np.ones(8)),
+        dict(price_dn=np.full(8, -0.1)),
+        dict(prior_departures=np.zeros(2)),
+        dict(prior_departures=np.full(3, 10**6)),
+        dict(delay_prices=np.full(3, -0.1)),
+        dict(deadline_epochs=2),
+        dict(zic_kw=np.full(8, np.nan)),
+        dict(price_up=np.full(8, np.inf)),
+        dict(price_dn=np.full(8, np.nan)),
+        dict(delay_prices=np.array([0.1, np.nan, 0.1])),
+        dict(forecast_rates=np.array([0.5, np.nan, 0.5])),
+        dict(t1=9),
+        dict(t1=2),
+        dict(start_lag=2),
+    ])
+    def test_caller_built_inputs_keep_every_check(self, change):
+        inputs = mid_day_inputs(TestWindowStructure.CODEBOOK)
+        with pytest.raises(ConfigurationError):
+            build_program(HorizonInputs(**{**self.fields(inputs), **change}))
+
+
+def reference_program(sched):
+    """The window ``sched`` is about to solve, built from caller-made,
+    checked ``HorizonInputs`` with a copy of the whole history."""
+    l0, t = sched.epoch, sched.lookahead
+    ledger, stop = sched.ledger, l0 + t + 1
+    return build_program(HorizonInputs(
+        start_epoch=l0,
+        observed=np.cumsum(ledger.arrival_increments(0, l0 + 1), axis=1),
+        prior_departures=ledger.cumulative_departures(l0 - 1),
+        zic_kw=sched.zic_kw[l0:stop] - sched.realized_load()[l0:stop],
+        price_up=sched.price_up[l0:stop].copy(),
+        price_dn=sched.price_dn[l0:stop].copy(),
+        delay_prices=sched.delay_prices.copy(),
+        codebook=list(sched.codebook),
+        lookahead=t,
+        forecast_rates=sched.arrival_rates,
+        deadline_epochs=sched.deadline_epochs,
+        t1=t if sched.known_arrivals is not None else 0,
+        known_future=sched.known_arrivals,
+        start_lag=sched.start_lag,
+    ))
+
+
+@pytest.mark.parametrize("runner", [run_ddls, run_distributed], ids=["ddls", "distributed"])
+def test_every_desk_window_receives_what_the_reference_path_builds(monkeypatch, runner):
+    """The scheduler's windows skip the checks and the history copy; the
+    model must still receive, bit for bit, what checked inputs give."""
+    received = []
+    stepping = []
+    inputs_of = RecedingHorizonScheduler.horizon_inputs
+    warm_solve = lp.Model.warm_solve
+
+    def noted(self):
+        stepping[:] = [self]
+        return inputs_of(self)
+
+    def compared(self, program):
+        received.append((program, reference_program(stepping[0])))
+        return warm_solve(self, program)
+
+    monkeypatch.setattr(RecedingHorizonScheduler, "horizon_inputs", noted)
+    monkeypatch.setattr(lp.Model, "warm_solve", compared)
+    runner(load_scenario(DESK_CONFIG))
+    assert len(received) >= 96
+    for i, (program, expected) in enumerate(received):
+        assert program.csc is expected.csc, i
+        for name in ("objective", "eq_rhs", "lower", "upper"):
+            got, want = getattr(program, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (i, name)

@@ -502,22 +502,37 @@ class TestDistributed:
         assert result.metrics.served == counts.sum()
         assert np.isclose(result.flex_kw.sum(), pulse_energy(config.codebook, counts))
 
-    @settings(max_examples=40, deadline=None)
+    @staticmethod
+    def split_counts_loop(counts, m, seed):
+        """The reference split: one draw of owners per (queue, epoch), queue-major."""
+        shares = np.zeros((m,) + counts.shape, dtype=np.int64)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        for q in range(counts.shape[0]):
+            for epoch in range(counts.shape[1]):
+                for owner in rng.integers(0, m, size=int(counts[q, epoch])):
+                    shares[owner, q, epoch] += 1
+        return shares
+
+    @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_split_matches_per_appliance_assignment(self, data):
-        m = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 9))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        n_queues, n_epochs = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+        n_queues, n_epochs = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
         counts = np.array(data.draw(st.lists(
-            st.lists(st.integers(0, 6), min_size=n_epochs, max_size=n_epochs),
+            st.lists(st.integers(0, 20), min_size=n_epochs, max_size=n_epochs),
             min_size=n_queues, max_size=n_queues)))
-        oracle = np.zeros((m, n_queues, n_epochs), dtype=np.int64)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        for q in range(n_queues):
-            for epoch in range(n_epochs):
-                for owner in rng.integers(0, m, size=int(counts[q, epoch])):
-                    oracle[owner, q, epoch] += 1
-        assert np.array_equal(_split_counts(counts, m, seed), oracle)
+        got = _split_counts(counts, m, seed)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, self.split_counts_loop(counts, m, seed))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8])
+    def test_desk_split_matches_per_appliance_assignment(self, m):
+        config = load_scenario(DESK_CONFIG)
+        counts = generate_arrival_counts(config.arrival_rates_per_hour, config.horizon_epochs,
+                                         config.seed, config.interval_s)
+        expected = self.split_counts_loop(counts, m, config.seed)
+        assert np.array_equal(_split_counts(counts, m, config.seed), expected)
 
     def test_desk_capacity_cap_limits_the_aggregate_starts(self):
         config = dataclasses.replace(load_scenario(DESK_CONFIG), capacity_cap=16)
