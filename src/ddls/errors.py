@@ -9,7 +9,12 @@ class ConfigurationError(ValueError):
 class FeasibilityError(RuntimeError):
     """A physical invariant was violated at runtime, e.g. a departure
     process overtaking its arrival process.  Signals a scheduling bug
-    rather than bad user input."""
+    rather than bad user input.  ``scheduler`` is the index of the
+    scheduler in a bank that hit it, if one did."""
+
+    def __init__(self, message: str, scheduler: int | None = None):
+        super().__init__(message)
+        self.scheduler = scheduler
 
 
 class SolverError(RuntimeError):

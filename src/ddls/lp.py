@@ -19,8 +19,9 @@ The call skips linprog's input cleaning and re-conversion.  A
 ``LinearProgram`` freezes its rows when it is built: it keeps a
 read-only copy of its matrices, checks them and converts them to sparse
 form once; ``LinearProgram.fill`` reuses those rows for new costs,
-right-hand side and bounds, checking only the new vectors
-(``fill_unchecked``: vectors the caller has already checked).
+right-hand side and bounds, checking only the new vectors, and
+``fill_rows`` does the same for a stack of windows, checked together in
+one pass.
 Where this scipy lacks the binding (checked once at import), ``solve``
 ignores any model and falls back to linprog.  Both paths are
 deterministic.  Bound intervals are accepted as nonempty within
@@ -29,6 +30,8 @@ FEAS_TOL (1e-7).
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,11 +56,11 @@ def _rows(m, n: int, label) -> np.ndarray:
     return m
 
 
-def _rhs(rhs, rows: int, label) -> np.ndarray:
-    """A float copy of the right-hand side of ``rows`` constraint rows."""
-    rhs = np.zeros(0) if rhs is None and not rows else np.atleast_1d(np.array(rhs, dtype=float))
-    if rhs.shape != (rows,):
-        raise ConfigurationError(f"{label} shapes inconsistent: {rows} rows, rhs {rhs.shape}")
+def _rhs(rhs, shape: tuple, label) -> np.ndarray:
+    """A float copy of a right-hand side of the given shape, rows last."""
+    rhs = np.zeros(shape) if rhs is None and not shape[-1] else np.array(rhs, float, ndmin=1)
+    if rhs.shape != shape:
+        raise ConfigurationError(f"{label} shapes inconsistent: rows {shape}, rhs {rhs.shape}")
     if not np.isfinite(rhs).all():
         raise ConfigurationError(f"{label} contains NaN/Inf")
     return rhs
@@ -87,7 +90,7 @@ class LinearProgram:
         n = np.size(self.objective)
         self.eq_matrix = _rows(self.eq_matrix, n, "equality")
         self.ineq_matrix = _rows(self.ineq_matrix, n, "inequality")
-        self.ineq_rhs = _rhs(self.ineq_rhs, self.ineq_matrix.shape[0], "inequality")
+        self.ineq_rhs = _rhs(self.ineq_rhs, self.ineq_matrix.shape[:1], "inequality")
         stacked = csc_array(np.vstack((-self.ineq_matrix, self.eq_matrix)))
         self.csc = (stacked.indptr, stacked.indices, stacked.data)
         for a in (self.ineq_rhs, *self.csc):
@@ -97,36 +100,51 @@ class LinearProgram:
     def fill(self, objective, eq_rhs, lower, upper) -> LinearProgram:
         """This program's rows with new costs, equality right-hand side
         and bounds; only those are checked."""
-        program = self.fill_unchecked(objective, eq_rhs, lower, upper)
+        program = self._sharing_rows(objective, eq_rhs, lower, upper)
         program._check_vectors()
         return program
 
-    def fill_unchecked(self, objective, eq_rhs, lower, upper) -> LinearProgram:
-        """``fill`` of float vectors known to pass its checks, taken as they are."""
+    def fill_rows(self, objective, eq_rhs, lower, upper) -> list[LinearProgram]:
+        """``fill`` for every row of the stacked (B, m) right-hand sides
+        and (B, n) bounds, with (n,) costs shared by all or (B, n) costs;
+        the vectors are checked together, in one pass."""
+        stacked = self._sharing_rows(objective, eq_rhs, lower, upper)
+        stacked._check_vectors(len(eq_rhs))
+        cost = stacked.objective
+        return [self._sharing_rows(*vectors) for vectors in zip(
+            cost if cost.ndim == 2 else itertools.repeat(cost),
+            stacked.eq_rhs, stacked.lower, stacked.upper)]
+
+    def _sharing_rows(self, objective, eq_rhs, lower, upper) -> LinearProgram:
+        """This program's rows with the given vectors, taken as they are."""
         program = object.__new__(type(self))
         program.__dict__.update(self.__dict__, objective=objective, eq_rhs=eq_rhs,
                                 lower=lower, upper=upper)
         return program
 
-    def _check_vectors(self):
-        n = self.eq_matrix.shape[1]
+    def _check_vectors(self, rows: int | None = None):
+        """Convert and check the costs, equality right-hand side and
+        bounds: one program's or, given ``rows``, those of a stack of
+        that many, each vector (rows, k) and the costs (n,) or (rows, n)."""
+        m, n = self.eq_matrix.shape
+        lead = () if rows is None else (rows,)
         self.objective = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        if self.objective.shape != (n,):
+        if self.objective.shape not in ((n,), lead + (n,)):
             raise ConfigurationError(f"objective has {self.objective.shape}, rows have {n} columns")
-        if not np.all(np.isfinite(self.objective)):
+        if not np.isfinite(self.objective).all():
             raise ConfigurationError("objective contains NaN/Inf")
-        self.eq_rhs = _rhs(self.eq_rhs, self.eq_matrix.shape[0], "equality")
-        self.lower = np.full(n, -np.inf) if self.lower is None else np.array(self.lower, float)
-        self.upper = np.full(n, np.inf) if self.upper is None else np.array(self.upper, float)
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
+        self.eq_rhs = _rhs(self.eq_rhs, lead + (m,), "equality")
+        self.lower = np.full(lead + (n,), -np.inf) if self.lower is None else np.array(
+            self.lower, dtype=float)
+        self.upper = np.full(lead + (n,), np.inf) if self.upper is None else np.array(
+            self.upper, dtype=float)
+        if self.lower.shape != lead + (n,) or self.upper.shape != lead + (n,):
             raise ConfigurationError("bound vectors must match the variable count")
-        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
-            raise ConfigurationError("bounds contain NaN")
-        if (self.lower > self.upper + FEAS_TOL).any():
-            j = int(np.argmax(self.lower - self.upper))
-            raise ConfigurationError(
-                f"empty bound interval on variable {j}: [{self.lower[j]}, {self.upper[j]}]"
-            )
+        nonempty = self.lower <= self.upper + FEAS_TOL  # False at a NaN too
+        if not nonempty.all():
+            at = np.unravel_index(np.argmin(nonempty), nonempty.shape)
+            raise ConfigurationError(f"NaN or empty bound interval on variable {at[-1]}: "
+                                     f"[{self.lower[at]}, {self.upper[at]}]")
 
     @property
     def n_vars(self) -> int:
@@ -206,12 +224,14 @@ class Model:
         h = _HIGHS
         eq_rhs = self._rhs[self._eq_row0 :]
         if self._highs is None:
-            highs = h._Highs()
+            highs = _SPARE.pop() if _SPARE else h._Highs()
             highs.passOptions(_WARM_OPTIONS)
             if highs.passModel(_highs_lp(program)) == h.HighsStatus.kError:
+                _spare(highs)
                 self.cold_retries += 1
                 return None
             self._highs = highs
+            weakref.finalize(self, _spare, highs).atexit = False
             self._cost = program.objective.copy()
             self._lower, self._upper = program.lower.copy(), program.upper.copy()
             eq_rhs[:] = program.eq_rhs
@@ -240,6 +260,17 @@ class Model:
         highs.clearSolver()
         self.cold_retries += 1
         return None
+
+
+# Cleared HiGHS objects of freed models, for new models to take: a scheduler bank
+# holds one model per scheduler at once, and allocating every bank's afresh
+# fragments the heap (on desk, peak RSS grows by about 1.5 MB over a few days).
+_SPARE: list = []
+
+
+def _spare(highs) -> None:
+    highs.clear()  # options, model, basis and solution: as constructed
+    _SPARE.append(highs)
 
 
 def _highs_lp(program: LinearProgram):

@@ -81,6 +81,29 @@ class QueueLedger:
         # (epoch, queue_index) per appliance, in recording order
         self.arrival_log: list[tuple[int, int]] = []
 
+    @classmethod
+    def from_tables(cls, arrivals, departures) -> QueueLedger:
+        """The ledger of (Q, ·) cumulative arrival and departure tables,
+        column 0 zero and column l + 1 holding a_q(l) (d_q(l)) through
+        the last epoch each recorded; its arrival log is derived from them."""
+        arrivals, departures = (np.array(t, dtype=np.int64, ndmin=2) for t in (arrivals, departures))
+        width, reach = arrivals.shape[1], departures.shape[1]
+        if (arrivals.shape[0] != departures.shape[0] or not width or not reach
+                or arrivals[:, 0].any() or departures[:, 0].any() or (np.diff(arrivals) < 0).any()
+                or (np.diff(departures) < 0).any()
+                or (departures > arrivals[:, np.minimum(np.arange(reach), width - 1)]).any()):
+            raise ConfigurationError("tables must be cumulative from a zero column, departures "
+                                     "never ahead of arrivals")
+        ledger = cls(arrivals.shape[0])
+        ledger._cum_arr, ledger._cum_dep = arrivals, departures
+        ledger._last_arrival_epoch = arrivals.shape[1] - 2
+        ledger._last_departure_epoch = departures.shape[1] - 2
+        batches = np.diff(arrivals).T  # in recording order: by epoch, then queue
+        for (epoch, queue), count in zip(np.argwhere(batches).tolist(),
+                                         batches[batches > 0].tolist()):
+            ledger.arrival_log.extend([(epoch, queue)] * count)
+        return ledger
+
     @property
     def current_epoch(self) -> int:
         return max(self._last_arrival_epoch, self._last_departure_epoch)
@@ -105,10 +128,11 @@ class QueueLedger:
         cum[:, epoch + 1] = cum[:, epoch] + counts
 
     @staticmethod
-    def _check_counts(counts, n_queues: int) -> np.ndarray:
+    def _check_counts(counts, shape: tuple) -> np.ndarray:
+        """Integer counts >= 0 of the given shape, as int64."""
         arr = np.asarray(counts)
-        if arr.shape != (n_queues,):
-            raise ConfigurationError(f"counts shape {arr.shape}, expected ({n_queues},)")
+        if arr.shape != shape:
+            raise ConfigurationError(f"counts shape {arr.shape}, expected {shape}")
         if arr.dtype.kind not in "iu":
             rounded = np.rint(np.asarray(arr, dtype=float))
             if not np.allclose(arr, rounded, atol=1e-9):
@@ -119,7 +143,7 @@ class QueueLedger:
         return arr.astype(np.int64, copy=False)
 
     def record_arrivals(self, epoch: int, counts) -> None:
-        counts = self._check_counts(counts, self.n_queues)
+        counts = self._check_counts(counts, (self.n_queues,))
         if epoch < 0:
             raise ConfigurationError(f"epoch must be >= 0, got {epoch}")
         if epoch < self._last_arrival_epoch:
@@ -133,7 +157,7 @@ class QueueLedger:
             self.arrival_log.extend([(epoch, q)] * count)
 
     def apply_departures(self, epoch: int, counts) -> None:
-        counts = self._check_counts(counts, self.n_queues)
+        counts = self._check_counts(counts, (self.n_queues,))
         if epoch < 0:
             raise ConfigurationError(f"epoch must be >= 0, got {epoch}")
         if epoch < self._last_departure_epoch:

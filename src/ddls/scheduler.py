@@ -1,25 +1,28 @@
 """Receding-horizon start-time dispatch against a supply profile.
 
-Each epoch the scheduler solves a T-step lookahead linear program over
+Each epoch a scheduler solves a T-step lookahead linear program over
 per-queue cumulative departures, with future arrivals replaced by their
 expected increments (certainty-equivalent control), rounds the
 first-epoch decision to integers, commits it, subtracts the realized
 load (the committed pulses, tails included) from the supply profile,
 and re-solves one epoch later.  Only the first epoch of every plan is
-ever executed.  An epoch at which every queue is empty has nothing to
-decide: ``run`` records zero starts for it and solves no window.
-Consecutive windows differ only in their costs, bounds and right-hand
-side, so each scheduler keeps one ``lp.Model`` and starts every window's
-simplex from the basis the last one left; the relaxed-completion retry,
-which has other rows, solves cold.  The scheduler only decides: it keeps
-the queue ledger and the realized load, and ``simkit`` charges the run
-from them.  A start that the capacity cap holds back past the deadline
-is refused with ``FeasibilityError``.
+ever executed, and an epoch at which every queue is empty solves no
+window: its only decision is zero starts.  The scheduler only decides;
+``simkit`` charges the run from its ledger and realized load.  A start
+that the capacity cap holds back past the deadline is refused with
+``FeasibilityError``.
 
-A scheduler checks its static inputs once, when it is built; its
-windows read the ledger's table in place and are not checked again, so
-a window costs its simplex plus O(Q*T) array work.  A ``HorizonInputs``
-built by a caller keeps its own checks, and so does its program.
+``RecedingHorizonScheduler`` is a bank of M >= 1 such schedulers that
+advance in lockstep.  It checks its static inputs once, when built, and
+keeps every scheduler's cumulative tables and realized load in (M, ·)
+arrays, so each epoch builds the costs, right-hand sides and bounds of
+every busy window in one array pass and commits every decision in a
+second; only each scheduler's warm-started ``lp.Model`` (its push, its
+simplex and its point read) is per scheduler.  Consecutive windows
+differ only in those vectors, so each model starts from the basis its
+last window left; the relaxed-completion retry, which has other rows,
+solves cold.  ``HorizonInputs`` and ``build_program`` are the checked
+reference path for one window, built from the same array functions.
 
 Decision variables are the shifted cumulative departures
 e_q(j) = d_q(l0+j) - d_q(l0-1), stacked queue-major, followed by the
@@ -34,6 +37,7 @@ reported objectives are actual window costs.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -105,13 +109,13 @@ def certainty_equivalent_arrivals(observed, rates, start_epoch: int, lookahead: 
     from ``known_future``, per-epoch counts indexed by absolute epoch),
     a statistical interval (t1+1..t2, expected per-epoch increments from
     ``rates``, fractional values allowed), and a no-knowledge tail with
-    zero increments.
+    zero increments.  ``observed`` may stack several schedulers' (Q, ·)
+    matrices on leading axes, all sharing ``rates`` and ``known_future``.
     """
     observed = np.asarray(observed)
-    n_queues = observed.shape[0]
-    if observed.shape[1] < start_epoch + 1:
+    if observed.shape[-1] < start_epoch + 1:
         raise ConfigurationError(
-            f"observed history covers {observed.shape[1]} epochs, need {start_epoch + 1}"
+            f"observed history covers {observed.shape[-1]} epochs, need {start_epoch + 1}"
         )
     if t2 is None:
         t2 = lookahead
@@ -126,17 +130,84 @@ def certainty_equivalent_arrivals(observed, rates, start_epoch: int, lookahead: 
     r = None if rates is None else np.asarray(rates, dtype=float)
 
     # increments by window offset j; column 0 holds the counts at l0
-    inc = np.zeros((n_queues, lookahead + 1))
-    inc[:, 0] = observed[:, start_epoch]
+    inc = np.zeros(observed.shape[:-1] + (lookahead + 1,))
+    inc[..., 0] = observed[..., start_epoch]
     if t1:
-        known = known_future[:, start_epoch + 1 : start_epoch + 1 + t1]
-        inc[:, 1 : 1 + known.shape[1]] = known
+        known = known_future[..., start_epoch + 1 : start_epoch + 1 + t1]
+        inc[..., 1 : 1 + known.shape[-1]] = known
     if r is not None and r.ndim == 1:
-        inc[:, t1 + 1 : t2 + 1] = r[:, None]
+        inc[..., t1 + 1 : t2 + 1] = r[:, None]
     elif r is not None:
         forecast = r[:, start_epoch + t1 + 1 : start_epoch + t2 + 1]
-        inc[:, t1 + 1 : t1 + 1 + forecast.shape[1]] = forecast
-    return np.cumsum(inc, axis=1)
+        inc[..., t1 + 1 : t1 + 1 + forecast.shape[1]] = forecast
+    return np.cumsum(inc, axis=-1)
+
+
+def _window_vectors(observed, arrivals, prior, net_supply, start_epoch: int, deadline,
+                    completion, n_free: int):
+    """A window's equality right-hand side and lower and upper bounds, from
+    its history and cumulative arrivals (Q, ·), the departures before it
+    (Q,) and its net supply (T+1,); windows may be stacked on leading axes.
+
+    e lies between the deadline floor (everything that arrived
+    ``deadline`` epochs before a window epoch has departed by then) and
+    the arrivals, both net of the prior departures; the ``n_free``
+    columns after it lie in [0, inf)."""
+    l0, t = start_epoch, arrivals.shape[-1] - 1
+    floor = np.zeros(arrivals.shape)
+    if deadline is not None:
+        # offset j is due from l0 + j - deadline: observed up to j = deadline, then forecast
+        first, mid = max(deadline - l0, 0), min(deadline, t) + 1
+        if first < mid:
+            floor[..., first:mid] = observed[..., l0 - deadline + first : l0 - deadline + mid]
+        if mid <= t:
+            floor[..., mid:] = arrivals[..., 1 : t + 1 - deadline]
+    prior = prior[..., None]
+    shifted = arrivals - prior
+    np.maximum(shifted, 0.0, out=shifted)
+    floor -= prior
+    np.maximum(floor, 0.0, out=floor)
+    lead, n_e = shifted.shape[:-2], shifted.shape[-2] * shifted.shape[-1]
+    lower = np.zeros(lead + (n_e + n_free,))
+    upper = np.full(lead + (n_e + n_free,), np.inf)
+    lower[..., :n_e] = np.minimum(floor, shifted).reshape(lead + (n_e,))
+    upper[..., :n_e] = shifted.reshape(lead + (n_e,))
+    return np.concatenate((net_supply, upper[..., completion]), axis=-1), lower, upper
+
+
+def _round_starts(e0, prior, arrived) -> np.ndarray:
+    """Starts from relaxed first-epoch departures: the cumulative value
+    rounded half-to-even, clamped between the prior departures and the
+    arrivals so far, less the prior departures."""
+    d0 = np.minimum(np.maximum((e0 + prior).round(), prior), arrived)
+    return (d0 - prior).astype(np.int64)
+
+
+def _checked(values, name: str, negative: bool = False, length=None) -> np.ndarray:
+    """Float ``values``, a scalar stretched to ``length``; finite, and >= 0 unless ``negative``."""
+    arr = np.asarray(values, dtype=float)
+    if length is not None and arr.ndim == 0:
+        arr = np.full(length, float(arr))
+    elif length is not None and arr.shape != (length,):
+        raise ConfigurationError(f"{name} must be scalar or length {length}")
+    if not np.isfinite(arr).all():
+        raise ConfigurationError(f"{name} must be finite")
+    if not negative and (arr < 0).any():
+        raise ConfigurationError(f"{name} must be >= 0")
+    return arr
+
+
+def _longest_pulse(codebook, lookahead: int, deadline) -> int:
+    """The longest pulse of a nonempty codebook, which the lookahead and
+    the deadline (None: no deadline) must cover."""
+    if not codebook:
+        raise ConfigurationError("empty codebook")
+    max_u = max(code.duration_epochs for code in codebook)
+    if lookahead < max_u:
+        raise ConfigurationError(f"lookahead {lookahead} shorter than the longest pulse ({max_u})")
+    if deadline is not None and deadline < max_u:
+        raise ConfigurationError(f"deadline of {deadline} epochs is shorter than the longest pulse")
+    return max_u
 
 
 @dataclass(frozen=True)
@@ -174,46 +245,27 @@ class HorizonInputs:
     known_future: np.ndarray | None = None
     start_lag: int = 0
     _arrivals: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.codebook = tuple(self.codebook)
-        q = len(self.codebook)
-        t = self.lookahead
-        if not self.codebook:
-            raise ConfigurationError("empty codebook")
-        max_u = max(code.duration_epochs for code in self.codebook)
-        if t < max_u:
-            raise ConfigurationError(
-                f"lookahead {t} shorter than the longest pulse ({max_u} epochs)"
-            )
+        q, t = len(self.codebook), self.lookahead
+        _longest_pulse(self.codebook, t, self.deadline_epochs)
+        self.zic_kw = _checked(self.zic_kw, "zic_kw", negative=True, length=t + 1)
+        self.price_up = _checked(self.price_up, "price_up", length=t + 1)
+        self.price_dn = _checked(self.price_dn, "price_dn", length=t + 1)
+        self.delay_prices = _checked(self.delay_prices, "delay_prices", length=q)
         self.observed = np.asarray(self.observed)
         self.prior_departures = np.asarray(self.prior_departures)
-        self.zic_kw = np.asarray(self.zic_kw, dtype=float)
-        self.price_up = np.asarray(self.price_up, dtype=float)
-        self.price_dn = np.asarray(self.price_dn, dtype=float)
-        self.delay_prices = np.asarray(self.delay_prices, dtype=float)
         if self.observed.shape != (q, self.start_epoch + 1):
             raise ConfigurationError(
                 f"observed shape {self.observed.shape}, expected ({q}, {self.start_epoch + 1})"
             )
         if self.observed.shape[1] > 1 and (np.diff(self.observed, axis=1) < 0).any():
             raise ConfigurationError("observed counts must be cumulative (nondecreasing)")
-        for name in ("zic_kw", "price_up", "price_dn"):
-            if getattr(self, name).shape != (t + 1,):
-                raise ConfigurationError(f"{name} must have length T+1 = {t + 1}")
-        if (self.price_up < 0).any() or (self.price_dn < 0).any():
-            raise ConfigurationError("balancing prices must be >= 0")
-        if self.prior_departures.shape != (q,) or self.delay_prices.shape != (q,):
-            raise ConfigurationError("per-queue vectors must have length Q")
+        if self.prior_departures.shape != (q,):
+            raise ConfigurationError("prior_departures must have length Q")
         if (self.prior_departures > self.observed[:, -1]).any():
             raise ConfigurationError("prior departures exceed observed arrivals")
-        if (self.delay_prices < 0).any():
-            raise ConfigurationError("delay prices must be >= 0")
-        if self.deadline_epochs is not None and self.deadline_epochs < max_u:
-            raise ConfigurationError(
-                f"deadline of {self.deadline_epochs} epochs is shorter than the longest pulse"
-            )
 
     @property
     def n_queues(self) -> int:
@@ -229,22 +281,6 @@ class HorizonInputs:
             arrivals.flags.writeable = False
             self._arrivals = arrivals
         return self._arrivals
-
-    def deadline_floor(self, arrivals: np.ndarray) -> np.ndarray:
-        """(Q, T+1) cumulative lower bounds: everything that arrived
-        ``deadline_epochs`` before a window epoch must have departed."""
-        q, t = self.n_queues, self.lookahead
-        floor = np.zeros((q, t + 1))
-        if self.deadline_epochs is None:
-            return floor
-        l0, deadline = self.start_epoch, self.deadline_epochs
-        # offset j is due from l0 + j - deadline: observed up to j = deadline, then forecast
-        first, mid = max(deadline - l0, 0), min(deadline, t) + 1
-        if first < mid:
-            floor[:, first:mid] = self.observed[:, l0 - deadline + first : l0 - deadline + mid]
-        if mid <= t:
-            floor[:, mid:] = arrivals[:, 1 : t + 1 - deadline]
-        return floor
 
     def delay_constant(self, arrivals: np.ndarray) -> float:
         """Decision-independent part of the window delay cost."""
@@ -300,32 +336,22 @@ def build_program(inputs: HorizonInputs, relax_completion: bool = False) -> Line
     completion rows are always satisfiable because d = a meets every
     constraint).  The rows come from the ``_window_rows`` template;
     only the cost, the bounds and the equality right-hand side are
-    filled per window, and checked unless a scheduler built the inputs.
+    filled per window, by the array functions a scheduler bank fills its
+    windows with, and checked by ``LinearProgram.fill``.
     """
-    q, t = inputs.n_queues, inputs.lookahead
-    width = t + 1
-    template, completion = (inputs._rows if inputs._rows and not relax_completion else
-                            _window_rows(inputs.codebook, t, inputs.start_lag, relax_completion))
-    fill = template.fill if inputs._rows is None else template.fill_unchecked
-    arrivals = inputs.arrival_matrix()
-    prior = inputs.prior_departures[:, None]
-    shifted = np.maximum(arrivals - prior, 0.0)
-    n_free = 2 * width + (q if relax_completion else 0)
-
+    q, width = inputs.n_queues, inputs.lookahead + 1
+    template, completion = _window_rows(inputs.codebook, inputs.lookahead, inputs.start_lag,
+                                        relax_completion)
     cost = [(-inputs.delay_prices).repeat(width), inputs.price_up, inputs.price_dn]
     if relax_completion:
         penalty = 10.0 * max(
             inputs.price_up.max(), inputs.price_dn.max(), inputs.delay_prices.max(), 1.0
         )
         cost.append(np.full(q, penalty))
-
-    floor = np.maximum(inputs.deadline_floor(arrivals) - prior, 0.0)
-    return fill(
-        np.concatenate(cost),
-        np.concatenate((inputs.zic_kw, shifted.ravel()[completion])),
-        lower=np.concatenate((np.minimum(floor, shifted).ravel(), np.zeros(n_free))),
-        upper=np.concatenate((shifted.ravel(), np.full(n_free, np.inf))),
-    )
+    vectors = _window_vectors(inputs.observed, inputs.arrival_matrix(), inputs.prior_departures,
+                              inputs.zic_kw, inputs.start_epoch, inputs.deadline_epochs,
+                              completion, 2 * width + (q if relax_completion else 0))
+    return template.fill(np.concatenate(cost), *vectors)
 
 
 def extract_plan(solution: LpSolution, inputs: HorizonInputs) -> SchedulePlan:
@@ -364,218 +390,249 @@ def round_and_commit(relaxed: LpSolution, inputs: HorizonInputs) -> np.ndarray:
     if not relaxed.is_optimal:
         raise ConfigurationError(f"cannot commit from status {relaxed.status!r}")
     width = inputs.lookahead + 1
-    prior = inputs.prior_departures
     e0 = relaxed.values[: inputs.n_queues * width : width]
-    d0 = np.minimum(np.maximum((e0 + prior).round(), prior), inputs.observed[:, -1])
-    return (d0 - prior).astype(np.int64)
+    return _round_starts(e0, inputs.prior_departures, inputs.observed[:, -1])
 
 
-def _checked(values, name: str, negative: bool = False, length=None) -> np.ndarray:
-    """Float ``values``, a scalar stretched to ``length``; finite, and >= 0 unless ``negative``."""
-    arr = np.asarray(values, dtype=float)
-    if length is not None and arr.ndim == 0:
-        arr = np.full(length, float(arr))
-    elif length is not None and arr.shape != (length,):
-        raise ConfigurationError(f"{name} must be scalar or length {length}")
-    if not np.isfinite(arr).all():
-        raise ConfigurationError(f"{name} must be finite")
-    if not negative and (arr < 0).any():
-        raise ConfigurationError(f"{name} must be >= 0")
-    return arr
+def _checked_caps(cap, rows: int) -> np.ndarray:
+    """(rows,) caps from one cap or one per row; None and inf are no cap."""
+    try:
+        caps = np.broadcast_to(np.asarray(np.inf if cap is None else cap, dtype=float), (rows,))
+    except (TypeError, ValueError):
+        caps = np.full(rows, np.nan)
+    if not (caps >= 0).all():  # refuses NaN too
+        raise ConfigurationError(f"capacity_cap must be None or >= 0, one or one per "
+                                 f"scheduler, got {cap!r}")
+    return caps
 
 
-def apply_capacity_cap(committed, cap: float | None) -> np.ndarray:
-    """Limit total starts in one epoch, granting slots one at a time
-    round-robin from the lowest queue id."""
-    counts = np.asarray(committed, dtype=np.int64).copy()
-    if cap is None or not np.isfinite(cap):
-        return counts
-    if cap < 0:
-        raise ConfigurationError(f"capacity cap must be >= 0, got {cap}")
-    cap = int(cap)
-    total = int(counts.sum())
-    if total <= cap:
-        return counts
-    granted = np.zeros_like(counts)
-    slots = cap
-    while slots > 0:
-        for qi in range(counts.size):
-            if slots == 0:
-                break
-            if granted[qi] < counts[qi]:
-                granted[qi] += 1
-                slots -= 1
-    return granted
+def apply_capacity_cap(committed, cap) -> np.ndarray:
+    """Limit the starts of one epoch, (Q,) or (M, Q) with a cap per row,
+    as if slots were granted one at a time round-robin from the lowest
+    queue id: every queue gets min(count, k) for the largest level k that
+    fits the cap, and the slots left over go to the lowest-id queues
+    still waiting."""
+    counts = np.array(committed, dtype=np.int64)
+    rows = counts.reshape(-1, counts.shape[-1])
+    total = rows.sum(axis=1)
+    limit = np.minimum(np.floor(_checked_caps(cap, len(rows))), total).astype(np.int64)
+    over = np.flatnonzero(limit < total)
+    if over.size:
+        wanted, limit = rows[over], limit[over]
+        ascending = np.sort(wanted, axis=1)
+        below = np.cumsum(ascending, axis=1) - ascending  # held by the queues below each
+        width = wanted.shape[1] - np.arange(wanted.shape[1])  # queues at or above each
+        # the levels that fit are the counts c_(j) of a prefix; k lies above the last
+        j = (below + ascending * width <= limit[:, None]).sum(axis=1)
+        level = ((limit - below[np.arange(over.size), j]) // width[j])[:, None]
+        granted = np.minimum(wanted, level)
+        waiting = wanted > level
+        left = (limit - granted.sum(axis=1))[:, None]
+        rows[over] = granted + (waiting & (np.cumsum(waiting, axis=1) <= left))
+    return counts
 
 
 @dataclass(frozen=True)
 class StepResult:
+    """One epoch of a bank: each scheduler's (M, Q) starts, and (M,)
+    whether it solved a window and whether that needed the retry."""
+
     epoch: int
     committed: np.ndarray
-    relaxed_completion: bool
+    windows: np.ndarray
+    relaxed_completion: np.ndarray
 
 
 class RecedingHorizonScheduler:
-    """Owns the queue ledger and the committed-load bookkeeping for one
-    scheduler instance and advances it epoch by epoch.
+    """A bank of M >= 1 receding-horizon schedulers in lockstep.
 
-    ``zic_kw``, ``price_up`` and ``price_dn`` must cover every epoch the
-    run will touch plus the lookahead.  With ``known_arrivals``
-    (per-epoch counts, absolute epochs) the controller sees the realized
-    future over the whole window; otherwise it extrapolates with
-    ``arrival_rates``.
+    They share the codebook, the supply ``zic_kw`` and prices (which must
+    cover every epoch the run touches plus the lookahead), the delay
+    prices, the forecast, the deadline and the start lag.  Each has its
+    own queues, realized load, window model and ``capacity_cap`` (None
+    or inf for none, one for all, or one per scheduler).  With
+    ``known_arrivals`` (per-epoch counts, absolute epochs) the windows
+    see the realized future; otherwise they extrapolate ``arrival_rates``.
+    Each scheduler decides exactly what it would alone: only the array
+    passes are shared.  Column l + 1 of the (M, Q, ·) tables holds every
+    scheduler's a_q(l) and d_q(l); ``ledgers`` copies them out.
     """
 
     def __init__(self, codebook, zic_kw, price_up, price_dn, delay_prices,
                  lookahead: int, *, arrival_rates=None, deadline_epochs=None,
-                 capacity_cap=None, start_lag=0, known_arrivals=None):
+                 capacity_cap=None, start_lag=0, known_arrivals=None, n_schedulers: int = 1):
         self.codebook = tuple(codebook)
-        if not self.codebook:
-            raise ConfigurationError("empty codebook")
-        self.n_queues = len(self.codebook)
+        self.lookahead = int(lookahead)
+        max_u = _longest_pulse(self.codebook, self.lookahead, deadline_epochs)
+        self.n_queues = q = len(self.codebook)
         self.zic_kw = _checked(zic_kw, "zic_kw", negative=True)
         horizon = self.zic_kw.size
         self.price_up = _checked(price_up, "price_up", length=horizon)
         self.price_dn = _checked(price_dn, "price_dn", length=horizon)
-        self.delay_prices = _checked(delay_prices, "delay_prices")
-        if self.delay_prices.shape != (self.n_queues,):
-            raise ConfigurationError("delay_prices must have one entry per queue")
-        self.lookahead = int(lookahead)
-        max_u = max(code.duration_epochs for code in self.codebook)
-        if self.lookahead < max_u:
-            raise ConfigurationError(
-                f"lookahead {self.lookahead} shorter than the longest pulse ({max_u})"
-            )
-        if deadline_epochs is not None and deadline_epochs < max_u:
-            raise ConfigurationError(f"deadline of {deadline_epochs} epochs is shorter than "
-                                     "the longest pulse")
+        self.delay_prices = _checked(delay_prices, "delay_prices", length=q)
+        self.n_schedulers = m = int(n_schedulers)
+        if m < 1:
+            raise ConfigurationError(f"n_schedulers must be >= 1, got {n_schedulers!r}")
         self.arrival_rates = (
             None if arrival_rates is None else _checked(arrival_rates, "arrival_rates")
         )
         self.deadline_epochs = deadline_epochs
-        self.capacity_cap = capacity_cap
+        self.capacity_cap = _checked_caps(capacity_cap, m)
+        self._capped = np.isfinite(self.capacity_cap).any()
         self.start_lag = int(start_lag)
         self.known_arrivals = (
             None if known_arrivals is None else _checked(known_arrivals, "known_arrivals")
         )
 
-        self.ledger = QueueLedger(self.n_queues)
         self.epoch = 0
-        self._flex = np.zeros(horizon + max_u + 1)
-        self._rows = _window_rows(self.codebook, self.lookahead, self.start_lag, False)
-        self._model = Model(self._rows[0])  # this scheduler's warm-started window LP
+        self._arr = np.zeros((m, q, 9), dtype=np.int64)
+        self._dep = np.zeros_like(self._arr)
+        self._last = np.full((2, m), -1)  # each one's last epoch of arrivals, of departures
+        self._flex = np.zeros((m, horizon + max_u + 1))
+        self._template, self._completion = _window_rows(self.codebook, self.lookahead,
+                                                        self.start_lag, False)
+        self._models = [Model(self._template) for _ in range(m)]  # warm-started window LPs
+        self._delay_cost = (-self.delay_prices).repeat(self.lookahead + 1)
         self._pulses = np.array([code.pulse + (0.0,) * (max_u - code.duration_epochs)
                                  for code in self.codebook])  # zero-padded to the longest
 
+    def _counts(self, counts, epochs: tuple = ()) -> np.ndarray:
+        """Checked (M, Q) + ``epochs`` counts; an M = 1 bank also takes (Q,) + ``epochs``."""
+        counts = np.asarray(counts)
+        if self.n_schedulers == 1 and counts.ndim == 1 + len(epochs):
+            counts = counts[None]
+        return QueueLedger._check_counts(counts, (self.n_schedulers, self.n_queues) + epochs)
+
     def observe_arrivals(self, counts) -> None:
-        self.ledger.record_arrivals(self.epoch, counts)
+        """Record this epoch's arrivals (see ``_counts``)."""
+        self._arr[:, :, self.epoch + 1] += self._counts(counts)
+        self._last[0] = self.epoch
 
     def realized_load(self) -> np.ndarray:
-        """Synthesized flexible load so far, committed pulse tails included."""
+        """(M, ·) synthesized flexible load so far, committed pulse tails included."""
         return self._flex.copy()
 
-    def horizon_inputs(self) -> HorizonInputs:
-        """The current epoch's window; its supply is net of the realized
-        load, i.e. of every pulse already committed."""
-        l0 = self.epoch
-        t = self.lookahead
+    def ledgers(self) -> list[QueueLedger]:
+        """Each scheduler's queue ledger, through the last epoch it recorded."""
+        return [QueueLedger.from_tables(self._arr[i, :, : arr + 2], self._dep[i, :, : dep + 2])
+                for i, (arr, dep) in enumerate(self._last.T.tolist())]
+
+    @property
+    def ledger(self) -> QueueLedger:
+        """The ledger of an M = 1 bank."""
+        if self.n_schedulers != 1:
+            raise ConfigurationError("a bank of several schedulers has one ledger each")
+        return self.ledgers()[0]
+
+    def _window(self, rows):
+        """History, cumulative arrivals, prior departures and net supply of
+        the windows of scheduler(s) ``rows`` (an index, indices or a slice)."""
+        l0, t = self.epoch, self.lookahead
         if l0 + t >= self.zic_kw.size:
-            raise ConfigurationError(
-                f"supply profile ends at epoch {self.zic_kw.size - 1}, "
-                f"window needs {l0 + t}"
-            )
-        # checked when the scheduler was built, so not again: built without
-        # __init__, and with the template that build_program fills unchecked
-        inputs = HorizonInputs.__new__(HorizonInputs)
-        inputs.__dict__.update(
-            _arrivals=None,
-            _rows=self._rows,
-            start_epoch=l0,
-            observed=self.ledger.arrival_history(l0),
-            prior_departures=self.ledger.cumulative_departures(l0 - 1),
-            zic_kw=self.zic_kw[l0 : l0 + t + 1] - self._flex[l0 : l0 + t + 1],
-            price_up=self.price_up[l0 : l0 + t + 1],
-            price_dn=self.price_dn[l0 : l0 + t + 1],
-            delay_prices=self.delay_prices,
-            codebook=self.codebook,
-            lookahead=t,
-            forecast_rates=self.arrival_rates,
-            deadline_epochs=self.deadline_epochs,
-            t1=t if self.known_arrivals is not None else 0,
-            known_future=self.known_arrivals,
+            raise ConfigurationError(f"supply profile ends at epoch {self.zic_kw.size - 1}, "
+                                     f"window needs {l0 + t}")
+        observed = self._arr[rows, :, 1 : l0 + 2]
+        arrivals = certainty_equivalent_arrivals(
+            observed, self.arrival_rates, l0, t, t1=t if self.known_arrivals is not None else 0,
+            known_future=self.known_arrivals)
+        return (observed, arrivals, self._dep[rows, :, l0],
+                self.zic_kw[l0 : l0 + t + 1] - self._flex[rows, l0 : l0 + t + 1])
+
+    def horizon_inputs(self, i: int = 0) -> HorizonInputs:
+        """Scheduler i's window at this epoch, as checked inputs."""
+        observed, _, prior, net = self._window(i)
+        observed.flags.writeable = False
+        l0, t = self.epoch, self.lookahead
+        return HorizonInputs(
+            start_epoch=l0, observed=observed, prior_departures=prior.copy(), zic_kw=net,
+            price_up=self.price_up[l0 : l0 + t + 1], price_dn=self.price_dn[l0 : l0 + t + 1],
+            delay_prices=self.delay_prices, codebook=self.codebook, lookahead=t,
+            forecast_rates=self.arrival_rates, deadline_epochs=self.deadline_epochs,
+            t1=t if self.known_arrivals is not None else 0, known_future=self.known_arrivals,
             start_lag=self.start_lag,
         )
-        return inputs
 
-    def step(self) -> StepResult:
-        l0 = self.epoch
-        inputs = self.horizon_inputs()
-        program = build_program(inputs)
-        solution = lp_solve(program, model=self._model)
-        relaxed = False
-        if not solution.is_optimal:
-            log.warning(
-                "epoch %d: window LP came back %s; retrying with relaxed completion",
-                l0, solution.status,
-            )
-            relaxed = True
-            solution = lp_solve(build_program(inputs, relax_completion=True))
-            if not solution.is_optimal:
-                raise FeasibilityError(
-                    f"window LP unsolvable at epoch {l0}: {solution.status}"
-                )
-        committed = round_and_commit(solution, inputs)
-        committed = apply_capacity_cap(committed, self.capacity_cap)
-        if self.deadline_epochs is not None:
-            due = self.ledger.cumulative_arrivals(l0 - self.deadline_epochs)
-            late = np.flatnonzero(inputs.prior_departures + committed < due)
-            if late.size:
-                raise FeasibilityError(
-                    f"epoch {l0}: queue {late[0] + 1} has appliances waiting past the "
-                    f"{self.deadline_epochs}-epoch deadline (capacity cap {self.capacity_cap})"
-                )
-        self.ledger.apply_departures(l0, committed)
-        # a window ends before the realized load does, so no pulse is cut
-        load = self._flex[l0 + self.start_lag :][: self._pulses.shape[1]]
-        for qi in committed.nonzero()[0].tolist():
-            load += committed[qi] * self._pulses[qi]
+    def step(self, running=None) -> StepResult:
+        """Advance the ``running`` schedulers, an (M,) mask (all by
+        default), one epoch; the others record nothing.
 
+        A running scheduler whose queues are all empty commits zero starts
+        and solves no window (rounding would clip any solution to that,
+        the cap has nothing to limit and no appliance can be late).  One
+        array pass builds every busy scheduler's window, each solves it
+        through its own model in scheduler order, and one pass rounds,
+        caps and checks all first epochs and commits them."""
+        l0, m, q = self.epoch, self.n_schedulers, self.n_queues
+        width = self.lookahead + 1
+        prior, arrived = self._dep[:, :, l0], self._arr[:, :, l0 + 1]
+        busy = (arrived > prior).any(axis=1)
+        if running is not None:
+            busy &= running
+        committed = np.zeros((m, q), dtype=np.int64)
+        relaxed = np.zeros(m, dtype=bool)
+        rows = np.flatnonzero(busy)
+        if rows.size:
+            at = slice(None) if rows.size == m else rows  # a view where every one is busy
+            cost = np.concatenate((self._delay_cost, self.price_up[l0 : l0 + width],
+                                   self.price_dn[l0 : l0 + width]))
+            programs = self._template.fill_rows(cost, *_window_vectors(
+                *self._window(at), l0, self.deadline_epochs, self._completion, 2 * width))
+            first = []
+            for i, program in zip(rows.tolist(), programs):
+                solution = lp_solve(program, model=self._models[i])
+                if not solution.is_optimal:
+                    log.warning("epoch %d: scheduler %d's window LP came back %s; retrying "
+                                "with relaxed completion", l0, i + 1, solution.status)
+                    relaxed[i] = True
+                    solution = lp_solve(build_program(self.horizon_inputs(i), True))
+                    if not solution.is_optimal:
+                        raise FeasibilityError(
+                            f"window LP unsolvable at epoch {l0}: {solution.status}", i)
+                first.append(solution.values[: q * width : width])
+            committed[at] = _round_starts(np.array(first), prior[at], arrived[at])
+            if self._capped:
+                committed = apply_capacity_cap(committed, self.capacity_cap)
+            if self.deadline_epochs is not None:
+                late = prior + committed < self._arr[:, :, max(l0 - self.deadline_epochs, -1) + 1]
+                if late.any():
+                    i, queue = np.argwhere(late)[0].tolist()
+                    raise FeasibilityError(
+                        f"epoch {l0}: queue {queue + 1} has appliances waiting past the "
+                        f"{self.deadline_epochs}-epoch deadline "
+                        f"(capacity cap {self.capacity_cap[i]:g})", i)
+            # a window ends before the realized load does, so no pulse is cut; each
+            # queue's pulses are added in queue order, as each scheduler alone would
+            load = self._flex[:, l0 + self.start_lag :][:, : self._pulses.shape[1]]
+            pulses = committed[:, :, None] * self._pulses
+            for qi in committed.any(axis=0).nonzero()[0].tolist():
+                load += pulses[:, qi]
+        self._dep[:, :, l0 + 1] = prior + committed
+        self._last[:, slice(None) if running is None else running] = l0
         self.epoch += 1
-        return StepResult(epoch=l0, committed=committed, relaxed_completion=relaxed)
+        if self.epoch + 2 > self._arr.shape[2]:
+            self._arr, self._dep = (np.concatenate((t, np.zeros_like(t)), axis=2)
+                                    for t in (self._arr, self._dep))
+        self._arr[:, :, self.epoch + 1] = self._arr[:, :, self.epoch]
+        return StepResult(epoch=l0, committed=committed, windows=busy, relaxed_completion=relaxed)
 
     def run(self, arrival_increments, drain: bool = True) -> None:
-        """Feed per-epoch arrival counts column by column, stepping once
-        per epoch; then, with ``drain``, keep stepping on zero arrivals
-        until every queue is empty.
-
-        An epoch at which every queue is empty is not stepped: its only
-        decision is zero starts (``round_and_commit`` would clip any
-        solution to that, the capacity cap has nothing to limit and no
-        appliance can be late), so it is recorded without a window."""
-        arrival_increments = np.asarray(arrival_increments)
-        if arrival_increments.shape[0] != self.n_queues:
-            raise ConfigurationError(
-                f"arrival rows {arrival_increments.shape[0]} != {self.n_queues} queues"
-            )
-        n_epochs = arrival_increments.shape[1]
-        none = np.zeros(self.n_queues, dtype=np.int64)
-        for l in range(n_epochs):
-            self.observe_arrivals(arrival_increments[:, l])
-            if self.ledger.backlog(self.epoch).any():
-                self.step()
-            else:
-                self.ledger.apply_departures(self.epoch, none)
-                self.epoch += 1
+        """Feed per-epoch arrival counts, (M, Q, L) or in an M = 1 bank
+        (Q, L), stepping every scheduler once per epoch; then, with
+        ``drain``, step each on zero arrivals until its queues are empty."""
+        arrivals = self._counts(arrival_increments, np.shape(arrival_increments)[-1:])
+        for l in range(arrivals.shape[2]):
+            self._arr[:, :, self.epoch + 1] += arrivals[:, :, l]
+            self._last[0] = self.epoch
+            self.step()
         if drain:
             max_u = max(code.duration_epochs for code in self.codebook)
             budget = (self.deadline_epochs or 2 * self.lookahead) + max_u + 2
-            spent = 0
-            while self.ledger.backlog(self.epoch - 1).sum() > 0:
+            for spent in itertools.count():
+                waiting = (self._arr[:, :, self.epoch] > self._dep[:, :, self.epoch]).any(axis=1)
+                if not waiting.any():
+                    break
                 if spent >= budget:
-                    raise FeasibilityError(
-                        f"queues not drained after {budget} extra epochs; "
-                        "set a deadline or positive delay prices"
-                    )
-                self.observe_arrivals(none)
-                self.step()
-                spent += 1
+                    raise FeasibilityError(f"queues not drained after {budget} extra epochs; "
+                                           "set a deadline or positive delay prices",
+                                           int(np.argmax(waiting)))
+                self.step(waiting)

@@ -15,7 +15,8 @@ settings.  Four runners consume the same arrival draws:
 
 ``run_distributed``
     Arrivals are split uniformly at random across ``n_schedulers``
-    independent schedulers, each given an equal share of the supply.
+    independent schedulers, each given an equal share of the supply;
+    they run as one bank, stepped in lockstep.
 
 ``run_price_signal``
     Each appliance independently picks the cheapest start time under a
@@ -26,8 +27,8 @@ settings.  Four runners consume the same arrival draws:
 A runner only decides when appliances start.  It hands one (load,
 ledger) pair per scheduler to ``_score``, which alone charges the run
 and builds the ``RunMetrics``, the column-wise ``Trajectory`` and the
-aggregate load: one pair for uncontrolled, price and ddls, M pairs for
-distributed.  Each scheduler is charged in whole arrays, one
+aggregate load: one pair for uncontrolled, price and ddls, M pairs, one
+per scheduler of the bank, for distributed.  Each scheduler is charged in whole arrays, one
 ``stage_cost`` call over the padded range plus delay prices times its
 backlog table.  Uncontrolled and price record their (arrivals, starts)
 in a ledger through ``_replay``.
@@ -574,35 +575,35 @@ def _cap_share(cap, i: int, m: int):
 
 
 def _run_schedulers(config: ScenarioConfig, shares, strategy: str) -> RunResult:
-    """Run one receding-horizon scheduler per row of ``shares`` (M, Q, L)
-    on a 1/M share of the supply, of the forecast rates and of the
-    capacity cap, each until its queues drain, and score them together."""
+    """Run a bank of one receding-horizon scheduler per row of ``shares``
+    (M, Q, L), each on a 1/M share of the supply, of the forecast rates
+    and of the capacity cap and each until its queues drain, and score
+    them together."""
     zic, up, dn = config.padded_profiles()
     m = len(shares)
-    share = 1.0 / m
-    parts = []
-    for i, counts in enumerate(shares):
-        cap = _cap_share(config.capacity_cap, i, m)
-        sched = RecedingHorizonScheduler(
-            list(config.codebook),
-            zic * share,
-            up,
-            dn,
-            config.delay_prices,
-            config.lookahead,
-            arrival_rates=config.padded_rates() * share,
-            deadline_epochs=config.deadline_epochs,
-            capacity_cap=cap,
-            start_lag=config.start_lag,
-        )
-        try:
-            sched.run(counts, drain=True)
-        except FeasibilityError as exc:
-            limit = ("no capacity_cap" if config.capacity_cap is None else
-                     f"a share of {cap} of capacity_cap {config.capacity_cap:g}")
-            raise FeasibilityError(f"scheduler {i + 1} of {m}, {limit}: {exc}") from exc
-        parts.append((sched.realized_load(), sched.ledger))
-    return _score(config, strategy, parts)
+    caps = None if config.capacity_cap is None else [
+        _cap_share(config.capacity_cap, i, m) for i in range(m)]
+    bank = RecedingHorizonScheduler(
+        list(config.codebook),
+        zic * (1.0 / m),
+        up,
+        dn,
+        config.delay_prices,
+        config.lookahead,
+        arrival_rates=config.padded_rates() * (1.0 / m),
+        deadline_epochs=config.deadline_epochs,
+        capacity_cap=caps,
+        start_lag=config.start_lag,
+        n_schedulers=m,
+    )
+    try:
+        bank.run(shares, drain=True)
+    except FeasibilityError as exc:
+        i = exc.scheduler
+        limit = ("no capacity_cap" if caps is None else
+                 f"a share of {caps[i]} of capacity_cap {config.capacity_cap:g}")
+        raise FeasibilityError(f"scheduler {i + 1} of {m}, {limit}: {exc}", i) from exc
+    return _score(config, strategy, list(zip(bank.realized_load(), bank.ledgers())))
 
 
 def run_ddls(config: ScenarioConfig, arrival_counts=None) -> RunResult:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,18 @@ class TestLedger:
         with pytest.raises(ConfigurationError):
             ledger.record_arrivals(0, [0.5])
 
+    @pytest.mark.parametrize("arrivals, departures", [
+        ([[0, 2, 1]], [[0, 0]]),         # arrivals fall
+        ([[1, 2]], [[0, 0]]),            # no zero column
+        ([[0, 1]], [[0, 2]]),            # departures ahead of arrivals
+        ([[0, 1]], [[0, 1, 2]]),         # ahead of the arrivals carried past their end
+        ([[0, 1]], [[0], [0]]),          # other queues
+        (np.zeros((1, 0)), [[0]]),       # no column at all
+    ])
+    def test_tables_that_no_ledger_records_are_refused(self, arrivals, departures):
+        with pytest.raises(ConfigurationError, match="tables"):
+            QueueLedger.from_tables(arrivals, departures)
+
     def test_arrival_log_order(self):
         ledger = QueueLedger(2)
         ledger.record_arrivals(0, [1, 2])
@@ -124,12 +138,13 @@ class TestLedger:
         n_queues = data.draw(st.integers(1, 3))
         ledger = QueueLedger(n_queues)
         clocks = {"arrivals": 0, "departures": 0}
+        last = {"arrivals": -1, "departures": -1}
         # the reference: the counts fed in, per epoch, re-summed on demand
         fed = {kind: np.zeros((n_queues, 50), dtype=np.int64) for kind in clocks}
         for _ in range(data.draw(st.integers(0, 14))):
             kind = data.draw(st.sampled_from(sorted(clocks)))
             clocks[kind] += data.draw(st.integers(0, 3))
-            epoch = clocks[kind]
+            epoch = last[kind] = clocks[kind]
             if kind == "arrivals":
                 counts = data.draw(st.lists(st.integers(0, 3), min_size=n_queues,
                                             max_size=n_queues))
@@ -138,7 +153,14 @@ class TestLedger:
                 counts = [data.draw(st.integers(0, int(b))) for b in ledger.backlog(epoch)]
                 ledger.apply_departures(epoch, counts)
             fed[kind][:, epoch] += counts
-        for epoch in range(-2, max(clocks.values()) + 4):
+        # the same tables handed over whole make the same ledger (its log in
+        # per-epoch order: an epoch recorded twice interleaves no more)
+        copy = QueueLedger.from_tables(*(np.cumsum(np.hstack((
+            np.zeros((n_queues, 1), dtype=np.int64), fed[kind][:, : last[kind] + 1])), axis=1)
+            for kind in ("arrivals", "departures")))
+        assert copy.current_epoch == ledger.current_epoch
+        assert sorted(copy.arrival_log) == sorted(ledger.arrival_log)
+        for ledger, epoch in itertools.product((ledger, copy), range(-2, max(clocks.values()) + 4)):
             arrived = fed["arrivals"][:, : max(epoch + 1, 0)].sum(axis=1)
             departed = fed["departures"][:, : max(epoch + 1, 0)].sum(axis=1)
             np.testing.assert_array_equal(ledger.cumulative_arrivals(epoch), arrived)

@@ -328,7 +328,7 @@ class TestBuildProgram:
         for _ in range(2):
             # the completion row forces each start at once
             sched.observe_arrivals(np.array([1]))
-            assert sched.step().committed.tolist() == [1]
+            assert sched.step().committed.tolist() == [[1]]
         sched.observe_arrivals(np.array([0]))
         # starts at epochs 0 and 1 still draw 1 kW each into epochs 2..3
         assert np.allclose(sched.horizon_inputs().zic_kw, [3.0, 4.0, 5.0, 5.0])
@@ -597,6 +597,24 @@ class TestRoundAndCommit:
             round_and_commit(LpSolution("infeasible", None, float("nan")), inputs)
 
 
+def capacity_cap_loop(counts, cap):
+    """The one-slot loop that ``apply_capacity_cap`` replaced: grant
+    slots one at a time, round-robin from the lowest queue id."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if cap is None or not np.isfinite(cap) or counts.sum() <= int(cap):
+        return counts.copy()
+    granted = np.zeros_like(counts)
+    slots = int(cap)
+    while slots > 0:
+        for qi in range(counts.size):
+            if slots == 0:
+                break
+            if granted[qi] < counts[qi]:
+                granted[qi] += 1
+                slots -= 1
+    return granted
+
+
 class TestCapacityCap:
     def test_unbounded_cap_is_identity(self):
         assert apply_capacity_cap(np.array([3, 2]), None).tolist() == [3, 2]
@@ -610,9 +628,30 @@ class TestCapacityCap:
         assert apply_capacity_cap(np.array([1, 3]), 2).tolist() == [1, 1]
         assert apply_capacity_cap(np.array([0, 4]), 3).tolist() == [0, 3]
 
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ConfigurationError):
-            apply_capacity_cap(np.array([1]), -1)
+    @pytest.mark.parametrize("cap", [-1, -np.inf, np.nan, [1, 2], "a lot"])
+    def test_bad_cap_rejected(self, cap):
+        with pytest.raises(ConfigurationError, match="capacity_cap"):
+            apply_capacity_cap(np.array([1]), cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_water_filling_grants_what_the_slot_loop_grants(self, data):
+        m, q = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        counts = np.array(data.draw(st.lists(st.lists(st.integers(0, 12), min_size=q, max_size=q),
+                                             min_size=m, max_size=m)))
+        caps = data.draw(st.lists(st.one_of(st.integers(0, 50), st.just(np.inf),
+                                            st.floats(0.0, 50.0, allow_subnormal=False)),
+                                  min_size=m, max_size=m))
+        granted = apply_capacity_cap(counts, caps)
+        assert granted.dtype == np.int64 and granted.shape == (m, q)
+        for row, cap, got in zip(counts, caps, granted):
+            assert got.tolist() == capacity_cap_loop(row, cap).tolist()
+            assert apply_capacity_cap(row, cap).tolist() == got.tolist()
+
+    def test_a_huge_cap_costs_no_more_than_a_small_one(self):
+        # a billion slots, granted without visiting them one by one
+        assert apply_capacity_cap(np.array([10**9, 3, 10**9]), 10**9 + 4).tolist() == [
+            500000001, 3, 500000000]
 
 
 def flat_scheduler(codebook, zic, lookahead, **kw):
@@ -635,7 +674,7 @@ def realized_cost(sched):
     """What the run costs, as the acceptance suite's ``_receding_cost``
     takes it: the realized load against the zero-padded supply, plus
     ``dci`` over the epochs stepped."""
-    flex = sched.realized_load()
+    flex = sched.realized_load()[0]
     pad = flex.size - sched.zic_kw.size
     dev = flex - np.pad(sched.zic_kw, (0, pad))
     up = np.pad(sched.price_up, (0, pad), mode="edge")
@@ -673,7 +712,7 @@ class TestRecedingHorizon:
         sched = flat_scheduler(codebook, zic, 6, known_arrivals=arrivals)
         sched.run(arrivals)
         # realized: serve one per epoch while supply lasts
-        assert sched.realized_load()[:2].tolist() == [1.0, 1.0]
+        assert sched.realized_load()[0, :2].tolist() == [1.0, 1.0]
         inputs = window_inputs(codebook, zic[:7], np.hstack([arrivals, [[0]]]),
                                delay=0.05)
         assert realized_cost(sched) <= best_integer_cost(inputs) + 1e-7
@@ -754,27 +793,27 @@ class TestRecedingHorizon:
         assert runs[0][2] == runs[1][2]
 
     @pytest.mark.parametrize("start_lag", [0, 1])
-    def test_window_supply_is_net_of_committed_load(self, start_lag):
+    def test_window_supply_is_net_of_committed_load(self, monkeypatch, start_lag):
         rng = np.random.default_rng(1013)
         codebook = [ChargeCode(id=1, pulse=(1.0, 2.0, 0.5)), ChargeCode(id=2, pulse=(1.5,))]
         zic = rng.uniform(0.0, 4.0, size=40)
         arrivals = rng.poisson(0.8, size=(2, 10))
         sched = flat_scheduler(codebook, zic, 6, arrival_rates=np.full(2, 0.8),
                                deadline_epochs=5, start_lag=start_lag)
-        original = sched.horizon_inputs
+        original = scheduler.lp_solve
         checked = {}
 
-        def checked_inputs():
-            inputs = original()
+        def checked_solve(program, model=None):
+            # the balance rows' right-hand side is the window's net supply
             l0, width = sched.epoch, sched.lookahead + 1
             inc = sched.ledger.departure_increments(0, l0).astype(float)
             load = synthesize_load(inc, codebook, l0 + width, start_lag=start_lag)
             expected = zic[l0 : l0 + width] - load[l0:]
-            np.testing.assert_allclose(inputs.zic_kw, expected, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(program.eq_rhs[:width], expected, rtol=0, atol=1e-9)
             checked[l0] = not np.array_equal(expected, zic[l0 : l0 + width])
-            return inputs
+            return original(program, model=model)
 
-        sched.horizon_inputs = checked_inputs
+        monkeypatch.setattr(scheduler, "lp_solve", checked_solve)
         sched.run(arrivals)
         # one window at every epoch with something waiting, none at the others
         ledger = sched.ledger
@@ -790,37 +829,31 @@ class TestRecedingHorizon:
         zic = np.random.default_rng(1117).uniform(0.0, 4.0, size=40)
         arrivals = np.array([[0, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],
                              [0, 0, 0, 1, 0, 0, 0, 0, 0, 3, 0, 0]])
-        # cold solves: a window solved at an idle epoch would otherwise
-        # move the next window's warm start
-        monkeypatch.setattr(scheduler, "lp_solve", lambda program, model=None: lp_solve(program))
 
-        def stepped_day(step_every_epoch):
-            sched = flat_scheduler(codebook, zic, 6, arrival_rates=np.full(2, 0.3),
-                                   deadline_epochs=5, start_lag=start_lag)
-            epochs = {"lp_solve": [], "build_program": []}
-            with monkeypatch.context() as patch:
-                for name, seen in epochs.items():
-                    record_epochs(patch, sched, name, seen)
-                if step_every_epoch:
-                    for l in range(arrivals.shape[1]):
-                        sched.observe_arrivals(arrivals[:, l])
-                        sched.step()
-                else:
-                    sched.run(arrivals, drain=False)
-            return sched, epochs
+        def fresh():
+            return flat_scheduler(codebook, zic, 6, arrival_rates=np.full(2, 0.3),
+                                  deadline_epochs=5, start_lag=start_lag)
 
-        sched, epochs = stepped_day(False)
+        sched, solved = fresh(), []
+        with monkeypatch.context() as patch:
+            record_epochs(patch, sched, "lp_solve", solved)
+            sched.run(arrivals, drain=False)
         ledger = sched.ledger
         waiting = [l for l in range(arrivals.shape[1])
                    if (ledger.cumulative_arrivals(l) > ledger.cumulative_departures(l - 1)).any()]
         idle = sorted(set(range(arrivals.shape[1])) - set(waiting))
         assert 0 in idle and len(idle) > 2
-        assert epochs["lp_solve"] == epochs["build_program"] == waiting
+        assert solved == waiting
         assert not ledger.departure_increments(0, sched.epoch)[:, idle].any()
         assert sched.epoch == arrivals.shape[1]
-        # the same day stepped at every epoch commits the same starts
-        every, every_epochs = stepped_day(True)
-        assert every_epochs["lp_solve"] == list(range(arrivals.shape[1]))
+        # an idle epoch's window, solved all the same, commits zero starts
+        every = fresh()
+        for l in range(arrivals.shape[1]):
+            every.observe_arrivals(arrivals[:, l])
+            if l in idle:
+                inputs = every.horizon_inputs()
+                assert not round_and_commit(lp_solve(build_program(inputs)), inputs).any()
+            every.step()
         np.testing.assert_array_equal(ledger.departure_increments(0, sched.epoch),
                                       every.ledger.departure_increments(0, every.epoch))
         np.testing.assert_array_equal(sched.realized_load(), every.realized_load())
@@ -833,7 +866,7 @@ class TestRecedingHorizon:
         sched = flat_scheduler(codebook, zic, 6, arrival_rates=np.full(2, 0.5),
                                deadline_epochs=8)
         sched.run(arrivals)
-        flex = sched.realized_load()
+        flex = sched.realized_load()[0]
         rebuilt = synthesize_load(ledger_columns(sched)[1], codebook, flex.size)
         assert np.allclose(flex, rebuilt, atol=1e-9)
 
@@ -856,10 +889,12 @@ class TestRecedingHorizon:
         monkeypatch.setattr(scheduler, "lp_solve", first_window_infeasible)
         codebook = [ChargeCode(id=1, pulse=(1.0,))]
         sched = flat_scheduler(codebook, np.full(16, 1.0), 4, deadline_epochs=4)
-        assert sched.step().relaxed_completion
+        sched.observe_arrivals(np.array([1]))
+        assert sched.step().relaxed_completion.tolist() == [True]
         assert isinstance(calls[0], lp.Model)
         assert calls[1] is None
-        assert not sched.step().relaxed_completion
+        sched.observe_arrivals(np.array([1]))
+        assert sched.step().relaxed_completion.tolist() == [False]
         assert calls[2] is calls[0]
 
 
@@ -902,9 +937,14 @@ class TestInputsCheckedOnce:
         ("arrival_rates", np.array([np.inf, 0.8])),
         ("known_arrivals", np.where(np.arange(40) == 30, -1.0, KNOWN)),
         ("known_arrivals", np.where(np.arange(40) == 30, np.nan, KNOWN)),
+        ("capacity_cap", -1.0),
+        ("capacity_cap", np.nan),
+        ("capacity_cap", -np.inf),
+        ("capacity_cap", [2.0, 3.0]),
     ], ids=["zic-nan", "zic-inf", "price_up-negative", "price_up-nan", "price_dn-nan",
             "price_dn-negative", "price_dn-inf", "delay-negative", "delay-nan",
-            "rates-negative", "rates-inf", "known-negative", "known-nan"])
+            "rates-negative", "rates-inf", "known-negative", "known-nan", "cap-negative",
+            "cap-nan", "cap-minus-inf", "cap-one-per-scheduler-of-two"])
     def test_a_bad_static_input_is_refused_before_any_window(self, monkeypatch, field, bad):
         solves = []
         monkeypatch.setattr(scheduler, "lp_solve", lambda *args, **kw: solves.append(args))
@@ -913,6 +953,11 @@ class TestInputsCheckedOnce:
         with pytest.raises(ConfigurationError, match=field):
             RecedingHorizonScheduler(**kwargs).run(self.KNOWN[:, :30].astype(np.int64))
         assert solves == []
+
+    @pytest.mark.parametrize("cap", [None, np.inf, [np.inf]])
+    def test_no_cap_is_none_or_inf(self, cap):
+        sched = RecedingHorizonScheduler(**self.scheduler_kwargs(), capacity_cap=cap)
+        assert sched.capacity_cap.tolist() == [np.inf]
 
     def test_a_deadline_shorter_than_a_pulse_is_refused_when_built(self):
         with pytest.raises(ConfigurationError, match="deadline"):
@@ -949,52 +994,126 @@ class TestInputsCheckedOnce:
             build_program(HorizonInputs(**{**self.fields(inputs), **change}))
 
 
-def reference_program(sched):
-    """The window ``sched`` is about to solve, built from caller-made,
-    checked ``HorizonInputs`` with a copy of the whole history."""
-    l0, t = sched.epoch, sched.lookahead
-    ledger, stop = sched.ledger, l0 + t + 1
+def reference_program(bank, i):
+    """The window scheduler i of ``bank`` is about to solve, built from
+    caller-made, checked ``HorizonInputs`` with a copy of its history."""
+    l0, t = bank.epoch, bank.lookahead
+    ledger, stop = bank.ledgers()[i], l0 + t + 1
     return build_program(HorizonInputs(
         start_epoch=l0,
         observed=np.cumsum(ledger.arrival_increments(0, l0 + 1), axis=1),
         prior_departures=ledger.cumulative_departures(l0 - 1),
-        zic_kw=sched.zic_kw[l0:stop] - sched.realized_load()[l0:stop],
-        price_up=sched.price_up[l0:stop].copy(),
-        price_dn=sched.price_dn[l0:stop].copy(),
-        delay_prices=sched.delay_prices.copy(),
-        codebook=list(sched.codebook),
+        zic_kw=bank.zic_kw[l0:stop] - bank.realized_load()[i, l0:stop],
+        price_up=bank.price_up[l0:stop].copy(),
+        price_dn=bank.price_dn[l0:stop].copy(),
+        delay_prices=bank.delay_prices.copy(),
+        codebook=list(bank.codebook),
         lookahead=t,
-        forecast_rates=sched.arrival_rates,
-        deadline_epochs=sched.deadline_epochs,
-        t1=t if sched.known_arrivals is not None else 0,
-        known_future=sched.known_arrivals,
-        start_lag=sched.start_lag,
+        forecast_rates=bank.arrival_rates,
+        deadline_epochs=bank.deadline_epochs,
+        t1=t if bank.known_arrivals is not None else 0,
+        known_future=bank.known_arrivals,
+        start_lag=bank.start_lag,
     ))
 
 
 @pytest.mark.parametrize("runner", [run_ddls, run_distributed], ids=["ddls", "distributed"])
 def test_every_desk_window_receives_what_the_reference_path_builds(monkeypatch, runner):
-    """The scheduler's windows skip the checks and the history copy; the
-    model must still receive, bit for bit, what checked inputs give."""
+    """A bank builds every busy scheduler's window in one array pass over
+    its tables, unchecked but for one check of the stacked vectors; each
+    scheduler's model must still receive, bit for bit, what checked
+    inputs give that scheduler."""
     received = []
     stepping = []
-    inputs_of = RecedingHorizonScheduler.horizon_inputs
-    warm_solve = lp.Model.warm_solve
+    step = RecedingHorizonScheduler.step
+    solve = scheduler.lp_solve
 
-    def noted(self):
+    def noted(self, *args):
         stepping[:] = [self]
-        return inputs_of(self)
+        return step(self, *args)
 
-    def compared(self, program):
-        received.append((program, reference_program(stepping[0])))
-        return warm_solve(self, program)
+    def compared(program, model=None):
+        bank = stepping[0]
+        i = next(i for i, own in enumerate(bank._models) if own is model)
+        received.append((i, program, reference_program(bank, i)))
+        return solve(program, model=model)
 
-    monkeypatch.setattr(RecedingHorizonScheduler, "horizon_inputs", noted)
-    monkeypatch.setattr(lp.Model, "warm_solve", compared)
+    monkeypatch.setattr(RecedingHorizonScheduler, "step", noted)
+    monkeypatch.setattr(scheduler, "lp_solve", compared)
     runner(load_scenario(DESK_CONFIG))
     assert len(received) >= 96
-    for i, (program, expected) in enumerate(received):
-        assert program.csc is expected.csc, i
+    assert len({i for i, _, _ in received}) == (8 if runner is run_distributed else 1)
+    for k, (i, program, expected) in enumerate(received):
+        assert program.csc is expected.csc, k
         for name in ("objective", "eq_rhs", "lower", "upper"):
             got, want = getattr(program, name), getattr(expected, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (i, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, i, name)
+
+
+class TestLockstep:
+    """A bank of M schedulers commits, bit for bit, what M banks of one
+    commit on the same shares: starts, realized load and each ledger's
+    last epoch."""
+
+    @staticmethod
+    def compare(shares, caps, **kwargs):
+        """Run the bank and each share alone; the epoch each scheduler stopped at."""
+        alone = []
+        for i, share in enumerate(shares):
+            one = RecedingHorizonScheduler(**kwargs, capacity_cap=None if caps is None else caps[i])
+            one.run(share)
+            alone.append(one)
+        bank = RecedingHorizonScheduler(**kwargs, capacity_cap=caps, n_schedulers=len(shares))
+        bank.run(shares)
+        ends = []
+        for i, (ledger, one) in enumerate(zip(bank.ledgers(), alone)):
+            assert ledger.current_epoch == one.ledger.current_epoch, i
+            end = ledger.current_epoch + 1
+            for table in ("arrival_increments", "departure_increments"):
+                np.testing.assert_array_equal(getattr(ledger, table)(0, end),
+                                              getattr(one.ledger, table)(0, end))
+            assert not ledger.backlog(end - 1).any()
+            assert bank.realized_load()[i].tobytes() == one.realized_load()[0].tobytes(), i
+            ends.append(end)
+        return ends
+
+    @staticmethod
+    def kwargs(codebook, horizon, zic, lookahead, deadline, start_lag, rates):
+        supply = np.zeros(horizon + deadline + lookahead + 8)
+        supply[:horizon] = zic
+        return dict(codebook=codebook, zic_kw=supply, price_up=1.0, price_dn=0.5,
+                    delay_prices=np.full(len(codebook), 0.05), lookahead=lookahead,
+                    arrival_rates=rates, deadline_epochs=deadline, start_lag=start_lag)
+
+    def test_schedulers_that_drain_at_different_epochs(self):
+        codebook = (ChargeCode(1, (1.0, 2.0)),)
+        shares = np.array([[[2, 0, 0, 0]], [[0, 0, 0, 3]], [[0, 0, 0, 0]]])
+        kwargs = self.kwargs(codebook, 4, np.full(4, 1.0), 4, 4, 0, np.array([0.4]))
+        ends = self.compare(shares, [1, 2, 0], **kwargs)
+        assert ends[2] == 4 and ends[1] > ends[0]
+        with pytest.raises(ConfigurationError, match="one ledger each"):
+            RecedingHorizonScheduler(**kwargs, n_schedulers=3).ledger
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_bank_commits_what_each_scheduler_commits_alone(self, data):
+        levels = st.sampled_from([0.5, 1.0, 2.0])
+        pulses = data.draw(st.lists(st.lists(levels, min_size=1, max_size=3),
+                                    min_size=1, max_size=2))
+        codebook = tuple(ChargeCode(q + 1, tuple(p)) for q, p in enumerate(pulses))
+        q, longest = len(pulses), max(len(p) for p in pulses)
+        horizon, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        shares = np.array(data.draw(st.lists(st.lists(
+            st.lists(st.integers(0, 2), min_size=horizon, max_size=horizon),
+            min_size=q, max_size=q), min_size=m, max_size=m)))
+        kwargs = self.kwargs(
+            codebook, horizon,
+            data.draw(st.lists(st.floats(0.0, 4.0), min_size=horizon, max_size=horizon)),
+            data.draw(st.integers(longest, longest + 2)),
+            data.draw(st.integers(longest, longest + 3)), data.draw(st.integers(0, 1)),
+            np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=q, max_size=q))))
+        # no cap, or one per scheduler that never holds an appliance past the deadline
+        caps = None if data.draw(st.booleans()) else [
+            data.draw(st.integers(int(share.sum(axis=0).max()), int(share.sum()) + 2))
+            for share in shares]
+        self.compare(shares, caps, **kwargs)

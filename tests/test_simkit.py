@@ -311,17 +311,19 @@ class TestTrajectoryCost:
     RUNNERS = (run_uncontrolled, run_ddls, run_distributed, run_price_signal)
 
     def _check(self, monkeypatch, config, counts=None):
-        """Each runner's (runner, result, epochs of its scheduler steps),
-        once its trajectory cost and its solve count are checked."""
+        """Each runner's (runner, result, epoch of each window its
+        schedulers solved), once its trajectory cost and its solve count
+        are checked."""
         runs = []
         step = scheduler.RecedingHorizonScheduler.step
         for runner in self.RUNNERS:
             calls = {}
             stepped = []
 
-            def recorded_step(sched):
-                stepped.append(sched.epoch)
-                return step(sched)
+            def recorded_step(sched, *args):
+                result = step(sched, *args)
+                stepped.extend([result.epoch] * int(result.windows.sum()))
+                return result
 
             with monkeypatch.context() as patch:
                 _counting(patch, scheduler, "lp_solve", calls)
@@ -352,7 +354,7 @@ class TestTrajectoryCost:
         for runner, result, steps in self._check(monkeypatch, config, counts):
             assert result.flex_kw.sum() == pytest.approx(7.0)
             if runner is run_ddls:
-                # nothing waits at epochs 0-2, so the one step is at epoch 3;
+                # nothing waits at epochs 0-2, so the one window is at epoch 3;
                 # it commits the pulses, which draw for 2 + start_lag more epochs
                 assert steps == [3]
                 assert len(result.trajectory) == steps[-1] + 1 + 2 + start_lag
