@@ -229,8 +229,8 @@ def main(argv=None) -> int:
     command = build_parser().parse_args(argv)
     try:
         return _COMMANDS[command.subcommand](command)
-    except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
     except json.JSONDecodeError as exc:
         print(f"error: {command.config} is not valid JSON: {exc}", file=sys.stderr)
     except (ConfigurationError, FeasibilityError, SolverError) as exc:

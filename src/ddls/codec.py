@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChargeCode, RawRequest, fractional_pulse, square_pulse
+from .core import ChargeCode, RawRequest, charge_code_from_entry, fractional_pulse, square_pulse
 from .csvio import atomic_write_text
 from .errors import ConfigurationError
 
@@ -392,14 +392,10 @@ def codebook_to_json(quantizer: Quantizer, path) -> None:
 
 
 def codebook_from_json(path) -> Quantizer:
+    """Read a ``codebook_to_json`` file, its entries checked as a scenario's are."""
     with open(path) as fh:
         entries = json.load(fh)
     if not isinstance(entries, list):
         raise ConfigurationError("codebook file must hold a JSON list")
-    book = []
-    for entry in sorted(entries, key=lambda e: e["id"]):
-        book.append(
-            ChargeCode(int(entry["id"]), square_pulse(float(entry["rate_kw"]),
-                                                      int(entry["duration_epochs"])))
-        )
-    return Quantizer(tuple(book))
+    return Quantizer(tuple(charge_code_from_entry(entry, pos)
+                           for pos, entry in enumerate(entries, start=1)))

@@ -104,6 +104,41 @@ def square_pulse(rate_kw: float, duration_epochs: int) -> tuple[float, ...]:
     return (float(rate_kw),) * int(duration_epochs)
 
 
+def is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def charge_code_from_entry(entry, pos: int) -> ChargeCode:
+    """Codebook entry ``pos`` (1-based) of a scenario or codebook file: an
+    object of ``duration_epochs``, ``rate_kw`` and optionally ``id`` = ``pos``."""
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"codebook entry {pos} must be an object, got {entry!r}")
+    missing = sorted({"duration_epochs", "rate_kw"} - set(entry))
+    if missing:
+        raise ConfigurationError(f"codebook entry {pos} lacks {missing}")
+    extra = set(entry) - {"id", "duration_epochs", "rate_kw"}
+    if extra:
+        raise ConfigurationError(
+            f"codebook entry {pos} has unknown keys {sorted(map(str, extra))}"
+        )
+    code_id, duration, rate = entry.get("id", pos), entry["duration_epochs"], entry["rate_kw"]
+    if code_id != pos or not is_int(code_id):
+        raise ConfigurationError(f"codebook ids must run 1..Q, got {code_id!r} at slot {pos}")
+    if not is_int(duration) or duration < 1:
+        raise ConfigurationError(
+            f"codebook entry {pos}: duration_epochs must be an integer >= 1, got {duration!r}"
+        )
+    if not is_real(rate) or not 0 <= rate < np.inf:
+        raise ConfigurationError(
+            f"codebook entry {pos}: rate_kw must be a finite number >= 0, got {rate!r}"
+        )
+    return ChargeCode(pos, square_pulse(rate, duration))
+
+
 def fractional_pulse(rate_kw: float, duration_epochs: float) -> tuple[float, ...]:
     """Constant-rate pulse whose last sample is scaled by the fractional
     remainder of the duration, so the energy is rate * duration exactly."""

@@ -19,7 +19,6 @@ with a_q(tau) <= d_q(l), minus one: one comparison over the history.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,16 +110,15 @@ def decode_and_admit(arrival_log, message: ThresholdMessage,
                      already_admitted=frozenset()) -> set:
     """Appliances switched on by ``message``, as indices into ``arrival_log``.
 
-    ``arrival_log`` is the recording-ordered list of (epoch, queue_index)
-    pairs kept by the ledger; an appliance's identity is its position in
+    ``arrival_log`` holds (epoch, queue_index) pairs, such as the
+    ledger's derived (N, 2) log; an appliance's identity is its position in
     that log, and its within-batch sequence number is its rank among
     same-epoch, same-queue entries.  Admits every appliance at or before
     its queue's cutoff plus the first ``spill`` of the following batch,
     minus anything in ``already_admitted``; re-applying the same message
     therefore admits nothing new.  The log is read once, as an array.
     """
-    log = np.fromiter(itertools.chain.from_iterable(arrival_log), np.int64,
-                      2 * len(arrival_log)).reshape(-1, 2)
+    log = np.asarray(arrival_log, np.int64).reshape(-1, 2)
     epochs, queues = log[:, 0], log[:, 1]
     unknown = (queues < 0) | (queues >= message.n_queues)
     if unknown.any():

@@ -22,15 +22,10 @@ from .errors import ConfigurationError, FeasibilityError
 
 @dataclass(frozen=True)
 class DelayPrices:
-    """Per-queue waiting cost per epoch, optionally time varying.
-
-    ``per_queue`` is the stationary price vector; if ``time_table`` is
-    given (shape (L, Q)) its rows override the stationary prices for
-    epochs 0..L-1.
-    """
+    """Per-queue waiting cost per epoch, the same at every epoch, as the
+    window LP prices delay."""
 
     per_queue: np.ndarray
-    time_table: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "per_queue", np.asarray(self.per_queue, dtype=float))
@@ -38,24 +33,10 @@ class DelayPrices:
             raise ConfigurationError("per_queue must be a vector")
         if not np.all(np.isfinite(self.per_queue)) or (self.per_queue < 0).any():
             raise ConfigurationError("delay prices must be finite and >= 0")
-        if self.time_table is not None:
-            table = np.asarray(self.time_table, dtype=float)
-            if table.ndim != 2 or table.shape[1] != self.per_queue.size:
-                raise ConfigurationError(
-                    f"time_table shape {table.shape} does not match {self.per_queue.size} queues"
-                )
-            if not np.all(np.isfinite(table)) or (table < 0).any():
-                raise ConfigurationError("delay prices must be finite and >= 0")
-            object.__setattr__(self, "time_table", table)
 
     @property
     def n_queues(self) -> int:
         return self.per_queue.size
-
-    def at(self, epoch: int) -> np.ndarray:
-        if self.time_table is not None and 0 <= epoch < self.time_table.shape[0]:
-            return self.time_table[epoch]
-        return self.per_queue
 
 
 class QueueLedger:
@@ -78,14 +59,12 @@ class QueueLedger:
         self._cum_dep = np.zeros((n_queues, 1), dtype=np.int64)
         self._last_arrival_epoch = -1
         self._last_departure_epoch = -1
-        # (epoch, queue_index) per appliance, in recording order
-        self.arrival_log: list[tuple[int, int]] = []
 
     @classmethod
     def from_tables(cls, arrivals, departures) -> QueueLedger:
         """The ledger of (Q, ·) cumulative arrival and departure tables,
         column 0 zero and column l + 1 holding a_q(l) (d_q(l)) through
-        the last epoch each recorded; its arrival log is derived from them."""
+        the last epoch each recorded."""
         arrivals, departures = (np.array(t, dtype=np.int64, ndmin=2) for t in (arrivals, departures))
         width, reach = arrivals.shape[1], departures.shape[1]
         if (arrivals.shape[0] != departures.shape[0] or not width or not reach
@@ -98,15 +77,22 @@ class QueueLedger:
         ledger._cum_arr, ledger._cum_dep = arrivals, departures
         ledger._last_arrival_epoch = arrivals.shape[1] - 2
         ledger._last_departure_epoch = departures.shape[1] - 2
-        batches = np.diff(arrivals).T  # in recording order: by epoch, then queue
-        for (epoch, queue), count in zip(np.argwhere(batches).tolist(),
-                                         batches[batches > 0].tolist()):
-            ledger.arrival_log.extend([(epoch, queue)] * count)
         return ledger
 
     @property
     def current_epoch(self) -> int:
         return max(self._last_arrival_epoch, self._last_departure_epoch)
+
+    @property
+    def arrival_log(self) -> np.ndarray:
+        """(N, 2) int64 (epoch, queue_index), one row per appliance,
+        epoch-major and in queue order within an epoch; derived from the
+        arrival table, read-only.  An appliance's identity is its row."""
+        counts = np.diff(self._cum_arr[:, : self._last_arrival_epoch + 2]).T
+        cells = np.indices(counts.shape, dtype=np.int64).reshape(2, -1).T
+        log = np.repeat(cells, counts.ravel(), axis=0)
+        log.flags.writeable = False
+        return log
 
     def _grow(self, epoch: int) -> None:
         width = self._cum_arr.shape[1]
@@ -153,8 +139,6 @@ class QueueLedger:
         self._grow(epoch)
         self._add(self._cum_arr, self._last_arrival_epoch, epoch, counts)
         self._last_arrival_epoch = epoch
-        for q, count in enumerate(counts.tolist()):
-            self.arrival_log.extend([(epoch, q)] * count)
 
     def apply_departures(self, epoch: int, counts) -> None:
         counts = self._check_counts(counts, (self.n_queues,))
@@ -271,5 +255,5 @@ def dci(ledger: QueueLedger, from_epoch: int, horizon: int, prices: DelayPrices)
     total = 0.0
     for l in range(from_epoch, from_epoch + horizon + 1):
         wait = ledger.backlog(l)
-        total += float(prices.at(l) @ wait)
+        total += float(prices.per_queue @ wait)
     return total

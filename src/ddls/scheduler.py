@@ -20,9 +20,10 @@ every busy window in one array pass and commits every decision in a
 second; only each scheduler's warm-started ``lp.Model`` (its push, its
 simplex and its point read) is per scheduler.  Consecutive windows
 differ only in those vectors, so each model starts from the basis its
-last window left; the relaxed-completion retry, which has other rows,
-solves cold.  ``HorizonInputs`` and ``build_program`` are the checked
-reference path for one window, built from the same array functions.
+last window left; as every window has an optimum (see ``build_program``),
+one that comes back without one is refused with ``FeasibilityError``.
+``HorizonInputs`` and ``build_program`` are the checked reference path
+for one window, built from the same array functions.
 
 Decision variables are the shifted cumulative departures
 e_q(j) = d_q(l0+j) - d_q(l0-1), stacked queue-major, followed by the
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +50,6 @@ from .lp import solve as lp_solve
 # unused here: bench/spans.py traces ddls.scheduler.stage_cost until ROADMAP item 1 drops it
 from .market import stage_cost  # noqa: F401
 from .queues import QueueLedger
-
-log = logging.getLogger("ddls.scheduler")
 
 
 def pulse_toeplitz(code: ChargeCode, lookahead: int, start_lag: int = 0) -> np.ndarray:
@@ -143,15 +141,14 @@ def certainty_equivalent_arrivals(observed, rates, start_epoch: int, lookahead: 
     return np.cumsum(inc, axis=-1)
 
 
-def _window_vectors(observed, arrivals, prior, net_supply, start_epoch: int, deadline,
-                    completion, n_free: int):
+def _window_vectors(observed, arrivals, prior, net_supply, start_epoch: int, deadline, completion):
     """A window's equality right-hand side and lower and upper bounds, from
     its history and cumulative arrivals (Q, ·), the departures before it
     (Q,) and its net supply (T+1,); windows may be stacked on leading axes.
 
     e lies between the deadline floor (everything that arrived
     ``deadline`` epochs before a window epoch has departed by then) and
-    the arrivals, both net of the prior departures; the ``n_free``
+    the arrivals, both net of the prior departures; the 2(T+1) up and dn
     columns after it lie in [0, inf)."""
     l0, t = start_epoch, arrivals.shape[-1] - 1
     floor = np.zeros(arrivals.shape)
@@ -168,8 +165,9 @@ def _window_vectors(observed, arrivals, prior, net_supply, start_epoch: int, dea
     floor -= prior
     np.maximum(floor, 0.0, out=floor)
     lead, n_e = shifted.shape[:-2], shifted.shape[-2] * shifted.shape[-1]
-    lower = np.zeros(lead + (n_e + n_free,))
-    upper = np.full(lead + (n_e + n_free,), np.inf)
+    n = n_e + 2 * (t + 1)
+    lower = np.zeros(lead + (n,))
+    upper = np.full(lead + (n,), np.inf)
     lower[..., :n_e] = np.minimum(floor, shifted).reshape(lead + (n_e,))
     upper[..., :n_e] = shifted.reshape(lead + (n_e,))
     return np.concatenate((net_supply, upper[..., completion]), axis=-1), lower, upper
@@ -289,20 +287,19 @@ class HorizonInputs:
 
 
 @functools.lru_cache(maxsize=16)
-def _window_rows(codebook: tuple[ChargeCode, ...], lookahead: int, start_lag: int,
-                relax_completion: bool) -> tuple[LinearProgram, np.ndarray]:
+def _window_rows(codebook, lookahead: int, start_lag: int) -> tuple[LinearProgram, np.ndarray]:
     """The window LP's rows, which no epoch changes, as a template
     program to ``fill``, and the column of each queue's completion
     variable (read-only).
 
     The rows are the T+1 balance rows (gamma, -up, +dn) and one
     completion row per queue, then the Q*T monotonicity rows
-    e(j) - e(j-1) >= 0.  One template per key is shared by every window
-    and every scheduler that asks for it.
+    e(j) - e(j-1) >= 0.  One template per (codebook, T, start lag) is
+    shared by every window and every scheduler that asks for it.
     """
     q, width = len(codebook), lookahead + 1
     n_e = q * width
-    n = n_e + 2 * width + (q if relax_completion else 0)
+    n = n_e + 2 * width
     epochs = np.arange(width)
     queues = np.arange(q)
     completion = queues * width + np.array(
@@ -315,8 +312,6 @@ def _window_rows(codebook: tuple[ChargeCode, ...], lookahead: int, start_lag: in
     eq[epochs, n_e + epochs] = -1.0
     eq[epochs, n_e + width + epochs] = 1.0
     eq[width + queues, completion] = 1.0
-    if relax_completion:
-        eq[width + queues, n_e + 2 * width + queues] = 1.0
 
     later = (queues[:, None] * width + epochs[None, 1:]).ravel()
     ineq = np.zeros((later.size, n))
@@ -326,32 +321,26 @@ def _window_rows(codebook: tuple[ChargeCode, ...], lookahead: int, start_lag: in
     return template, completion
 
 
-def build_program(inputs: HorizonInputs, relax_completion: bool = False) -> LinearProgram:
+def build_program(inputs: HorizonInputs) -> LinearProgram:
     """Assemble the window LP.
 
-    Variables: e (queue-major, Q(T+1)), then up (T+1), then dn (T+1);
-    with ``relax_completion`` one slack per queue is appended, letting
-    the horizon-end completion fall short at a penalty of 10x the
-    largest price (numerical-rescue path; in exact arithmetic the
-    completion rows are always satisfiable because d = a meets every
-    constraint).  The rows come from the ``_window_rows`` template;
-    only the cost, the bounds and the equality right-hand side are
-    filled per window, by the array functions a scheduler bank fills its
-    windows with, and checked by ``LinearProgram.fill``.
+    Variables: e (queue-major, Q(T+1)), then up (T+1), then dn (T+1).
+    Starting everything as soon as it arrives (e at its upper bound, up
+    and dn the two sides of each balance residual) meets every row and
+    bound, and the costs are bounded below, so the program always has an
+    optimum.  The rows come from the ``_window_rows`` template; only the
+    cost, the bounds and the equality right-hand side are filled per
+    window, by the array functions a scheduler bank fills its windows
+    with, and checked by ``LinearProgram.fill``.
     """
-    q, width = inputs.n_queues, inputs.lookahead + 1
-    template, completion = _window_rows(inputs.codebook, inputs.lookahead, inputs.start_lag,
-                                        relax_completion)
-    cost = [(-inputs.delay_prices).repeat(width), inputs.price_up, inputs.price_dn]
-    if relax_completion:
-        penalty = 10.0 * max(
-            inputs.price_up.max(), inputs.price_dn.max(), inputs.delay_prices.max(), 1.0
-        )
-        cost.append(np.full(q, penalty))
+    width = inputs.lookahead + 1
+    template, completion = _window_rows(inputs.codebook, inputs.lookahead, inputs.start_lag)
+    cost = np.concatenate(((-inputs.delay_prices).repeat(width), inputs.price_up,
+                           inputs.price_dn))
     vectors = _window_vectors(inputs.observed, inputs.arrival_matrix(), inputs.prior_departures,
                               inputs.zic_kw, inputs.start_epoch, inputs.deadline_epochs,
-                              completion, 2 * width + (q if relax_completion else 0))
-    return template.fill(np.concatenate(cost), *vectors)
+                              completion)
+    return template.fill(cost, *vectors)
 
 
 def extract_plan(solution: LpSolution, inputs: HorizonInputs) -> SchedulePlan:
@@ -434,13 +423,11 @@ def apply_capacity_cap(committed, cap) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepResult:
-    """One epoch of a bank: each scheduler's (M, Q) starts, and (M,)
-    whether it solved a window and whether that needed the retry."""
+    """One epoch of a bank: each scheduler's (M, Q) starts and (M,) whether it solved a window."""
 
     epoch: int
     committed: np.ndarray
     windows: np.ndarray
-    relaxed_completion: np.ndarray
 
 
 class RecedingHorizonScheduler:
@@ -490,7 +477,7 @@ class RecedingHorizonScheduler:
         self._last = np.full((2, m), -1)  # each one's last epoch of arrivals, of departures
         self._flex = np.zeros((m, horizon + max_u + 1))
         self._template, self._completion = _window_rows(self.codebook, self.lookahead,
-                                                        self.start_lag, False)
+                                                        self.start_lag)
         self._models = [Model(self._template) for _ in range(m)]  # warm-started window LPs
         self._delay_cost = (-self.delay_prices).repeat(self.lookahead + 1)
         self._pulses = np.array([code.pulse + (0.0,) * (max_u - code.duration_epochs)
@@ -569,25 +556,19 @@ class RecedingHorizonScheduler:
         if running is not None:
             busy &= running
         committed = np.zeros((m, q), dtype=np.int64)
-        relaxed = np.zeros(m, dtype=bool)
         rows = np.flatnonzero(busy)
         if rows.size:
             at = slice(None) if rows.size == m else rows  # a view where every one is busy
             cost = np.concatenate((self._delay_cost, self.price_up[l0 : l0 + width],
                                    self.price_dn[l0 : l0 + width]))
             programs = self._template.fill_rows(cost, *_window_vectors(
-                *self._window(at), l0, self.deadline_epochs, self._completion, 2 * width))
+                *self._window(at), l0, self.deadline_epochs, self._completion))
             first = []
             for i, program in zip(rows.tolist(), programs):
                 solution = lp_solve(program, model=self._models[i])
                 if not solution.is_optimal:
-                    log.warning("epoch %d: scheduler %d's window LP came back %s; retrying "
-                                "with relaxed completion", l0, i + 1, solution.status)
-                    relaxed[i] = True
-                    solution = lp_solve(build_program(self.horizon_inputs(i), True))
-                    if not solution.is_optimal:
-                        raise FeasibilityError(
-                            f"window LP unsolvable at epoch {l0}: {solution.status}", i)
+                    raise FeasibilityError(
+                        f"window LP unsolvable at epoch {l0}: {solution.status}", i)
                 first.append(solution.values[: q * width : width])
             committed[at] = _round_starts(np.array(first), prior[at], arrived[at])
             if self._capped:
@@ -613,7 +594,7 @@ class RecedingHorizonScheduler:
             self._arr, self._dep = (np.concatenate((t, np.zeros_like(t)), axis=2)
                                     for t in (self._arr, self._dep))
         self._arr[:, :, self.epoch + 1] = self._arr[:, :, self.epoch]
-        return StepResult(epoch=l0, committed=committed, windows=busy, relaxed_completion=relaxed)
+        return StepResult(epoch=l0, committed=committed, windows=busy)
 
     def run(self, arrival_increments, drain: bool = True) -> None:
         """Feed per-epoch arrival counts, (M, Q, L) or in an M = 1 bank

@@ -49,7 +49,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 # unscheduled_load is unused here: bench/spans.py traces it as simkit.unscheduled_load
-from .core import ArrivalEvent, ChargeCode, RawRequest, synthesize_load, unscheduled_load
+from .core import (ArrivalEvent, ChargeCode, RawRequest, charge_code_from_entry, is_int, is_real,
+                   synthesize_load, unscheduled_load)
 from .csvio import atomic_write_text, render_columns, write_csv
 from .errors import ConfigurationError, FeasibilityError
 from .market import stage_cost
@@ -89,40 +90,6 @@ def _numeric(value, name: str) -> np.ndarray:
     return arr.astype(float)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def _charge_code(entry, pos: int) -> ChargeCode:
-    """Codebook entry ``pos`` (1-based) of a scenario dict, checked."""
-    if not isinstance(entry, dict):
-        raise ConfigurationError(f"codebook entry {pos} must be an object, got {entry!r}")
-    missing = sorted({"duration_epochs", "rate_kw"} - set(entry))
-    if missing:
-        raise ConfigurationError(f"codebook entry {pos} lacks {missing}")
-    extra = set(entry) - {"id", "duration_epochs", "rate_kw"}
-    if extra:
-        raise ConfigurationError(
-            f"codebook entry {pos} has unknown keys {sorted(map(str, extra))}"
-        )
-    code_id, duration, rate = entry.get("id", pos), entry["duration_epochs"], entry["rate_kw"]
-    if code_id != pos or not _is_int(code_id):
-        raise ConfigurationError(f"codebook ids must run 1..Q, got {code_id!r} at slot {pos}")
-    if not _is_int(duration) or duration < 1:
-        raise ConfigurationError(
-            f"codebook entry {pos}: duration_epochs must be an integer >= 1, got {duration!r}"
-        )
-    if not _is_real(rate) or not 0 <= rate < np.inf:
-        raise ConfigurationError(
-            f"codebook entry {pos}: rate_kw must be a finite number >= 0, got {rate!r}"
-        )
-    return ChargeCode(pos, (float(rate),) * duration)
-
-
 @dataclass
 class ScenarioConfig:
     """Everything needed to reproduce one benchmark day.
@@ -156,13 +123,13 @@ class ScenarioConfig:
         for name in ("seed", "horizon_epochs", "lookahead", "deadline_epochs",
                      "n_schedulers", "start_lag"):
             value = getattr(self, name)
-            if not _is_int(value):
+            if not is_int(value):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.horizon_epochs < 1:
             raise ConfigurationError("horizon_epochs must be positive")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not _is_real(self.interval_s) or not 0 < self.interval_s < np.inf:
+        if not is_real(self.interval_s) or not 0 < self.interval_s < np.inf:
             raise ConfigurationError(
                 f"interval_s must be a positive finite number, got {self.interval_s!r}"
             )
@@ -183,7 +150,7 @@ class ScenarioConfig:
         if self.start_lag not in (0, 1):
             raise ConfigurationError("start_lag must be 0 or 1")
         if self.capacity_cap is not None and not (
-            _is_real(self.capacity_cap) and self.capacity_cap >= 0
+            is_real(self.capacity_cap) and self.capacity_cap >= 0
         ):
             raise ConfigurationError(
                 f"capacity_cap must be a number >= 0, got {self.capacity_cap!r}"
@@ -283,6 +250,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"a scenario must be a JSON object, not {type(raw).__name__}")
         raw = dict(raw)
         version = raw.pop("schema", SCENARIO_SCHEMA)
         if version != SCENARIO_SCHEMA:
@@ -292,7 +261,7 @@ class ScenarioConfig:
         entries = raw.get("codebook")
         if not isinstance(entries, (list, tuple)):
             raise ConfigurationError("scenario dict needs a 'codebook' list")
-        codebook = [_charge_code(entry, pos) for pos, entry in enumerate(entries, start=1)]
+        codebook = [charge_code_from_entry(e, pos) for pos, e in enumerate(entries, start=1)]
         known = {f.name for f in dataclass_fields(cls)}
         extra = set(raw) - known
         if extra:

@@ -264,6 +264,20 @@ class TestValidate:
         assert rc == 1
         assert "lookahead" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1]", '"abc"', "5"])
+    def test_non_object_scenario_reported(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc = main(["validate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: a scenario must be a JSON object, not ")
+
+    def test_directory_config_reported(self, tmp_path, capsys):
+        rc = main(["validate", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     @pytest.mark.parametrize("key, value", [
         ("zic_kw", [4.0] * 5 + [math.nan] + [4.0] * 4),
         ("price_up", math.inf),

@@ -310,3 +310,19 @@ class TestSerialization:
         quant = Quantizer((ChargeCode(1, (2.0, 1.0)),))
         with pytest.raises(ConfigurationError):
             codebook_to_json(quant, tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("entries, match", [
+        ([{"id": 1, "rate_kw": 2.0, "duration_epochs": 1.7}], "duration_epochs"),
+        ([{"id": 1, "rate_kw": 2.0, "duration_epochs": 3, "pulse": [5.0]}], "unknown keys"),
+        ([{"id": 1, "rate_kw": "2", "duration_epochs": 3}], "rate_kw"),
+        ([{"id": 1, "rate_kw": 2.0}], "lacks"),
+        ([[1, 2.0, 3]], "must be an object"),
+        ([{"id": 2, "rate_kw": 1.0, "duration_epochs": 1},
+          {"id": 1, "rate_kw": 2.0, "duration_epochs": 2}], "ids must run 1..Q"),
+    ], ids=["fractional-duration", "unknown-key", "string-rate", "missing-key", "not-an-object",
+            "ids-out-of-order"])
+    def test_bad_entries_rejected(self, entries, match, tmp_path):
+        path = tmp_path / "codebook.json"
+        path.write_text(json.dumps(entries))
+        with pytest.raises(ConfigurationError, match=match):
+            codebook_from_json(path)

@@ -103,7 +103,7 @@ class TestLedger:
         ledger = QueueLedger(2)
         ledger.record_arrivals(0, [1, 2])
         ledger.record_arrivals(2, [1, 0])
-        assert ledger.arrival_log == [(0, 0), (0, 1), (0, 1), (2, 0)]
+        assert ledger.arrival_log.tolist() == [[0, 0], [0, 1], [0, 1], [2, 0]]
 
     def test_fifo_delays_match_oracle(self):
         rng = np.random.default_rng(SEED)
@@ -153,13 +153,12 @@ class TestLedger:
                 counts = [data.draw(st.integers(0, int(b))) for b in ledger.backlog(epoch)]
                 ledger.apply_departures(epoch, counts)
             fed[kind][:, epoch] += counts
-        # the same tables handed over whole make the same ledger (its log in
-        # per-epoch order: an epoch recorded twice interleaves no more)
+        # the same tables handed over whole make the same ledger
         copy = QueueLedger.from_tables(*(np.cumsum(np.hstack((
             np.zeros((n_queues, 1), dtype=np.int64), fed[kind][:, : last[kind] + 1])), axis=1)
             for kind in ("arrivals", "departures")))
         assert copy.current_epoch == ledger.current_epoch
-        assert sorted(copy.arrival_log) == sorted(ledger.arrival_log)
+        assert copy.arrival_log.tolist() == ledger.arrival_log.tolist()
         for ledger, epoch in itertools.product((ledger, copy), range(-2, max(clocks.values()) + 4)):
             arrived = fed["arrivals"][:, : max(epoch + 1, 0)].sum(axis=1)
             departed = fed["departures"][:, : max(epoch + 1, 0)].sum(axis=1)
@@ -180,13 +179,7 @@ class TestLedger:
 class TestDelayPrices:
     def test_stationary(self):
         prices = DelayPrices(np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(prices.at(7), [1.0, 2.0])
-
-    def test_time_table_overrides_then_falls_back(self):
-        prices = DelayPrices(np.array([1.0]), time_table=np.array([[5.0], [6.0]]))
-        assert prices.at(0).tolist() == [5.0]
-        assert prices.at(1).tolist() == [6.0]
-        assert prices.at(2).tolist() == [1.0]
+        np.testing.assert_array_equal(prices.per_queue, [1.0, 2.0])
 
     def test_negative_prices_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -223,13 +216,6 @@ class TestDci:
             )
             got = dci(ledger, 0, ledger.current_epoch, prices)
             assert got == pytest.approx(total, abs=1e-9)
-
-    def test_time_varying_prices(self):
-        ledger = QueueLedger(1)
-        ledger.record_arrivals(0, [1])
-        ledger.apply_departures(2, [1])
-        prices = DelayPrices(np.array([1.0]), time_table=np.array([[10.0], [1.0]]))
-        assert dci(ledger, 0, 2, prices) == 11.0
 
     def test_queue_count_mismatch_rejected(self):
         ledger = QueueLedger(2)

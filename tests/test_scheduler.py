@@ -311,17 +311,6 @@ class TestBuildProgram:
         pos = inputs.lookahead - 2
         assert plan.departures[0, pos] == pytest.approx(2.0, abs=1e-8)
 
-    def test_relaxed_completion_slack_stays_zero_when_feasible(self):
-        rng = np.random.default_rng(23)
-        codebook = random_codebook(rng, 2, 2)
-        counts = rng.integers(0, 2, size=(2, 6))
-        zic = rng.uniform(0.0, 3.0, size=6)
-        inputs = window_inputs(codebook, zic, counts)
-        strict = lp_solve(build_program(inputs))
-        relaxed = lp_solve(build_program(inputs, relax_completion=True))
-        assert np.allclose(relaxed.values[-2:], 0.0, atol=1e-7)
-        assert relaxed.objective == pytest.approx(strict.objective, abs=1e-7)
-
     def test_committed_history_shrinks_usable_supply(self):
         codebook = [ChargeCode(id=1, pulse=(1.0, 1.0, 1.0))]
         sched = flat_scheduler(codebook, np.full(10, 5.0), 3)
@@ -354,12 +343,12 @@ class TestBuildProgram:
             window_inputs(codebook, np.zeros(3), np.zeros((1, 3), dtype=int))
 
 
-def rowwise_program(inputs, relax_completion):
+def rowwise_program(inputs):
     """Oracle: the window LP assembled densely, one row at a time."""
     q, t = inputs.n_queues, inputs.lookahead
     width = t + 1
     n_e = q * width
-    n = n_e + 2 * width + (q if relax_completion else 0)
+    n = n_e + 2 * width
     arrivals = inputs.arrival_matrix()
     shifted = np.maximum(arrivals - inputs.prior_departures[:, None], 0.0)
     gamma = build_gamma(inputs.codebook, t, inputs.start_lag)
@@ -370,10 +359,6 @@ def rowwise_program(inputs, relax_completion):
         cost[qi * width : (qi + 1) * width] = -inputs.delay_prices[qi]
     cost[n_e : n_e + width] = inputs.price_up
     cost[n_e + width : n_e + 2 * width] = inputs.price_dn
-    if relax_completion:
-        cost[n_e + 2 * width :] = 10.0 * max(
-            inputs.price_up.max(), inputs.price_dn.max(), inputs.delay_prices.max(), 1.0
-        )
 
     eq_rows, eq_rhs = [], []
     for j in range(width):
@@ -387,8 +372,6 @@ def rowwise_program(inputs, relax_completion):
         pos = t - code.duration_epochs
         row = np.zeros(n)
         row[qi * width + pos] = 1.0
-        if relax_completion:
-            row[n_e + 2 * width + qi] = 1.0
         eq_rows.append(row)
         eq_rhs.append(shifted[qi, pos])
 
@@ -450,11 +433,10 @@ class TestWindowStructure:
     )
 
     @pytest.mark.parametrize("start_lag", [0, 1])
-    @pytest.mark.parametrize("relax", [False, True])
-    def test_matches_rowwise_assembly(self, relax, start_lag):
+    def test_matches_rowwise_assembly(self, start_lag):
         inputs = mid_day_inputs(self.CODEBOOK, start_lag)
-        program = build_program(inputs, relax_completion=relax)
-        for name, expected in rowwise_program(inputs, relax).items():
+        program = build_program(inputs)
+        for name, expected in rowwise_program(inputs).items():
             got = getattr(program, name)
             assert got.shape == expected.shape, name
             assert got.tobytes() == expected.tobytes(), name
@@ -470,9 +452,7 @@ class TestWindowStructure:
             with pytest.raises(ValueError):
                 arr[0] = 7.0
         lagged = build_program(mid_day_inputs(self.CODEBOOK, start_lag=1))
-        relaxed = build_program(mid_day_inputs(self.CODEBOOK), relax_completion=True)
         assert lagged.eq_matrix is not a.eq_matrix
-        assert relaxed.eq_matrix is not a.eq_matrix
 
     def test_arrival_matrix_computed_once(self):
         inputs = mid_day_inputs(self.CODEBOOK)
@@ -877,25 +857,23 @@ class TestRecedingHorizon:
         with pytest.raises(ConfigurationError):
             sched.step()
 
-    def test_relaxed_completion_retry_passes_no_model(self, monkeypatch):
+    def test_unsolvable_window_is_refused(self, monkeypatch):
         calls = []
 
-        def first_window_infeasible(program, model=None):
+        def infeasible(program, model=None):
             calls.append(model)
-            if len(calls) == 1:
-                return LpSolution("infeasible", None, float("nan"))
-            return lp_solve(program, model=model)
+            return LpSolution("infeasible", None, float("nan"))
 
-        monkeypatch.setattr(scheduler, "lp_solve", first_window_infeasible)
+        monkeypatch.setattr(scheduler, "lp_solve", infeasible)
         codebook = [ChargeCode(id=1, pulse=(1.0,))]
         sched = flat_scheduler(codebook, np.full(16, 1.0), 4, deadline_epochs=4)
+        sched.step()
+        sched.step()  # empty queues solve no window
         sched.observe_arrivals(np.array([1]))
-        assert sched.step().relaxed_completion.tolist() == [True]
-        assert isinstance(calls[0], lp.Model)
-        assert calls[1] is None
-        sched.observe_arrivals(np.array([1]))
-        assert sched.step().relaxed_completion.tolist() == [False]
-        assert calls[2] is calls[0]
+        with pytest.raises(FeasibilityError, match="unsolvable at epoch 2: infeasible") as caught:
+            sched.step()
+        assert caught.value.scheduler == 0
+        assert len(calls) == 1 and isinstance(calls[0], lp.Model)
 
 
 def _bad_at(values, epoch, bad):
@@ -994,6 +972,18 @@ class TestInputsCheckedOnce:
             build_program(HorizonInputs(**{**self.fields(inputs), **change}))
 
 
+def witness_point(program, n_queues, width):
+    """Everything started as soon as it arrives: e at its upper bound,
+    and up and dn the two sides of each balance row's residual."""
+    n_e = n_queues * width
+    x = np.zeros(program.objective.size)
+    x[:n_e] = program.upper[:n_e]
+    residual = program.eq_rhs[:width] - program.eq_matrix[:width] @ x
+    x[n_e : n_e + width] = np.maximum(-residual, 0.0)
+    x[n_e + width :] = np.maximum(residual, 0.0)
+    return x
+
+
 def reference_program(bank, i):
     """The window scheduler i of ``bank`` is about to solve, built from
     caller-made, checked ``HorizonInputs`` with a copy of its history."""
@@ -1022,7 +1012,8 @@ def test_every_desk_window_receives_what_the_reference_path_builds(monkeypatch, 
     """A bank builds every busy scheduler's window in one array pass over
     its tables, unchecked but for one check of the stacked vectors; each
     scheduler's model must still receive, bit for bit, what checked
-    inputs give that scheduler."""
+    inputs give that scheduler.  Every window is feasible: starting
+    everything as soon as it arrives meets each of its rows and bounds."""
     received = []
     stepping = []
     step = RecedingHorizonScheduler.step
@@ -1035,19 +1026,24 @@ def test_every_desk_window_receives_what_the_reference_path_builds(monkeypatch, 
     def compared(program, model=None):
         bank = stepping[0]
         i = next(i for i, own in enumerate(bank._models) if own is model)
-        received.append((i, program, reference_program(bank, i)))
+        received.append((i, program, reference_program(bank, i), bank.n_queues,
+                         bank.lookahead + 1))
         return solve(program, model=model)
 
     monkeypatch.setattr(RecedingHorizonScheduler, "step", noted)
     monkeypatch.setattr(scheduler, "lp_solve", compared)
     runner(load_scenario(DESK_CONFIG))
     assert len(received) >= 96
-    assert len({i for i, _, _ in received}) == (8 if runner is run_distributed else 1)
-    for k, (i, program, expected) in enumerate(received):
+    assert len({i for i, *_ in received}) == (8 if runner is run_distributed else 1)
+    for k, (i, program, expected, q, width) in enumerate(received):
         assert program.csc is expected.csc, k
         for name in ("objective", "eq_rhs", "lower", "upper"):
             got, want = getattr(program, name), getattr(expected, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, i, name)
+        x = witness_point(program, q, width)
+        assert np.abs(program.eq_matrix @ x - program.eq_rhs).max() <= 1e-9, k
+        assert (program.ineq_matrix @ x - program.ineq_rhs).min() >= -1e-9, k
+        assert (program.lower <= x).all() and (x <= program.upper).all(), k
 
 
 class TestLockstep:
