@@ -97,6 +97,16 @@ def cell_masses(quantizer: Quantizer, request_samples) -> np.ndarray:
     return counts / counts.sum()
 
 
+def _at_least_zero(value, name: str, positive: bool = False) -> np.ndarray:
+    """``value`` as a float array, refused by ``name`` unless every entry
+    is finite and >= 0, or > 0 if ``positive``; a NaN fails both."""
+    arr = np.asarray(value, dtype=float)
+    if not (np.isfinite(arr) & ((arr > 0) if positive else (arr >= 0))).all():
+        raise ConfigurationError(
+            f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+    return arr
+
+
 def queue_arrival_rates(total_rate, quantizer: Quantizer, request_samples=None, masses=None):
     """Split a total arrival rate across queues by quantization-cell mass.
 
@@ -109,18 +119,16 @@ def queue_arrival_rates(total_rate, quantizer: Quantizer, request_samples=None, 
         if request_samples is None:
             raise ConfigurationError("need request_samples or masses")
         masses = cell_masses(quantizer, request_samples)
-    masses = np.asarray(masses, dtype=float)
+    masses = _at_least_zero(masses, "masses")
     if masses.shape != (quantizer.n_codes,):
         raise ConfigurationError(
             f"masses shape {masses.shape}, expected ({quantizer.n_codes},)"
         )
-    if (masses < 0).any():
-        raise ConfigurationError("masses must be >= 0")
     total = masses.sum()
     if not total > 0:
         raise ConfigurationError("masses sum to zero")
     masses = masses / total
-    rate = np.asarray(total_rate, dtype=float)
+    rate = _at_least_zero(total_rate, "total_rate")
     if rate.ndim == 0:
         return masses * float(rate)
     return np.outer(masses, rate)
@@ -175,10 +183,9 @@ class FeedbackRateParams:
         var = np.atleast_1d(np.asarray(self.delay_variance, dtype=float))
         if rho.shape != var.shape or rho.ndim != 1:
             raise ConfigurationError("correlation/variance vectors must have equal length")
-        if ((rho < 0) | (rho >= 1)).any():
-            raise ConfigurationError("correlations must lie in [0, 1)")
-        if (var <= 0).any():
-            raise ConfigurationError("variances must be > 0")
+        if not ((rho >= 0) & (rho < 1)).all():  # False at a NaN too
+            raise ConfigurationError("min_correlation must lie in [0, 1)")
+        _at_least_zero(var, "delay_variance", positive=True)
         object.__setattr__(self, "min_correlation", rho)
         object.__setattr__(self, "delay_variance", var)
 
@@ -191,13 +198,10 @@ def uplink_rate_hems(arrivals_per_interval, interval_s: float, window: int, n_co
     """Per-home uplink rate in bits per second: each arrival is notified
     with one of D*Q symbols, so the rate is lambda * log2(D*Q) / Delta
     with lambda in expected arrivals per interval."""
-    if interval_s <= 0:
-        raise ConfigurationError(f"interval_s must be > 0, got {interval_s}")
+    _at_least_zero(interval_s, "interval_s", positive=True)
     if window < 1 or n_codes < 1:
         raise ConfigurationError("window and n_codes must be >= 1")
-    lam = np.asarray(arrivals_per_interval, dtype=float)
-    if (lam < 0).any():
-        raise ConfigurationError("arrival rate must be >= 0")
+    lam = _at_least_zero(arrivals_per_interval, "arrivals_per_interval")
     out = lam * math.log2(window * n_codes) / interval_s
     return float(out) if out.ndim == 0 else out
 
@@ -209,9 +213,7 @@ def uplink_rate_cems(arrivals_per_interval, n_codes: int):
         raise ConfigurationError(f"n_codes must be >= 0, got {n_codes}")
     if n_codes == 0:
         return 0.0
-    lam = np.asarray(arrivals_per_interval, dtype=float)
-    if (lam <= 0).any():
-        raise ConfigurationError("arrival rate must be > 0")
+    lam = _at_least_zero(arrivals_per_interval, "arrivals_per_interval", positive=True)
     out = 0.5 * n_codes * np.log2(2.0 * math.pi * math.e * lam)
     return float(out) if out.ndim == 0 else out
 
@@ -220,8 +222,7 @@ def feedback_rate_bound(params: FeedbackRateParams, interval_s: float) -> float:
     """Bits per second needed for the differentially-encoded threshold
     feedback; per-queue terms that come out negative are clamped to
     zero (perfectly predictable cutoffs need no bits)."""
-    if interval_s <= 0:
-        raise ConfigurationError(f"interval_s must be > 0, got {interval_s}")
+    _at_least_zero(interval_s, "interval_s", positive=True)
     terms = 0.5 * np.log2(
         math.e * (1.0 - params.min_correlation**2) * params.delay_variance
     )

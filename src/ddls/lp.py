@@ -2,30 +2,24 @@
 
 min c'x  s.t.  A_eq x = b_eq,  A_ge x >= b_ge,  lo <= x <= hi
 
-``solve`` calls scipy's bundled HiGHS binding
-(``scipy.optimize._highspy._core``) directly.  Its cold path, a fresh
-HiGHS model per call, has exactly the model, options and acceptance
-checks of ``scipy.optimize.linprog(method="highs")``, so the two give the
-same status, point and objective; ``tests/test_lp_direct.py`` checks
-that over every window of a desk day.  Given a ``Model``, ``solve``
-instead re-solves one persistent HiGHS model from the basis its last
-solve left (presolve off), pushing only the data that changed since,
-with the same acceptance checks, and falls back to the cold path when
-that run does not end optimal.  The warm path
-matches the cold path's status and objective, not its point: a window
-LP often has several optimal vertices, and a warm start may end at
-another one.
-The call skips linprog's input cleaning and re-conversion.  A
-``LinearProgram`` freezes its rows when it is built: it keeps a
+``solve`` has two paths.  Given a ``Model``, it re-solves one persistent
+HiGHS model through scipy's bundled binding
+(``scipy.optimize._highspy._core``) from the basis its last solve left
+(presolve off), pushing only the data that changed since, and accepts
+the point with ``scipy.optimize.linprog``'s checks.  Everything else
+goes to ``linprog(method="highs")``, the reference: a call without a
+model, a warm run that does not end optimal, and a scipy that lacks the
+binding (checked once at import).  The warm path matches linprog's
+status and objective, not its point: a window LP often has several
+optimal vertices, and a warm start may end at another one;
+``tests/test_lp_direct.py`` checks that over every window of a desk day.
+A ``LinearProgram`` freezes its rows when it is built: it keeps a
 read-only copy of its matrices, checks them and converts them to sparse
 form once; ``LinearProgram.fill`` reuses those rows for new costs,
 right-hand side and bounds, checking only the new vectors, and
 ``fill_rows`` does the same for a stack of windows, checked together in
-one pass.
-Where this scipy lacks the binding (checked once at import), ``solve``
-ignores any model and falls back to linprog.  Both paths are
-deterministic.  Bound intervals are accepted as nonempty within
-FEAS_TOL (1e-7).
+one pass.  Both paths are deterministic.  Bound intervals are accepted
+as nonempty within FEAS_TOL (1e-7).
 """
 
 from __future__ import annotations
@@ -183,13 +177,11 @@ _ACCEPT_TOL = np.sqrt(1e-9) * 10
 def solve(program: LinearProgram, model: Model | None = None) -> LpSolution:
     """Solve the program; see the module docstring.  With a ``model``
     built for the program's rows, start from that model's last basis."""
-    if _HIGHS is None:
-        return _solve_linprog(program)
-    if model is not None:
+    if model is not None and _HIGHS is not None:
         solution = model.warm_solve(program)
         if solution is not None:
             return solution
-    return _solve_cold(program)
+    return _solve_linprog(program)
 
 
 class Model:
@@ -202,7 +194,7 @@ class Model:
     Presolve is off, because presolve discards that basis.  A run that
     does not end optimal, or whose point fails linprog's checks, clears
     the basis and counts in ``cold_retries``; ``solve`` then answers
-    from a cold solve.  A model is not shared: its answers depend on the
+    from linprog.  A model is not shared: its answers depend on the
     sequence of programs it has solved.
     """
 
@@ -298,17 +290,15 @@ def _highs_lp(program: LinearProgram):
     return lp
 
 
-def _checked_point(highs, program: LinearProgram, rhs=None) -> LpSolution | None:
+def _checked_point(highs, program: LinearProgram, rhs: np.ndarray) -> LpSolution | None:
     """An optimal run's solution, or None where its point fails
     linprog's _check_result: bound, slack and equality residuals.
-    ``rhs`` is linprog's stacked right-hand side, when the caller holds it."""
+    ``rhs`` is linprog's stacked right-hand side [-ineq_rhs; eq_rhs]."""
     solution = highs.getSolution()
     x = np.fromiter(solution.col_value, float, program.n_vars)
     row_value = solution.row_value
     fun = highs.getObjectiveValue()
     mi = program.ineq_matrix.shape[0]
-    if rhs is None:
-        rhs = np.concatenate((-program.ineq_rhs, program.eq_rhs))
     residual = rhs - np.fromiter(row_value, float, len(row_value))
     # each test fails on a NaN, as linprog's does
     if not (
@@ -322,45 +312,16 @@ def _checked_point(highs, program: LinearProgram, rhs=None) -> LpSolution | None
     return LpSolution("optimal", x, float(fun), int(iterations))
 
 
-def _solve_cold(program: LinearProgram) -> LpSolution:
-    """A fresh HiGHS model with linprog's options: linprog's point."""
-    h = _HIGHS
-    highs = h._Highs()
-    highs.passOptions(_OPTIONS)
-    if highs.passModel(_highs_lp(program)) == h.HighsStatus.kError:
-        model_status = h.HighsModelStatus.kModelError
-    else:
-        highs.run()
-        model_status = highs.getModelStatus()
-    iterations = int(highs.getInfo().simplex_iteration_count)
-    if model_status in (h.HighsModelStatus.kInfeasible, h.HighsModelStatus.kModelError):
-        return LpSolution("infeasible", None, float("nan"), iterations)
-    if model_status == h.HighsModelStatus.kUnbounded:
-        return LpSolution("unbounded", None, float("-inf"), iterations)
-    if model_status != h.HighsModelStatus.kOptimal:
-        raise SolverError(
-            f"external solver failed: HiGHS status {highs.modelStatusToString(model_status)}"
-        )
-    solution = _checked_point(highs, program)
-    if solution is None:
-        raise SolverError(
-            f"external solver failed: HiGHS point violates the constraints by more "
-            f"than {_ACCEPT_TOL:.2e}"
-        )
-    return solution
-
-
 def _highs_inf(values: np.ndarray) -> np.ndarray:
     """Map +-inf to HiGHS's infinity, as linprog does."""
     return np.where(np.isinf(values), np.copysign(_HIGHS.kHighsInf, values), values)
 
 
-def _highs_options(presolve: str):
-    """linprog's HiGHS options, with ``presolve`` "on" as in linprog:
-    dual simplex, no output."""
+def _highs_options():
+    """linprog's HiGHS options with presolve off: dual simplex, no output."""
     h = _HIGHS
     opts = h.HighsOptions()
-    opts.presolve = presolve
+    opts.presolve = "off"
     opts.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     opts.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
     opts.log_to_console = False
@@ -368,8 +329,7 @@ def _highs_options(presolve: str):
     return opts
 
 
-_OPTIONS = None if _HIGHS is None else _highs_options("on")
-_WARM_OPTIONS = None if _HIGHS is None else _highs_options("off")
+_WARM_OPTIONS = None if _HIGHS is None else _highs_options()
 
 
 def _solve_linprog(program: LinearProgram) -> LpSolution:

@@ -155,6 +155,8 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"capacity_cap must be a number >= 0, got {self.capacity_cap!r}"
             )
+        if self.capacity_cap == np.inf:
+            self.capacity_cap = None  # the one spelling of "no cap", which JSON can write
 
         q = len(self.codebook)
         rates = _numeric(self.arrival_rates_per_hour, "arrival_rates_per_hour")
@@ -402,8 +404,11 @@ def generate_arrival_counts(
         rates = np.tile(rates[:, None], (1, horizon))
     if rates.ndim != 2 or rates.shape[1] != horizon:
         raise ConfigurationError(f"rates must be (Q,) or (Q, {horizon}), got {rates.shape}")
-    if np.any(rates < 0):
-        raise ConfigurationError("arrival rates must be nonnegative")
+    if not (np.isfinite(rates) & (rates >= 0)).all():
+        raise ConfigurationError("rates_per_hour must be finite and nonnegative")
+    if not 0 < interval_s < np.inf:
+        raise ConfigurationError(
+            f"interval_s must be a positive finite number, got {interval_s!r}")
     means = rates * (interval_s / SECONDS_PER_HOUR)
     counts = np.zeros(rates.shape, dtype=np.int64)
     streams = np.random.SeedSequence(seed).spawn(rates.shape[0])
@@ -534,11 +539,9 @@ def run_uncontrolled(config: ScenarioConfig, arrival_counts=None) -> RunResult:
     return _score(config, "uncontrolled", [(flex, _replay(config, counts, starts))])
 
 
-def _cap_share(cap, i: int, m: int):
+def _cap_share(cap, i: int, m: int) -> int:
     """Scheduler i's whole-appliance share of a finite capacity cap; the
     M shares sum to the cap."""
-    if cap is None or not np.isfinite(cap):
-        return cap
     cap = int(cap)
     return cap // m + (i < cap % m)
 
@@ -634,6 +637,8 @@ def run_price_signal(config: ScenarioConfig, arrival_counts=None, price=None) ->
     length = config.padded_length()
     if price.shape != (length,):
         raise ConfigurationError(f"price curve must have shape ({length},), got {price.shape}")
+    if not np.isfinite(price).all():
+        raise ConfigurationError("price curve must be finite")
 
     horizon = config.horizon_epochs
     starts = np.zeros((config.n_queues, length), dtype=np.int64)

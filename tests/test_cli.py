@@ -232,6 +232,19 @@ class TestRates:
         assert high_rate == pytest.approx(2.0 * low_rate, rel=1e-6)
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--cutoff-variance", "nan"), ("--cutoff-variance", "inf"),
+        ("--cutoff-correlation", "nan"),
+    ])
+    def test_non_finite_cutoff_statistics_fail(self, tmp_path, capsys, flag, value):
+        config = write_config(tmp_path)
+        rc = main(["rates", "--config", str(config), "--out", str(tmp_path / "o"), flag, value])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: ")
+        assert "feedback_bit_per_s" not in captured.out
+
+
 class TestValidate:
     def test_valid_config_prints_ok(self, tmp_path, capsys):
         config = write_config(tmp_path)

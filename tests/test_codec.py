@@ -205,6 +205,27 @@ class TestFeedbackRateBound:
             FeedbackRateParams(np.array([0.5]), np.array([0.0]))
 
 
+_ONE_CODE = Quantizer((ChargeCode(1, square_pulse(2.0, 3)),))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: uplink_rate_hems(math.nan, 900.0, 16, 8), "arrivals_per_interval"),
+    (lambda: uplink_rate_hems(1.0, math.nan, 16, 8), "interval_s"),
+    (lambda: uplink_rate_cems(math.nan, 8), "arrivals_per_interval"),
+    (lambda: uplink_rate_cems(math.inf, 8), "arrivals_per_interval"),
+    (lambda: feedback_rate_bound(FeedbackRateParams([0.5], [1.0]), math.nan), "interval_s"),
+    (lambda: FeedbackRateParams([math.nan], [1.0]), "min_correlation"),
+    (lambda: FeedbackRateParams([0.5], [math.inf]), "delay_variance"),
+    (lambda: queue_arrival_rates(math.nan, _ONE_CODE, masses=[1.0]), "total_rate"),
+    (lambda: queue_arrival_rates([1.0, math.inf], _ONE_CODE, masses=[1.0]), "total_rate"),
+    (lambda: queue_arrival_rates(1.0, _ONE_CODE, masses=[math.inf]), "masses"),
+], ids=["hems-rate", "hems-interval", "cems-nan", "cems-inf", "feedback-interval",
+        "nan-correlation", "inf-variance", "nan-total", "inf-total-vector", "inf-mass"])
+def test_non_finite_rate_inputs_are_refused_by_name(call, name):
+    with pytest.raises(ConfigurationError, match=name):
+        call()
+
+
 class TestCodebookDesign:
     def test_identical_requests_need_one_code(self):
         samples = [RawRequest((2.0, 3.0))] * 50

@@ -5,15 +5,15 @@ import pytest
 
 from ddls import lp
 from ddls.errors import ConfigurationError
-from ddls.lp import FEAS_TOL, LinearProgram, solve
+from ddls.lp import FEAS_TOL, LinearProgram, Model, solve
 
 SEED = 97531
-# lp.solve, and the linprog path it falls back to without the HiGHS binding
+# lp.solve's two paths: a model solved through the HiGHS binding, and linprog
 PATHS = ("highs", "linprog")
 
 
 def solve_on(path, prog):
-    return solve(prog) if path == "highs" else lp._solve_linprog(prog)
+    return solve(prog, model=Model(prog)) if path == "highs" else lp._solve_linprog(prog)
 
 
 def random_program(rng):

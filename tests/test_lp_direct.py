@@ -1,11 +1,11 @@
-"""The direct HiGHS path against scipy.optimize.linprog, its reference.
+"""The warm HiGHS path against scipy.optimize.linprog, its reference.
 
-``lp.solve`` calls scipy's HiGHS binding itself, with
-linprog's model, options and acceptance checks.  These tests hold its
-cold path to exactly linprog's answers over every window of a desk day,
-hold the warm path (an ``lp.Model`` re-solved from its last basis) to
-the cold path's status and objective, and check that both fall back to
-linprog when the binding is missing.
+``lp.solve`` has two paths: an ``lp.Model`` re-solved from its last
+basis through scipy's HiGHS binding, and linprog for everything else.
+These tests hold the warm path to linprog's status and objective, and to
+a from-scratch solve's, over every window of desk days, check that a
+warm run that is not optimal is answered by linprog, and that a day
+reaches linprog only where it has no binding.
 """
 
 import sys
@@ -22,7 +22,7 @@ from ddls.core import ChargeCode
 from ddls.errors import ConfigurationError
 from ddls.lp import LinearProgram, Model, solve
 from ddls.scheduler import RecedingHorizonScheduler
-from ddls.simkit import load_scenario, run_ddls, run_distributed
+from ddls.simkit import load_scenario, run_ddls, run_distributed, run_uncontrolled
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_day.json"
 
@@ -47,25 +47,28 @@ def linprog_calls(monkeypatch):
 
 
 @pytest.mark.skipif(lp._HIGHS is None, reason="this scipy has no HiGHS binding")
-def test_every_desk_window_agrees_with_linprog(monkeypatch):
+def test_every_warm_desk_window_agrees_with_linprog(monkeypatch):
     windows = []
     original = scheduler.lp_solve
 
     def both(program, model=None):
-        direct = solve(program)
-        reference = lp._solve_linprog(program)
-        windows.append((direct, reference))
-        return original(program, model=model)
+        warm = original(program, model=model)
+        windows.append((model, warm, lp._solve_linprog(program)))
+        return warm
 
     monkeypatch.setattr(scheduler, "lp_solve", both)
     run_ddls(load_scenario(DESK_CONFIG))
     assert len(windows) >= 96
-    for i, (direct, reference) in enumerate(windows):
-        assert direct.status == reference.status == "optimal", i
-        assert np.array_equal(direct.values, reference.values), i
-        assert direct.objective == reference.objective, i
-        assert direct.iterations == reference.iterations, i
-    assert sum(d.iterations for d, _ in windows) > 0
+    for i, (model, warm, reference) in enumerate(windows):
+        assert isinstance(model, Model), i
+        assert warm.status == reference.status == "optimal", i
+        assert warm.objective == pytest.approx(reference.objective, rel=1e-9), i
+    assert sum(r.iterations for *_, r in windows) > 0
+
+
+def _from_scratch(program):
+    """HiGHS from no basis history: a new model's first solve."""
+    return solve(program, model=Model(program))
 
 
 def _fresh(program):
@@ -107,7 +110,7 @@ def test_every_filled_desk_window_solves_like_a_fresh_program(monkeypatch):
     original = scheduler.lp_solve
 
     def both(program, model=None):
-        windows.append((solve(program), solve(_fresh(program))))
+        windows.append((_from_scratch(program), _from_scratch(_fresh(program))))
         return original(program, model=model)
 
     monkeypatch.setattr(scheduler, "lp_solve", both)
@@ -162,29 +165,51 @@ def test_missing_binding_falls_back_to_linprog(no_binding, linprog_calls):
     assert len(linprog_calls) == 1
 
 
-def test_fallback_day_matches_the_direct_day(monkeypatch, linprog_calls):
-    """linprog reproduces the cold point, so the fallback day, which
-    ignores the scheduler's model, equals a direct day without one."""
+def test_a_model_less_solve_is_one_linprog_call(linprog_calls):
+    program = _template().fill(np.array([1.0, 0.0]), np.array([1.0]), np.zeros(2), np.ones(2))
+    sol = solve(program)
+    assert len(linprog_calls) == 1
+    reference = lp._solve_linprog(program)
+    assert sol.status == reference.status == "optimal"
+    assert np.array_equal(sol.values, reference.values)
+    assert (sol.objective, sol.iterations) == (reference.objective, reference.iterations)
+
+
+@pytest.mark.skipif(lp._HIGHS is None, reason="this scipy has no HiGHS binding")
+def test_a_desk_day_with_the_binding_never_calls_linprog(monkeypatch, linprog_calls):
+    models = []
+
+    class NotedModel(Model):
+        def __init__(self, template):
+            super().__init__(template)
+            models.append(self)
+
+    monkeypatch.setattr(scheduler, "Model", NotedModel)
     config = load_scenario(DESK_CONFIG)
-    with monkeypatch.context() as cold:
-        cold.setattr(scheduler, "lp_solve", lambda program, model=None: solve(program))
-        direct = run_ddls(config).metrics
+    for runner in (run_ddls, run_distributed):
+        assert runner(config).metrics.served > 0
+    assert len(models) == 1 + 8
     assert not linprog_calls
-    monkeypatch.setattr(lp, "_HIGHS", None)
-    fallback = run_ddls(config).metrics
+    assert all(m.cold_retries == 0 for m in models)
+
+
+def test_a_desk_day_without_the_binding_serves_every_arrival_through_linprog(
+        no_binding, linprog_calls):
+    config = load_scenario(DESK_CONFIG)
+    served = run_ddls(config).metrics.served
     assert len(linprog_calls) >= 96
-    assert fallback == direct
+    assert served == run_uncontrolled(config).metrics.served > 0
 
 
 def _desk_windows(runner, seed):
-    """(program, warm solution, cold solution, model) of every window of
-    one desk day, the day following the warm solutions."""
+    """(program, warm solution, from-scratch solution, model) of every
+    window of one desk day, the day following the warm solutions."""
     windows = []
     original = scheduler.lp_solve
 
     def both(program, model=None):
         warm = original(program, model=model)
-        windows.append((program, warm, solve(program), model))
+        windows.append((program, warm, _from_scratch(program), model))
         return warm
 
     with pytest.MonkeyPatch.context() as patch:
@@ -211,15 +236,15 @@ def test_a_warm_run_that_is_not_optimal_retries_cold():
     programs = [program for program, *_ in _desk_windows(run_ddls, 0)]
     model = Model(programs[0])
     assert solve(programs[0], model=model).is_optimal
-    later = next(p for p in programs[1:] if solve(p).iterations > 0)
+    later = next(p for p in programs[1:] if _from_scratch(p).iterations > 0)
     model._highs.setOptionValue("simplex_iteration_limit", 0)
     retried = solve(later, model=model)
-    cold = solve(later)
+    reference = lp._solve_linprog(later)
     assert model.cold_retries == 1
-    assert retried.status == cold.status == "optimal"
-    assert np.array_equal(retried.values, cold.values)
-    assert retried.objective == cold.objective
-    assert retried.iterations == cold.iterations
+    assert retried.status == reference.status == "optimal"
+    assert np.array_equal(retried.values, reference.values)
+    assert retried.objective == reference.objective
+    assert retried.iterations == reference.iterations
 
 
 class _PushSpy:
@@ -326,8 +351,11 @@ def test_import_without_binding_selects_linprog(monkeypatch):
     assert lp._load_highs() is None
 
 
-@pytest.mark.parametrize("binding", [True, False], ids=["direct", "linprog"])
+@pytest.mark.parametrize("binding", [True, False], ids=["model", "linprog"])
 class TestStatusMapping:
+    """With the binding, a model that does not reach an optimum hands the
+    program to linprog; without it, linprog ignores the model."""
+
     @pytest.fixture(autouse=True)
     def _path(self, binding, monkeypatch):
         if not binding:
@@ -336,7 +364,7 @@ class TestStatusMapping:
     def test_infeasible(self):
         prog = LinearProgram(np.array([1.0]), ineq_matrix=np.array([[1.0]]),
                              ineq_rhs=np.array([3.0]), upper=np.array([2.0]))
-        sol = solve(prog)
+        sol = _from_scratch(prog)
         assert sol.status == "infeasible"
         assert sol.values is None
         assert np.isnan(sol.objective)
@@ -345,12 +373,12 @@ class TestStatusMapping:
         prog = LinearProgram(np.array([1.0, 1.0]),
                              eq_matrix=np.array([[1.0, 1.0], [1.0, 1.0]]),
                              eq_rhs=np.array([1.0, 2.0]), lower=np.zeros(2))
-        assert solve(prog).status == "infeasible"
+        assert _from_scratch(prog).status == "infeasible"
 
     def test_unbounded(self):
         prog = LinearProgram(np.array([-1.0]), ineq_matrix=np.array([[1.0]]),
                              ineq_rhs=np.array([1.0]))
-        sol = solve(prog)
+        sol = _from_scratch(prog)
         assert sol.status == "unbounded"
         assert sol.values is None
         assert sol.objective == float("-inf")
@@ -360,7 +388,7 @@ class TestStatusMapping:
                              eq_matrix=np.array([[1.0, 1.0]]), eq_rhs=np.array([0.5]),
                              lower=np.array([-np.inf, -1.0]),
                              upper=np.array([np.inf, 2.0]))
-        sol = solve(prog)
+        sol = _from_scratch(prog)
         assert sol.status == "optimal"
         assert sol.values.tolist() == [-1.5, 2.0]
         assert sol.objective == -3.5

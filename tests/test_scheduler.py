@@ -467,10 +467,14 @@ class TestWindowStructure:
 
 
 class TestAgainstEnumeration:
-    # lp.solve, and the linprog path it falls back to without the HiGHS binding
+    # lp.solve's two paths: a model solved through the HiGHS binding, and linprog
     @pytest.mark.parametrize("path", ["highs", "linprog"])
     def test_relaxation_lower_bounds_integer_optimum_small(self, path):
-        solve = lp_solve if path == "highs" else lp._solve_linprog
+        def solve(program):
+            if path == "linprog":
+                return lp._solve_linprog(program)
+            return lp_solve(program, model=lp.Model(program))
+
         rng = np.random.default_rng(101)
         for _ in range(6):
             q = int(rng.integers(1, 3))

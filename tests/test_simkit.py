@@ -88,6 +88,19 @@ class TestScenarioConfig:
         loaded = load_scenario(path)
         assert loaded.to_dict() == config.to_dict()
 
+    def test_an_infinite_cap_is_saved_as_strict_json_null(self, tmp_path):
+        config = tiny_config(capacity_cap=float("inf"))
+        assert config.capacity_cap is None
+        path = tmp_path / "scenario.json"
+        save_scenario(config, path)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        raw = json.loads(path.read_text(), parse_constant=refuse)
+        assert raw["capacity_cap"] is None
+        assert load_scenario(path).to_dict() == tiny_config().to_dict()
+
     def test_scalars_broadcast(self):
         config = tiny_config()
         assert config.zic_kw.shape == (10,)
@@ -204,6 +217,13 @@ class TestGenerateArrivals:
         assert counts[0, :10].sum() > 0
         with pytest.raises(ConfigurationError):
             generate_arrival_counts(rates, 31, seed=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_bad_rate_or_interval_refused_by_name(self, bad):
+        with pytest.raises(ConfigurationError, match="rates_per_hour"):
+            generate_arrival_counts([12.0, bad], 10, seed=1)
+        with pytest.raises(ConfigurationError, match="interval_s"):
+            generate_arrival_counts([12.0], 10, seed=1, interval_s=bad)
 
     def test_events_round_trip_through_quantizer(self):
         codebook = two_code_book()
@@ -662,6 +682,14 @@ class TestPriceSignal:
         config = tiny_config()
         with pytest.raises(ConfigurationError):
             run_price_signal(config, price=np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_price_rejected(self, bad):
+        config = tiny_config()
+        price = default_price_curve(config)
+        price[4] = bad
+        with pytest.raises(ConfigurationError, match="price curve must be finite"):
+            run_price_signal(config, price=price)
 
 
 class TestCompareAndExport:
