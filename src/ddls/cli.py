@@ -42,6 +42,7 @@ from pathlib import Path
 from . import __version__
 from .codec import FeedbackRateParams, Quantizer, codebook_to_json, feedback_rate_bound, \
     uplink_rate_cems, uplink_rate_hems
+from .core import checked_numbers
 from .errors import ConfigurationError, FeasibilityError, SolverError
 from .feedback import encode_thresholds, message_log_to_csv
 from .simkit import (
@@ -189,14 +190,16 @@ def cmd_codebook(command: argparse.Namespace) -> int:
 
 def cmd_rates(command: argparse.Namespace) -> int:
     config = load_command_config(command)
+    checked_numbers(command.window, "--window", strict=True)
+    rho = checked_numbers(command.cutoff_correlation, "--cutoff-correlation")
+    if rho >= 1:
+        raise ConfigurationError(f"--cutoff-correlation must be < 1, got {rho}")
+    variance = checked_numbers(command.cutoff_variance, "--cutoff-variance", strict=True)
     lam = float(config.epoch_rates().sum(axis=0).mean())
     n_codes = config.n_queues
     hems = uplink_rate_hems(lam, config.interval_s, command.window, n_codes)
     cems = uplink_rate_cems(lam, n_codes) if lam > 0 else 0.0
-    params = FeedbackRateParams(
-        [command.cutoff_correlation] * n_codes,
-        [command.cutoff_variance] * n_codes,
-    )
+    params = FeedbackRateParams([rho] * n_codes, [variance] * n_codes)
     bound = feedback_rate_bound(params, config.interval_s)
     print(f"n_codes {n_codes}")
     print(f"window {command.window}")
@@ -231,7 +234,7 @@ def main(argv=None) -> int:
         return _COMMANDS[command.subcommand](command)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {command.config} is not valid JSON: {exc}", file=sys.stderr)
     except (ConfigurationError, FeasibilityError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChargeCode, RawRequest, charge_code_from_entry, fractional_pulse, square_pulse
+from .core import (ChargeCode, RawRequest, charge_code_from_entry, checked_numbers,
+                   fractional_pulse, square_pulse)
 from .csvio import atomic_write_text
 from .errors import ConfigurationError
 
@@ -97,16 +98,6 @@ def cell_masses(quantizer: Quantizer, request_samples) -> np.ndarray:
     return counts / counts.sum()
 
 
-def _at_least_zero(value, name: str, positive: bool = False) -> np.ndarray:
-    """``value`` as a float array, refused by ``name`` unless every entry
-    is finite and >= 0, or > 0 if ``positive``; a NaN fails both."""
-    arr = np.asarray(value, dtype=float)
-    if not (np.isfinite(arr) & ((arr > 0) if positive else (arr >= 0))).all():
-        raise ConfigurationError(
-            f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
-    return arr
-
-
 def queue_arrival_rates(total_rate, quantizer: Quantizer, request_samples=None, masses=None):
     """Split a total arrival rate across queues by quantization-cell mass.
 
@@ -119,7 +110,7 @@ def queue_arrival_rates(total_rate, quantizer: Quantizer, request_samples=None, 
         if request_samples is None:
             raise ConfigurationError("need request_samples or masses")
         masses = cell_masses(quantizer, request_samples)
-    masses = _at_least_zero(masses, "masses")
+    masses = checked_numbers(masses, "masses")
     if masses.shape != (quantizer.n_codes,):
         raise ConfigurationError(
             f"masses shape {masses.shape}, expected ({quantizer.n_codes},)"
@@ -128,7 +119,7 @@ def queue_arrival_rates(total_rate, quantizer: Quantizer, request_samples=None, 
     if not total > 0:
         raise ConfigurationError("masses sum to zero")
     masses = masses / total
-    rate = _at_least_zero(total_rate, "total_rate")
+    rate = checked_numbers(total_rate, "total_rate")
     if rate.ndim == 0:
         return masses * float(rate)
     return np.outer(masses, rate)
@@ -179,13 +170,12 @@ class FeedbackRateParams:
     delay_variance: np.ndarray
 
     def __post_init__(self):
-        rho = np.atleast_1d(np.asarray(self.min_correlation, dtype=float))
-        var = np.atleast_1d(np.asarray(self.delay_variance, dtype=float))
+        rho = np.atleast_1d(checked_numbers(self.min_correlation, "min_correlation"))
+        var = np.atleast_1d(checked_numbers(self.delay_variance, "delay_variance", strict=True))
         if rho.shape != var.shape or rho.ndim != 1:
             raise ConfigurationError("correlation/variance vectors must have equal length")
-        if not ((rho >= 0) & (rho < 1)).all():  # False at a NaN too
+        if (rho >= 1).any():
             raise ConfigurationError("min_correlation must lie in [0, 1)")
-        _at_least_zero(var, "delay_variance", positive=True)
         object.__setattr__(self, "min_correlation", rho)
         object.__setattr__(self, "delay_variance", var)
 
@@ -198,10 +188,10 @@ def uplink_rate_hems(arrivals_per_interval, interval_s: float, window: int, n_co
     """Per-home uplink rate in bits per second: each arrival is notified
     with one of D*Q symbols, so the rate is lambda * log2(D*Q) / Delta
     with lambda in expected arrivals per interval."""
-    _at_least_zero(interval_s, "interval_s", positive=True)
+    checked_numbers(interval_s, "interval_s", strict=True)
     if window < 1 or n_codes < 1:
         raise ConfigurationError("window and n_codes must be >= 1")
-    lam = _at_least_zero(arrivals_per_interval, "arrivals_per_interval")
+    lam = checked_numbers(arrivals_per_interval, "arrivals_per_interval")
     out = lam * math.log2(window * n_codes) / interval_s
     return float(out) if out.ndim == 0 else out
 
@@ -213,7 +203,7 @@ def uplink_rate_cems(arrivals_per_interval, n_codes: int):
         raise ConfigurationError(f"n_codes must be >= 0, got {n_codes}")
     if n_codes == 0:
         return 0.0
-    lam = _at_least_zero(arrivals_per_interval, "arrivals_per_interval", positive=True)
+    lam = checked_numbers(arrivals_per_interval, "arrivals_per_interval", strict=True)
     out = 0.5 * n_codes * np.log2(2.0 * math.pi * math.e * lam)
     return float(out) if out.ndim == 0 else out
 
@@ -222,7 +212,7 @@ def feedback_rate_bound(params: FeedbackRateParams, interval_s: float) -> float:
     """Bits per second needed for the differentially-encoded threshold
     feedback; per-queue terms that come out negative are clamped to
     zero (perfectly predictable cutoffs need no bits)."""
-    _at_least_zero(interval_s, "interval_s", positive=True)
+    checked_numbers(interval_s, "interval_s", strict=True)
     terms = 0.5 * np.log2(
         math.e * (1.0 - params.min_correlation**2) * params.delay_variance
     )
@@ -332,10 +322,8 @@ def design_codebook_min_q(request_samples, max_distortion: float, peak_rate: flo
     mean).  Raises ConfigurationError when no Q <= q_max attains
     ``max_distortion``.
     """
-    if not max_distortion > 0:
-        raise ConfigurationError(f"max_distortion must be > 0, got {max_distortion}")
-    if not peak_rate > 0:
-        raise ConfigurationError(f"peak_rate must be > 0, got {peak_rate}")
+    checked_numbers(max_distortion, "max_distortion", strict=True)
+    checked_numbers(peak_rate, "peak_rate", strict=True)
     samples = list(request_samples)
     for n_codes in range(1, q_max + 1):
         quant = fit_codebook(samples, n_codes)
@@ -357,8 +345,7 @@ def design_codebook_min_distortion(request_samples, hems_cap: float, cems_cap: f
     choice saturates the binding cap.  Raises ConfigurationError when
     even Q = 1 violates a cap.
     """
-    if not peak_rate > 0:
-        raise ConfigurationError(f"peak_rate must be > 0, got {peak_rate}")
+    checked_numbers(peak_rate, "peak_rate", strict=True)
     best_q = 0
     for n_codes in range(1, q_max + 1):
         if (

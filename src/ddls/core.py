@@ -34,12 +34,7 @@ class RawRequest:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if not self.params:
-            raise ValueError("request vector is empty")
-        for p in self.params:
-            if not np.isfinite(p) or p < 0:
-                raise ValueError(f"request parameters must be finite and >= 0, got {self.params}")
+        object.__setattr__(self, "params", _checked_vector(self.params, "params"))
 
     @property
     def rate_kw(self) -> float:
@@ -62,14 +57,9 @@ class ChargeCode:
     pulse: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pulse", tuple(float(g) for g in self.pulse))
         if self.id < 1:
             raise ValueError(f"code id must be >= 1, got {self.id}")
-        if not self.pulse:
-            raise ValueError("pulse is empty")
-        for g in self.pulse:
-            if not np.isfinite(g) or g < 0:
-                raise ValueError(f"pulse samples must be finite and >= 0, got {self.pulse}")
+        object.__setattr__(self, "pulse", _checked_vector(self.pulse, "pulse"))
 
     @property
     def duration_epochs(self) -> int:
@@ -112,6 +102,48 @@ def is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def checked_numbers(value, name: str, *, length=None, low=0, strict=False,
+                    integer=False) -> np.ndarray:
+    """``value``, a number or an array of them, as a new float array (int64
+    with ``integer``), the one check of numbers that come from outside.
+
+    A scalar is stretched to ``length`` and a vector must have it.  Text,
+    booleans, None, ragged lists, values that are not finite, below
+    ``low`` (at ``low`` too if ``strict``; None: any sign) or, with
+    ``integer``, not whole within 1e-9 are refused by ``name`` with a
+    ``ConfigurationError``.  Integer input is never converted to float
+    on its way to int64."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # a ragged list
+        arr = np.array(None)
+    if arr.dtype.kind not in "iuf":
+        raise ConfigurationError(f"{name} must be numeric, got {value!r}")
+    if length is not None and arr.ndim == 0:
+        arr = np.full(length, arr)
+    elif length is not None and arr.shape != (length,):
+        raise ConfigurationError(f"{name} must be a scalar or length {length}, "
+                                 f"got shape {arr.shape}")
+    whole = np.rint(arr) if integer and arr.dtype.kind == "f" else arr
+    if arr.dtype.kind == "f" and (bad := ~np.isfinite(arr)).any():
+        rule = "finite"
+    elif low is not None and (bad := arr <= low if strict else arr < low).any():
+        rule = f"{'>' if strict else '>='} {low}"
+    elif whole is not arr and (bad := np.abs(arr - whole) > 1e-9).any():
+        rule = "whole"
+    else:
+        return whole.astype(np.int64 if integer else float, copy=False)
+    raise ConfigurationError(f"{name} must be {rule}, got {arr[bad][0].item()!r}")
+
+
+def _checked_vector(values, name: str) -> tuple[float, ...]:
+    """A request's parameters or a pulse: a nonempty vector of finite numbers >= 0."""
+    arr = checked_numbers(values, name)
+    if arr.ndim != 1 or not arr.size:
+        raise ConfigurationError(f"{name} must be a nonempty vector, got {values!r}")
+    return tuple(arr.tolist())
+
+
 def charge_code_from_entry(entry, pos: int) -> ChargeCode:
     """Codebook entry ``pos`` (1-based) of a scenario or codebook file: an
     object of ``duration_epochs``, ``rate_kw`` and optionally ``id`` = ``pos``."""
@@ -132,10 +164,7 @@ def charge_code_from_entry(entry, pos: int) -> ChargeCode:
         raise ConfigurationError(
             f"codebook entry {pos}: duration_epochs must be an integer >= 1, got {duration!r}"
         )
-    if not is_real(rate) or not 0 <= rate < np.inf:
-        raise ConfigurationError(
-            f"codebook entry {pos}: rate_kw must be a finite number >= 0, got {rate!r}"
-        )
+    rate = checked_numbers(rate, f"codebook entry {pos}: rate_kw", length=1).item()
     return ChargeCode(pos, square_pulse(rate, duration))
 
 
@@ -152,7 +181,7 @@ def fractional_pulse(rate_kw: float, duration_epochs: float) -> tuple[float, ...
 
 
 def _increment_matrix(increments, n_queues: int) -> np.ndarray:
-    arr = np.asarray(increments, dtype=float)
+    arr = checked_numbers(increments, "departure increments")
     if arr.ndim == 1:
         arr = arr[np.newaxis, :]
     if arr.ndim != 2:
@@ -161,8 +190,6 @@ def _increment_matrix(increments, n_queues: int) -> np.ndarray:
         raise ConfigurationError(
             f"increment rows ({arr.shape[0]}) do not match codebook size ({n_queues})"
         )
-    if arr.size and (arr < 0).any():
-        raise ConfigurationError("departure increments must be nonnegative")
     return arr
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import checked_numbers
 from .csvio import atomic_write_text, render_columns
 from .errors import ConfigurationError
 from .queues import QueueLedger
@@ -74,20 +75,13 @@ def encode_thresholds(ledger: QueueLedger, targets, epoch: int) -> ThresholdMess
     """
     if epoch < 0:
         raise ConfigurationError(f"epoch must be >= 0, got {epoch}")
-    targets = np.asarray(targets)
+    targets = checked_numbers(targets, "targets", integer=True)
     if targets.shape != (ledger.n_queues,):
         raise ConfigurationError(
             f"targets shape {targets.shape}, expected ({ledger.n_queues},)"
         )
-    if targets.dtype.kind not in "iu":
-        rounded = np.rint(np.asarray(targets, dtype=float))
-        if not np.allclose(targets, rounded, atol=1e-9):
-            raise ConfigurationError("departure targets must be integers")
-        targets = rounded.astype(np.int64)
     cum = ledger.arrival_history(epoch)
     wanted, arrived = targets.tolist(), cum[:, -1].tolist()
-    if min(wanted) < 0:
-        raise ConfigurationError("departure targets must be >= 0")
     excess = [d - a for d, a in zip(wanted, arrived)]
     if max(excess) > 0:
         q = excess.index(max(excess))

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .core import checked_numbers
 
 
 def stage_cost(flex_load, zic, price_up, price_dn):
     """The balancing charge, elementwise over scalars or arrays:
     price_up * max(flex - zic, 0) + price_dn * max(zic - flex, 0)."""
-    price_up = np.asarray(price_up, dtype=float)
-    price_dn = np.asarray(price_dn, dtype=float)
-    if (price_up < 0).any() or (price_dn < 0).any():
-        raise ConfigurationError("balancing prices must be >= 0")
-    dev = np.subtract(flex_load, zic, dtype=float)
+    price_up = checked_numbers(price_up, "price_up")
+    price_dn = checked_numbers(price_dn, "price_dn")
+    dev = checked_numbers(flex_load, "flex_load", low=None) - checked_numbers(zic, "zic", low=None)
     return price_up * np.maximum(dev, 0.0) + price_dn * np.maximum(-dev, 0.0)

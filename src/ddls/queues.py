@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import checked_numbers
 from .errors import ConfigurationError, FeasibilityError
 
 
@@ -28,11 +29,9 @@ class DelayPrices:
     per_queue: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "per_queue", np.asarray(self.per_queue, dtype=float))
+        object.__setattr__(self, "per_queue", checked_numbers(self.per_queue, "delay_prices"))
         if self.per_queue.ndim != 1:
-            raise ConfigurationError("per_queue must be a vector")
-        if not np.all(np.isfinite(self.per_queue)) or (self.per_queue < 0).any():
-            raise ConfigurationError("delay prices must be finite and >= 0")
+            raise ConfigurationError("delay_prices must be a vector")
 
     @property
     def n_queues(self) -> int:
@@ -115,18 +114,11 @@ class QueueLedger:
 
     @staticmethod
     def _check_counts(counts, shape: tuple) -> np.ndarray:
-        """Integer counts >= 0 of the given shape, as int64."""
-        arr = np.asarray(counts)
+        """Whole counts >= 0 of the given shape, as int64."""
+        arr = checked_numbers(counts, "counts", integer=True)
         if arr.shape != shape:
             raise ConfigurationError(f"counts shape {arr.shape}, expected {shape}")
-        if arr.dtype.kind not in "iu":
-            rounded = np.rint(np.asarray(arr, dtype=float))
-            if not np.allclose(arr, rounded, atol=1e-9):
-                raise ConfigurationError("counts must be integers")
-            arr = rounded
-        if (arr < 0).any():
-            raise ConfigurationError("counts must be >= 0")
-        return arr.astype(np.int64, copy=False)
+        return arr
 
     def record_arrivals(self, epoch: int, counts) -> None:
         counts = self._check_counts(counts, (self.n_queues,))

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ChargeCode
+from .core import ChargeCode, checked_numbers
 from .errors import ConfigurationError, FeasibilityError
 from .lp import LinearProgram, LpSolution, Model
 from .lp import solve as lp_solve
@@ -181,20 +181,6 @@ def _round_starts(e0, prior, arrived) -> np.ndarray:
     return (d0 - prior).astype(np.int64)
 
 
-def _checked(values, name: str, negative: bool = False, length=None) -> np.ndarray:
-    """Float ``values``, a scalar stretched to ``length``; finite, and >= 0 unless ``negative``."""
-    arr = np.asarray(values, dtype=float)
-    if length is not None and arr.ndim == 0:
-        arr = np.full(length, float(arr))
-    elif length is not None and arr.shape != (length,):
-        raise ConfigurationError(f"{name} must be scalar or length {length}")
-    if not np.isfinite(arr).all():
-        raise ConfigurationError(f"{name} must be finite")
-    if not negative and (arr < 0).any():
-        raise ConfigurationError(f"{name} must be >= 0")
-    return arr
-
-
 def _longest_pulse(codebook, lookahead: int, deadline) -> int:
     """The longest pulse of a nonempty codebook, which the lookahead and
     the deadline (None: no deadline) must cover."""
@@ -248,10 +234,10 @@ class HorizonInputs:
         self.codebook = tuple(self.codebook)
         q, t = len(self.codebook), self.lookahead
         _longest_pulse(self.codebook, t, self.deadline_epochs)
-        self.zic_kw = _checked(self.zic_kw, "zic_kw", negative=True, length=t + 1)
-        self.price_up = _checked(self.price_up, "price_up", length=t + 1)
-        self.price_dn = _checked(self.price_dn, "price_dn", length=t + 1)
-        self.delay_prices = _checked(self.delay_prices, "delay_prices", length=q)
+        self.zic_kw = checked_numbers(self.zic_kw, "zic_kw", length=t + 1, low=None)
+        self.price_up = checked_numbers(self.price_up, "price_up", length=t + 1)
+        self.price_dn = checked_numbers(self.price_dn, "price_dn", length=t + 1)
+        self.delay_prices = checked_numbers(self.delay_prices, "delay_prices", length=q)
         self.observed = np.asarray(self.observed)
         self.prior_departures = np.asarray(self.prior_departures)
         if self.observed.shape != (q, self.start_epoch + 1):
@@ -385,13 +371,10 @@ def round_and_commit(relaxed: LpSolution, inputs: HorizonInputs) -> np.ndarray:
 
 def _checked_caps(cap, rows: int) -> np.ndarray:
     """(rows,) caps from one cap or one per row; None and inf are no cap."""
-    try:
-        caps = np.broadcast_to(np.asarray(np.inf if cap is None else cap, dtype=float), (rows,))
-    except (TypeError, ValueError):
-        caps = np.full(rows, np.nan)
-    if not (caps >= 0).all():  # refuses NaN too
-        raise ConfigurationError(f"capacity_cap must be None or >= 0, one or one per "
-                                 f"scheduler, got {cap!r}")
+    raw = np.array(np.inf if cap is None else cap, dtype=object)
+    free = raw == np.inf
+    caps = checked_numbers(np.where(free, 0, raw).tolist(), "capacity_cap", length=rows)
+    caps[np.broadcast_to(free, caps.shape)] = np.inf
     return caps
 
 
@@ -452,29 +435,29 @@ class RecedingHorizonScheduler:
         self.lookahead = int(lookahead)
         max_u = _longest_pulse(self.codebook, self.lookahead, deadline_epochs)
         self.n_queues = q = len(self.codebook)
-        self.zic_kw = _checked(zic_kw, "zic_kw", negative=True)
+        self.zic_kw = checked_numbers(zic_kw, "zic_kw", low=None)
         horizon = self.zic_kw.size
-        self.price_up = _checked(price_up, "price_up", length=horizon)
-        self.price_dn = _checked(price_dn, "price_dn", length=horizon)
-        self.delay_prices = _checked(delay_prices, "delay_prices", length=q)
+        self.price_up = checked_numbers(price_up, "price_up", length=horizon)
+        self.price_dn = checked_numbers(price_dn, "price_dn", length=horizon)
+        self.delay_prices = checked_numbers(delay_prices, "delay_prices", length=q)
         self.n_schedulers = m = int(n_schedulers)
         if m < 1:
             raise ConfigurationError(f"n_schedulers must be >= 1, got {n_schedulers!r}")
         self.arrival_rates = (
-            None if arrival_rates is None else _checked(arrival_rates, "arrival_rates")
+            None if arrival_rates is None else checked_numbers(arrival_rates, "arrival_rates")
         )
         self.deadline_epochs = deadline_epochs
         self.capacity_cap = _checked_caps(capacity_cap, m)
         self._capped = np.isfinite(self.capacity_cap).any()
         self.start_lag = int(start_lag)
         self.known_arrivals = (
-            None if known_arrivals is None else _checked(known_arrivals, "known_arrivals")
+            None if known_arrivals is None else checked_numbers(known_arrivals, "known_arrivals")
         )
 
         self.epoch = 0
         self._arr = np.zeros((m, q, 9), dtype=np.int64)
         self._dep = np.zeros_like(self._arr)
-        self._last = np.full((2, m), -1)  # each one's last epoch of arrivals, of departures
+        self._last = [-1, -1]  # the bank's last epoch of arrivals, of departures
         self._flex = np.zeros((m, horizon + max_u + 1))
         self._template, self._completion = _window_rows(self.codebook, self.lookahead,
                                                         self.start_lag)
@@ -500,9 +483,10 @@ class RecedingHorizonScheduler:
         return self._flex.copy()
 
     def ledgers(self) -> list[QueueLedger]:
-        """Each scheduler's queue ledger, through the last epoch it recorded."""
+        """Each scheduler's queue ledger, through the last epoch the bank recorded."""
+        arr, dep = self._last
         return [QueueLedger.from_tables(self._arr[i, :, : arr + 2], self._dep[i, :, : dep + 2])
-                for i, (arr, dep) in enumerate(self._last.T.tolist())]
+                for i in range(self.n_schedulers)]
 
     @property
     def ledger(self) -> QueueLedger:
@@ -539,11 +523,10 @@ class RecedingHorizonScheduler:
             start_lag=self.start_lag,
         )
 
-    def step(self, running=None) -> StepResult:
-        """Advance the ``running`` schedulers, an (M,) mask (all by
-        default), one epoch; the others record nothing.
+    def step(self) -> StepResult:
+        """Advance every scheduler one epoch.
 
-        A running scheduler whose queues are all empty commits zero starts
+        A scheduler whose queues are all empty commits zero starts
         and solves no window (rounding would clip any solution to that,
         the cap has nothing to limit and no appliance can be late).  One
         array pass builds every busy scheduler's window, each solves it
@@ -553,8 +536,6 @@ class RecedingHorizonScheduler:
         width = self.lookahead + 1
         prior, arrived = self._dep[:, :, l0], self._arr[:, :, l0 + 1]
         busy = (arrived > prior).any(axis=1)
-        if running is not None:
-            busy &= running
         committed = np.zeros((m, q), dtype=np.int64)
         rows = np.flatnonzero(busy)
         if rows.size:
@@ -588,7 +569,7 @@ class RecedingHorizonScheduler:
             for qi in committed.any(axis=0).nonzero()[0].tolist():
                 load += pulses[:, qi]
         self._dep[:, :, l0 + 1] = prior + committed
-        self._last[:, slice(None) if running is None else running] = l0
+        self._last[1] = l0
         self.epoch += 1
         if self.epoch + 2 > self._arr.shape[2]:
             self._arr, self._dep = (np.concatenate((t, np.zeros_like(t)), axis=2)
@@ -599,7 +580,7 @@ class RecedingHorizonScheduler:
     def run(self, arrival_increments, drain: bool = True) -> None:
         """Feed per-epoch arrival counts, (M, Q, L) or in an M = 1 bank
         (Q, L), stepping every scheduler once per epoch; then, with
-        ``drain``, step each on zero arrivals until its queues are empty."""
+        ``drain``, step the bank on zero arrivals until every queue is empty."""
         arrivals = self._counts(arrival_increments, np.shape(arrival_increments)[-1:])
         for l in range(arrivals.shape[2]):
             self._arr[:, :, self.epoch + 1] += arrivals[:, :, l]
@@ -616,4 +597,4 @@ class RecedingHorizonScheduler:
                     raise FeasibilityError(f"queues not drained after {budget} extra epochs; "
                                            "set a deadline or positive delay prices",
                                            int(np.argmax(waiting)))
-                self.step(waiting)
+                self.step()

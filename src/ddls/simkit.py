@@ -49,8 +49,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 # unscheduled_load is unused here: bench/spans.py traces it as simkit.unscheduled_load
-from .core import (ArrivalEvent, ChargeCode, RawRequest, charge_code_from_entry, is_int, is_real,
-                   synthesize_load, unscheduled_load)
+from .core import (ArrivalEvent, ChargeCode, RawRequest, charge_code_from_entry, checked_numbers,
+                   is_int, is_real, synthesize_load, unscheduled_load)
 from .csvio import atomic_write_text, render_columns, write_csv
 from .errors import ConfigurationError, FeasibilityError
 from .market import stage_cost
@@ -62,32 +62,6 @@ SECONDS_PER_HOUR = 3600.0
 STRATEGIES = ("uncontrolled", "ddls", "distributed", "price")
 
 SCENARIO_SCHEMA = 1
-
-
-def _as_float_array(value, length: int, name: str) -> np.ndarray:
-    """Broadcast a scalar to ``length`` samples or validate a vector."""
-    arr = _numeric(value, name)
-    if not np.isfinite(arr).all():
-        raise ConfigurationError(f"{name} must be finite")
-    if arr.ndim == 0:
-        return np.full(length, float(arr))
-    if arr.ndim != 1 or arr.shape[0] != length:
-        raise ConfigurationError(
-            f"{name} must be a scalar or a length-{length} vector, got shape {arr.shape}"
-        )
-    return arr.copy()
-
-
-def _numeric(value, name: str) -> np.ndarray:
-    """``value`` as a float array, refused by ``name`` if it holds a
-    string or a boolean or is ragged."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # a ragged list
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise ConfigurationError(f"{name} must be numeric, got {value!r}")
-    return arr.astype(float)
 
 
 @dataclass
@@ -129,10 +103,8 @@ class ScenarioConfig:
             raise ConfigurationError("horizon_epochs must be positive")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not is_real(self.interval_s) or not 0 < self.interval_s < np.inf:
-            raise ConfigurationError(
-                f"interval_s must be a positive finite number, got {self.interval_s!r}"
-            )
+        self.interval_s = checked_numbers(self.interval_s, "interval_s", length=1,
+                                          strict=True).item()
         max_u = max(code.duration_epochs for code in self.codebook)
         if self.deadline_epochs < max_u:
             raise ConfigurationError(
@@ -149,17 +121,14 @@ class ScenarioConfig:
             )
         if self.start_lag not in (0, 1):
             raise ConfigurationError("start_lag must be 0 or 1")
-        if self.capacity_cap is not None and not (
-            is_real(self.capacity_cap) and self.capacity_cap >= 0
-        ):
-            raise ConfigurationError(
-                f"capacity_cap must be a number >= 0, got {self.capacity_cap!r}"
-            )
-        if self.capacity_cap == np.inf:
+        if is_real(self.capacity_cap) and self.capacity_cap == np.inf:
             self.capacity_cap = None  # the one spelling of "no cap", which JSON can write
+        if self.capacity_cap is not None:
+            self.capacity_cap = checked_numbers(self.capacity_cap, "capacity_cap",
+                                                length=1).item()
 
         q = len(self.codebook)
-        rates = _numeric(self.arrival_rates_per_hour, "arrival_rates_per_hour")
+        rates = checked_numbers(self.arrival_rates_per_hour, "arrival_rates_per_hour")
         if rates.ndim == 0:
             rates = np.full(q, float(rates))
         if rates.ndim == 1:
@@ -175,17 +144,12 @@ class ScenarioConfig:
                 )
         else:
             raise ConfigurationError("arrival rates must be scalar, (Q,), or (Q, horizon)")
-        if not np.isfinite(rates).all() or np.any(rates < 0):
-            raise ConfigurationError("arrival_rates_per_hour must be finite and nonnegative")
         self.arrival_rates_per_hour = rates
-
-        self.zic_kw = _as_float_array(self.zic_kw, self.horizon_epochs, "zic_kw")
-        self.price_up = _as_float_array(self.price_up, self.horizon_epochs, "price_up")
-        self.price_dn = _as_float_array(self.price_dn, self.horizon_epochs, "price_dn")
-        self.delay_prices = _as_float_array(self.delay_prices, q, "delay_prices")
-        for name in ("price_up", "price_dn", "delay_prices"):
-            if np.any(getattr(self, name) < 0):
-                raise ConfigurationError(f"{name} must be nonnegative")
+        horizon = self.horizon_epochs
+        self.zic_kw = checked_numbers(self.zic_kw, "zic_kw", length=horizon, low=None)
+        self.price_up = checked_numbers(self.price_up, "price_up", length=horizon)
+        self.price_dn = checked_numbers(self.price_dn, "price_dn", length=horizon)
+        self.delay_prices = checked_numbers(self.delay_prices, "delay_prices", length=q)
 
     @property
     def n_queues(self) -> int:
@@ -276,7 +240,7 @@ class ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return ScenarioConfig.from_dict(json.load(fh))
 
 
@@ -399,16 +363,12 @@ def generate_arrival_counts(
     ``SeedSequence(seed)``, so adding queues never perturbs the draws of
     existing ones.
     """
-    rates = np.asarray(rates_per_hour, dtype=float)
+    rates = checked_numbers(rates_per_hour, "rates_per_hour")
     if rates.ndim == 1:
         rates = np.tile(rates[:, None], (1, horizon))
     if rates.ndim != 2 or rates.shape[1] != horizon:
         raise ConfigurationError(f"rates must be (Q,) or (Q, {horizon}), got {rates.shape}")
-    if not (np.isfinite(rates) & (rates >= 0)).all():
-        raise ConfigurationError("rates_per_hour must be finite and nonnegative")
-    if not 0 < interval_s < np.inf:
-        raise ConfigurationError(
-            f"interval_s must be a positive finite number, got {interval_s!r}")
+    interval_s = checked_numbers(interval_s, "interval_s", length=1, strict=True).item()
     means = rates * (interval_s / SECONDS_PER_HOUR)
     counts = np.zeros(rates.shape, dtype=np.int64)
     streams = np.random.SeedSequence(seed).spawn(rates.shape[0])
@@ -549,7 +509,7 @@ def _cap_share(cap, i: int, m: int) -> int:
 def _run_schedulers(config: ScenarioConfig, shares, strategy: str) -> RunResult:
     """Run a bank of one receding-horizon scheduler per row of ``shares``
     (M, Q, L), each on a 1/M share of the supply, of the forecast rates
-    and of the capacity cap and each until its queues drain, and score
+    and of the capacity cap, until every queue drains, and score
     them together."""
     zic, up, dn = config.padded_profiles()
     m = len(shares)
@@ -633,12 +593,8 @@ def run_price_signal(config: ScenarioConfig, arrival_counts=None, price=None) ->
     counts = _scenario_counts(config, arrival_counts)
     if price is None:
         price = default_price_curve(config)
-    price = np.asarray(price, dtype=float)
-    length = config.padded_length()
-    if price.shape != (length,):
-        raise ConfigurationError(f"price curve must have shape ({length},), got {price.shape}")
-    if not np.isfinite(price).all():
-        raise ConfigurationError("price curve must be finite")
+    price = checked_numbers(price, "price curve", length=config.padded_length(), low=None)
+    length = price.size
 
     horizon = config.horizon_epochs
     starts = np.zeros((config.n_queues, length), dtype=np.int64)

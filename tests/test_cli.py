@@ -241,7 +241,7 @@ class TestRates:
         rc = main(["rates", "--config", str(config), "--out", str(tmp_path / "o"), flag, value])
         captured = capsys.readouterr()
         assert rc == 1
-        assert captured.err.startswith("error: ")
+        assert captured.err == f"error: {flag} must be finite, got {value}\n"
         assert "feedback_bit_per_s" not in captured.out
 
 
@@ -284,6 +284,13 @@ class TestValidate:
         rc = main(["validate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: a scenario must be a JSON object, not ")
+
+    def test_config_that_is_not_utf8_reported(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        rc = main(["validate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path} is not valid JSON: ")
 
     def test_directory_config_reported(self, tmp_path, capsys):
         rc = main(["validate", "--config", str(tmp_path), "--out", str(tmp_path / "o")])

@@ -5,6 +5,7 @@ from ddls.core import (
     ArrivalEvent,
     ChargeCode,
     RawRequest,
+    checked_numbers,
     fractional_pulse,
     square_pulse,
     synthesize_load,
@@ -54,6 +55,36 @@ class TestTypes:
             ChargeCode(1, ())
         with pytest.raises(ValueError):
             ChargeCode(0, (1.0,))
+
+
+class TestCheckedNumbers:
+    def test_a_scalar_stretches_and_a_vector_is_copied(self):
+        assert checked_numbers(2, "x", length=3).tolist() == [2.0, 2.0, 2.0]
+        source = np.array([1.0, 2.0])
+        out = checked_numbers(source, "x", length=2)
+        assert out.tolist() == [1.0, 2.0] and out is not source
+        assert checked_numbers(-1.5, "x", low=None).dtype == float
+
+    def test_integers_stay_integers(self):
+        counts = np.array([0, 3], dtype=np.int64)
+        out = checked_numbers(counts, "counts", integer=True)
+        assert out.dtype == np.int64 and out.tolist() == [0, 3] and out is not counts
+        assert checked_numbers([2.0 + 1e-12, 1.0], "counts", integer=True).tolist() == [2, 1]
+
+    @pytest.mark.parametrize("value, kwargs, rule", [
+        ("1", {}, "numeric"),
+        (False, {}, "numeric"),
+        (None, {}, "numeric"),
+        ([[1.0], [1.0, 2.0]], {}, "numeric"),
+        ([1.0, np.inf], {}, "finite, got inf"),
+        (-0.5, {}, ">= 0, got -0.5"),
+        (0.0, {"strict": True}, "> 0, got 0.0"),
+        (1.5, {"integer": True}, "whole, got 1.5"),
+        ([1.0, 2.0], {"length": 3}, "a scalar or length 3"),
+    ])
+    def test_refused_by_name(self, value, kwargs, rule):
+        with pytest.raises(ConfigurationError, match=f"^field must be {rule}"):
+            checked_numbers(value, "field", **kwargs)
 
 
 class TestPulses:

@@ -1052,8 +1052,8 @@ def test_every_desk_window_receives_what_the_reference_path_builds(monkeypatch, 
 
 class TestLockstep:
     """A bank of M schedulers commits, bit for bit, what M banks of one
-    commit on the same shares: starts, realized load and each ledger's
-    last epoch."""
+    commit on the same shares: starts and realized load through each
+    one's last epoch, and nothing after it while the bank drains."""
 
     @staticmethod
     def compare(shares, caps, **kwargs):
@@ -1067,11 +1067,12 @@ class TestLockstep:
         bank.run(shares)
         ends = []
         for i, (ledger, one) in enumerate(zip(bank.ledgers(), alone)):
-            assert ledger.current_epoch == one.ledger.current_epoch, i
-            end = ledger.current_epoch + 1
+            end, last = one.ledger.current_epoch + 1, ledger.current_epoch + 1
             for table in ("arrival_increments", "departure_increments"):
                 np.testing.assert_array_equal(getattr(ledger, table)(0, end),
                                               getattr(one.ledger, table)(0, end))
+                # the bank drains as one: a scheduler done before it only idles
+                assert not getattr(ledger, table)(end, last).any(), (i, table)
             assert not ledger.backlog(end - 1).any()
             assert bank.realized_load()[i].tobytes() == one.realized_load()[0].tobytes(), i
             ends.append(end)
