@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser = sub.add_parser("compare", parents=[common],
                                 help="run strategies on one arrival draw, write summary CSV")
     cmp_parser.add_argument("--strategies", default=",".join(STRATEGIES),
-                            help="comma-separated strategy list (default: all)")
+                            help="comma-separated strategy list, each once, uncontrolled "
+                            "among them (default: all)")
 
     sub.add_parser("codebook", parents=[common],
                    help="print the codebook and export codebook.json")
@@ -161,6 +162,9 @@ def cmd_compare(command: argparse.Namespace) -> int:
     unknown = [n for n in names if n not in STRATEGIES]
     if unknown:
         raise ConfigurationError(f"unknown strategies: {unknown}")
+    if "uncontrolled" not in names or len(set(names)) < len(names):
+        raise ConfigurationError("--strategies must name each strategy once, uncontrolled "
+                                 f"among them (the savings baseline), got {','.join(names)}")
     results = compare(config, names)
     command.out.mkdir(parents=True, exist_ok=True)
     rows = summary_rows(results)

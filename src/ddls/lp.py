@@ -9,7 +9,8 @@ HiGHS model through scipy's bundled binding
 the point with ``scipy.optimize.linprog``'s checks.  Everything else
 goes to ``linprog(method="highs")``, the reference: a call without a
 model, a warm run that does not end optimal, and a scipy that lacks the
-binding (checked once at import).  The warm path matches linprog's
+binding (loaded and checked on first use: importing this module loads
+no scipy).  The warm path matches linprog's
 status and objective, not its point: a window LP often has several
 optimal vertices, and a warm start may end at another one;
 ``tests/test_lp_direct.py`` checks that over every window of a desk day.
@@ -24,13 +25,12 @@ as nonempty within FEAS_TOL (1e-7).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
-from scipy.sparse import csc_array
 
 from .errors import ConfigurationError, SolverError
 
@@ -85,6 +85,7 @@ class LinearProgram:
         self.eq_matrix = _rows(self.eq_matrix, n, "equality")
         self.ineq_matrix = _rows(self.ineq_matrix, n, "inequality")
         self.ineq_rhs = _rhs(self.ineq_rhs, self.ineq_matrix.shape[:1], "inequality")
+        from scipy.sparse import csc_array
         stacked = csc_array(np.vstack((-self.ineq_matrix, self.eq_matrix)))
         self.csc = (stacked.indptr, stacked.indices, stacked.data)
         for a in (self.ineq_rhs, *self.csc):
@@ -157,8 +158,10 @@ class LpSolution:
         return self.status == "optimal"
 
 
+@functools.cache
 def _load_highs():
-    """scipy's bundled HiGHS binding, or None where this scipy lacks it."""
+    """scipy's bundled HiGHS binding, or None where this scipy lacks it;
+    loaded on first use."""
     try:
         from scipy.optimize._highspy import _core
     except ImportError:
@@ -168,8 +171,6 @@ def _load_highs():
     return _core if all(hasattr(_core, name) for name in needed) else None
 
 
-_HIGHS = _load_highs()
-
 # linprog's acceptance tolerance for HiGHS points: sqrt(tol) * 10, tol = 1e-9
 _ACCEPT_TOL = np.sqrt(1e-9) * 10
 
@@ -177,7 +178,7 @@ _ACCEPT_TOL = np.sqrt(1e-9) * 10
 def solve(program: LinearProgram, model: Model | None = None) -> LpSolution:
     """Solve the program; see the module docstring.  With a ``model``
     built for the program's rows, start from that model's last basis."""
-    if model is not None and _HIGHS is not None:
+    if model is not None and _load_highs() is not None:
         solution = model.warm_solve(program)
         if solution is not None:
             return solution
@@ -213,11 +214,11 @@ class Model:
         the warm run gives no accepted optimum."""
         if program.csc is not self._rows:
             raise ConfigurationError("the program's rows are not this model's")
-        h = _HIGHS
+        h = _load_highs()
         eq_rhs = self._rhs[self._eq_row0 :]
         if self._highs is None:
             highs = _SPARE.pop() if _SPARE else h._Highs()
-            highs.passOptions(_WARM_OPTIONS)
+            highs.passOptions(_highs_options())
             if highs.passModel(_highs_lp(program)) == h.HighsStatus.kError:
                 _spare(highs)
                 self.cold_retries += 1
@@ -267,7 +268,7 @@ def _spare(highs) -> None:
 
 def _highs_lp(program: LinearProgram):
     """linprog's model: the >= rows as -A x <= -b, then the equality rows."""
-    h = _HIGHS
+    h = _load_highs()
     n = program.n_vars
     mi = program.ineq_matrix.shape[0]
     rhs = np.concatenate((-program.ineq_rhs, program.eq_rhs))
@@ -314,12 +315,12 @@ def _checked_point(highs, program: LinearProgram, rhs: np.ndarray) -> LpSolution
 
 def _highs_inf(values: np.ndarray) -> np.ndarray:
     """Map +-inf to HiGHS's infinity, as linprog does."""
-    return np.where(np.isinf(values), np.copysign(_HIGHS.kHighsInf, values), values)
+    return np.where(np.isinf(values), np.copysign(_load_highs().kHighsInf, values), values)
 
 
 def _highs_options():
     """linprog's HiGHS options with presolve off: dual simplex, no output."""
-    h = _HIGHS
+    h = _load_highs()
     opts = h.HighsOptions()
     opts.presolve = "off"
     opts.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -329,10 +330,8 @@ def _highs_options():
     return opts
 
 
-_WARM_OPTIONS = None if _HIGHS is None else _highs_options()
-
-
 def _solve_linprog(program: LinearProgram) -> LpSolution:
+    import scipy.optimize
     bounds = [
         (None if lo == -np.inf else lo, None if hi == np.inf else hi)
         for lo, hi in zip(program.lower, program.upper)

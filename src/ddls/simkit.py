@@ -630,9 +630,12 @@ def compare(config: ScenarioConfig, strategies=STRATEGIES) -> list[RunResult]:
 
 
 def summary_rows(results: list[RunResult]) -> list[dict]:
-    """Relative scoreboard against the uncontrolled baseline."""
+    """Relative scoreboard against the uncontrolled baseline, which
+    ``results`` must hold."""
     metrics = [r.metrics for r in results]
-    base = next((m for m in metrics if m.strategy == "uncontrolled"), metrics[0])
+    base = next((m for m in metrics if m.strategy == "uncontrolled"), None)
+    if base is None:
+        raise ConfigurationError("summary rows are measured against an uncontrolled result")
     rows = []
     for m in metrics:
         savings = 0.0

@@ -4,7 +4,10 @@ determinism, and the printed rate/validation reports."""
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,8 @@ from ddls.core import ChargeCode
 from ddls.errors import ConfigurationError
 from ddls.simkit import ScenarioConfig, compare, load_scenario, save_scenario
 
-DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_day.json"
+ROOT = Path(__file__).resolve().parent.parent
+DESK_CONFIG = ROOT / "configs" / "desk_day.json"
 
 
 def tiny_config(**overrides):
@@ -173,6 +177,19 @@ class TestCompare:
                    "--strategies", "magic"])
         assert rc == 1
         assert "unknown strategies" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategies", ["ddls,ddls", "ddls,price", "uncontrolled,ddls,ddls",
+                                            "uncontrolled,uncontrolled"])
+    def test_repeated_or_baseline_less_strategies_rejected(self, strategies, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "o"
+        rc = main(["compare", "--config", str(config), "--out", str(out),
+                   "--strategies", strategies])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "--strategies" in captured.err and strategies in captured.err
+        assert not captured.out
+        assert not out.exists()
 
 
 class TestCodebook:
@@ -383,3 +400,48 @@ def test_desk_day_csvs_match_their_recorded_digests(strategy, tmp_path, capsys):
     for name in ("metrics.csv", "trajectory.csv", "feedback.csv"):
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert digest == DESK_SEED0_DIGESTS[f"{strategy}/{name}"], name
+
+
+# Runs in a fresh interpreter: every command that solves no LP leaves
+# scipy.optimize and scipy.sparse unloaded; a ddls day then loads them and
+# answers every window warm.
+_SCIPY_ON_DEMAND = """
+import sys
+from ddls import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "optimize"],
+                                                                   ["scipy", "sparse"]))
+
+assert not loaded(), loaded()
+for command in (["validate"], ["codebook"], ["rates"], ["run", "--strategy", "uncontrolled"],
+                ["run", "--strategy", "price"]):
+    assert cli.main([*command, "--config", CONFIG, "--out", OUT]) == 0, command
+    assert not loaded(), (command, loaded())
+
+import scipy.optimize
+from ddls import lp, scheduler
+
+calls, models = [], []
+linprog = scipy.optimize.linprog
+scipy.optimize.linprog = lambda *a, **k: calls.append(1) or linprog(*a, **k)
+
+class NotedModel(lp.Model):
+    def __init__(self, template):
+        super().__init__(template)
+        models.append(self)
+
+scheduler.Model = NotedModel
+assert cli.main(["run", "--strategy", "ddls", "--config", CONFIG, "--out", OUT]) == 0
+assert lp._load_highs() is not None
+assert models and not calls, (len(models), len(calls))
+assert all(m.cold_retries == 0 for m in models)
+"""
+
+
+def test_commands_that_solve_nothing_never_load_scipy_optimize(tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    script = f"CONFIG, OUT = {str(DESK_CONFIG)!r}, {str(tmp_path)!r}\n" + _SCIPY_ON_DEMAND
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_day.jso
 @pytest.fixture
 def no_binding(monkeypatch):
     """Run as if this scipy had no HiGHS binding."""
-    monkeypatch.setattr(lp, "_HIGHS", None)
+    monkeypatch.setattr(lp, "_load_highs", lambda: None)
 
 
 @pytest.fixture
@@ -46,7 +47,7 @@ def linprog_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.skipif(lp._HIGHS is None, reason="this scipy has no HiGHS binding")
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
 def test_every_warm_desk_window_agrees_with_linprog(monkeypatch):
     windows = []
     original = scheduler.lp_solve
@@ -139,7 +140,7 @@ def test_fill_checks_the_new_vectors(vectors):
 
 def test_desk_distributed_builds_rows_once_and_extracts_no_plan(monkeypatch):
     conversions = []
-    original = lp.csc_array
+    original = scipy.sparse.csc_array
 
     def counted(*args, **kwargs):
         conversions.append(1)
@@ -148,7 +149,7 @@ def test_desk_distributed_builds_rows_once_and_extracts_no_plan(monkeypatch):
     def no_plan(*args, **kwargs):
         raise AssertionError("the controller extracted a plan")
 
-    monkeypatch.setattr(lp, "csc_array", counted)
+    monkeypatch.setattr(scipy.sparse, "csc_array", counted)
     monkeypatch.setattr(scheduler, "extract_plan", no_plan)
     scheduler._window_rows.cache_clear()
     result = run_distributed(load_scenario(DESK_CONFIG))
@@ -175,7 +176,7 @@ def test_a_model_less_solve_is_one_linprog_call(linprog_calls):
     assert (sol.objective, sol.iterations) == (reference.objective, reference.iterations)
 
 
-@pytest.mark.skipif(lp._HIGHS is None, reason="this scipy has no HiGHS binding")
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
 def test_a_desk_day_with_the_binding_never_calls_linprog(monkeypatch, linprog_calls):
     models = []
 
@@ -218,7 +219,7 @@ def _desk_windows(runner, seed):
     return windows
 
 
-@pytest.mark.skipif(lp._HIGHS is None, reason="this scipy has no HiGHS binding")
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
 @pytest.mark.parametrize("runner", [run_ddls, run_distributed], ids=["ddls", "distributed"])
 def test_every_warm_desk_window_has_the_cold_objective(runner):
     windows = [w for seed in range(4) for w in _desk_windows(runner, seed)]
@@ -231,7 +232,7 @@ def test_every_warm_desk_window_has_the_cold_objective(runner):
     assert sum(m.cold_retries for m in {id(w[3]): w[3] for w in windows}.values()) == 0
 
 
-@pytest.mark.skipif(lp._HIGHS is None, reason="this scipy has no HiGHS binding")
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
 def test_a_warm_run_that_is_not_optimal_retries_cold():
     programs = [program for program, *_ in _desk_windows(run_ddls, 0)]
     model = Model(programs[0])
@@ -293,7 +294,7 @@ def _varying_price_day():
     sched.run(rng.poisson(0.8, size=(2, 24)))
 
 
-@pytest.mark.skipif(lp._HIGHS is None, reason="this scipy has no HiGHS binding")
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
 @pytest.mark.parametrize("day", [lambda: run_ddls(load_scenario(DESK_CONFIG)), _varying_price_day],
                          ids=["flat-price desk", "varying price"])
 def test_a_warm_window_pushes_only_the_costs_and_rows_that_changed(monkeypatch, day):
@@ -319,7 +320,7 @@ def test_a_warm_window_pushes_only_the_costs_and_rows_that_changed(monkeypatch, 
         assert cost_pushes == 0  # loaded once with the first window
 
 
-@pytest.mark.skipif(lp._HIGHS is None, reason="this scipy has no HiGHS binding")
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
 def test_a_model_refuses_other_rows():
     template = _template()
     other = LinearProgram(np.zeros(2), eq_matrix=np.array([[1.0, 1.0]]), eq_rhs=np.ones(1))
@@ -346,9 +347,16 @@ def test_two_distributed_days_in_one_process_are_equal():
 def test_import_without_binding_selects_linprog(monkeypatch):
     import scipy.optimize._highspy as highspy
 
+    loaded = lp._load_highs()
     monkeypatch.delattr(highspy, "_core")
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-    assert lp._load_highs() is None
+    lp._load_highs.cache_clear()
+    try:
+        assert lp._load_highs() is None
+    finally:
+        monkeypatch.undo()
+        lp._load_highs.cache_clear()
+    assert lp._load_highs() is loaded
 
 
 @pytest.mark.parametrize("binding", [True, False], ids=["model", "linprog"])
@@ -359,7 +367,7 @@ class TestStatusMapping:
     @pytest.fixture(autouse=True)
     def _path(self, binding, monkeypatch):
         if not binding:
-            monkeypatch.setattr(lp, "_HIGHS", None)
+            monkeypatch.setattr(lp, "_load_highs", lambda: None)
 
     def test_infeasible(self):
         prog = LinearProgram(np.array([1.0]), ineq_matrix=np.array([[1.0]]),

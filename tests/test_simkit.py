@@ -709,6 +709,11 @@ class TestCompareAndExport:
         expected = 1.0 - results[1].metrics.total_cost / results[0].metrics.total_cost
         assert rows[1]["cost_savings_vs_uncontrolled"] == pytest.approx(expected)
 
+    def test_summary_rows_without_uncontrolled_are_refused(self):
+        results = compare(tiny_config(seed=29), strategies=("ddls", "price"))
+        with pytest.raises(ConfigurationError, match="uncontrolled"):
+            summary_rows(results)
+
     def test_csv_exports_are_deterministic(self, tmp_path):
         results = compare(tiny_config(seed=31), strategies=("uncontrolled", "ddls"))
         metrics_path = tmp_path / "metrics.csv"
