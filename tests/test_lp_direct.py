@@ -10,6 +10,7 @@ reaches linprog only where it has no binding.
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -239,6 +240,82 @@ def test_a_warm_run_that_is_not_optimal_retries_cold():
     assert solve(programs[0], model=model).is_optimal
     later = next(p for p in programs[1:] if _from_scratch(p).iterations > 0)
     model._highs.setOptionValue("simplex_iteration_limit", 0)
+    retried = solve(later, model=model)
+    reference = lp._solve_linprog(later)
+    assert model.cold_retries == 1
+    assert retried.status == reference.status == "optimal"
+    assert np.array_equal(retried.values, reference.values)
+    assert retried.objective == reference.objective
+    assert retried.iterations == reference.iterations
+
+
+@pytest.fixture(scope="module")
+def desk_programs():
+    """Every window program of the desk seed-0 ddls day, in order."""
+    programs = []
+    original = scheduler.lp_solve
+
+    def noted(program, model=None):
+        programs.append(program)
+        return original(program, model=model)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "lp_solve", noted)
+        run_ddls(load_scenario(DESK_CONFIG))
+    return programs
+
+
+class _AlteredPoint:
+    """A model's HiGHS object that reports ``alter(x, objective)`` in place
+    of its own optimal point and objective, with the row activity of the
+    altered point; everything else is the real object's."""
+
+    def __init__(self, highs, program, alter):
+        indptr, indices, data = program.csc
+        shape = (program.ineq_rhs.size + program.eq_rhs.size, program.n_vars)
+        self._highs, self._alter = highs, alter
+        self._rows = scipy.sparse.csc_array((data, indices, indptr), shape=shape)
+
+    def _altered(self):
+        x = np.array(self._highs.getSolution().col_value)
+        return self._alter(x, self._highs.getObjectiveValue())
+
+    def getSolution(self):
+        x, _ = self._altered()
+        return SimpleNamespace(col_value=x.tolist(), row_value=(self._rows @ x).tolist())
+
+    def getObjectiveValue(self):
+        return self._altered()[1]
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+
+def _off_an_equality_row(x, objective, up0):
+    x[up0] += 1.0  # balance row 0 now misses by 1; every bound and >= row still holds
+    return x, objective
+
+
+def _outside_a_bound(x, objective, up0):
+    dn0 = up0 + (x.size - up0) // 2
+    shift = min(x[up0], x[dn0]) + 1.0  # up and dn cancel in balance row 0
+    x[[up0, dn0]] -= shift  # so every row still holds, and one of them is below 0
+    return x, objective
+
+
+def _nan_objective(x, objective, up0):
+    return x, float("nan")
+
+
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
+@pytest.mark.parametrize("alter", [_off_an_equality_row, _outside_a_bound, _nan_objective],
+                         ids=["off-an-equality-row", "outside-a-bound", "nan-objective"])
+def test_a_warm_point_that_fails_a_check_is_answered_by_linprog(desk_programs, alter):
+    first, later = desk_programs[:2]
+    up0 = first.n_vars - 2 * (load_scenario(DESK_CONFIG).lookahead + 1)
+    model = Model(first)
+    assert solve(first, model=model).is_optimal and model.cold_retries == 0
+    model._highs = _AlteredPoint(model._highs, later, lambda x, f: alter(x, f, up0))
     retried = solve(later, model=model)
     reference = lp._solve_linprog(later)
     assert model.cold_retries == 1
