@@ -44,7 +44,8 @@ from .codec import FeedbackRateParams, Quantizer, codebook_to_json, feedback_rat
     uplink_rate_cems, uplink_rate_hems
 from .core import checked_numbers
 from .errors import ConfigurationError, FeasibilityError, SolverError
-from .feedback import encode_thresholds, message_log_to_csv
+# encode_thresholds unused here: bench/spans.py traces it until ROADMAP item 1 drops it
+from .feedback import encode_thresholds, message_log_to_csv, threshold_messages  # noqa: F401
 from .simkit import (
     STRATEGIES,
     ScenarioConfig,
@@ -125,13 +126,9 @@ def load_command_config(command: argparse.Namespace) -> ScenarioConfig:
 
 
 def _feedback_messages(result):
-    messages = []
     if result.ledger is None:
-        return messages
-    for epoch in range(len(result.trajectory)):
-        targets = result.ledger.cumulative_departures(epoch)
-        messages.append(encode_thresholds(result.ledger, targets, epoch))
-    return messages
+        return []
+    return threshold_messages(result.ledger, len(result.trajectory))
 
 
 def cmd_run(command: argparse.Namespace) -> int:

@@ -14,7 +14,9 @@ first.  The spill is always smaller than that batch, and a cutoff of
 ``None`` (nobody fully admitted) pins the batch to epoch 0.  Messages
 stay anonymous: they hold per-queue epochs and counts, never appliance
 identifiers.  As a_q is nondecreasing, T_q(l) is the number of epochs
-with a_q(tau) <= d_q(l), minus one: one comparison over the history.
+with a_q(tau) <= d_q(l), minus one: one binary search over the history.
+``threshold_messages`` encodes every epoch of a run at once, with one
+``searchsorted`` per queue.
 """
 
 from __future__ import annotations
@@ -89,15 +91,26 @@ def encode_thresholds(ledger: QueueLedger, targets, epoch: int) -> ThresholdMess
             f"target {wanted[q]} exceeds the {arrived[q]} arrivals "
             f"recorded for queue {q + 1} through epoch {epoch}"
         )
-    # a_q is nondecreasing, so the last epoch with a_q <= d_q is the
-    # number of such epochs minus one (none: all of d_q spills)
-    covered = (cum <= targets[:, None]).sum(axis=1)
-    at_cutoff = cum[np.arange(covered.size), covered - 1].tolist()
-    cutoffs, spill = [], []
-    for n, d, a in zip(covered.tolist(), wanted, at_cutoff):
-        cutoffs.append(n - 1 if n else None)
-        spill.append(d - a if n else d)
-    return ThresholdMessage(epoch=epoch, cutoffs=tuple(cutoffs), spill=tuple(spill))
+    return _encode(cum, targets[None], epoch)[0]
+
+
+def threshold_messages(ledger: QueueLedger, epochs: int) -> list[ThresholdMessage]:
+    """The messages of epochs 0..epochs-1 with the ledger's own cumulative
+    departures as targets, as ``encode_thresholds`` gives them one by one."""
+    targets = np.cumsum(ledger.departure_increments(0, epochs), axis=1).T
+    return _encode(ledger.arrival_history(epochs - 1), targets, 0) if epochs > 0 else []
+
+
+def _encode(cum: np.ndarray, targets: np.ndarray, first: int) -> list[ThresholdMessage]:
+    """The messages of epochs first.. for the (E, Q) targets and the (Q,
+    first+E) arrival table ``cum``.  As a_q is nondecreasing, the epochs <= l
+    with a_q <= d_q(l) are a prefix; the cutoff is its length minus one."""
+    epochs = np.arange(first, first + len(targets))
+    covered = np.minimum([np.searchsorted(a, d, "right") for a, d in zip(cum, targets.T)],
+                         epochs + 1).T
+    spill = targets - np.where(covered > 0, cum[np.arange(len(cum)), covered - 1], 0)
+    return [ThresholdMessage(epoch, [c if c >= 0 else None for c in cut], row)
+            for epoch, cut, row in zip(epochs.tolist(), (covered - 1).tolist(), spill.tolist())]
 
 
 def decode_and_admit(arrival_log, message: ThresholdMessage,

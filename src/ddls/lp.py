@@ -6,13 +6,15 @@ min c'x  s.t.  A_eq x = b_eq,  A_ge x >= b_ge,  lo <= x <= hi
 HiGHS model through scipy's bundled binding
 (``scipy.optimize._highspy._core``) from the basis its last solve left
 (presolve off), pushing only the data that changed since, and accepts
-the point with ``scipy.optimize.linprog``'s checks.  Everything else
-goes to ``linprog(method="highs")``, the reference: a call without a
-model, a warm run that does not end optimal, and a scipy that lacks the
-binding (loaded and checked on first use: importing this module loads
-no scipy).  The warm path matches linprog's
-status and objective, not its point: a window LP often has several
-optimal vertices, and a warm start may end at another one;
+the point with ``scipy.optimize.linprog``'s checks.  It reads the point
+once, its columns only: the row activity the checks need comes from the
+program's own rows.  Everything else goes to ``linprog(method="highs")``,
+the reference: a call without a model, a warm run that does not end
+optimal, and a scipy that lacks the binding or whose binding's infinity
+is not inf, since bounds go to HiGHS as they are (loaded and checked on
+first use: importing this module loads no scipy).  The warm path matches
+linprog's status and objective, not its point: a window LP often has
+several optimal vertices, and a warm start may end at another one;
 ``tests/test_lp_direct.py`` checks that over every window of a desk day.
 A ``LinearProgram`` freezes its rows when it is built: it keeps a
 read-only copy of its matrices, checks them and converts them to sparse
@@ -88,7 +90,10 @@ class LinearProgram:
         from scipy.sparse import csc_array
         stacked = csc_array(np.vstack((-self.ineq_matrix, self.eq_matrix)))
         self.csc = (stacked.indptr, stacked.indices, stacked.data)
-        for a in (self.ineq_rhs, *self.csc):
+        # each stored entry's row and column, for ``row_activity``
+        self._entries = (stacked.indices.astype(np.intp),
+                         np.repeat(np.arange(n), np.diff(stacked.indptr)))
+        for a in (self.ineq_rhs, *self.csc, *self._entries):
             a.flags.writeable = False
         self._check_vectors()
 
@@ -102,9 +107,12 @@ class LinearProgram:
     def fill_rows(self, objective, eq_rhs, lower, upper) -> list[LinearProgram]:
         """``fill`` for every row of the stacked (B, m) right-hand sides
         and (B, n) bounds, with (n,) costs shared by all or (B, n) costs;
-        the vectors are checked together, in one pass."""
+        the vectors are checked together, in one pass, and the new
+        right-hand sides and bounds are read-only."""
         stacked = self._sharing_rows(objective, eq_rhs, lower, upper)
         stacked._check_vectors(len(eq_rhs))
+        for vector in (stacked.eq_rhs, stacked.lower, stacked.upper):
+            vector.flags.writeable = False
         cost = stacked.objective
         return [self._sharing_rows(*vectors) for vectors in zip(
             cost if cost.ndim == 2 else itertools.repeat(cost),
@@ -145,6 +153,12 @@ class LinearProgram:
     def n_vars(self) -> int:
         return self.objective.size
 
+    def row_activity(self, x: np.ndarray) -> np.ndarray:
+        """The stacked rows [-ineq; eq] times the point ``x``, as a new array."""
+        rows, cols = self._entries  # bincount of no entries gives int zeros, hence astype
+        size = len(self.ineq_matrix) + len(self.eq_matrix)
+        return np.bincount(rows, self.csc[2] * x[cols], size).astype(float, copy=False)
+
 
 @dataclass
 class LpSolution:
@@ -160,15 +174,16 @@ class LpSolution:
 
 @functools.cache
 def _load_highs():
-    """scipy's bundled HiGHS binding, or None where this scipy lacks it;
-    loaded on first use."""
+    """scipy's bundled HiGHS binding, or None where this scipy lacks it or
+    its infinity is not inf (bounds go to it unmapped); loaded on first use."""
     try:
         from scipy.optimize._highspy import _core
     except ImportError:
         return None
     needed = ("_Highs", "HighsLp", "HighsOptions", "HighsModelStatus", "HighsStatus",
               "HighsDebugLevel", "MatrixFormat", "simplex_constants", "kHighsInf")
-    return _core if all(hasattr(_core, name) for name in needed) else None
+    usable = all(hasattr(_core, name) for name in needed) and _core.kHighsInf == np.inf
+    return _core if usable else None
 
 
 # linprog's acceptance tolerance for HiGHS points: sqrt(tol) * 10, tol = 1e-9
@@ -189,9 +204,10 @@ class Model:
     """One persistent HiGHS model of a template's rows.
 
     The first ``warm_solve`` loads the whole program; each later one
-    pushes the costs if they differ from the model's, and the column
-    bounds and equality right-hand sides that differ, and runs the
-    simplex from the basis the previous solve left.
+    pushes the costs if they differ from the model's (not compared where
+    they are the read-only array it took last), and the column bounds and
+    equality right-hand sides that differ, and runs the simplex from the
+    basis the previous solve left.
     Presolve is off, because presolve discards that basis.  A run that
     does not end optimal, or whose point fails linprog's checks, clears
     the basis and counts in ``cold_retries``; ``solve`` then answers
@@ -204,10 +220,10 @@ class Model:
         self.cold_retries = 0
         self._highs = None
         self._cols = np.arange(template.n_vars, dtype=np.int32)
-        self._eq_row0 = template.ineq_matrix.shape[0]
-        # copies of the costs, bounds and stacked [-ineq_rhs; eq_rhs] HiGHS holds
-        self._cost = self._lower = self._upper = None
-        self._rhs = np.concatenate((-template.ineq_rhs, template.eq_rhs))
+        self._eq_row0 = template.ineq_rhs.size
+        # the costs, bounds and equality right-hand side HiGHS holds: each the
+        # program's read-only array itself, else a copy
+        self._cost = self._lower = self._upper = self._eq_rhs = None
 
     def warm_solve(self, program: LinearProgram) -> LpSolution | None:
         """The optimal solution from the retained basis, or None where
@@ -215,7 +231,6 @@ class Model:
         if program.csc is not self._rows:
             raise ConfigurationError("the program's rows are not this model's")
         h = _load_highs()
-        eq_rhs = self._rhs[self._eq_row0 :]
         if self._highs is None:
             highs = _SPARE.pop() if _SPARE else h._Highs()
             highs.passOptions(_highs_options())
@@ -225,29 +240,26 @@ class Model:
                 return None
             self._highs = highs
             weakref.finalize(self, _spare, highs).atexit = False
-            self._cost = program.objective.copy()
-            self._lower, self._upper = program.lower.copy(), program.upper.copy()
-            eq_rhs[:] = program.eq_rhs
         else:
             highs = self._highs
-            if not np.array_equal(program.objective, self._cost):
-                highs.changeColsCost(self._cols.size, self._cols, program.objective)
-                self._cost = program.objective.copy()
+            cost = program.objective  # the read-only array HiGHS took last needs no comparing
+            if cost is not self._cost and not np.array_equal(cost, self._cost):
+                highs.changeColsCost(self._cols.size, self._cols, cost)
             cols = ((program.lower != self._lower) | (program.upper != self._upper)).nonzero()[0]
             if cols.size:
-                lower, upper = program.lower[cols], program.upper[cols]
-                self._lower[cols], self._upper[cols] = lower, upper
-                highs.changeColsBounds(cols.size, self._cols[cols], _highs_inf(lower),
-                                       _highs_inf(upper))
-            rows = (program.eq_rhs != eq_rhs).nonzero()[0]
+                highs.changeColsBounds(cols.size, self._cols[cols], program.lower[cols],
+                                       program.upper[cols])
+            rows = (program.eq_rhs != self._eq_rhs).nonzero()[0]
             if rows.size:
-                values = program.eq_rhs[rows]
-                eq_rhs[rows] = values
-                for row, value in zip((rows + self._eq_row0).tolist(), values.tolist()):
-                    highs.changeRowBounds(row, value, value)
+                values = program.eq_rhs[rows].tolist()
+                for _ in map(highs.changeRowBounds, (rows + self._eq_row0).tolist(), values, values):
+                    pass
+        self._cost, self._lower, self._upper, self._eq_rhs = [
+            v if not v.flags.writeable else v.copy()
+            for v in (program.objective, program.lower, program.upper, program.eq_rhs)]
         highs.run()
         if highs.getModelStatus() == h.HighsModelStatus.kOptimal:
-            solution = _checked_point(highs, program, self._rhs)
+            solution = _checked_point(highs, program)
             if solution is not None:
                 return solution
         highs.clearSolver()
@@ -281,41 +293,36 @@ def _highs_lp(program: LinearProgram):
     lp.a_matrix_.num_row_ = rhs.size
     lp.a_matrix_.format_ = h.MatrixFormat.kColwise
     lp.col_cost_ = program.objective
-    lp.col_lower_ = _highs_inf(program.lower)
-    lp.col_upper_ = _highs_inf(program.upper)
-    lp.row_lower_ = _highs_inf(lhs)
-    lp.row_upper_ = _highs_inf(rhs)
+    lp.col_lower_ = program.lower
+    lp.col_upper_ = program.upper
+    lp.row_lower_ = lhs
+    lp.row_upper_ = rhs
     lp.a_matrix_.start_ = indptr
     lp.a_matrix_.index_ = indices
     lp.a_matrix_.value_ = data
     return lp
 
 
-def _checked_point(highs, program: LinearProgram, rhs: np.ndarray) -> LpSolution | None:
-    """An optimal run's solution, or None where its point fails
-    linprog's _check_result: bound, slack and equality residuals.
-    ``rhs`` is linprog's stacked right-hand side [-ineq_rhs; eq_rhs]."""
-    solution = highs.getSolution()
-    x = np.fromiter(solution.col_value, float, program.n_vars)
-    row_value = solution.row_value
+def _checked_point(highs, program: LinearProgram) -> LpSolution | None:
+    """An optimal run's solution, or None where its point fails linprog's
+    _check_result: a NaN objective, or bound, slack and equality residuals.
+    Only the point is read; its row activity comes from the program's rows."""
+    x = np.fromiter(highs.getSolution().col_value, float, program.n_vars)
     fun = highs.getObjectiveValue()
-    mi = program.ineq_matrix.shape[0]
-    residual = rhs - np.fromiter(row_value, float, len(row_value))
+    mi = program.ineq_rhs.size
+    residual = program.row_activity(x)
+    residual[:mi] += program.ineq_rhs  # the slack of each >= row, negated
+    eq = residual[mi:]
+    np.abs(np.subtract(program.eq_rhs, eq, out=eq), out=eq)
     # each test fails on a NaN, as linprog's does
     if not (
         fun == fun
         and ((x >= program.lower - _ACCEPT_TOL) & (x <= program.upper + _ACCEPT_TOL)).all()
-        and (residual[:mi] >= -_ACCEPT_TOL).all()
-        and (np.abs(residual[mi:]) <= _ACCEPT_TOL).all()
+        and (residual <= _ACCEPT_TOL).all()
     ):
         return None
     iterations = highs.getInfoValue("simplex_iteration_count")[1]
     return LpSolution("optimal", x, float(fun), int(iterations))
-
-
-def _highs_inf(values: np.ndarray) -> np.ndarray:
-    """Map +-inf to HiGHS's infinity, as linprog does."""
-    return np.where(np.isinf(values), np.copysign(_load_highs().kHighsInf, values), values)
 
 
 def _highs_options():

@@ -463,6 +463,8 @@ class RecedingHorizonScheduler:
                                                         self.start_lag)
         self._models = [Model(self._template) for _ in range(m)]  # warm-started window LPs
         self._delay_cost = (-self.delay_prices).repeat(self.lookahead + 1)
+        self._prices = np.stack((self.price_up, self.price_dn))
+        self._cost = self._cost_prices = None  # the last window's costs (read-only) and prices
         self._pulses = np.array([code.pulse + (0.0,) * (max_u - code.duration_epochs)
                                  for code in self.codebook])  # zero-padded to the longest
 
@@ -529,7 +531,7 @@ class RecedingHorizonScheduler:
         A scheduler whose queues are all empty commits zero starts
         and solves no window (rounding would clip any solution to that,
         the cap has nothing to limit and no appliance can be late).  One
-        array pass builds every busy scheduler's window, each solves it
+        array pass builds every scheduler's window, each busy one solves it
         through its own model in scheduler order, and one pass rounds,
         caps and checks all first epochs and commits them."""
         l0, m, q = self.epoch, self.n_schedulers, self.n_queues
@@ -537,21 +539,22 @@ class RecedingHorizonScheduler:
         prior, arrived = self._dep[:, :, l0], self._arr[:, :, l0 + 1]
         busy = (arrived > prior).any(axis=1)
         committed = np.zeros((m, q), dtype=np.int64)
-        rows = np.flatnonzero(busy)
-        if rows.size:
-            at = slice(None) if rows.size == m else rows  # a view where every one is busy
-            cost = np.concatenate((self._delay_cost, self.price_up[l0 : l0 + width],
-                                   self.price_dn[l0 : l0 + width]))
-            programs = self._template.fill_rows(cost, *_window_vectors(
-                *self._window(at), l0, self.deadline_epochs, self._completion))
-            first = []
-            for i, program in zip(rows.tolist(), programs):
-                solution = lp_solve(program, model=self._models[i])
+        if busy.any():
+            vectors = _window_vectors(*self._window(slice(None)), l0, self.deadline_epochs,
+                                      self._completion)
+            prices = self._prices[:, l0 : l0 + width]
+            if not np.array_equal(prices, self._cost_prices):  # else the models skip the costs
+                self._cost, self._cost_prices = np.concatenate((self._delay_cost, *prices)), prices
+                self._cost.flags.writeable = False
+            programs = self._template.fill_rows(self._cost, *vectors)
+            first = np.zeros((m, q))  # an idle scheduler's zero rounds to zero starts
+            for i in np.flatnonzero(busy).tolist():
+                solution = lp_solve(programs[i], model=self._models[i])
                 if not solution.is_optimal:
                     raise FeasibilityError(
                         f"window LP unsolvable at epoch {l0}: {solution.status}", i)
-                first.append(solution.values[: q * width : width])
-            committed[at] = _round_starts(np.array(first), prior[at], arrived[at])
+                first[i] = solution.values[: q * width : width]
+            committed = _round_starts(first, prior, arrived)
             if self._capped:
                 committed = apply_capacity_cap(committed, self.capacity_cap)
             if self.deadline_epochs is not None:

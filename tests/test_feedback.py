@@ -15,6 +15,7 @@ from ddls.feedback import (
     decode_and_admit,
     encode_thresholds,
     message_log_to_csv,
+    threshold_messages,
 )
 from ddls.queues import QueueLedger
 from ddls.scheduler import RecedingHorizonScheduler
@@ -131,6 +132,24 @@ class TestEncode:
                 batch_epoch = 0 if cut is None else cut + 1
                 if msg.spill[q]:
                     assert msg.spill[q] < inc[q, batch_epoch]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_all_epochs_at_once_match_one_by_one(self, data):
+        # any ledger, its departures as targets; the epochs may run past the
+        # last recorded arrivals and departures
+        n_queues = data.draw(st.integers(1, 3))
+        recorded = data.draw(st.integers(1, 6))
+        increments = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=recorded, max_size=recorded),
+            min_size=n_queues, max_size=n_queues)))
+        ledger = ledger_from_increments(increments)
+        for l in range(data.draw(st.integers(0, recorded))):
+            room = ledger.backlog(l)
+            ledger.apply_departures(l, [data.draw(st.integers(0, int(r))) for r in room])
+        epochs = data.draw(st.integers(0, recorded + 2))
+        assert threshold_messages(ledger, epochs) == [
+            encode_thresholds(ledger, ledger.cumulative_departures(l), l) for l in range(epochs)]
 
     def test_target_above_arrivals_rejected(self):
         ledger = ledger_from_increments([[1, 1]])

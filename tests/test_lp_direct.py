@@ -27,6 +27,7 @@ from ddls.scheduler import RecedingHorizonScheduler
 from ddls.simkit import load_scenario, run_ddls, run_distributed, run_uncontrolled
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_day.json"
+CROWD_CONFIG = DESK_CONFIG.parent.parent / "bench" / "scenarios" / "crowd.json"
 
 
 @pytest.fixture
@@ -325,9 +326,59 @@ def test_a_warm_point_that_fails_a_check_is_answered_by_linprog(desk_programs, a
     assert retried.iterations == reference.iterations
 
 
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
+def test_the_row_activity_is_highs_row_value(monkeypatch):
+    """The point check computes each row's activity from the program's
+    rows; on every window of a desk and a crowd day it is HiGHS's own."""
+    compared = []
+
+    class ComparedModel(Model):
+        def warm_solve(self, program):
+            solution = super().warm_solve(program)
+            assert solution is not None
+            highs_rows = np.array(self._highs.getSolution().row_value)
+            compared.append((program.row_activity(solution.values), highs_rows))
+            return solution
+
+    monkeypatch.setattr(scheduler, "Model", ComparedModel)
+    for path in (DESK_CONFIG, CROWD_CONFIG):
+        config = load_scenario(path)
+        run_ddls(config)
+        run_distributed(config)
+    assert len(compared) > 2 * 96
+    for i, (activity, highs_rows) in enumerate(compared):
+        assert activity.dtype == float and activity.shape == highs_rows.shape, i
+        assert (np.abs(activity - highs_rows) <= 1e-9 * (1 + np.abs(highs_rows))).all(), i
+
+
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
+def test_a_binding_whose_infinity_is_finite_is_not_used(monkeypatch, desk_programs,
+                                                       linprog_calls):
+    """Bounds go to HiGHS unmapped, so a binding must take inf as infinity."""
+    import scipy.optimize._highspy as highspy
+
+    loaded = lp._load_highs()
+    monkeypatch.setattr(highspy, "_core", SimpleNamespace(**{**vars(loaded), "kHighsInf": 1e30}))
+    lp._load_highs.cache_clear()
+    try:
+        assert lp._load_highs() is None
+        program = desk_programs[0]
+        model = Model(program)
+        answer = solve(program, model=model)
+        assert len(linprog_calls) == 1 and model.cold_retries == 0
+        reference = lp._solve_linprog(program)
+        assert np.array_equal(answer.values, reference.values)
+        assert answer.objective == reference.objective
+    finally:
+        monkeypatch.undo()
+        lp._load_highs.cache_clear()
+    assert lp._load_highs() is loaded
+
+
 class _PushSpy:
-    """A model's HiGHS object that notes every cost and row push in the
-    last entry of ``windows``."""
+    """A model's HiGHS object that notes, in the last entry of ``windows``,
+    every cost, column-bound and row push, every solution read and every
+    attribute read from a solution."""
 
     def __init__(self, highs, windows):
         self._highs, self._windows = highs, windows
@@ -336,9 +387,25 @@ class _PushSpy:
         self._windows[-1][1]["cost"] = np.array(costs)
         return self._highs.changeColsCost(n, cols, costs)
 
+    def changeColsBounds(self, n, cols, lower, upper):
+        self._windows[-1][1]["bounds"].append(tuple(map(np.array, (cols, lower, upper))))
+        return self._highs.changeColsBounds(n, cols, lower, upper)
+
     def changeRowBounds(self, row, lower, upper):
-        self._windows[-1][1]["rows"][row] = (lower, upper)
+        self._windows[-1][1]["rows"].append((row, lower, upper))
         return self._highs.changeRowBounds(row, lower, upper)
+
+    def getSolution(self):
+        read = self._windows[-1][1]["read"]
+        read.append("getSolution")
+        solution = self._highs.getSolution()
+
+        class Noted:
+            def __getattr__(self, name):
+                read.append(name)
+                return getattr(solution, name)
+
+        return Noted()
 
     def __getattr__(self, name):
         return getattr(self._highs, name)
@@ -351,7 +418,7 @@ def _pushed_windows(monkeypatch, day):
 
     class SpiedModel(Model):
         def warm_solve(self, program):
-            windows.append((program, {"cost": None, "rows": {}}))
+            windows.append((program, {"cost": None, "bounds": [], "rows": [], "read": []}))
             if self._highs is not None and not isinstance(self._highs, _PushSpy):
                 self._highs = _PushSpy(self._highs, windows)
             return super().warm_solve(program)
@@ -375,22 +442,34 @@ def _varying_price_day():
 @pytest.mark.parametrize("day", [lambda: run_ddls(load_scenario(DESK_CONFIG)), _varying_price_day],
                          ids=["flat-price desk", "varying price"])
 def test_a_warm_window_pushes_only_the_costs_and_rows_that_changed(monkeypatch, day):
+    """Each warm window reads one solution and only its columns, pushes the
+    costs only where they changed, the changed columns' bounds in at most
+    one call, and each changed equality row once."""
     windows = _pushed_windows(monkeypatch, day)
     assert len(windows) > 20
     cost_pushes = 0
     for i, ((program, pushed), (before, _)) in enumerate(zip(windows[1:], windows), 1):
+        assert pushed["read"] == ["getSolution", "col_value"], i
         if np.array_equal(program.objective, before.objective):
             assert pushed["cost"] is None, i
         else:
             cost_pushes += 1
             assert np.array_equal(pushed["cost"], program.objective), i
+        cols = np.flatnonzero((program.lower != before.lower) | (program.upper != before.upper))
+        if cols.size:
+            [(pushed_cols, lower, upper)] = pushed["bounds"]
+            assert pushed_cols.tolist() == cols.tolist(), i
+            assert np.array_equal(lower, program.lower[cols]), i
+            assert np.array_equal(upper, program.upper[cols]), i
+        else:
+            assert not pushed["bounds"], i
         row0 = program.ineq_matrix.shape[0]
         changed = np.flatnonzero(program.eq_rhs != before.eq_rhs)
-        assert sorted(pushed["rows"]) == (changed + row0).tolist(), i
-        for row in changed:
-            assert pushed["rows"][row + row0] == (program.eq_rhs[row], program.eq_rhs[row]), i
+        assert pushed["rows"] == [(row + row0, program.eq_rhs[row], program.eq_rhs[row])
+                                  for row in changed], i
     rows = windows[0][0].eq_rhs.size
     assert 0 < np.mean([len(p["rows"]) for _, p in windows[1:]]) < rows
+    assert 0 < np.mean([len(p["bounds"]) for _, p in windows[1:]]) <= 1
     if day is _varying_price_day:
         assert 0 < cost_pushes < len(windows) - 1
     else:
