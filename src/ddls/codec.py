@@ -3,46 +3,62 @@ codebook design, arrival-time compression, and communication-rate
 calculators for both uplink directions and the feedback channel.
 
 A request (rate_kw, duration_epochs) is mapped to the code whose pulse
-is closest in time-domain squared error.  Codebooks are square pulses
-with integer durations; fitting is a deterministic Lloyd refinement
-grown one code at a time by farthest-point selection, so results are
-reproducible and the achieved distortion never increases with the
-codebook size.
+is closest in time-domain squared error.  Every distortion is read from
+one (requests x codes) matrix, ``_distortions``: quantization takes a
+row's argmin, cell masses count the argmins, the mean distortion
+averages the row minima and Lloyd's assignment step reads the same
+matrix.  Codebooks are square pulses with integer durations, fitted by
+one deterministic growth: Lloyd refinement, then one more code at the
+farthest sample.  Step Q of the growth is the size-Q fit, so results
+are reproducible, the achieved distortion never increases with the
+codebook size, and the smallest-Q search walks the growth once.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ChargeCode, RawRequest, charge_code_from_entry, checked_numbers,
-                   fractional_pulse, square_pulse)
+from .core import ChargeCode, RawRequest, charge_code_from_entry, checked_numbers, square_pulse
 from .csvio import atomic_write_text
 from .errors import ConfigurationError
 
 
-def pulse_sq_error(a, b) -> float:
-    """Squared error between two pulses, zero-padded to a common length."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = max(a.size, b.size)
-    pa = np.zeros(n)
-    pa[: a.size] = a
-    pb = np.zeros(n)
-    pb[: b.size] = b
-    return float(((pa - pb) ** 2).sum())
+def _request_pulses(requests) -> np.ndarray:
+    """(N, L) pulses of the requests, zero-padded to the longest: rate_kw
+    over the duration, the last sample scaled by the fractional remainder
+    so a row's energy is rate * duration exactly.  The one check of a
+    request's shape and duration."""
+    params = [req.params for req in requests]
+    if not params:
+        raise ConfigurationError("need at least one request sample")
+    if bad := next((p for p in params if len(p) != 2), None):
+        raise ConfigurationError(f"expected (rate_kw, duration_epochs) request, got {bad}")
+    rate, duration = np.array(params).T
+    checked_numbers(duration, "duration_epochs", strict=True)
+    epochs = np.arange(math.ceil(duration.max()))
+    return rate[:, None] * np.clip(duration[:, None] - epochs, 0.0, 1.0)
 
 
-def request_distortion(request: RawRequest, code: ChargeCode) -> float:
-    """Distortion gamma between a raw request and a code."""
-    if len(request.params) != 2:
-        raise ConfigurationError(
-            f"expected (rate_kw, duration_epochs) request, got {request.params}"
-        )
-    return pulse_sq_error(fractional_pulse(request.rate_kw, request.duration_epochs), code.pulse)
+def _code_pulses(codebook) -> np.ndarray:
+    """(Q, U) pulses of the codes, zero-padded to the longest."""
+    out = np.zeros((len(codebook), max(len(code.pulse) for code in codebook)))
+    for row, code in zip(out, codebook):
+        row[: len(code.pulse)] = code.pulse
+    return out
+
+
+def _distortions(pulses: np.ndarray, code_pulses: np.ndarray) -> np.ndarray:
+    """(N, Q) squared error of every pulse (rows) to every code pulse
+    (columns), both zero-padded: ||g||^2 - 2 g.c + ||c||^2, clipped at 0."""
+    m = min(pulses.shape[1], code_pulses.shape[1])
+    cross = pulses[:, :m] @ code_pulses[:, :m].T
+    out = (pulses**2).sum(axis=1)[:, None] - 2.0 * cross + (code_pulses**2).sum(axis=1)
+    return np.maximum(out, 0.0)
 
 
 @dataclass(frozen=True)
@@ -71,31 +87,26 @@ class Quantizer:
     def quantize(self, request: RawRequest) -> int:
         return quantize(request, self)
 
-    def distortion(self, request: RawRequest) -> float:
-        """Distortion achieved on ``request`` by its assigned code."""
-        return request_distortion(request, self.codebook[self.quantize(request) - 1])
+
+def _quantizer_distortions(quantizer: Quantizer, requests) -> np.ndarray:
+    return _distortions(_request_pulses(requests), _code_pulses(quantizer.codebook))
 
 
 def quantize(request: RawRequest, quantizer: Quantizer) -> int:
     """Id of the code minimizing the pulse distortion; ties go to the
     lowest id."""
-    best_id, best = None, math.inf
-    for code in quantizer.codebook:
-        d = request_distortion(request, code)
-        if d < best:
-            best_id, best = code.id, d
-    return best_id
+    return int(np.argmin(_quantizer_distortions(quantizer, [request]))) + 1
 
 
 def cell_masses(quantizer: Quantizer, request_samples) -> np.ndarray:
     """Fraction of samples mapped to each code (sums to 1)."""
-    samples = list(request_samples)
-    if not samples:
-        raise ConfigurationError("need at least one request sample")
-    counts = np.zeros(quantizer.n_codes)
-    for req in samples:
-        counts[quantize(req, quantizer) - 1] += 1
-    return counts / counts.sum()
+    nearest = _quantizer_distortions(quantizer, request_samples).argmin(axis=1)
+    return np.bincount(nearest, minlength=quantizer.n_codes) / nearest.size
+
+
+def mean_distortion(quantizer: Quantizer, request_samples) -> float:
+    """Mean over the samples of the distortion to their nearest code."""
+    return float(_quantizer_distortions(quantizer, request_samples).min(axis=1).mean())
 
 
 def queue_arrival_rates(total_rate, quantizer: Quantizer, request_samples=None, masses=None):
@@ -221,24 +232,6 @@ def feedback_rate_bound(params: FeedbackRateParams, interval_s: float) -> float:
 
 # -- codebook fitting ---------------------------------------------------
 
-def _sample_pulses(request_samples) -> np.ndarray:
-    samples = list(request_samples)
-    if not samples:
-        raise ConfigurationError("need at least one request sample")
-    pulses = []
-    for req in samples:
-        if len(req.params) != 2:
-            raise ConfigurationError(
-                f"expected (rate_kw, duration_epochs) request, got {req.params}"
-            )
-        pulses.append(fractional_pulse(req.rate_kw, req.duration_epochs))
-    length = max(len(p) for p in pulses)
-    mat = np.zeros((len(pulses), length))
-    for i, p in enumerate(pulses):
-        mat[i, : len(p)] = p
-    return mat
-
-
 def _best_square(prefix_sums: np.ndarray, n_members: int, max_duration: int) -> tuple[float, int]:
     """Square pulse (rate, duration) minimizing total squared error for a
     member set with summed pulse prefix sums ``prefix_sums``."""
@@ -249,67 +242,58 @@ def _best_square(prefix_sums: np.ndarray, n_members: int, max_duration: int) -> 
     return float(max(rate, 0.0)), u_best
 
 
-def _code_distortions(codes, s1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Distortion of every sample (rows) to every square code (cols):
-    ||g||^2 - 2*rate*S1(u) + u*rate^2."""
-    out = np.empty((t2.size, len(codes)))
-    for c, (rate, u) in enumerate(codes):
-        out[:, c] = t2 - 2.0 * rate * s1[:, u] + u * rate * rate
-    return np.maximum(out, 0.0)
-
-
-def fit_codebook(request_samples, n_codes: int, max_duration: int | None = None,
-                 n_iter: int = 60) -> Quantizer:
-    """Fit up to ``n_codes`` square-pulse codes to a request sample.
-
-    Deterministic: starts from the single best square fit of the whole
-    sample, then alternates farthest-point growth with Lloyd centroid
-    refinement.  Growth stops early if every sample is already matched
-    exactly, so the returned codebook may be smaller than requested.
-    Because each growth step extends the previous fit, the achieved
-    distortion is nonincreasing in ``n_codes``.
-    """
-    if n_codes < 1:
-        raise ConfigurationError(f"n_codes must be >= 1, got {n_codes}")
-    g = _sample_pulses(request_samples)
+def _grown_codebooks(request_samples, max_duration: int | None = None, n_iter: int = 60):
+    """The fitted codebook at each size 1, 2, ...: the single best square
+    fit of the whole sample, then, at every size, Lloyd refinement and
+    one more code at the sample farthest from its nearest code.  Stops
+    once every sample is matched exactly."""
+    g = _request_pulses(request_samples)
     n, length = g.shape
     max_duration = min(max_duration or length, length)
     if max_duration < 1:
         raise ConfigurationError(f"max_duration must be >= 1, got {max_duration}")
     s1 = np.hstack([np.zeros((n, 1)), np.cumsum(g, axis=1)])
-    t2 = (g**2).sum(axis=1)
-
     codes = [_best_square(s1.sum(axis=0), n, max_duration)]
+    epochs = np.arange(max_duration)
+
+    def distortions():
+        rate, u = np.array(codes).T
+        return _distortions(g, rate[:, None] * (epochs < u[:, None]))
+
     while True:
-        # Lloyd refinement at the current size
-        assign = np.argmin(_code_distortions(codes, s1, t2), axis=1)
+        d = distortions()
         for _ in range(n_iter):
+            assign = d.argmin(axis=1)
             for c in range(len(codes)):
                 members = assign == c
                 if members.any():
                     codes[c] = _best_square(s1[members].sum(axis=0), int(members.sum()), max_duration)
-            new_assign = np.argmin(_code_distortions(codes, s1, t2), axis=1)
-            if (new_assign == assign).all():
+            d = distortions()
+            if (d.argmin(axis=1) == assign).all():
                 break
-            assign = new_assign
-        if len(codes) >= n_codes:
-            break
-        mind = _code_distortions(codes, s1, t2).min(axis=1)
+        ordered = sorted(codes, key=lambda c: (c[1], c[0]))
+        yield Quantizer(tuple(ChargeCode(i + 1, square_pulse(rate, u))
+                              for i, (rate, u) in enumerate(ordered)))
+        mind = d.min(axis=1)
         far = int(np.argmax(mind))
         if mind[far] <= 1e-15:
-            break
+            return
         codes.append(_best_square(s1[far], 1, max_duration))
 
-    codes.sort(key=lambda c: (c[1], c[0]))
-    book = [
-        ChargeCode(i + 1, square_pulse(rate, u)) for i, (rate, u) in enumerate(codes)
-    ]
-    return Quantizer(tuple(book))
 
-
-def mean_distortion(quantizer: Quantizer, request_samples) -> float:
-    samples = list(request_samples)
-    return float(np.mean([quantizer.distortion(req) for req in samples]))
+def fit_codebook(request_samples, n_codes: int, max_duration: int | None = None,
+                 n_iter: int = 60) -> Quantizer:
+    """Fit up to ``n_codes`` square-pulse codes to a request sample: step
+    ``n_codes`` of the deterministic growth, or its last step if every
+    sample is matched exactly sooner, so the returned codebook may be
+    smaller than requested.  Because each growth step extends the
+    previous fit, the achieved distortion is nonincreasing in
+    ``n_codes``.
+    """
+    if n_codes < 1:
+        raise ConfigurationError(f"n_codes must be >= 1, got {n_codes}")
+    *_, quant = itertools.islice(_grown_codebooks(request_samples, max_duration, n_iter), n_codes)
+    return quant
 
 
 def design_codebook_min_q(request_samples, max_distortion: float, peak_rate: float,
@@ -319,18 +303,15 @@ def design_codebook_min_q(request_samples, max_distortion: float, peak_rate: flo
     ``peak_rate`` is the largest total arrival rate per interval; the
     weighted distortion is peak_rate times the mean per-request
     distortion (cell masses times per-cell means collapse to the sample
-    mean).  Raises ConfigurationError when no Q <= q_max attains
-    ``max_distortion``.
+    mean).  Walks one growth up to ``q_max`` codes and raises
+    ConfigurationError when no size attains ``max_distortion``.
     """
     checked_numbers(max_distortion, "max_distortion", strict=True)
     checked_numbers(peak_rate, "peak_rate", strict=True)
     samples = list(request_samples)
-    for n_codes in range(1, q_max + 1):
-        quant = fit_codebook(samples, n_codes)
+    for quant in itertools.islice(_grown_codebooks(samples), q_max):
         if peak_rate * mean_distortion(quant, samples) <= max_distortion:
             return quant
-        if quant.n_codes < n_codes:
-            break
     raise ConfigurationError(
         f"distortion target {max_distortion} unattainable with Q <= {q_max}"
     )

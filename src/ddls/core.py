@@ -58,7 +58,7 @@ class ChargeCode:
 
     def __post_init__(self):
         if self.id < 1:
-            raise ValueError(f"code id must be >= 1, got {self.id}")
+            raise ConfigurationError(f"code id must be >= 1, got {self.id}")
         object.__setattr__(self, "pulse", _checked_vector(self.pulse, "pulse"))
 
     @property
@@ -84,13 +84,14 @@ class ArrivalEvent:
 
     def __post_init__(self):
         if self.arrival_epoch < 0:
-            raise ValueError(f"arrival_epoch must be >= 0, got {self.arrival_epoch}")
+            raise ConfigurationError(f"arrival_epoch must be >= 0, got {self.arrival_epoch}")
 
 
 def square_pulse(rate_kw: float, duration_epochs: int) -> tuple[float, ...]:
     """Constant-rate pulse over an integer number of epochs."""
     if duration_epochs < 1 or duration_epochs != int(duration_epochs):
-        raise ValueError(f"duration_epochs must be a positive integer, got {duration_epochs}")
+        raise ConfigurationError(
+            f"duration_epochs must be a positive integer, got {duration_epochs}")
     return (float(rate_kw),) * int(duration_epochs)
 
 
@@ -166,18 +167,6 @@ def charge_code_from_entry(entry, pos: int) -> ChargeCode:
         )
     rate = checked_numbers(rate, f"codebook entry {pos}: rate_kw", length=1).item()
     return ChargeCode(pos, square_pulse(rate, duration))
-
-
-def fractional_pulse(rate_kw: float, duration_epochs: float) -> tuple[float, ...]:
-    """Constant-rate pulse whose last sample is scaled by the fractional
-    remainder of the duration, so the energy is rate * duration exactly."""
-    if not duration_epochs > 0:
-        raise ValueError(f"duration_epochs must be positive, got {duration_epochs}")
-    n = int(np.ceil(duration_epochs))
-    pulse = [float(rate_kw)] * n
-    frac = duration_epochs - (n - 1)
-    pulse[-1] = float(rate_kw) * frac
-    return tuple(pulse)
 
 
 def _increment_matrix(increments, n_queues: int) -> np.ndarray:

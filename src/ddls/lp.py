@@ -339,10 +339,6 @@ def _highs_options():
 
 def _solve_linprog(program: LinearProgram) -> LpSolution:
     import scipy.optimize
-    bounds = [
-        (None if lo == -np.inf else lo, None if hi == np.inf else hi)
-        for lo, hi in zip(program.lower, program.upper)
-    ]
     mi = program.ineq_matrix.shape[0]
     me = program.eq_matrix.shape[0]
     res = scipy.optimize.linprog(
@@ -351,7 +347,7 @@ def _solve_linprog(program: LinearProgram) -> LpSolution:
         b_ub=-program.ineq_rhs if mi else None,
         A_eq=program.eq_matrix if me else None,
         b_eq=program.eq_rhs if me else None,
-        bounds=bounds,
+        bounds=np.column_stack((program.lower, program.upper)),
         method="highs",
     )
     iterations = int(res.nit or 0)

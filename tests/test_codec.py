@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ddls import codec
 from ddls.codec import (
     ArrivalTimeCode,
     FeedbackRateParams,
@@ -23,7 +26,7 @@ from ddls.codec import (
     uplink_rate_cems,
     uplink_rate_hems,
 )
-from ddls.core import ChargeCode, RawRequest, square_pulse
+from ddls.core import ArrivalEvent, ChargeCode, RawRequest, square_pulse
 from ddls.errors import ConfigurationError
 
 SEED = 31415
@@ -44,21 +47,42 @@ def oracle_pulse(rate, duration):
     return pulse
 
 
-def oracle_nearest(request, codebook):
-    """Exhaustive nearest-neighbor search, written independently of the
-    package's distortion helpers."""
+def oracle_distortion(request, code):
+    """Squared error of a request's pulse to a code's, zero-padded, written
+    independently of the package's distortion matrix."""
     rp = oracle_pulse(request.rate_kw, request.duration_epochs)
+    err = 0.0
+    for k in range(max(len(rp), len(code.pulse))):
+        a = rp[k] if k < len(rp) else 0.0
+        b = code.pulse[k] if k < len(code.pulse) else 0.0
+        err += (a - b) ** 2
+    return err
+
+
+def oracle_nearest(request, codebook):
+    """Exhaustive nearest-neighbor search; ties go to the lowest id."""
     best_id, best = None, float("inf")
     for code in codebook:
-        n = max(len(rp), len(code.pulse))
-        err = 0.0
-        for k in range(n):
-            a = rp[k] if k < len(rp) else 0.0
-            b = code.pulse[k] if k < len(code.pulse) else 0.0
-            err += (a - b) ** 2
+        err = oracle_distortion(request, code)
         if err < best:
             best_id, best = code.id, err
     return best_id
+
+
+_RATE = st.floats(0.0, 4.0)
+_REQUEST = st.builds(lambda rate, duration: RawRequest((rate, duration)),
+                     _RATE, st.floats(0.0, 6.0, exclude_min=True))
+_PULSE = st.one_of(st.lists(_RATE, min_size=1, max_size=7),
+                   st.builds(square_pulse, _RATE, st.integers(1, 7)))
+
+
+@st.composite
+def _codebooks(draw):
+    """1..6 pulses, square or not, plus up to 3 repeats of them, in any order."""
+    pulses = draw(st.lists(_PULSE, min_size=1, max_size=6))
+    pulses += draw(st.lists(st.sampled_from(pulses), max_size=3))
+    pulses = draw(st.permutations(pulses))
+    return Quantizer(tuple(ChargeCode(i + 1, tuple(p)) for i, p in enumerate(pulses)))
 
 
 class TestQuantize:
@@ -78,6 +102,48 @@ class TestQuantize:
         for _ in range(1000):
             req = RawRequest((rng.uniform(0.5, 3.5), rng.uniform(0.5, 4.5)))
             assert quantize(req, quant) == oracle_nearest(req, quant.codebook)
+
+    @settings(max_examples=150, deadline=None)
+    @given(requests=st.lists(_REQUEST, min_size=1, max_size=12), quant=_codebooks())
+    def test_matrix_readers_agree_with_the_oracle(self, requests, quant):
+        oracle = np.array([[oracle_distortion(req, code) for code in quant.codebook]
+                           for req in requests])
+        ids = [quantize(req, quant) for req in requests]
+        for row, code_id in zip(oracle, ids):
+            assert row[code_id - 1] <= row.min() + 1e-9
+            chosen = quant.codebook[code_id - 1].pulse
+            assert code_id == min(c.id for c in quant.codebook if c.pulse == chosen)
+        assert mean_distortion(quant, requests) == pytest.approx(oracle.min(axis=1).mean(),
+                                                                 abs=1e-12)
+        # the oracle's cell is unambiguous when every other distinct pulse is
+        # more than 1e-9 farther; on such requests the masses must agree exactly
+        pulses = [code.pulse for code in quant.codebook]
+        decided = [req for req, row in zip(requests, oracle)
+                   if all(d > row.min() + 1e-9 for d, p in zip(row, pulses)
+                          if p != pulses[int(row.argmin())])]
+        if decided:
+            counts = np.bincount([oracle_nearest(req, quant.codebook) - 1 for req in decided],
+                                 minlength=quant.n_codes)
+            np.testing.assert_allclose(cell_masses(quant, decided), counts / len(decided),
+                                       rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rate=st.integers(0, 16), gap=st.integers(1, 16), duration=st.integers(1, 6),
+           lower_first=st.booleans())
+    def test_exact_ties_go_to_the_lowest_id(self, rate, gap, duration, lower_first):
+        # quarter-kW rates keep every term exact, so the two codes tie exactly
+        rate, gap = (rate + gap) / 4, gap / 4
+        codes = [square_pulse(rate - gap, duration), square_pulse(rate + gap, duration)]
+        if not lower_first:
+            codes.reverse()
+        quant = Quantizer(tuple(ChargeCode(i + 1, p) for i, p in enumerate(codes)))
+        assert quantize(RawRequest((rate, float(duration))), quant) == 1
+
+    def test_fractional_duration_scales_the_last_sample(self):
+        quant = Quantizer((ChargeCode(1, (2.0, 2.0, 1.0)), ChargeCode(2, (2.0, 2.0, 2.0))))
+        assert mean_distortion(quant, [RawRequest((2.0, 2.5))]) == 0.0
+        assert quantize(RawRequest((2.0, 2.5)), quant) == 1
+        assert quantize(RawRequest((2.0, 3.0)), quant) == 2
 
     def test_quantizer_validates_ids(self):
         with pytest.raises(ConfigurationError):
@@ -226,7 +292,66 @@ def test_non_finite_rate_inputs_are_refused_by_name(call, name):
         call()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: quantize(RawRequest((2.0, 0.0)), _ONE_CODE), "duration_epochs"),
+    (lambda: fit_codebook([RawRequest((2.0, 3.0)), RawRequest((2.0, 0.0))], 2),
+     "duration_epochs"),
+    (lambda: cell_masses(_ONE_CODE, [RawRequest((2.0, 0.0))]), "duration_epochs"),
+    (lambda: mean_distortion(_ONE_CODE, [RawRequest((2.0, 0.0))]), "duration_epochs"),
+    (lambda: quantize(RawRequest((2.0, 3.0, 1.0)), _ONE_CODE), "rate_kw, duration_epochs"),
+    (lambda: cell_masses(_ONE_CODE, []), "request sample"),
+    (lambda: ChargeCode(0, (1.0,)), "code id"),
+    (lambda: square_pulse(1.0, 1.5), "duration_epochs"),
+    (lambda: square_pulse(1.0, 0), "duration_epochs"),
+    (lambda: ArrivalEvent(-1, RawRequest((2.0, 3.0))), "arrival_epoch"),
+], ids=["quantize-zero-duration", "fit-zero-duration", "masses-zero-duration",
+        "distortion-zero-duration", "three-params", "no-samples", "code-id-zero",
+        "fractional-square-pulse", "zero-square-pulse", "negative-arrival-epoch"])
+def test_bad_requests_and_codes_are_refused_by_name(call, name):
+    with pytest.raises(ConfigurationError, match=name):
+        call()
+
+
+def design_by_refitting(samples, max_distortion, peak_rate, q_max):
+    """``design_codebook_min_q`` as first written: a fresh fit for every Q,
+    stopping at the target or when growth stops early; None if unattained."""
+    for n_codes in range(1, q_max + 1):
+        quant = fit_codebook(samples, n_codes)
+        if peak_rate * mean_distortion(quant, samples) <= max_distortion:
+            return quant
+        if quant.n_codes < n_codes:
+            break
+    return None
+
+
 class TestCodebookDesign:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_min_q_matches_a_fresh_fit_per_q(self, seed, monkeypatch):
+        rng = np.random.default_rng(SEED + 10 + seed)
+        if seed % 2:  # few distinct requests: growth stops early
+            samples = [RawRequest((float(rng.integers(1, 4)), float(rng.integers(1, 3))))
+                       for _ in range(30)]
+        else:
+            samples = [RawRequest((rng.uniform(0.5, 4.0), rng.uniform(0.5, 6.0)))
+                       for _ in range(80)]
+        scale = mean_distortion(fit_codebook(samples, 1), samples)
+        growths = []
+        grown = codec._grown_codebooks
+        monkeypatch.setattr(codec, "_grown_codebooks",
+                            lambda *args: growths.append(args) or grown(*args))
+        for q_max in (1, 3, 10):
+            for target in (scale * 1.01, scale / 3, scale / 20, scale * 1e-9, 1e-15):
+                expected = design_by_refitting(samples, target, 1.0, q_max)
+                growths.clear()
+                if expected is None:
+                    with pytest.raises(ConfigurationError, match="unattainable"):
+                        design_codebook_min_q(samples, target, 1.0, q_max=q_max)
+                else:
+                    got = design_codebook_min_q(samples, target, 1.0, q_max=q_max)
+                    assert got.codebook == expected.codebook
+                assert len(growths) == 1
+
+
     def test_identical_requests_need_one_code(self):
         samples = [RawRequest((2.0, 3.0))] * 50
         quant = design_codebook_min_q(samples, max_distortion=0.5, peak_rate=10.0)

@@ -6,7 +6,6 @@ from ddls.core import (
     ChargeCode,
     RawRequest,
     checked_numbers,
-    fractional_pulse,
     square_pulse,
     synthesize_load,
     unscheduled_load,
@@ -90,14 +89,6 @@ class TestCheckedNumbers:
 class TestPulses:
     def test_square_pulse(self):
         assert square_pulse(3.3, 2) == (3.3, 3.3)
-
-    def test_fractional_pulse_scales_last_sample(self):
-        pulse = fractional_pulse(2.0, 2.5)
-        assert pulse == (2.0, 2.0, 1.0)
-        assert abs(sum(pulse) - 2.0 * 2.5) < 1e-12
-
-    def test_fractional_pulse_integer_duration(self):
-        assert fractional_pulse(2.0, 3.0) == (2.0, 2.0, 2.0)
 
 
 class TestSynthesizeLoad:
