@@ -57,8 +57,8 @@ class ChargeCode:
     pulse: tuple[float, ...]
 
     def __post_init__(self):
-        if self.id < 1:
-            raise ConfigurationError(f"code id must be >= 1, got {self.id}")
+        if not is_int(self.id) or self.id < 1:
+            raise ConfigurationError(f"code id must be an integer >= 1, got {self.id!r}")
         object.__setattr__(self, "pulse", _checked_vector(self.pulse, "pulse"))
 
     @property
@@ -83,8 +83,9 @@ class ArrivalEvent:
     request: RawRequest
 
     def __post_init__(self):
-        if self.arrival_epoch < 0:
-            raise ConfigurationError(f"arrival_epoch must be >= 0, got {self.arrival_epoch}")
+        if not is_int(self.arrival_epoch) or self.arrival_epoch < 0:
+            raise ConfigurationError(
+                f"arrival_epoch must be an integer >= 0, got {self.arrival_epoch!r}")
 
 
 def square_pulse(rate_kw: float, duration_epochs: int) -> tuple[float, ...]:

@@ -16,12 +16,12 @@ first use: importing this module loads no scipy).  The warm path matches
 linprog's status and objective, not its point: a window LP often has
 several optimal vertices, and a warm start may end at another one;
 ``tests/test_lp_direct.py`` checks that over every window of a desk day.
-A ``LinearProgram`` freezes its rows when it is built: it keeps a
-read-only copy of its matrices, checks them and converts them to sparse
-form once; ``LinearProgram.fill`` reuses those rows for new costs,
-right-hand side and bounds, checking only the new vectors, and
-``fill_rows`` does the same for a stack of windows, checked together in
-one pass.  Both paths are deterministic.  Bound intervals are accepted
+A ``LinearProgram`` freezes its rows when it is built: it takes dense or
+sparse matrices, checks them, keeps them only as read-only CSC copies
+(linprog gets these) and stacks them once into the CSC a model loads;
+``LinearProgram.fill`` reuses those rows for new costs, right-hand side
+and bounds, checking only the new vectors, and ``fill_rows`` does the
+same for a stack of windows, checked together in one pass.  Both paths are deterministic.  Bound intervals are accepted
 as nonempty within FEAS_TOL (1e-7).
 """
 
@@ -39,16 +39,24 @@ from .errors import ConfigurationError, SolverError
 FEAS_TOL = 1e-7
 
 
-def _rows(m, n: int, label) -> np.ndarray:
-    """A read-only float copy of a constraint matrix over ``n`` variables."""
-    m = np.zeros((0, n)) if m is None else np.atleast_2d(np.array(m, dtype=float))
-    if m.size == 0:
-        m = np.zeros((0, n))
+def _rows(m, n: int, label):
+    """A read-only CSC copy of a dense or sparse constraint matrix over
+    ``n`` variables, held as a dense one would be: sorted, with no
+    duplicate or zero entry, and indexed in int32 (HiGHS's index type)."""
+    from scipy import sparse
+    if not sparse.issparse(m):
+        m = np.zeros((0, n)) if m is None or np.size(m) == 0 else np.atleast_2d(
+            np.asarray(m, dtype=float))
+    m = sparse.csc_array(m, dtype=float, copy=True)
     if m.shape[1] != n:
         raise ConfigurationError(f"{label} matrix has shape {m.shape}, expected {n} columns")
-    if not np.isfinite(m).all():
+    if not np.isfinite(m.data).all():
         raise ConfigurationError(f"{label} contains NaN/Inf")
-    m.flags.writeable = False
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    m.indptr, m.indices = (a.astype(np.int32, copy=False) for a in (m.indptr, m.indices))
+    for a in (m.indptr, m.indices, m.data):
+        a.flags.writeable = False
     return m
 
 
@@ -64,19 +72,20 @@ def _rhs(rhs, shape: tuple, label) -> np.ndarray:
 
 @dataclass
 class LinearProgram:
-    """Dense LP data; inequality rows are >= constraints.
+    """LP data; inequality rows are >= constraints.
 
-    The rows (both matrices and ``ineq_rhs``) are copied read-only,
-    checked and converted to linprog's stacked CSC ``[-ineq; eq]`` once,
-    when the program is built.  ``fill`` gives programs that share them
-    and differ only in the costs, the equality right-hand side and the
-    bounds.
+    The matrices may be dense or scipy-sparse.  The rows (both matrices
+    and ``ineq_rhs``) are checked and held only sparse, as read-only CSC
+    copies (``_rows``), and stacked into linprog's CSC ``[-ineq; eq]``
+    once, when the program is built.  ``fill`` gives programs that share
+    them and differ only in the costs, the equality right-hand side and
+    the bounds.
     """
 
     objective: np.ndarray
-    eq_matrix: np.ndarray | None = None
+    eq_matrix: object = None  # dense or sparse in; a read-only csc_array once built
     eq_rhs: np.ndarray | None = None
-    ineq_matrix: np.ndarray | None = None
+    ineq_matrix: object = None
     ineq_rhs: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
@@ -87,8 +96,8 @@ class LinearProgram:
         self.eq_matrix = _rows(self.eq_matrix, n, "equality")
         self.ineq_matrix = _rows(self.ineq_matrix, n, "inequality")
         self.ineq_rhs = _rhs(self.ineq_rhs, self.ineq_matrix.shape[:1], "inequality")
-        from scipy.sparse import csc_array
-        stacked = csc_array(np.vstack((-self.ineq_matrix, self.eq_matrix)))
+        from scipy.sparse import vstack
+        stacked = vstack((-self.ineq_matrix, self.eq_matrix), format="csc")
         self.csc = (stacked.indptr, stacked.indices, stacked.data)
         # each stored entry's row and column, for ``row_activity``
         self._entries = (stacked.indices.astype(np.intp),
@@ -156,7 +165,7 @@ class LinearProgram:
     def row_activity(self, x: np.ndarray) -> np.ndarray:
         """The stacked rows [-ineq; eq] times the point ``x``, as a new array."""
         rows, cols = self._entries  # bincount of no entries gives int zeros, hence astype
-        size = len(self.ineq_matrix) + len(self.eq_matrix)
+        size = self.ineq_matrix.shape[0] + self.eq_matrix.shape[0]
         return np.bincount(rows, self.csc[2] * x[cols], size).astype(float, copy=False)
 
 

@@ -52,47 +52,35 @@ from .market import stage_cost  # noqa: F401
 from .queues import QueueLedger
 
 
-def pulse_toeplitz(code: ChargeCode, lookahead: int, start_lag: int = 0) -> np.ndarray:
-    """(T+1)x(T+1) lower-triangular Toeplitz block mapping one queue's
-    per-epoch departure increments to its load over the window."""
-    if start_lag not in (0, 1):
-        raise ConfigurationError(f"start_lag must be 0 or 1, got {start_lag}")
-    size = lookahead + 1
-    if code.duration_epochs > lookahead:
-        raise ConfigurationError(
-            f"pulse of {code.duration_epochs} epochs does not fit a lookahead of {lookahead}"
-        )
-    column = np.zeros(size)
-    hi = min(size, start_lag + code.duration_epochs)
-    column[start_lag:hi] = code.pulse[: hi - start_lag]
-    out = np.zeros((size, size))
-    for j in range(size):
-        out[j:, j] = column[: size - j]
-    return out
+def build_gamma(codebook, lookahead: int, start_lag: int = 0):
+    """Map stacked cumulative departures (queue-major) to window load, as
+    a sparse (T+1) x Q(T+1) array that stores only nonzero entries.
 
-
-def _difference_matrix(size: int) -> np.ndarray:
-    d = np.eye(size)
-    d[np.arange(1, size), np.arange(size - 1)] = -1.0
-    return d
-
-
-def build_gamma(codebook, lookahead: int, start_lag: int = 0) -> np.ndarray:
-    """Map stacked cumulative departures (queue-major) to window load.
-
-    One Toeplitz block per queue composed with a first difference, so
+    Block q is the lower-triangular Toeplitz matrix of the first
+    difference of queue q's pulse, shifted down by ``start_lag`` and cut
+    at the window's end: a pulse convolved with a first difference, so
     gamma @ D.flatten() equals synthesize_load of the increments when
     the window starts from an empty past.  The first difference treats
     the column before the window as zero; callers handing in shifted
     cumulatives (d - d_prev) therefore get exactly the in-window starts'
     load.
     """
+    from scipy.sparse import csc_array
+    if start_lag not in (0, 1):
+        raise ConfigurationError(f"start_lag must be 0 or 1, got {start_lag}")
+    _longest_pulse(codebook, lookahead, None)
     size = lookahead + 1
-    diff = _difference_matrix(size)
-    blocks = [pulse_toeplitz(code, lookahead, start_lag) @ diff for code in codebook]
-    if not blocks:
-        raise ConfigurationError("empty codebook")
-    return np.hstack(blocks)
+    pulses = np.zeros((len(codebook), size))
+    for q, code in enumerate(codebook):
+        pulses[q, start_lag : start_lag + code.duration_epochs] = code.pulse
+    steps = np.diff(pulses, prepend=0.0)
+    queue, lag = steps.nonzero()
+    # entry (c + lag, q * size + c) of every column c that the lag keeps in the window
+    cols = np.arange(size)[:, None]
+    rows = cols + lag
+    kept = rows < size
+    return csc_array((np.broadcast_to(steps[queue, lag], rows.shape)[kept],
+                      (rows[kept], (cols + queue * size)[kept])), shape=(size, len(codebook) * size))
 
 
 def certainty_equivalent_arrivals(observed, rates, start_epoch: int, lookahead: int,
@@ -280,29 +268,30 @@ def _window_rows(codebook, lookahead: int, start_lag: int) -> tuple[LinearProgra
 
     The rows are the T+1 balance rows (gamma, -up, +dn) and one
     completion row per queue, then the Q*T monotonicity rows
-    e(j) - e(j-1) >= 0.  One template per (codebook, T, start lag) is
-    shared by every window and every scheduler that asks for it.
+    e(j) - e(j-1) >= 0, each built sparse from its (row, column, value)
+    entries.  One template per (codebook, T, start lag) is shared by
+    every window and every scheduler that asks for it.
     """
+    from scipy.sparse import csc_array
     q, width = len(codebook), lookahead + 1
     n_e = q * width
     n = n_e + 2 * width
     epochs = np.arange(width)
     queues = np.arange(q)
-    completion = queues * width + np.array(
-        [lookahead - code.duration_epochs for code in codebook]
-    )
+    completion = queues * width + np.array([lookahead - code.duration_epochs for code in codebook])
     completion.flags.writeable = False
 
-    eq = np.zeros((width + q, n))
-    eq[:width, :n_e] = build_gamma(codebook, lookahead, start_lag)
-    eq[epochs, n_e + epochs] = -1.0
-    eq[epochs, n_e + width + epochs] = 1.0
-    eq[width + queues, completion] = 1.0
+    gamma = build_gamma(codebook, lookahead, start_lag).tocoo()
+    ones = np.ones(width)
+    eq = csc_array((np.concatenate((gamma.data, -ones, ones, np.ones(q))),
+                    (np.concatenate((gamma.row, epochs, epochs, width + queues)),
+                     np.concatenate((gamma.col, n_e + epochs, n_e + width + epochs, completion)))),
+                   shape=(width + q, n))
 
-    later = (queues[:, None] * width + epochs[None, 1:]).ravel()
-    ineq = np.zeros((later.size, n))
-    ineq[np.arange(later.size), later] = 1.0
-    ineq[np.arange(later.size), later - 1] = -1.0
+    later = (queues[:, None] * width + epochs[1:]).ravel()
+    ineq = csc_array((np.repeat([1.0, -1.0], later.size),
+                      (np.tile(np.arange(later.size), 2), np.concatenate((later, later - 1)))),
+                     shape=(later.size, n))
     template = LinearProgram(np.zeros(n), eq, np.zeros(width + q), ineq, np.zeros(later.size))
     return template, completion
 
@@ -590,8 +579,7 @@ class RecedingHorizonScheduler:
             self._last[0] = self.epoch
             self.step()
         if drain:
-            max_u = max(code.duration_epochs for code in self.codebook)
-            budget = (self.deadline_epochs or 2 * self.lookahead) + max_u + 2
+            budget = (self.deadline_epochs or 2 * self.lookahead) + self._pulses.shape[1] + 2
             for spent in itertools.count():
                 waiting = (self._arr[:, :, self.epoch] > self._dep[:, :, self.epoch]).any(axis=1)
                 if not waiting.any():

@@ -8,7 +8,7 @@ import pytest
 
 from ddls.codec import (FeedbackRateParams, Quantizer, feedback_rate_bound, queue_arrival_rates,
                         uplink_rate_cems, uplink_rate_hems)
-from ddls.core import ChargeCode
+from ddls.core import ArrivalEvent, ChargeCode, RawRequest
 from ddls.errors import ConfigurationError
 from ddls.feedback import encode_thresholds
 from ddls.market import stage_cost
@@ -56,12 +56,22 @@ ENTRIES = {
         bad, Quantizer((CODE,)), masses=[1.0])),
     "masses": ("masses", lambda bad: queue_arrival_rates(1.0, Quantizer((CODE,)), masses=[bad])),
     "charge-code": ("pulse", lambda bad: ChargeCode(1, (bad,))),
+    "charge-code-id": ("code id", lambda bad: ChargeCode(bad, (1.0,))),
+    "arrival-epoch": ("arrival_epoch", lambda bad: ArrivalEvent(bad, RawRequest((1.0, 1.0)))),
 }
 
 
 @pytest.mark.parametrize("bad", ["abc", True, math.nan], ids=["text", "boolean", "nan"])
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_a_bad_number_is_refused_by_field(entry, bad):
+    field, call = ENTRIES[entry]
+    with pytest.raises(ConfigurationError, match=field):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", ["charge-code-id", "arrival-epoch"])
+@pytest.mark.parametrize("bad", [1.5, 2.0, -1], ids=["fraction", "whole-float", "negative"])
+def test_an_integer_field_refuses_a_float_or_a_negative(entry, bad):
     field, call = ENTRIES[entry]
     with pytest.raises(ConfigurationError, match=field):
         call(bad)

@@ -36,8 +36,9 @@ def vertex_oracle(prog):
     """Enumerate basic feasible points: equalities always active plus
     enough inequality/bound rows to pin all variables."""
     n = prog.n_vars
-    me = prog.eq_matrix.shape[0]
-    opts = [(prog.ineq_matrix[i], prog.ineq_rhs[i]) for i in range(prog.ineq_matrix.shape[0])]
+    eq_matrix, ineq_matrix = prog.eq_matrix.toarray(), prog.ineq_matrix.toarray()
+    me = eq_matrix.shape[0]
+    opts = [(ineq_matrix[i], prog.ineq_rhs[i]) for i in range(ineq_matrix.shape[0])]
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
@@ -47,7 +48,7 @@ def vertex_oracle(prog):
             opts.append((e.copy(), prog.upper[j]))
     best = np.inf
     for combo in itertools.combinations(range(len(opts)), n - me):
-        mats = ([prog.eq_matrix] if me else []) + [opts[i][0][None, :] for i in combo]
+        mats = ([eq_matrix] if me else []) + [opts[i][0][None, :] for i in combo]
         rhs = np.concatenate(
             ([prog.eq_rhs] if me else []) + [np.atleast_1d(opts[i][1]) for i in combo]
         )
@@ -58,8 +59,8 @@ def vertex_oracle(prog):
             continue
         if not np.all(np.isfinite(x)):
             continue
-        if prog.ineq_matrix.shape[0] and (
-            prog.ineq_matrix @ x < prog.ineq_rhs - 1e-7
+        if ineq_matrix.shape[0] and (
+            ineq_matrix @ x < prog.ineq_rhs - 1e-7
         ).any():
             continue
         if (x < prog.lower - 1e-7).any() or (x > prog.upper + 1e-7).any():

@@ -92,20 +92,49 @@ def test_filled_program_shares_the_template_rows():
     assert filled.ineq_matrix is template.ineq_matrix
     assert filled.ineq_rhs is template.ineq_rhs
     assert all(a is b for a, b in zip(filled.csc, template.csc))
-    assert not any(a.flags.writeable for a in (filled.eq_matrix, filled.ineq_matrix,
-                                               filled.ineq_rhs, *filled.csc))
+    rows = [getattr(m, name) for m in (filled.eq_matrix, filled.ineq_matrix)
+            for name in ("indptr", "indices", "data")]
+    assert not any(a.flags.writeable for a in (*rows, filled.ineq_rhs, *filled.csc))
     assert solve(filled).values.tolist() == [0.5, 0.5]
     # the template itself keeps its own vectors
     assert template.objective.tolist() == [0.0, 0.0]
     assert template.lower.tolist() == [-np.inf, -np.inf]
 
 
-def test_rows_are_a_copy_of_the_callers_matrices():
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_rows_are_a_copy_of_the_callers_matrices(sparse):
     eq = np.array([[1.0, 1.0]])
+    eq = scipy.sparse.csc_array(eq) if sparse else eq
     program = LinearProgram(np.ones(2), eq_matrix=eq, eq_rhs=np.ones(1))
-    eq[0, 0] = np.nan
-    assert program.eq_matrix.tolist() == [[1.0, 1.0]]
-    assert eq.flags.writeable
+    (eq.data if sparse else eq)[0] = np.nan
+    assert scipy.sparse.issparse(program.eq_matrix)
+    assert program.eq_matrix.toarray().tolist() == [[1.0, 1.0]]
+    assert (eq.data if sparse else eq).flags.writeable
+
+
+def test_sparse_rows_are_held_as_dense_rows_would_be():
+    # duplicates summed, zeros dropped and indices sorted, in int32
+    coo = scipy.sparse.coo_array(([0.5, 2.0, 0.5, 0.0, 1.0, 0.0],
+                                  ([1, 0, 1, 0, 0, 1], [0, 1, 0, 0, 0, 1])), shape=(2, 2))
+    assert coo.coords[0].dtype == np.int64
+    # column 0 holds rows 1, 0, 1 and column 1 a stored zero
+    csc = scipy.sparse.csc_array(([0.5, 1.0, 0.5, 2.0, 0.0], [1, 0, 1, 0, 1], [0, 3, 5]),
+                                 shape=(2, 2))
+    assert not csc.has_canonical_format
+    for matrix in (coo, csc):
+        given = LinearProgram(np.ones(2), ineq_matrix=matrix, ineq_rhs=np.zeros(2))
+        dense = LinearProgram(np.ones(2), ineq_matrix=matrix.toarray(), ineq_rhs=np.zeros(2))
+        for got, want in zip(given.csc, dense.csc):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert given.csc[1].dtype == np.int32
+
+
+def test_sparse_rows_with_nan_or_a_wrong_shape_are_refused():
+    nan = scipy.sparse.csc_array(np.array([[1.0, np.nan]]))
+    with pytest.raises(ConfigurationError, match="NaN"):
+        LinearProgram(np.ones(2), eq_matrix=nan, eq_rhs=np.ones(1))
+    with pytest.raises(ConfigurationError, match="columns"):
+        LinearProgram(np.ones(3), eq_matrix=scipy.sparse.eye_array(2), eq_rhs=np.ones(2))
 
 
 def test_every_filled_desk_window_solves_like_a_fresh_program(monkeypatch):
@@ -133,7 +162,10 @@ def test_every_filled_desk_window_solves_like_a_fresh_program(monkeypatch):
     dict(eq_rhs=np.zeros(2)),
     dict(lower=np.zeros(3)),
     dict(lower=np.array([0.0, 2.0]), upper=np.array([1.0, 1.0])),
-], ids=["nan-cost", "nan-rhs", "long-cost", "long-rhs", "long-bounds", "crossed-bounds"])
+    dict(lower=np.array([np.nan, 0.0])),
+    dict(upper=np.array([1.0, np.nan])),
+], ids=["nan-cost", "nan-rhs", "long-cost", "long-rhs", "long-bounds", "crossed-bounds",
+        "nan-lower", "nan-upper"])
 def test_fill_checks_the_new_vectors(vectors):
     given = dict(objective=np.zeros(2), eq_rhs=np.ones(1), lower=np.zeros(2), upper=np.ones(2))
     with pytest.raises(ConfigurationError):
@@ -141,22 +173,22 @@ def test_fill_checks_the_new_vectors(vectors):
 
 
 def test_desk_distributed_builds_rows_once_and_extracts_no_plan(monkeypatch):
-    conversions = []
-    original = scipy.sparse.csc_array
+    builds = []
+    original = LinearProgram.__post_init__
 
-    def counted(*args, **kwargs):
-        conversions.append(1)
-        return original(*args, **kwargs)
+    def counted(program):
+        builds.append(1)
+        original(program)
 
     def no_plan(*args, **kwargs):
         raise AssertionError("the controller extracted a plan")
 
-    monkeypatch.setattr(scipy.sparse, "csc_array", counted)
+    monkeypatch.setattr(LinearProgram, "__post_init__", counted)
     monkeypatch.setattr(scheduler, "extract_plan", no_plan)
     scheduler._window_rows.cache_clear()
     result = run_distributed(load_scenario(DESK_CONFIG))
     assert result.metrics.served > 0
-    assert len(conversions) == 1
+    assert len(builds) == 1  # the one template; every window is filled from it
 
 
 def test_missing_binding_falls_back_to_linprog(no_binding, linprog_calls):

@@ -8,10 +8,14 @@ best of them.
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +33,6 @@ from ddls.scheduler import (
     build_program,
     certainty_equivalent_arrivals,
     extract_plan,
-    pulse_toeplitz,
     round_and_commit,
 )
 from ddls.simkit import load_scenario, run_ddls, run_distributed
@@ -124,6 +127,11 @@ def random_codebook(rng, n_queues, max_duration):
     ]
 
 
+def one_start_each_epoch(width):
+    """Cumulative departures, one column per epoch c: a single start at c."""
+    return (np.arange(width)[:, None] >= np.arange(width)).astype(float)
+
+
 class TestGamma:
     def test_toeplitz_hand_case(self):
         code = ChargeCode(id=1, pulse=(2.0, 2.0))
@@ -133,23 +141,35 @@ class TestGamma:
             [0.0, 2.0, 2.0, 0.0],
             [0.0, 0.0, 2.0, 2.0],
         ])
-        assert np.array_equal(pulse_toeplitz(code, 3), expected)
+        assert np.array_equal(build_gamma([code], 3) @ one_start_each_epoch(4), expected)
 
     def test_toeplitz_start_lag_shifts_down(self):
         code = ChargeCode(id=1, pulse=(2.0, 2.0))
-        lagged = pulse_toeplitz(code, 3, start_lag=1)
+        lagged = build_gamma([code], 3, start_lag=1) @ one_start_each_epoch(4)
         assert np.array_equal(lagged[1:, 0], [2.0, 2.0, 0.0])
         assert lagged[0, 0] == 0.0
 
+    def test_stores_the_nonzero_steps_only(self):
+        # a square pulse steps up where it starts and down where it ends
+        gamma = build_gamma([ChargeCode(id=1, pulse=(2.0, 2.0))], 3)
+        assert gamma.nnz == 4 + 2
+        assert np.array_equal(np.diff(gamma.indptr), [2, 2, 1, 1])
+
     def test_zero_pulse_gives_zero_matrix(self):
         code = ChargeCode(id=1, pulse=(0.0, 0.0))
-        assert not pulse_toeplitz(code, 4).any()
-        assert not build_gamma([code], 4).any()
+        gamma = build_gamma([code], 4)
+        assert gamma.nnz == 0
+        assert not (gamma @ np.arange(5.0)).any()
 
     def test_pulse_longer_than_window_rejected(self):
         code = ChargeCode(id=1, pulse=(1.0, 1.0, 1.0))
         with pytest.raises(ConfigurationError):
-            pulse_toeplitz(code, 2)
+            build_gamma([code], 2)
+
+    @pytest.mark.parametrize("start_lag", [-1, 2])
+    def test_start_lag_outside_zero_one_rejected(self, start_lag):
+        with pytest.raises(ConfigurationError, match="start_lag"):
+            build_gamma([ChargeCode(id=1, pulse=(1.0,))], 2, start_lag)
 
     def test_matches_convolution_on_random_departures(self):
         rng = np.random.default_rng(7)
@@ -343,6 +363,46 @@ class TestBuildProgram:
             window_inputs(codebook, np.zeros(3), np.zeros((1, 3), dtype=int))
 
 
+def dense_gamma(codebook, t, start_lag):
+    """Oracle for gamma: cumulative departures rising by one at epoch c of
+    queue q start one appliance there, so column (q, c) is the load of a
+    start at c less that of a start at c + 1 (none past the window)."""
+    q, width = len(codebook), t + 1
+    load = np.zeros((q, width + 1, width))  # [queue, start epoch, load epoch]
+    for qi, c in itertools.product(range(q), range(width)):
+        start = np.zeros((q, width), dtype=np.int64)
+        start[qi, c] = 1
+        load[qi, c] = synthesize_load(start, codebook, width, start_lag=start_lag)
+    return (load[:, :-1] - load[:, 1:]).reshape(q * width, width).T
+
+
+def rowwise_rows(codebook, t, start_lag):
+    """Oracle: the window LP's equality and inequality rows, dense, one row at a time."""
+    q, width = len(codebook), t + 1
+    n_e = q * width
+    n = n_e + 2 * width
+    gamma = dense_gamma(codebook, t, start_lag)
+    eq_rows = []
+    for j in range(width):
+        row = np.zeros(n)
+        row[:n_e] = gamma[j]
+        row[n_e + j] = -1.0
+        row[n_e + width + j] = 1.0
+        eq_rows.append(row)
+    for qi, code in enumerate(codebook):
+        row = np.zeros(n)
+        row[qi * width + t - code.duration_epochs] = 1.0
+        eq_rows.append(row)
+    ineq_rows = []
+    for qi in range(q):
+        for j in range(1, width):
+            row = np.zeros(n)
+            row[qi * width + j] = 1.0
+            row[qi * width + j - 1] = -1.0
+            ineq_rows.append(row)
+    return np.array(eq_rows), np.array(ineq_rows)
+
+
 def rowwise_program(inputs):
     """Oracle: the window LP assembled densely, one row at a time."""
     q, t = inputs.n_queues, inputs.lookahead
@@ -351,8 +411,7 @@ def rowwise_program(inputs):
     n = n_e + 2 * width
     arrivals = inputs.arrival_matrix()
     shifted = np.maximum(arrivals - inputs.prior_departures[:, None], 0.0)
-    gamma = build_gamma(inputs.codebook, t, inputs.start_lag)
-    net = inputs.zic_kw
+    eq_matrix, ineq_matrix = rowwise_rows(inputs.codebook, t, inputs.start_lag)
 
     cost = np.zeros(n)
     for qi in range(q):
@@ -360,28 +419,9 @@ def rowwise_program(inputs):
     cost[n_e : n_e + width] = inputs.price_up
     cost[n_e + width : n_e + 2 * width] = inputs.price_dn
 
-    eq_rows, eq_rhs = [], []
-    for j in range(width):
-        row = np.zeros(n)
-        row[:n_e] = gamma[j]
-        row[n_e + j] = -1.0
-        row[n_e + width + j] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(net[j])
+    eq_rhs = list(inputs.zic_kw)
     for qi, code in enumerate(inputs.codebook):
-        pos = t - code.duration_epochs
-        row = np.zeros(n)
-        row[qi * width + pos] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(shifted[qi, pos])
-
-    ineq_rows = []
-    for qi in range(q):
-        for j in range(1, width):
-            row = np.zeros(n)
-            row[qi * width + j] = 1.0
-            row[qi * width + j - 1] = -1.0
-            ineq_rows.append(row)
+        eq_rhs.append(shifted[qi, t - code.duration_epochs])
 
     floor = np.zeros((q, width))
     for j in range(width):
@@ -397,10 +437,64 @@ def rowwise_program(inputs):
         lower[qi * width : (qi + 1) * width] = np.minimum(lo, shifted[qi])
         upper[qi * width : (qi + 1) * width] = shifted[qi]
     return {
-        "objective": cost, "eq_matrix": np.array(eq_rows), "eq_rhs": np.array(eq_rhs),
-        "ineq_matrix": np.array(ineq_rows), "ineq_rhs": np.zeros(len(ineq_rows)),
+        "objective": cost, "eq_matrix": eq_matrix, "eq_rhs": np.array(eq_rhs),
+        "ineq_matrix": ineq_matrix, "ineq_rhs": np.zeros(len(ineq_matrix)),
         "lower": lower, "upper": upper,
     }
+
+
+def assert_same_csc(got, expected, label=""):
+    """The same CSC arrays, bit for bit, indices and pointers in int32."""
+    got = (got.indptr, got.indices, got.data) if scipy.sparse.issparse(got) else got
+    for a, b in zip(got, (expected.indptr, expected.indices, expected.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), label
+    assert got[1].dtype == np.int32, label
+
+
+@pytest.mark.parametrize("start_lag", [0, 1])
+@pytest.mark.parametrize("scenario", ["configs/desk_day.json", "bench/scenarios/crowd.json",
+                                      "bench/scenarios/wide.json"])
+def test_window_template_is_the_rowwise_oracle_in_csc(scenario, start_lag):
+    config = load_scenario(DESK_CONFIG.parents[1] / scenario)
+    template, _ = scheduler._window_rows(config.codebook, config.lookahead, start_lag)
+    eq, ineq = rowwise_rows(config.codebook, config.lookahead, start_lag)
+    assert_same_csc(template.eq_matrix, scipy.sparse.csc_array(eq), "eq")
+    assert_same_csc(template.ineq_matrix, scipy.sparse.csc_array(ineq), "ineq")
+    assert_same_csc(template.csc, scipy.sparse.csc_array(np.vstack((-ineq, eq))), "stacked")
+
+
+# Builds the desk template at T = 2000 in a grandchild and prints the
+# grandchild's peak RSS: a child exec'd from a large process inherits that
+# process's peak, so the measuring process in between must stay small.
+_PEAK_OF_A_T2000_BUILD = """
+import resource, subprocess, sys
+build = ("from ddls import scheduler; from ddls.simkit import load_scenario; "
+         f"scheduler._window_rows(load_scenario({CONFIG!r}).codebook, 2000, 0)")
+subprocess.run([sys.executable, "-c", build], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+class TestLongWindowTemplate:
+    """The desk template at T = 2000 (20,010 columns), built but never solved."""
+
+    def test_stores_at_most_four_entries_a_column(self):
+        codebook = load_scenario(DESK_CONFIG).codebook
+        template, _ = scheduler._window_rows.__wrapped__(codebook, 2000, 0)
+        indptr = template.csc[0]
+        assert template.n_vars == 20_010
+        assert indptr[-1] <= 4 * template.n_vars  # 68,006 entries
+        # gamma's two steps, the two monotonicity rows and the completion row
+        assert np.diff(indptr).max() <= 5
+
+    def test_builds_in_a_process_that_peaks_under_100_mb(self):
+        root = DESK_CONFIG.parents[1]
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        script = f"CONFIG = {str(DESK_CONFIG)!r}\n" + _PEAK_OF_A_T2000_BUILD
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert int(proc.stdout) / 1024 < 100  # ru_maxrss is in KiB on Linux
 
 
 def mid_day_inputs(codebook, start_lag=0, seed=5):
@@ -439,7 +533,10 @@ class TestWindowStructure:
         for name, expected in rowwise_program(inputs).items():
             got = getattr(program, name)
             assert got.shape == expected.shape, name
-            assert got.tobytes() == expected.tobytes(), name
+            if name.endswith("matrix"):
+                assert_same_csc(got, scipy.sparse.csc_array(expected), name)
+            else:
+                assert got.tobytes() == expected.tobytes(), name
 
     def test_windows_share_read_only_rows(self):
         a = build_program(mid_day_inputs(self.CODEBOOK, seed=1))
@@ -448,9 +545,10 @@ class TestWindowStructure:
         assert a.ineq_matrix is b.ineq_matrix
         assert a.ineq_rhs is b.ineq_rhs
         assert not np.array_equal(a.eq_rhs, b.eq_rhs)
-        for arr in (a.eq_matrix, a.ineq_matrix, a.ineq_rhs):
+        for arr in (a.eq_matrix.data, a.eq_matrix.indices, a.ineq_matrix.data,
+                    a.ineq_matrix.indptr, a.ineq_rhs, *a.csc):
             with pytest.raises(ValueError):
-                arr[0] = 7.0
+                arr[0] = 7
         lagged = build_program(mid_day_inputs(self.CODEBOOK, start_lag=1))
         assert lagged.eq_matrix is not a.eq_matrix
 

@@ -1,0 +1,123 @@
+"""Run a fixed list of hand-written mutants of ``src/ddls`` against tier-1.
+
+Each mutant is one edit, ``(name, file, old, new)``, and ``old`` must occur
+exactly once in ``file``.  For each mutant the repository is copied to a
+temporary directory, the edit is made there, and the tier-1 suite runs
+with ``-x``: the first failing test kills the mutant, and a mutant that
+passes every test survives.  The unmutated copy runs first and must pass,
+so that a failure is the mutant's.  The working tree is never changed.
+
+    python tools/mutants.py              # every mutant
+    python tools/mutants.py gamma-sign   # the named ones only
+    python tools/mutants.py --list
+
+Prints one line per mutant, ``<name>: killed by <test>`` or
+``<name>: survived``, and exits 1 if any survived.  A surviving mutant
+runs the whole suite, about a minute on a 2-core machine.  This script is
+not part of tier-1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors")
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                                 ".bench_out", "out", "*.egg-info")
+
+LP, SCHEDULER = "src/ddls/lp.py", "src/ddls/scheduler.py"
+MUTANTS = (
+    # the window rows
+    ("gamma-sign", SCHEDULER,  # every step down of a pulse becomes a step up
+     "steps = np.diff(pulses, prepend=0.0)", "steps = np.abs(np.diff(pulses, prepend=0.0))"),
+    ("gamma-lag", SCHEDULER,  # the load starts one epoch late
+     "rows = cols + lag\n", "rows = cols + lag + 1\n"),
+    ("completion-entry-dropped", SCHEDULER,  # the last queue's completion row is empty
+     "-ones, ones, np.ones(q))", "-ones, ones, np.r_[np.ones(q - 1), 0.0])"),
+    ("monotonicity-row-dropped", SCHEDULER,  # no e(1) >= e(0) row in any queue
+     "width + epochs[1:]).ravel()", "width + epochs[2:]).ravel()"),
+    ("up-dn-swapped", SCHEDULER,  # buying up lowers the load
+     "(gamma.data, -ones, ones,", "(gamma.data, ones, -ones,"),
+    # the program's checks
+    ("rows-finite-unchecked", LP,
+     "if not np.isfinite(m.data).all():", "if False:"),
+    ("rows-duplicates-kept", LP,
+     "    m.sum_duplicates()\n", ""),
+    ("rows-zeros-kept", LP,
+     "    m.eliminate_zeros()\n", ""),
+    ("rows-int64", LP,
+     "a.astype(np.int32, copy=False)", "a.astype(np.int64)"),
+    ("lower-shape-unchecked", LP,
+     "if self.lower.shape != lead + (n,) or self.upper", "if self.upper"),
+    ("nan-lower-accepted", LP,
+     "nonempty = self.lower <= self.upper + FEAS_TOL",
+     "nonempty = ~(self.lower > self.upper + FEAS_TOL)"),
+    # the warm path
+    ("eq-rhs-never-pushed", LP,
+     "rows = (program.eq_rhs != self._eq_rhs).nonzero()[0]",
+     "rows = (program.eq_rhs != program.eq_rhs).nonzero()[0]"),
+    ("equality-residual-unchecked", LP,
+     "and (residual <= _ACCEPT_TOL).all()", "and (residual[:mi] <= _ACCEPT_TOL).all()"),
+)
+
+
+def _tier1(tree: Path) -> str | None:
+    """The first test that fails in ``tree``, or None if tier-1 passes."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
+                              text=True, timeout=1800)
+    except subprocess.TimeoutExpired:
+        return "a timeout"
+    if proc.returncode == 0:
+        return None
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+    return failed.group(1) if failed else f"pytest exit {proc.returncode}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="print the mutants' names and exit")
+    args = parser.parse_args(argv)
+    if args.list:
+        print("\n".join(name for name, *_ in MUTANTS))
+        return 0
+    unknown = set(args.names) - {name for name, *_ in MUTANTS}
+    if unknown:
+        parser.error(f"unknown mutants: {sorted(unknown)}")
+    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
+    stale = [name for name, file, old, _ in chosen if (ROOT / file).read_text().count(old) != 1]
+    if stale:
+        sys.exit(f"edits that do not match exactly once: {stale}")
+
+    survived = []
+    with tempfile.TemporaryDirectory(prefix="ddls-mutants-") as scratch:
+        pristine = Path(scratch) / "pristine"
+        shutil.copytree(ROOT, pristine, ignore=IGNORED)
+        failing = _tier1(pristine)
+        if failing:
+            sys.exit(f"the unmutated copy fails {failing}; fix that first")
+        for name, file, old, new in chosen:
+            tree = Path(scratch) / name
+            shutil.copytree(pristine, tree, ignore=IGNORED)
+            (tree / file).write_text((tree / file).read_text().replace(old, new))
+            killer = _tier1(tree)
+            print(f"{name}: " + (f"killed by {killer}" if killer else "survived"), flush=True)
+            if not killer:
+                survived.append(name)
+            shutil.rmtree(tree)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
