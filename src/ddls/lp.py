@@ -6,31 +6,30 @@ min c'x  s.t.  A_eq x = b_eq,  A_ge x >= b_ge,  lo <= x <= hi
 HiGHS model through scipy's bundled binding
 (``scipy.optimize._highspy._core``) from the basis its last solve left
 (presolve off), pushing only the data that changed since, and accepts
-the point with ``scipy.optimize.linprog``'s checks.  It reads the point
-once, its columns only: the row activity the checks need comes from the
-program's own rows.  Everything else goes to ``linprog(method="highs")``,
-the reference: a call without a model, a warm run that does not end
-optimal, and a scipy that lacks the binding or whose binding's infinity
-is not inf, since bounds go to HiGHS as they are (loaded and checked on
-first use: importing this module loads no scipy).  The warm path matches
-linprog's status and objective, not its point: a window LP often has
-several optimal vertices, and a warm start may end at another one;
-``tests/test_lp_direct.py`` checks that over every window of a desk day.
-A ``LinearProgram`` freezes its rows when it is built: it takes dense or
-sparse matrices, checks them, keeps them only as read-only CSC copies
-(linprog gets these) and stacks them once into the CSC a model loads;
-``LinearProgram.fill`` reuses those rows for new costs, right-hand side
-and bounds, checking only the new vectors, and ``fill_rows`` does the
-same for a stack of windows, checked together in one pass.  Both paths are deterministic.  Bound intervals are accepted
-as nonempty within FEAS_TOL (1e-7).
+the point with ``scipy.optimize.linprog``'s checks.  Everything else goes
+to ``linprog(method="highs")``, the reference: a call without a model, a
+warm run that does not end optimal, and a scipy that lacks the binding
+or whose binding's infinity is not inf (bounds go to HiGHS as they are).
+The warm path matches linprog's status and objective, not its point: a
+window LP often has several optimal vertices.  Both paths are
+deterministic.  Bound intervals are accepted as nonempty within FEAS_TOL.
+
+Importing this module loads numpy only.  A run whose windows all solve
+warm adds only the binding's extension module, loaded from its file;
+scipy.optimize and scipy.sparse load for linprog and ``eq_matrix``.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import sys
 import weakref
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,25 +38,37 @@ from .errors import ConfigurationError, SolverError
 FEAS_TOL = 1e-7
 
 
-def _rows(m, n: int, label):
-    """A read-only CSC copy of a dense or sparse constraint matrix over
-    ``n`` variables, held as a dense one would be: sorted, with no
-    duplicate or zero entry, and indexed in int32 (HiGHS's index type)."""
-    from scipy import sparse
-    if not sparse.issparse(m):
-        m = np.zeros((0, n)) if m is None or np.size(m) == 0 else np.atleast_2d(
-            np.asarray(m, dtype=float))
-    m = sparse.csc_array(m, dtype=float, copy=True)
+# A ``shape`` matrix by its entries, ``data[k]`` at (``row[k]``, ``col[k]``), named as
+# scipy's ``coo_array`` names them
+Entries = namedtuple("Entries", "data row col shape")
+
+
+def _rows(m, n: int, label) -> tuple:
+    """A dense matrix, ``Entries`` or a scipy-sparse matrix over ``n``
+    variables, checked, as its row count and read-only CSC (indptr, indices,
+    data): scipy's ``csc_array`` after ``sum_duplicates`` (in the order
+    given) and ``eliminate_zeros``, indexed in int32 as HiGHS is."""
+    if hasattr(m, "tocoo"):  # scipy-sparse, read without importing scipy.sparse
+        m = m.tocoo()
+    elif not isinstance(m, Entries):
+        m = np.zeros((0, n)) if m is None or not np.size(m) else np.atleast_2d(np.asarray(m, float))
+        m = Entries(m[m.nonzero()], *m.nonzero(), m.shape)
     if m.shape[1] != n:
         raise ConfigurationError(f"{label} matrix has shape {m.shape}, expected {n} columns")
-    if not np.isfinite(m.data).all():
+    data = np.asarray(m.data, dtype=float)
+    if not np.isfinite(data).all():
         raise ConfigurationError(f"{label} contains NaN/Inf")
-    m.sum_duplicates()
-    m.eliminate_zeros()
-    m.indptr, m.indices = (a.astype(np.int32, copy=False) for a in (m.indptr, m.indices))
-    for a in (m.indptr, m.indices, m.data):
+    # column-major positions; an entry outside the shape raises ValueError
+    key, position = np.unique(np.ravel_multi_index((m.col, m.row), m.shape[::-1]),
+                              return_inverse=True)
+    data = np.bincount(position, data, key.size).astype(float, copy=False)
+    kept = data != 0
+    col, row = np.unravel_index(key[kept], m.shape[::-1])
+    csc = (np.searchsorted(col, np.arange(n + 1)).astype(np.int32), row.astype(np.int32),
+           data[kept])
+    for a in csc:
         a.flags.writeable = False
-    return m
+    return m.shape[0], csc
 
 
 def _rhs(rhs, shape: tuple, label) -> np.ndarray:
@@ -70,41 +81,47 @@ def _rhs(rhs, shape: tuple, label) -> np.ndarray:
     return rhs
 
 
-@dataclass
 class LinearProgram:
     """LP data; inequality rows are >= constraints.
 
-    The matrices may be dense or scipy-sparse.  The rows (both matrices
-    and ``ineq_rhs``) are checked and held only sparse, as read-only CSC
-    copies (``_rows``), and stacked into linprog's CSC ``[-ineq; eq]``
-    once, when the program is built.  ``fill`` gives programs that share
-    them and differ only in the costs, the equality right-hand side and
-    the bounds.
+    The matrices may be dense, ``Entries`` or scipy-sparse.  The rows
+    (both matrices and ``ineq_rhs``) are checked and held only as
+    read-only numpy CSC arrays (``_rows``), stacked into linprog's
+    ``[-ineq; eq]`` once, when the program is built; ``eq_matrix`` and
+    ``ineq_matrix`` are scipy ``csc_array``s over them, built on first
+    access.  ``fill`` gives programs that share the rows and differ only
+    in the costs, the equality right-hand side and the bounds.
     """
 
-    objective: np.ndarray
-    eq_matrix: object = None  # dense or sparse in; a read-only csc_array once built
-    eq_rhs: np.ndarray | None = None
-    ineq_matrix: object = None
-    ineq_rhs: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-    csc: tuple = field(init=False, repr=False)  # (indptr, indices, data), read-only
-
-    def __post_init__(self):
-        n = np.size(self.objective)
-        self.eq_matrix = _rows(self.eq_matrix, n, "equality")
-        self.ineq_matrix = _rows(self.ineq_matrix, n, "inequality")
-        self.ineq_rhs = _rhs(self.ineq_rhs, self.ineq_matrix.shape[:1], "inequality")
-        from scipy.sparse import vstack
-        stacked = vstack((-self.ineq_matrix, self.eq_matrix), format="csc")
-        self.csc = (stacked.indptr, stacked.indices, stacked.data)
-        # each stored entry's row and column, for ``row_activity``
-        self._entries = (stacked.indices.astype(np.intp),
-                         np.repeat(np.arange(n), np.diff(stacked.indptr)))
-        for a in (self.ineq_rhs, *self.csc, *self._entries):
+    def __init__(self, objective, eq_matrix=None, eq_rhs=None, ineq_matrix=None,
+                 ineq_rhs=None, lower=None, upper=None):
+        n = np.size(objective)
+        self.objective, self.eq_rhs, self.lower, self.upper = objective, eq_rhs, lower, upper
+        held = _rows(eq_matrix, n, "equality"), _rows(ineq_matrix, n, "inequality")
+        self._held, self._matrices = dict(zip(("eq", "ineq"), held)), {}  # see ``_matrix``
+        (me, eq), (mi, ineq) = held  # row counts and CSCs
+        self.ineq_rhs = _rhs(ineq_rhs, (mi,), "inequality")
+        cols = [np.repeat(np.arange(n), np.diff(rows[0])) for rows in (ineq, eq)]
+        _, self.csc = _rows(Entries(np.concatenate((-ineq[2], eq[2])),  # (indptr, indices, data)
+                                    np.concatenate((ineq[1], eq[1] + mi)), np.concatenate(cols),
+                                    (mi + me, n)), n, "stacked")
+        self._entries = (self.csc[1].astype(np.intp),  # each entry's row and column
+                         np.repeat(np.arange(n), np.diff(self.csc[0])))
+        for a in (self.ineq_rhs, *self._entries):
             a.flags.writeable = False
         self._check_vectors()
+
+    eq_matrix = property(lambda self: self._matrix("eq"))
+    ineq_matrix = property(lambda self: self._matrix("ineq"))
+
+    def _matrix(self, name):
+        """The held rows as a scipy ``csc_array`` over the same read-only
+        arrays, built on first access and shared with every filled program."""
+        if name not in self._matrices:
+            from scipy.sparse import csc_array
+            rows, (indptr, indices, data) = self._held[name]
+            self._matrices[name] = csc_array((data, indices, indptr), (rows, indptr.size - 1))
+        return self._matrices[name]
 
     def fill(self, objective, eq_rhs, lower, upper) -> LinearProgram:
         """This program's rows with new costs, equality right-hand side
@@ -138,7 +155,7 @@ class LinearProgram:
         """Convert and check the costs, equality right-hand side and
         bounds: one program's or, given ``rows``, those of a stack of
         that many, each vector (rows, k) and the costs (n,) or (rows, n)."""
-        m, n = self.eq_matrix.shape
+        m, n = self._held["eq"][0], self.csc[0].size - 1
         lead = () if rows is None else (rows,)
         self.objective = np.atleast_1d(np.asarray(self.objective, dtype=float))
         if self.objective.shape not in ((n,), lead + (n,)):
@@ -165,7 +182,7 @@ class LinearProgram:
     def row_activity(self, x: np.ndarray) -> np.ndarray:
         """The stacked rows [-ineq; eq] times the point ``x``, as a new array."""
         rows, cols = self._entries  # bincount of no entries gives int zeros, hence astype
-        size = self.ineq_matrix.shape[0] + self.eq_matrix.shape[0]
+        size = self._held["ineq"][0] + self._held["eq"][0]
         return np.bincount(rows, self.csc[2] * x[cols], size).astype(float, copy=False)
 
 
@@ -181,18 +198,38 @@ class LpSolution:
         return self.status == "optimal"
 
 
+_CORE = "scipy.optimize._highspy._core"
+
+
 @functools.cache
 def _load_highs():
     """scipy's bundled HiGHS binding, or None where this scipy lacks it or
-    its infinity is not inf (bounds go to it unmapped); loaded on first use."""
+    its infinity is not inf (bounds go to it unmapped); loaded on first use,
+    from its file (``_core_from_file``), or else by importing it."""
     try:
-        from scipy.optimize._highspy import _core
-    except ImportError:
-        return None
+        core = sys.modules.get(_CORE) or _core_from_file()
+    except (AttributeError, ImportError, OSError):  # no scipy or file, or a file that won't load
+        try:
+            from scipy.optimize._highspy import _core as core
+        except ImportError:
+            return None
     needed = ("_Highs", "HighsLp", "HighsOptions", "HighsModelStatus", "HighsStatus",
               "HighsDebugLevel", "MatrixFormat", "simplex_constants", "kHighsInf")
-    usable = all(hasattr(_core, name) for name in needed) and _core.kHighsInf == np.inf
-    return _core if usable else None
+    usable = all(hasattr(core, name) for name in needed) and core.kHighsInf == np.inf
+    return core if usable else None
+
+
+def _core_from_file():
+    """The binding's extension module, loaded from its file and entered in ``sys.modules``
+    as its import would, without running ``scipy/optimize/__init__.py``."""
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    extension = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(os.path.join(scipy_dir, "optimize", "_highspy"),
+                                          extension).find_spec(_CORE)
+    module = importlib.util.module_from_spec(spec)  # refuses the None of a missing file
+    spec.loader.exec_module(module)
+    sys.modules[_CORE] = module
+    return module
 
 
 # linprog's acceptance tolerance for HiGHS points: sqrt(tol) * 10, tol = 1e-9
@@ -291,7 +328,7 @@ def _highs_lp(program: LinearProgram):
     """linprog's model: the >= rows as -A x <= -b, then the equality rows."""
     h = _load_highs()
     n = program.n_vars
-    mi = program.ineq_matrix.shape[0]
+    mi = program.ineq_rhs.size
     rhs = np.concatenate((-program.ineq_rhs, program.eq_rhs))
     lhs = np.concatenate((np.full(mi, -np.inf), program.eq_rhs))
     indptr, indices, data = program.csc
@@ -348,8 +385,7 @@ def _highs_options():
 
 def _solve_linprog(program: LinearProgram) -> LpSolution:
     import scipy.optimize
-    mi = program.ineq_matrix.shape[0]
-    me = program.eq_matrix.shape[0]
+    mi, me = program.ineq_rhs.size, program.eq_rhs.size
     res = scipy.optimize.linprog(
         program.objective,
         A_ub=-program.ineq_matrix if mi else None,

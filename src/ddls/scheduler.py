@@ -45,7 +45,7 @@ import numpy as np
 
 from .core import ChargeCode, checked_numbers
 from .errors import ConfigurationError, FeasibilityError
-from .lp import LinearProgram, LpSolution, Model
+from .lp import Entries, LinearProgram, LpSolution, Model
 from .lp import solve as lp_solve
 # unused here: bench/spans.py traces ddls.scheduler.stage_cost until ROADMAP item 1 drops it
 from .market import stage_cost  # noqa: F401
@@ -54,7 +54,7 @@ from .queues import QueueLedger
 
 def build_gamma(codebook, lookahead: int, start_lag: int = 0):
     """Map stacked cumulative departures (queue-major) to window load, as
-    a sparse (T+1) x Q(T+1) array that stores only nonzero entries.
+    a sparse (T+1) x Q(T+1) csc_array that stores only nonzero entries.
 
     Block q is the lower-triangular Toeplitz matrix of the first
     difference of queue q's pulse, shifted down by ``start_lag`` and cut
@@ -66,6 +66,12 @@ def build_gamma(codebook, lookahead: int, start_lag: int = 0):
     load.
     """
     from scipy.sparse import csc_array
+    data, rows, cols, shape = _gamma_entries(codebook, lookahead, start_lag)
+    return csc_array((data, (rows, cols)), shape=shape)
+
+
+def _gamma_entries(codebook, lookahead: int, start_lag: int) -> Entries:
+    """``build_gamma``'s nonzero entries, each position once."""
     if start_lag not in (0, 1):
         raise ConfigurationError(f"start_lag must be 0 or 1, got {start_lag}")
     _longest_pulse(codebook, lookahead, None)
@@ -79,8 +85,8 @@ def build_gamma(codebook, lookahead: int, start_lag: int = 0):
     cols = np.arange(size)[:, None]
     rows = cols + lag
     kept = rows < size
-    return csc_array((np.broadcast_to(steps[queue, lag], rows.shape)[kept],
-                      (rows[kept], (cols + queue * size)[kept])), shape=(size, len(codebook) * size))
+    return Entries(np.broadcast_to(steps[queue, lag], rows.shape)[kept], rows[kept],
+                   (cols + queue * size)[kept], (size, len(codebook) * size))
 
 
 def certainty_equivalent_arrivals(observed, rates, start_epoch: int, lookahead: int,
@@ -272,7 +278,6 @@ def _window_rows(codebook, lookahead: int, start_lag: int) -> tuple[LinearProgra
     entries.  One template per (codebook, T, start lag) is shared by
     every window and every scheduler that asks for it.
     """
-    from scipy.sparse import csc_array
     q, width = len(codebook), lookahead + 1
     n_e = q * width
     n = n_e + 2 * width
@@ -281,17 +286,16 @@ def _window_rows(codebook, lookahead: int, start_lag: int) -> tuple[LinearProgra
     completion = queues * width + np.array([lookahead - code.duration_epochs for code in codebook])
     completion.flags.writeable = False
 
-    gamma = build_gamma(codebook, lookahead, start_lag).tocoo()
+    gamma = _gamma_entries(codebook, lookahead, start_lag)
     ones = np.ones(width)
-    eq = csc_array((np.concatenate((gamma.data, -ones, ones, np.ones(q))),
-                    (np.concatenate((gamma.row, epochs, epochs, width + queues)),
-                     np.concatenate((gamma.col, n_e + epochs, n_e + width + epochs, completion)))),
-                   shape=(width + q, n))
+    eq = Entries(np.concatenate((gamma.data, -ones, ones, np.ones(q))),
+                 np.concatenate((gamma.row, epochs, epochs, width + queues)),
+                 np.concatenate((gamma.col, n_e + epochs, n_e + width + epochs, completion)),
+                 (width + q, n))
 
     later = (queues[:, None] * width + epochs[1:]).ravel()
-    ineq = csc_array((np.repeat([1.0, -1.0], later.size),
-                      (np.tile(np.arange(later.size), 2), np.concatenate((later, later - 1)))),
-                     shape=(later.size, n))
+    ineq = Entries(np.repeat([1.0, -1.0], later.size), np.tile(np.arange(later.size), 2),
+                   np.concatenate((later, later - 1)), (later.size, n))
     template = LinearProgram(np.zeros(n), eq, np.zeros(width + q), ineq, np.zeros(later.size))
     return template, completion
 

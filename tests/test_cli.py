@@ -403,11 +403,12 @@ def test_desk_day_csvs_match_their_recorded_digests(strategy, tmp_path, capsys):
 
 
 # Runs in a fresh interpreter: every command that solves no LP leaves
-# scipy.optimize and scipy.sparse unloaded; a ddls day then loads them and
-# answers every window warm.
+# scipy.optimize and scipy.sparse unloaded; a ddls and a distributed day then
+# load only the HiGHS binding (its extension module and the submodules it
+# registers), never call linprog and answer every window warm.
 _SCIPY_ON_DEMAND = """
 import sys
-from ddls import cli
+from ddls import cli, lp, scheduler
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "optimize"],
@@ -419,12 +420,9 @@ for command in (["validate"], ["codebook"], ["rates"], ["run", "--strategy", "un
     assert cli.main([*command, "--config", CONFIG, "--out", OUT]) == 0, command
     assert not loaded(), (command, loaded())
 
-import scipy.optimize
-from ddls import lp, scheduler
-
 calls, models = [], []
-linprog = scipy.optimize.linprog
-scipy.optimize.linprog = lambda *a, **k: calls.append(1) or linprog(*a, **k)
+linprog = lp._solve_linprog
+lp._solve_linprog = lambda program: calls.append(1) or linprog(program)
 
 class NotedModel(lp.Model):
     def __init__(self, template):
@@ -432,10 +430,16 @@ class NotedModel(lp.Model):
         models.append(self)
 
 scheduler.Model = NotedModel
-assert cli.main(["run", "--strategy", "ddls", "--config", CONFIG, "--out", OUT]) == 0
+for strategy in ("ddls", "distributed"):
+    assert cli.main(["run", "--strategy", strategy, "--config", CONFIG, "--out", OUT]) == 0
+    others = [m for m in loaded() if m.split(".")[:4] != ["scipy", "optimize", "_highspy", "_core"]]
+    assert lp._CORE in loaded() and not others, (strategy, loaded())
 assert lp._load_highs() is not None
-assert models and not calls, (len(models), len(calls))
+assert len(models) == 1 + 8 and not calls, (len(models), len(calls))
 assert all(m.cold_retries == 0 for m in models)
+
+import scipy.optimize
+assert sys.modules[lp._CORE] is lp._load_highs()
 """
 
 
@@ -445,3 +449,27 @@ def test_commands_that_solve_nothing_never_load_scipy_optimize(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+
+# Runs a desk distributed day in a grandchild and prints the grandchild's
+# peak RSS: a child exec'd from a large process inherits that process's peak,
+# so the measuring process in between must stay small.
+_PEAK_OF_A_DISTRIBUTED_DAY = """
+import resource, subprocess, sys
+day = ("from ddls import cli; "
+       f"cli.main(['run', '--strategy', 'distributed', '--config', {CONFIG!r}, '--out', {OUT!r}])")
+subprocess.run([sys.executable, "-c", day], check=True, capture_output=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_a_desk_distributed_day_peaks_under_64_mb(tmp_path):
+    """numpy and the HiGHS binding, not scipy.optimize and scipy.sparse."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    script = (f"CONFIG, OUT = {str(DESK_CONFIG)!r}, {str(tmp_path)!r}\n"
+              + _PEAK_OF_A_DISTRIBUTED_DAY)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout) / 1024 < 64  # ru_maxrss is in KiB on Linux

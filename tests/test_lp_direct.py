@@ -8,6 +8,10 @@ warm run that is not optimal is answered by linprog, and that a day
 reaches linprog only where it has no binding.
 """
 
+import importlib.machinery
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,13 +20,15 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataclasses import replace
 
 from ddls import lp, scheduler
 from ddls.core import ChargeCode
 from ddls.errors import ConfigurationError
-from ddls.lp import LinearProgram, Model, solve
+from ddls.lp import Entries, LinearProgram, Model, solve
 from ddls.scheduler import RecedingHorizonScheduler
 from ddls.simkit import load_scenario, run_ddls, run_distributed, run_uncontrolled
 
@@ -101,15 +107,16 @@ def test_filled_program_shares_the_template_rows():
     assert template.lower.tolist() == [-np.inf, -np.inf]
 
 
-@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-def test_rows_are_a_copy_of_the_callers_matrices(sparse):
-    eq = np.array([[1.0, 1.0]])
-    eq = scipy.sparse.csc_array(eq) if sparse else eq
+@pytest.mark.parametrize("form", ["dense", "sparse", "entries"])
+def test_rows_are_a_copy_of_the_callers_matrices(form):
+    dense = np.array([[1.0, 1.0]])
+    eq = {"dense": dense, "sparse": scipy.sparse.csc_array(dense),
+          "entries": Entries(np.ones(2), np.zeros(2, int), np.arange(2), (1, 2))}[form]
     program = LinearProgram(np.ones(2), eq_matrix=eq, eq_rhs=np.ones(1))
-    (eq.data if sparse else eq)[0] = np.nan
+    (eq if form == "dense" else eq.data)[0] = np.nan
     assert scipy.sparse.issparse(program.eq_matrix)
     assert program.eq_matrix.toarray().tolist() == [[1.0, 1.0]]
-    assert (eq.data if sparse else eq).flags.writeable
+    assert (eq if form == "dense" else eq.data).flags.writeable
 
 
 def test_sparse_rows_are_held_as_dense_rows_would_be():
@@ -129,12 +136,58 @@ def test_sparse_rows_are_held_as_dense_rows_would_be():
         assert given.csc[1].dtype == np.int32
 
 
+# Values whose sums are exact in any order: scipy sums the entries of one
+# position in an order it leaves unspecified (std::sort) once a column holds
+# more than 16 of them, and ``_rows`` sums them in the order given.
+_EXACT = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@st.composite
+def _entries(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, 40)) if rows else 0
+    row = draw(st.lists(st.integers(0, max(rows - 1, 0)), min_size=k, max_size=k))
+    col = draw(st.lists(st.integers(0, cols - 1), min_size=k, max_size=k))
+    data = draw(st.lists(_EXACT, min_size=k, max_size=k))
+    return Entries(np.array(data), np.array(row, int), np.array(col, int), (rows, cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entries(), st.sampled_from(["entries", "coo", "dense"]))
+def test_rows_are_scipys_csc_bit_for_bit(entries, form):
+    """Duplicates summed, explicit zeros (given or summed) dropped, empty
+    columns and zero rows kept in the shape: as scipy's csc_array holds the
+    same matrix after sum_duplicates and eliminate_zeros, with its indices
+    in int32, for entries, a scipy matrix and a dense one."""
+    data, row, col, shape = entries
+    want = scipy.sparse.csc_array((data, (row, col)), shape=shape)
+    want.sum_duplicates()
+    want.eliminate_zeros()
+    given_as = {"entries": entries, "coo": scipy.sparse.coo_array((data, (row, col)), shape),
+                "dense": want.toarray()}[form]
+    rows, held = lp._rows(given_as, shape[1], "rows")
+    assert rows == shape[0]
+    expected = (want.indptr.astype(np.int32), want.indices.astype(np.int32), want.data)
+    for got, want in zip(held, expected):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
 def test_sparse_rows_with_nan_or_a_wrong_shape_are_refused():
     nan = scipy.sparse.csc_array(np.array([[1.0, np.nan]]))
     with pytest.raises(ConfigurationError, match="NaN"):
         LinearProgram(np.ones(2), eq_matrix=nan, eq_rhs=np.ones(1))
     with pytest.raises(ConfigurationError, match="columns"):
         LinearProgram(np.ones(3), eq_matrix=scipy.sparse.eye_array(2), eq_rhs=np.ones(2))
+
+
+@pytest.mark.parametrize("row, col", [(-1, 0), (2, 0), (0, -1), (0, 2)],
+                         ids=["row-below", "row-past", "col-below", "col-past"])
+def test_entries_outside_the_shape_are_refused(row, col):
+    """An entry past a row's end must not land in the next column."""
+    entries = Entries(np.ones(2), np.array([0, row]), np.array([1, col]), (2, 2))
+    with pytest.raises(ValueError):
+        LinearProgram(np.ones(2), ineq_matrix=entries, ineq_rhs=np.zeros(2))
 
 
 def test_every_filled_desk_window_solves_like_a_fresh_program(monkeypatch):
@@ -174,16 +227,16 @@ def test_fill_checks_the_new_vectors(vectors):
 
 def test_desk_distributed_builds_rows_once_and_extracts_no_plan(monkeypatch):
     builds = []
-    original = LinearProgram.__post_init__
+    original = LinearProgram.__init__
 
-    def counted(program):
+    def counted(program, *args, **kwargs):
         builds.append(1)
-        original(program)
+        original(program, *args, **kwargs)
 
     def no_plan(*args, **kwargs):
         raise AssertionError("the controller extracted a plan")
 
-    monkeypatch.setattr(LinearProgram, "__post_init__", counted)
+    monkeypatch.setattr(LinearProgram, "__init__", counted)
     monkeypatch.setattr(scheduler, "extract_plan", no_plan)
     scheduler._window_rows.cache_clear()
     result = run_distributed(load_scenario(DESK_CONFIG))
@@ -383,28 +436,113 @@ def test_the_row_activity_is_highs_row_value(monkeypatch):
         assert (np.abs(activity - highs_rows) <= 1e-9 * (1 + np.abs(highs_rows))).all(), i
 
 
+def _binding_from(monkeypatch, source, core):
+    """Make ``lp._load_highs`` find ``core`` (or, for None, no binding) by
+    one of its three ways: already imported, loaded from its file, or, the
+    file load failing, imported through scipy.optimize's package."""
+    import scipy.optimize._highspy as highspy
+
+    def no_file():
+        raise OSError("no such file")
+
+    if source == "imported":
+        monkeypatch.setitem(sys.modules, lp._CORE, core)
+        return
+    monkeypatch.delitem(sys.modules, lp._CORE)
+    monkeypatch.setattr(lp, "_core_from_file", (lambda: core) if source == "file" else no_file)
+    if source == "package":
+        monkeypatch.setattr(highspy, "_core", core)
+
+
 @pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
-def test_a_binding_whose_infinity_is_finite_is_not_used(monkeypatch, desk_programs,
-                                                       linprog_calls):
-    """Bounds go to HiGHS unmapped, so a binding must take inf as infinity."""
+def test_a_binding_whose_infinity_is_finite_is_not_used(desk_programs, linprog_calls):
+    """Bounds go to HiGHS unmapped, so a binding must take inf as infinity,
+    however it was loaded."""
+    loaded = lp._load_highs()
+    finite = SimpleNamespace(**{**vars(loaded), "kHighsInf": 1e30})
+    for source in ("imported", "file", "package"):
+        with pytest.MonkeyPatch.context() as patch:
+            _binding_from(patch, source, finite)
+            lp._load_highs.cache_clear()
+            try:
+                assert lp._load_highs() is None, source
+                program = desk_programs[0]
+                model = Model(program)
+                answer = solve(program, model=model)
+                assert len(linprog_calls) == 1 and model.cold_retries == 0, source
+                reference = lp._solve_linprog(program)
+                assert np.array_equal(answer.values, reference.values), source
+                assert answer.objective == reference.objective, source
+            finally:
+                patch.undo()
+                lp._load_highs.cache_clear()
+        linprog_calls.clear()
+        assert lp._load_highs() is loaded
+
+
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
+def test_a_failed_file_load_still_solves_warm_through_the_package(monkeypatch, linprog_calls):
     import scipy.optimize._highspy as highspy
 
     loaded = lp._load_highs()
-    monkeypatch.setattr(highspy, "_core", SimpleNamespace(**{**vars(loaded), "kHighsInf": 1e30}))
+    _binding_from(monkeypatch, "package", highspy._core)
+    models = []
+
+    class NotedModel(Model):
+        def __init__(self, template):
+            super().__init__(template)
+            models.append(self)
+
+    monkeypatch.setattr(scheduler, "Model", NotedModel)
     lp._load_highs.cache_clear()
     try:
-        assert lp._load_highs() is None
-        program = desk_programs[0]
-        model = Model(program)
-        answer = solve(program, model=model)
-        assert len(linprog_calls) == 1 and model.cold_retries == 0
-        reference = lp._solve_linprog(program)
-        assert np.array_equal(answer.values, reference.values)
-        assert answer.objective == reference.objective
+        assert lp._load_highs() is highspy._core
+        assert run_ddls(load_scenario(DESK_CONFIG)).metrics.served > 0
+        assert models and not linprog_calls
+        assert all(m.cold_retries == 0 for m in models)
     finally:
         monkeypatch.undo()
         lp._load_highs.cache_clear()
     assert lp._load_highs() is loaded
+
+
+# Runs in a fresh interpreter: a desk day loads the binding from its file; a
+# later import of scipy.optimize takes that same module, and linprog then
+# answers the day's first windows (printed as JSON).
+_FILE_LOAD_FIRST = """
+import json, sys
+from ddls import lp, scheduler
+from ddls.simkit import load_scenario, run_ddls
+
+programs, solve = [], scheduler.lp_solve
+scheduler.lp_solve = lambda program, model=None: programs.append(program) or solve(program, model)
+run_ddls(load_scenario(CONFIG))
+core = lp._load_highs()
+assert core is not None and sys.modules[lp._CORE] is core
+assert "scipy.optimize" not in sys.modules and "scipy.optimize._highspy" not in sys.modules
+import scipy.optimize
+from scipy.optimize._highspy import _core
+assert _core is core and sys.modules[lp._CORE] is core
+answers = [lp._solve_linprog(program) for program in programs[:WINDOWS]]
+print(json.dumps([[a.status, a.objective, a.iterations, a.values.tolist()] for a in answers]))
+"""
+
+
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
+def test_scipy_optimize_imported_after_the_file_load_reuses_it(desk_programs):
+    root = DESK_CONFIG.parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    script = f"CONFIG, WINDOWS = {str(DESK_CONFIG)!r}, 5\n" + _FILE_LOAD_FIRST
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    answers = json.loads(proc.stdout)
+    assert len(answers) == 5
+    for program, (status, objective, iterations, values) in zip(desk_programs, answers):
+        reference = lp._solve_linprog(program)  # in this process, scipy.optimize came first
+        assert status == reference.status == "optimal"
+        assert (objective, iterations) == (reference.objective, reference.iterations)
+        assert values == reference.values.tolist()
 
 
 class _PushSpy:
@@ -533,11 +671,13 @@ def test_two_distributed_days_in_one_process_are_equal():
 
 
 def test_import_without_binding_selects_linprog(monkeypatch):
+    """A scipy with no binding: no extension file to load, and no module to import."""
     import scipy.optimize._highspy as highspy
 
     loaded = lp._load_highs()
     monkeypatch.delattr(highspy, "_core")
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
     lp._load_highs.cache_clear()
     try:
         assert lp._load_highs() is None

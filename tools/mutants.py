@@ -48,18 +48,32 @@ MUTANTS = (
      "(gamma.data, -ones, ones,", "(gamma.data, ones, -ones,"),
     # the program's checks
     ("rows-finite-unchecked", LP,
-     "if not np.isfinite(m.data).all():", "if False:"),
-    ("rows-duplicates-kept", LP,
-     "    m.sum_duplicates()\n", ""),
+     "if not np.isfinite(data).all():", "if False:"),
+    ("rows-duplicates-kept", LP,  # each entry is stored apart, in sorted place
+     "key, position = np.unique(np.ravel_multi_index((m.col, m.row), m.shape[::-1]),\n"
+     "                              return_inverse=True)",
+     "key = np.sort(np.ravel_multi_index((m.col, m.row), m.shape[::-1]))\n"
+     "    position = np.argsort(np.argsort(np.ravel_multi_index((m.col, m.row), m.shape[::-1]),"
+     " kind='stable'), kind='stable')"),
     ("rows-zeros-kept", LP,
-     "    m.eliminate_zeros()\n", ""),
+     "kept = data != 0", "kept = data == data"),
     ("rows-int64", LP,
-     "a.astype(np.int32, copy=False)", "a.astype(np.int64)"),
+     "(np.searchsorted(col, np.arange(n + 1)).astype(np.int32), row.astype(np.int32),",
+     "(np.searchsorted(col, np.arange(n + 1)), row.astype(np.int64),"),
+    ("stacked-rows-unsorted", LP,  # each column of [-ineq; eq] holds its rows in reverse
+     "        self._entries = (self.csc[1].astype(np.intp),",
+     "        order = np.lexsort((-self.csc[1], np.repeat(np.arange(n), np.diff(self.csc[0]))))\n"
+     "        self.csc = (self.csc[0], self.csc[1][order], self.csc[2][order])\n"
+     "        self._entries = (self.csc[1].astype(np.intp),"),
     ("lower-shape-unchecked", LP,
      "if self.lower.shape != lead + (n,) or self.upper", "if self.upper"),
     ("nan-lower-accepted", LP,
      "nonempty = self.lower <= self.upper + FEAS_TOL",
      "nonempty = ~(self.lower > self.upper + FEAS_TOL)"),
+    # the binding
+    ("highs-inf-unchecked", LP,  # a loaded or already imported binding skips every check
+     "        core = sys.modules.get(_CORE) or _core_from_file()\n",
+     "        return sys.modules.get(_CORE) or _core_from_file()\n"),
     # the warm path
     ("eq-rhs-never-pushed", LP,
      "rows = (program.eq_rhs != self._eq_rhs).nonzero()[0]",
