@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import itertools
 import os
 import sys
 import weakref
@@ -71,12 +70,14 @@ def _rows(m, n: int, label) -> tuple:
     return m.shape[0], csc
 
 
-def _rhs(rhs, shape: tuple, label) -> np.ndarray:
-    """A float copy of a right-hand side of the given shape, rows last."""
-    rhs = np.zeros(shape) if rhs is None and not shape[-1] else np.array(rhs, float, ndmin=1)
+def _rhs(rhs, shape: tuple, label, copy: bool = True) -> np.ndarray:
+    """A right-hand side of the given shape, rows last, as float: a copy,
+    or without ``copy`` the array itself where it is float."""
+    rhs = (np.zeros(shape) if rhs is None and not shape[-1]
+           else np.array(rhs, float, ndmin=1) if copy else np.asarray(rhs, float))
     if rhs.shape != shape:
         raise ConfigurationError(f"{label} shapes inconsistent: rows {shape}, rhs {rhs.shape}")
-    if not np.isfinite(rhs).all():
+    if np.count_nonzero(np.isfinite(rhs)) != rhs.size:
         raise ConfigurationError(f"{label} contains NaN/Inf")
     return rhs
 
@@ -96,7 +97,6 @@ class LinearProgram:
     def __init__(self, objective, eq_matrix=None, eq_rhs=None, ineq_matrix=None,
                  ineq_rhs=None, lower=None, upper=None):
         n = np.size(objective)
-        self.objective, self.eq_rhs, self.lower, self.upper = objective, eq_rhs, lower, upper
         held = _rows(eq_matrix, n, "equality"), _rows(ineq_matrix, n, "inequality")
         self._held, self._matrices = dict(zip(("eq", "ineq"), held)), {}  # see ``_matrix``
         (me, eq), (mi, ineq) = held  # row counts and CSCs
@@ -107,9 +107,11 @@ class LinearProgram:
                                     (mi + me, n)), n, "stacked")
         self._entries = (self.csc[1].astype(np.intp),  # each entry's row and column
                          np.repeat(np.arange(n), np.diff(self.csc[0])))
+        self._checked_cost = None  # see ``fill_rows``
         for a in (self.ineq_rhs, *self._entries):
             a.flags.writeable = False
-        self._check_vectors()
+        self.objective, self.eq_rhs, self.lower, self.upper = self._checked(
+            objective, eq_rhs, lower, upper)
 
     eq_matrix = property(lambda self: self._matrix("eq"))
     ineq_matrix = property(lambda self: self._matrix("ineq"))
@@ -126,23 +128,20 @@ class LinearProgram:
     def fill(self, objective, eq_rhs, lower, upper) -> LinearProgram:
         """This program's rows with new costs, equality right-hand side
         and bounds; only those are checked."""
-        program = self._sharing_rows(objective, eq_rhs, lower, upper)
-        program._check_vectors()
-        return program
+        return self._sharing_rows(*self._checked(objective, eq_rhs, lower, upper))
 
-    def fill_rows(self, objective, eq_rhs, lower, upper) -> list[LinearProgram]:
-        """``fill`` for every row of the stacked (B, m) right-hand sides
-        and (B, n) bounds, with (n,) costs shared by all or (B, n) costs;
-        the vectors are checked together, in one pass, and the new
-        right-hand sides and bounds are read-only."""
-        stacked = self._sharing_rows(objective, eq_rhs, lower, upper)
-        stacked._check_vectors(len(eq_rhs))
-        for vector in (stacked.eq_rhs, stacked.lower, stacked.upper):
+    def fill_rows(self, objective, eq_rhs, lower, upper, rows) -> list[LinearProgram]:
+        """``fill`` for each of ``rows`` of stacked (B, m) equality right-hand
+        sides and (B, n) bounds, with shared (n,) costs.  The stacked arrays are
+        checked in one pass and kept, not copied: they become read-only.  Costs
+        that are the read-only array this program checked last are not checked again."""
+        cost, eq_rhs, lower, upper = self._checked(objective, eq_rhs, lower, upper,
+                                                   len(eq_rhs), self._checked_cost)
+        if not cost.flags.writeable:
+            self._checked_cost = cost
+        for vector in (eq_rhs, lower, upper):
             vector.flags.writeable = False
-        cost = stacked.objective
-        return [self._sharing_rows(*vectors) for vectors in zip(
-            cost if cost.ndim == 2 else itertools.repeat(cost),
-            stacked.eq_rhs, stacked.lower, stacked.upper)]
+        return [self._sharing_rows(cost, eq_rhs[i], lower[i], upper[i]) for i in rows]
 
     def _sharing_rows(self, objective, eq_rhs, lower, upper) -> LinearProgram:
         """This program's rows with the given vectors, taken as they are."""
@@ -151,29 +150,33 @@ class LinearProgram:
                                 lower=lower, upper=upper)
         return program
 
-    def _check_vectors(self, rows: int | None = None):
-        """Convert and check the costs, equality right-hand side and
-        bounds: one program's or, given ``rows``, those of a stack of
-        that many, each vector (rows, k) and the costs (n,) or (rows, n)."""
+    def _checked(self, objective, eq_rhs, lower, upper, rows: int | None = None,
+                 checked_cost=None) -> tuple:
+        """The costs, equality right-hand side and bounds, converted and
+        checked: one program's, as copies, or given ``rows``, those of a
+        stack of that many, each vector (rows, k), as they are where they
+        are float.  The costs are (n,), and not checked again where they
+        are ``checked_cost``."""
         m, n = self._held["eq"][0], self.csc[0].size - 1
-        lead = () if rows is None else (rows,)
-        self.objective = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        if self.objective.shape not in ((n,), lead + (n,)):
-            raise ConfigurationError(f"objective has {self.objective.shape}, rows have {n} columns")
-        if not np.isfinite(self.objective).all():
-            raise ConfigurationError("objective contains NaN/Inf")
-        self.eq_rhs = _rhs(self.eq_rhs, lead + (m,), "equality")
-        self.lower = np.full(lead + (n,), -np.inf) if self.lower is None else np.array(
-            self.lower, dtype=float)
-        self.upper = np.full(lead + (n,), np.inf) if self.upper is None else np.array(
-            self.upper, dtype=float)
-        if self.lower.shape != lead + (n,) or self.upper.shape != lead + (n,):
+        lead, take = ((), np.array) if rows is None else ((rows,), np.asarray)
+        shape = lead + (n,)
+        if checked_cost is None or objective is not checked_cost:
+            objective = np.atleast_1d(np.asarray(objective, dtype=float))
+            if objective.shape != (n,):
+                raise ConfigurationError(f"objective has {objective.shape}, rows have {n} columns")
+            if not np.isfinite(objective).all():
+                raise ConfigurationError("objective contains NaN/Inf")
+        eq_rhs = _rhs(eq_rhs, lead + (m,), "equality", copy=rows is None)
+        lower = np.full(shape, -np.inf) if lower is None else take(lower, dtype=float)
+        upper = np.full(shape, np.inf) if upper is None else take(upper, dtype=float)
+        if lower.shape != shape or upper.shape != shape:
             raise ConfigurationError("bound vectors must match the variable count")
-        nonempty = self.lower <= self.upper + FEAS_TOL  # False at a NaN too
-        if not nonempty.all():
+        nonempty = lower <= upper + FEAS_TOL  # False at a NaN too
+        if np.count_nonzero(nonempty) != nonempty.size:
             at = np.unravel_index(np.argmin(nonempty), nonempty.shape)
             raise ConfigurationError(f"NaN or empty bound interval on variable {at[-1]}: "
-                                     f"[{self.lower[at]}, {self.upper[at]}]")
+                                     f"[{lower[at]}, {upper[at]}]")
+        return objective, eq_rhs, lower, upper
 
     @property
     def n_vars(self) -> int:
@@ -220,15 +223,15 @@ def _load_highs():
 
 
 def _core_from_file():
-    """The binding's extension module, loaded from its file and entered in ``sys.modules``
-    as its import would, without running ``scipy/optimize/__init__.py``."""
+    """The binding's extension module, loaded from its file without running
+    ``scipy/optimize/__init__.py`` and left out of ``sys.modules``: a later import
+    takes it from the extension cache and sets it on its package, as usual."""
     scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
     extension = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
     spec = importlib.machinery.FileFinder(os.path.join(scipy_dir, "optimize", "_highspy"),
                                           extension).find_spec(_CORE)
     module = importlib.util.module_from_spec(spec)  # refuses the None of a missing file
     spec.loader.exec_module(module)
-    sys.modules[_CORE] = module
     return module
 
 
@@ -277,6 +280,8 @@ class Model:
         if program.csc is not self._rows:
             raise ConfigurationError("the program's rows are not this model's")
         h = _load_highs()
+        vectors = cost, lower, upper, eq_rhs = (program.objective, program.lower, program.upper,
+                                                program.eq_rhs)
         if self._highs is None:
             highs = _SPARE.pop() if _SPARE else h._Highs()
             highs.passOptions(_highs_options())
@@ -288,21 +293,19 @@ class Model:
             weakref.finalize(self, _spare, highs).atexit = False
         else:
             highs = self._highs
-            cost = program.objective  # the read-only array HiGHS took last needs no comparing
+            # the read-only array HiGHS took last needs no comparing
             if cost is not self._cost and not np.array_equal(cost, self._cost):
                 highs.changeColsCost(self._cols.size, self._cols, cost)
-            cols = ((program.lower != self._lower) | (program.upper != self._upper)).nonzero()[0]
+            cols = ((lower != self._lower) | (upper != self._upper)).nonzero()[0]
             if cols.size:
-                highs.changeColsBounds(cols.size, self._cols[cols], program.lower[cols],
-                                       program.upper[cols])
-            rows = (program.eq_rhs != self._eq_rhs).nonzero()[0]
+                highs.changeColsBounds(cols.size, self._cols[cols], lower[cols], upper[cols])
+            rows = (eq_rhs != self._eq_rhs).nonzero()[0]
             if rows.size:
-                values = program.eq_rhs[rows].tolist()
+                values = eq_rhs[rows].tolist()
                 for _ in map(highs.changeRowBounds, (rows + self._eq_row0).tolist(), values, values):
                     pass
         self._cost, self._lower, self._upper, self._eq_rhs = [
-            v if not v.flags.writeable else v.copy()
-            for v in (program.objective, program.lower, program.upper, program.eq_rhs)]
+            v if not v.flags.writeable else v.copy() for v in vectors]
         highs.run()
         if highs.getModelStatus() == h.HighsModelStatus.kOptimal:
             solution = _checked_point(highs, program)
@@ -361,10 +364,11 @@ def _checked_point(highs, program: LinearProgram) -> LpSolution | None:
     eq = residual[mi:]
     np.abs(np.subtract(program.eq_rhs, eq, out=eq), out=eq)
     # each test fails on a NaN, as linprog's does
+    inside = (x >= program.lower - _ACCEPT_TOL) & (x <= program.upper + _ACCEPT_TOL)
     if not (
         fun == fun
-        and ((x >= program.lower - _ACCEPT_TOL) & (x <= program.upper + _ACCEPT_TOL)).all()
-        and (residual <= _ACCEPT_TOL).all()
+        and np.count_nonzero(inside) == inside.size
+        and np.count_nonzero(residual <= _ACCEPT_TOL) == residual.size
     ):
         return None
     iterations = highs.getInfoValue("simplex_iteration_count")[1]

@@ -244,8 +244,11 @@ def dci(ledger: QueueLedger, from_epoch: int, horizon: int, prices: DelayPrices)
         raise ConfigurationError(
             f"price vector has {prices.n_queues} queues, ledger has {ledger.n_queues}"
         )
-    total = 0.0
-    for l in range(from_epoch, from_epoch + horizon + 1):
-        wait = ledger.backlog(l)
+    stop = max(from_epoch + horizon, -1)
+    waiting = (ledger._history(ledger._cum_arr, ledger._last_arrival_epoch, stop)
+               - ledger._history(ledger._cum_dep, ledger._last_departure_epoch, stop))
+    epochs = np.maximum(np.arange(from_epoch, from_epoch + horizon + 1), -1) + 1
+    total = 0.0  # one dot product an epoch, each of a contiguous row, as a ``backlog`` would be
+    for wait in np.ascontiguousarray(waiting[:, epochs].T, dtype=float):
         total += float(prices.per_queue @ wait)
     return total

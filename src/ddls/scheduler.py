@@ -15,10 +15,10 @@ that the capacity cap holds back past the deadline is refused with
 ``RecedingHorizonScheduler`` is a bank of M >= 1 such schedulers that
 advance in lockstep.  It checks its static inputs once, when built, and
 keeps every scheduler's cumulative tables and realized load in (M, ·)
-arrays, so each epoch builds the costs, right-hand sides and bounds of
-every busy window in one array pass and commits every decision in a
-second; only each scheduler's warm-started ``lp.Model`` (its push, its
-simplex and its point read) is per scheduler.  Consecutive windows
+arrays, so each epoch builds the right-hand sides and bounds of every
+window in one array pass and commits every decision in a second; only
+each busy scheduler's program and warm-started ``lp.Model`` (its push,
+its simplex and its point read) are per scheduler.  Consecutive windows
 differ only in those vectors, so each model starts from the basis its
 last window left; as every window has an optimum (see ``build_program``),
 one that comes back without one is refused with ``FeasibilityError``.
@@ -120,59 +120,64 @@ def certainty_equivalent_arrivals(observed, rates, start_epoch: int, lookahead: 
     if known_future is not None:
         known_future = np.asarray(known_future)
     r = None if rates is None else np.asarray(rates, dtype=float)
+    return _arrival_ramp(observed, r, start_epoch, lookahead, t1, t2, known_future)
 
+
+def _arrival_ramp(observed, rates, l0: int, lookahead: int, t1: int, t2: int, known) -> np.ndarray:
+    """``certainty_equivalent_arrivals`` of checked inputs, in one fresh array."""
     # increments by window offset j; column 0 holds the counts at l0
-    inc = np.zeros(observed.shape[:-1] + (lookahead + 1,))
-    inc[..., 0] = observed[..., start_epoch]
+    ramp = np.zeros(observed.shape[:-1] + (lookahead + 1,))
+    ramp[..., 0] = observed[..., l0]
     if t1:
-        known = known_future[..., start_epoch + 1 : start_epoch + 1 + t1]
-        inc[..., 1 : 1 + known.shape[-1]] = known
-    if r is not None and r.ndim == 1:
-        inc[..., t1 + 1 : t2 + 1] = r[:, None]
-    elif r is not None:
-        forecast = r[:, start_epoch + t1 + 1 : start_epoch + t2 + 1]
-        inc[..., t1 + 1 : t1 + 1 + forecast.shape[1]] = forecast
-    return np.cumsum(inc, axis=-1)
+        known = known[..., l0 + 1 : l0 + 1 + t1]
+        ramp[..., 1 : 1 + known.shape[-1]] = known
+    if rates is not None and rates.ndim == 1:
+        ramp[..., t1 + 1 : t2 + 1] = rates[:, None]
+    elif rates is not None:
+        forecast = rates[:, l0 + t1 + 1 : l0 + t2 + 1]
+        ramp[..., t1 + 1 : t1 + 1 + forecast.shape[1]] = forecast
+    return np.add.accumulate(ramp, axis=-1, out=ramp)
 
 
 def _window_vectors(observed, arrivals, prior, net_supply, start_epoch: int, deadline, completion):
     """A window's equality right-hand side and lower and upper bounds, from
     its history and cumulative arrivals (Q, ·), the departures before it
     (Q,) and its net supply (T+1,); windows may be stacked on leading axes.
+    The bounds are fresh arrays, written in place.
 
     e lies between the deadline floor (everything that arrived
     ``deadline`` epochs before a window epoch has departed by then) and
     the arrivals, both net of the prior departures; the 2(T+1) up and dn
     columns after it lie in [0, inf)."""
-    l0, t = start_epoch, arrivals.shape[-1] - 1
-    floor = np.zeros(arrivals.shape)
-    if deadline is not None:
-        # offset j is due from l0 + j - deadline: observed up to j = deadline, then forecast
-        first, mid = max(deadline - l0, 0), min(deadline, t) + 1
-        if first < mid:
-            floor[..., first:mid] = observed[..., l0 - deadline + first : l0 - deadline + mid]
-        if mid <= t:
-            floor[..., mid:] = arrivals[..., 1 : t + 1 - deadline]
+    l0, width = start_epoch, arrivals.shape[-1]
+    n_e = arrivals.shape[-2] * width
+    lower = np.zeros(arrivals.shape[:-2] + (n_e + 2 * width,))
+    upper = np.empty(lower.shape)
+    upper[..., n_e:] = np.inf  # the e part is the shifted arrivals, written below
+    floor = lower[..., :n_e].reshape(arrivals.shape)
+    shifted = upper[..., :n_e].reshape(arrivals.shape)
     prior = prior[..., None]
-    shifted = arrivals - prior
-    np.maximum(shifted, 0.0, out=shifted)
-    floor -= prior
-    np.maximum(floor, 0.0, out=floor)
-    lead, n_e = shifted.shape[:-2], shifted.shape[-2] * shifted.shape[-1]
-    n = n_e + 2 * (t + 1)
-    lower = np.zeros(lead + (n,))
-    upper = np.full(lead + (n,), np.inf)
-    lower[..., :n_e] = np.minimum(floor, shifted).reshape(lead + (n_e,))
-    upper[..., :n_e] = shifted.reshape(lead + (n_e,))
-    return np.concatenate((net_supply, upper[..., completion]), axis=-1), lower, upper
+    np.maximum(np.subtract(arrivals, prior, out=shifted), 0.0, out=shifted)
+    if deadline is not None:
+        # offset j is due from l0 + j - deadline: observed up to j = deadline, then forecast,
+        # whose floor is the shifted arrivals' own; before that, nothing is due
+        first, mid = max(deadline - l0, 0), min(deadline + 1, width)
+        if first < mid:
+            due = floor[..., first:mid]
+            np.subtract(observed[..., l0 - deadline + first : l0 - deadline + mid], prior, out=due)
+            np.maximum(due, 0.0, out=due)
+        if mid < width:
+            floor[..., mid:] = shifted[..., 1 : width - deadline]
+        np.minimum(floor, shifted, out=floor)
+    return np.concatenate((net_supply, upper.take(completion, axis=-1)), axis=-1), lower, upper
 
 
-def _round_starts(e0, prior, arrived) -> np.ndarray:
-    """Starts from relaxed first-epoch departures: the cumulative value
-    rounded half-to-even, clamped between the prior departures and the
-    arrivals so far, less the prior departures."""
-    d0 = np.minimum(np.maximum((e0 + prior).round(), prior), arrived)
-    return (d0 - prior).astype(np.int64)
+def _rounded_departures(e0, prior, arrived) -> np.ndarray:
+    """Cumulative departures from relaxed first-epoch ones: the cumulative
+    value rounded half-to-even and clamped between the prior departures
+    and the arrivals so far."""
+    d0 = np.rint(e0 + prior)
+    return np.minimum(np.maximum(d0, prior, out=d0), arrived, out=d0).astype(np.int64)
 
 
 def _longest_pulse(codebook, lookahead: int, deadline) -> int:
@@ -359,7 +364,8 @@ def round_and_commit(relaxed: LpSolution, inputs: HorizonInputs) -> np.ndarray:
         raise ConfigurationError(f"cannot commit from status {relaxed.status!r}")
     width = inputs.lookahead + 1
     e0 = relaxed.values[: inputs.n_queues * width : width]
-    return _round_starts(e0, inputs.prior_departures, inputs.observed[:, -1])
+    prior = inputs.prior_departures
+    return _rounded_departures(e0, prior, inputs.observed[:, -1]) - prior
 
 
 def _checked_caps(cap, rows: int) -> np.ndarray:
@@ -457,9 +463,10 @@ class RecedingHorizonScheduler:
         self._models = [Model(self._template) for _ in range(m)]  # warm-started window LPs
         self._delay_cost = (-self.delay_prices).repeat(self.lookahead + 1)
         self._prices = np.stack((self.price_up, self.price_dn))
+        self._flat_prices = bool((self._prices == self._prices[:, :1]).all())
         self._cost = self._cost_prices = None  # the last window's costs (read-only) and prices
-        self._pulses = np.array([code.pulse + (0.0,) * (max_u - code.duration_epochs)
-                                 for code in self.codebook])  # zero-padded to the longest
+        self._pulses = np.array([[code.pulse + (0.0,) * (max_u - code.duration_epochs)]
+                                 for code in self.codebook])  # (Q, 1, U), zero-padded
 
     def _counts(self, counts, epochs: tuple = ()) -> np.ndarray:
         """Checked (M, Q) + ``epochs`` counts; an M = 1 bank also takes (Q,) + ``epochs``."""
@@ -491,31 +498,27 @@ class RecedingHorizonScheduler:
         return self.ledgers()[0]
 
     def _window(self, rows):
-        """History, cumulative arrivals, prior departures and net supply of
-        the windows of scheduler(s) ``rows`` (an index, indices or a slice)."""
+        """History and net supply of the windows of scheduler(s) ``rows``
+        (an index, indices or a slice)."""
         l0, t = self.epoch, self.lookahead
         if l0 + t >= self.zic_kw.size:
             raise ConfigurationError(f"supply profile ends at epoch {self.zic_kw.size - 1}, "
                                      f"window needs {l0 + t}")
-        observed = self._arr[rows, :, 1 : l0 + 2]
-        arrivals = certainty_equivalent_arrivals(
-            observed, self.arrival_rates, l0, t, t1=t if self.known_arrivals is not None else 0,
-            known_future=self.known_arrivals)
-        return (observed, arrivals, self._dep[rows, :, l0],
+        return (self._arr[rows, :, 1 : l0 + 2],
                 self.zic_kw[l0 : l0 + t + 1] - self._flex[rows, l0 : l0 + t + 1])
 
     def horizon_inputs(self, i: int = 0) -> HorizonInputs:
         """Scheduler i's window at this epoch, as checked inputs."""
-        observed, _, prior, net = self._window(i)
+        observed, net = self._window(i)
         observed.flags.writeable = False
         l0, t = self.epoch, self.lookahead
         return HorizonInputs(
-            start_epoch=l0, observed=observed, prior_departures=prior.copy(), zic_kw=net,
-            price_up=self.price_up[l0 : l0 + t + 1], price_dn=self.price_dn[l0 : l0 + t + 1],
-            delay_prices=self.delay_prices, codebook=self.codebook, lookahead=t,
-            forecast_rates=self.arrival_rates, deadline_epochs=self.deadline_epochs,
+            start_epoch=l0, observed=observed, prior_departures=self._dep[i, :, l0].copy(),
+            zic_kw=net, price_up=self.price_up[l0 : l0 + t + 1],
+            price_dn=self.price_dn[l0 : l0 + t + 1], delay_prices=self.delay_prices,
+            codebook=self.codebook, lookahead=t, forecast_rates=self.arrival_rates,
+            deadline_epochs=self.deadline_epochs, start_lag=self.start_lag,
             t1=t if self.known_arrivals is not None else 0, known_future=self.known_arrivals,
-            start_lag=self.start_lag,
         )
 
     def step(self) -> StepResult:
@@ -527,31 +530,39 @@ class RecedingHorizonScheduler:
         array pass builds every scheduler's window, each busy one solves it
         through its own model in scheduler order, and one pass rounds,
         caps and checks all first epochs and commits them."""
-        l0, m, q = self.epoch, self.n_schedulers, self.n_queues
-        width = self.lookahead + 1
+        l0, m, q, t = self.epoch, self.n_schedulers, self.n_queues, self.lookahead
         prior, arrived = self._dep[:, :, l0], self._arr[:, :, l0 + 1]
         busy = (arrived > prior).any(axis=1)
-        committed = np.zeros((m, q), dtype=np.int64)
-        if busy.any():
-            vectors = _window_vectors(*self._window(slice(None)), l0, self.deadline_epochs,
-                                      self._completion)
-            prices = self._prices[:, l0 : l0 + width]
-            if not np.array_equal(prices, self._cost_prices):  # else the models skip the costs
+        solving = busy.nonzero()[0].tolist()
+        if not solving:
+            committed, departed = np.zeros((m, q), dtype=np.int64), prior
+        else:
+            observed, net = self._window(slice(None))
+            t1 = t if self.known_arrivals is not None else 0
+            arrivals = _arrival_ramp(observed, self.arrival_rates, l0, t, t1, t,
+                                     self.known_arrivals)
+            prices = self._prices[:, l0 : l0 + t + 1]  # flat profiles: one cost array a bank
+            if self._cost is None or not (self._flat_prices
+                                          or np.array_equal(prices, self._cost_prices)):
                 self._cost, self._cost_prices = np.concatenate((self._delay_cost, *prices)), prices
-                self._cost.flags.writeable = False
-            programs = self._template.fill_rows(self._cost, *vectors)
+                self._cost.flags.writeable = False  # so that the models skip comparing it
+            programs = self._template.fill_rows(self._cost, *_window_vectors(
+                observed, arrivals, prior, net, l0, self.deadline_epochs, self._completion),
+                solving)
             first = np.zeros((m, q))  # an idle scheduler's zero rounds to zero starts
-            for i in np.flatnonzero(busy).tolist():
-                solution = lp_solve(programs[i], model=self._models[i])
+            for i, program in zip(solving, programs):
+                solution = lp_solve(program, model=self._models[i])
                 if not solution.is_optimal:
                     raise FeasibilityError(
                         f"window LP unsolvable at epoch {l0}: {solution.status}", i)
-                first[i] = solution.values[: q * width : width]
-            committed = _round_starts(first, prior, arrived)
+                first[i] = solution.values[: q * (t + 1) : t + 1]
+            departed = _rounded_departures(first, prior, arrived)
+            committed = departed - prior
             if self._capped:
                 committed = apply_capacity_cap(committed, self.capacity_cap)
+                departed = prior + committed
             if self.deadline_epochs is not None:
-                late = prior + committed < self._arr[:, :, max(l0 - self.deadline_epochs, -1) + 1]
+                late = departed < self._arr[:, :, max(l0 - self.deadline_epochs, -1) + 1]
                 if late.any():
                     i, queue = np.argwhere(late)[0].tolist()
                     raise FeasibilityError(
@@ -559,17 +570,18 @@ class RecedingHorizonScheduler:
                         f"{self.deadline_epochs}-epoch deadline "
                         f"(capacity cap {self.capacity_cap[i]:g})", i)
             # a window ends before the realized load does, so no pulse is cut; each
-            # queue's pulses are added in queue order, as each scheduler alone would
-            load = self._flex[:, l0 + self.start_lag :][:, : self._pulses.shape[1]]
-            pulses = committed[:, :, None] * self._pulses
-            for qi in committed.any(axis=0).nonzero()[0].tolist():
-                load += pulses[:, qi]
-        self._dep[:, :, l0 + 1] = prior + committed
+            # queue's pulses are added to the load in queue order, as each scheduler
+            # alone would, in one sum down the queue axis (no starts add +0.0)
+            load = self._flex[:, l0 + self.start_lag : l0 + self.start_lag + self._pulses.shape[2]]
+            terms = committed.T[:, :, None] * self._pulses
+            terms[0] += load
+            np.add.reduce(terms, axis=0, out=load)
+        self._dep[:, :, l0 + 1] = departed
         self._last[1] = l0
         self.epoch += 1
         if self.epoch + 2 > self._arr.shape[2]:
-            self._arr, self._dep = (np.concatenate((t, np.zeros_like(t)), axis=2)
-                                    for t in (self._arr, self._dep))
+            self._arr, self._dep = (np.concatenate((table, np.zeros_like(table)), axis=2)
+                                    for table in (self._arr, self._dep))
         self._arr[:, :, self.epoch + 1] = self._arr[:, :, self.epoch]
         return StepResult(epoch=l0, committed=committed, windows=busy)
 
@@ -583,7 +595,7 @@ class RecedingHorizonScheduler:
             self._last[0] = self.epoch
             self.step()
         if drain:
-            budget = (self.deadline_epochs or 2 * self.lookahead) + self._pulses.shape[1] + 2
+            budget = (self.deadline_epochs or 2 * self.lookahead) + self._pulses.shape[2] + 2
             for spent in itertools.count():
                 waiting = (self._arr[:, :, self.epoch] > self._dep[:, :, self.epoch]).any(axis=1)
                 if not waiting.any():

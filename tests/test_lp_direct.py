@@ -22,6 +22,7 @@ import scipy.optimize
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from dataclasses import replace
 
@@ -223,6 +224,41 @@ def test_fill_checks_the_new_vectors(vectors):
     given = dict(objective=np.zeros(2), eq_rhs=np.ones(1), lower=np.zeros(2), upper=np.ones(2))
     with pytest.raises(ConfigurationError):
         _template().fill(**{**given, **vectors})
+
+
+@pytest.mark.parametrize("vectors", [
+    dict(objective=np.array([np.nan, 0.0])),
+    dict(eq_rhs=np.array([np.nan])),
+    dict(objective=np.zeros(3)),
+    dict(eq_rhs=np.zeros(2)),
+    dict(lower=np.zeros(3)),
+    dict(lower=np.array([0.0, 2.0]), upper=np.array([1.0, 1.0])),
+    dict(lower=np.array([np.nan, 0.0])),
+    dict(upper=np.array([1.0, np.nan])),
+], ids=["nan-cost", "nan-rhs", "long-cost", "long-rhs", "long-bounds", "crossed-bounds",
+        "nan-lower", "nan-upper"])
+def test_fill_rows_checks_every_row_and_every_new_cost_array(vectors):
+    """The bad vector sits in the stack's second row (in both, where its
+    length differs); new costs are checked though read-only costs passed."""
+    template = _template()
+    checked = np.zeros(2)
+    checked.flags.writeable = False
+    good = dict(eq_rhs=np.ones(1), lower=np.zeros(2), upper=np.ones(2))
+    template.fill_rows(checked, *(np.stack((v, v)) for v in good.values()), [0, 1])
+    bad = {name: np.stack((v if vectors.get(name, v).shape == v.shape else vectors[name],
+                           vectors.get(name, v))) for name, v in good.items()}
+    with pytest.raises(ConfigurationError):
+        template.fill_rows(vectors.get("objective", checked), *bad.values(), [0, 1])
+
+
+def test_fill_rows_keeps_the_stacked_arrays_read_only_and_fills_the_given_rows():
+    stacked = np.arange(3.0)[:, None], np.zeros((3, 2)), np.ones((3, 2))
+    programs = _template().fill_rows(np.zeros(2), *stacked, [2, 0])
+    assert [p.eq_rhs.tolist() for p in programs] == [[2.0], [0.0]]
+    assert not any(vector.flags.writeable for vector in stacked)
+    for program, row in zip(programs, [2, 0]):
+        for held, vector in zip((program.eq_rhs, program.lower, program.upper), stacked):
+            assert np.shares_memory(held, vector[row])  # a view, not a copy
 
 
 def test_desk_distributed_builds_rows_once_and_extracts_no_plan(monkeypatch):
@@ -518,11 +554,11 @@ programs, solve = [], scheduler.lp_solve
 scheduler.lp_solve = lambda program, model=None: programs.append(program) or solve(program, model)
 run_ddls(load_scenario(CONFIG))
 core = lp._load_highs()
-assert core is not None and sys.modules[lp._CORE] is core
+assert core is not None
 assert "scipy.optimize" not in sys.modules and "scipy.optimize._highspy" not in sys.modules
-import scipy.optimize
+import scipy.optimize._highspy as h
 from scipy.optimize._highspy import _core
-assert _core is core and sys.modules[lp._CORE] is core
+assert h._core is core and _core is core
 answers = [lp._solve_linprog(program) for program in programs[:WINDOWS]]
 print(json.dumps([[a.status, a.objective, a.iterations, a.values.tolist()] for a in answers]))
 """
@@ -728,3 +764,109 @@ class TestStatusMapping:
         assert sol.status == "optimal"
         assert sol.values.tolist() == [-1.5, 2.0]
         assert sol.objective == -3.5
+
+
+# prices, rates and supply on a coarse grid, so that distinct optimal vertices
+# have the same objective to well within the comparison's tolerance
+_GRID = st.integers(0, 10)
+_SUPPLY = st.integers(-12, 24).map(lambda k: k / 4)
+
+
+class ModelMachine(RuleBasedStateMachine):
+    """Random sequences of windows pushed through one ``lp.Model`` of a
+    small window template (2-3 queues, T = 3..6): new costs, new or
+    nudged bounds and right-hand sides, the same read-only arrays again,
+    and writeable copies.  After every solve the status and objective are
+    linprog's, and the HiGHS model holds exactly the program's vectors."""
+
+    @initialize(data=st.data())
+    def build(self, data):
+        q, t = data.draw(st.integers(2, 3)), data.draw(st.integers(3, 6))
+        self.codebook = tuple(ChargeCode(id=i + 1, pulse=(1.0 + i,) * data.draw(st.integers(1, t)))
+                              for i in range(q))
+        self.template, self.completion = scheduler._window_rows(self.codebook, t, 0)
+        self.model, self.q, self.t = Model(self.template), q, t
+        self.cost = self._costs(data, read_only=True)
+        self.program = self.template.fill_rows(self.cost, *self._window(data), [0])[0]
+        self._solve()
+
+    def _costs(self, data, read_only):
+        width = self.t + 1
+        delay, prices = st.sampled_from([0.0, 0.01, 0.05, 0.2]), _GRID.map(lambda k: k / 5)
+        cost = np.concatenate((-np.repeat(data.draw(st.lists(delay, min_size=self.q,
+                                                             max_size=self.q)), width),
+                               data.draw(st.lists(prices, min_size=2 * width, max_size=2 * width))))
+        cost.flags.writeable = not read_only
+        return cost
+
+    def _window(self, data):
+        """One feasible window's stacked (1, ·) vectors, as a bank builds them."""
+        l0, deadline = data.draw(st.integers(0, 4)), data.draw(st.sampled_from([None, 2, self.t]))
+        counts = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=l0 + 1,
+                                                      max_size=l0 + 1),
+                                             min_size=self.q, max_size=self.q)))
+        observed = counts.cumsum(axis=1)
+        prior = np.array([data.draw(st.integers(0, int(a))) for a in observed[:, -1]])
+        rates = np.array(data.draw(st.lists(_GRID.map(lambda k: k / 4), min_size=self.q,
+                                            max_size=self.q)))
+        arrivals = scheduler.certainty_equivalent_arrivals(observed, rates, l0, self.t)
+        net = np.array(data.draw(st.lists(_SUPPLY, min_size=self.t + 1, max_size=self.t + 1)))
+        vectors = scheduler._window_vectors(observed[None], arrivals[None], prior[None], net[None],
+                                            l0, deadline, self.completion)
+        return [vector.copy() for vector in vectors]  # writeable, like a bank's fresh ones
+
+    def _solve(self):
+        program = self.program
+        solution = solve(program, model=self.model)
+        reference = lp._solve_linprog(program)
+        assert solution.status == reference.status == "optimal"
+        assert solution.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-9)
+        held, mi = self.model._highs.getLp(), program.ineq_rhs.size
+        assert np.array_equal(held.col_cost_, program.objective)
+        assert np.array_equal(held.col_lower_, program.lower)
+        assert np.array_equal(held.col_upper_, program.upper)
+        assert np.array_equal(held.row_lower_, np.r_[np.full(mi, -np.inf), program.eq_rhs])
+        assert np.array_equal(held.row_upper_, np.r_[-program.ineq_rhs, program.eq_rhs])
+
+    @rule(data=st.data(), read_only=st.booleans())
+    def new_costs(self, data, read_only):
+        self.cost = self._costs(data, read_only)
+        p = self.program
+        self.program = self.template.fill_rows(self.cost, p.eq_rhs[None], p.lower[None],
+                                               p.upper[None], [0])[0]
+        self._solve()
+
+    @rule(data=st.data())
+    def new_window(self, data):
+        self.program = self.template.fill_rows(self.cost, *self._window(data), [0])[0]
+        self._solve()
+
+    @rule(data=st.data())
+    def nudged_supply_and_purchase_floors(self, data):
+        """Some balance rows' supply and some purchase columns' lower bounds
+        change; every other vector entry stays."""
+        p, width, n_e = self.program, self.t + 1, self.q * (self.t + 1)
+        eq_rhs, lower = p.eq_rhs.copy(), p.lower.copy()
+        for row in data.draw(st.lists(st.integers(0, width - 1), max_size=3)):
+            eq_rhs[row] = data.draw(_SUPPLY)
+        for col in data.draw(st.lists(st.integers(n_e, n_e + 2 * width - 1), max_size=3)):
+            lower[col] = data.draw(_GRID.map(lambda k: k / 4))
+        self.program = self.template.fill_rows(self.cost, eq_rhs[None], lower[None],
+                                               p.upper.copy()[None], [0])[0]
+        self._solve()
+
+    @rule()
+    def the_same_read_only_arrays_again(self):
+        self._solve()
+
+    @rule()
+    def writeable_copies(self):
+        p = self.program
+        self.program = self.template.fill(p.objective.copy(), p.eq_rhs, p.lower, p.upper)
+        self._solve()
+
+
+TestModelMachine = pytest.mark.skipif(lp._load_highs() is None,
+                                      reason="this scipy has no HiGHS binding")(
+    ModelMachine.TestCase)
+TestModelMachine.settings = settings(max_examples=25, stateful_step_count=8, deadline=None)

@@ -217,6 +217,22 @@ class TestDci:
             got = dci(ledger, 0, ledger.current_epoch, prices)
             assert got == pytest.approx(total, abs=1e-9)
 
+    def test_is_the_per_epoch_backlog_sum_bit_for_bit(self):
+        """The reference: one ``backlog`` an epoch, its priced sum added in
+        epoch order; windows start before epoch 0 and run past the last
+        recorded epoch of either table, and counts reach the thousands."""
+        rng = np.random.default_rng(SEED + 2)
+        for _ in range(40):
+            ledger, n_epochs = random_ledger(rng)
+            ledger.record_arrivals(n_epochs + 2, rng.integers(0, 3000, size=ledger.n_queues))
+            prices = DelayPrices(rng.uniform(0.0, 0.3, size=ledger.n_queues)
+                                 * 10.0 ** rng.uniform(-3, 3))
+            start, horizon = int(rng.integers(-4, n_epochs + 4)), int(rng.integers(0, 40))
+            expected = 0.0
+            for l in range(start, start + horizon + 1):
+                expected += float(prices.per_queue @ ledger.backlog(l))
+            assert dci(ledger, start, horizon, prices) == expected
+
     def test_queue_count_mismatch_rejected(self):
         ledger = QueueLedger(2)
         with pytest.raises(ConfigurationError):

@@ -10,9 +10,11 @@ so that a failure is the mutant's.  The working tree is never changed.
     python tools/mutants.py              # every mutant
     python tools/mutants.py gamma-sign   # the named ones only
     python tools/mutants.py --list
+    python tools/mutants.py --deselect tests/test_cli.py::test_desk_day_csvs_match_their_recorded_digests
 
 Prints one line per mutant, ``<name>: killed by <test>`` or
-``<name>: survived``, and exits 1 if any survived.  A surviving mutant
+``<name>: survived``, and exits 1 if any survived.  ``--deselect`` leaves
+a test out of every run, to show which other test kills each mutant.  A surviving mutant
 runs the whole suite, about a minute on a 2-core machine.  This script is
 not part of tier-1.
 """
@@ -66,29 +68,48 @@ MUTANTS = (
      "        self.csc = (self.csc[0], self.csc[1][order], self.csc[2][order])\n"
      "        self._entries = (self.csc[1].astype(np.intp),"),
     ("lower-shape-unchecked", LP,
-     "if self.lower.shape != lead + (n,) or self.upper", "if self.upper"),
+     "if lower.shape != shape or upper", "if upper"),
     ("nan-lower-accepted", LP,
-     "nonempty = self.lower <= self.upper + FEAS_TOL",
-     "nonempty = ~(self.lower > self.upper + FEAS_TOL)"),
+     "nonempty = lower <= upper + FEAS_TOL", "nonempty = ~(lower > upper + FEAS_TOL)"),
+    ("nonempty-interval-unchecked", LP,  # a crossed or NaN bound reaches HiGHS
+     "        if np.count_nonzero(nonempty) != nonempty.size:\n", "        if False:\n"),
+    ("new-cost-unchecked", LP,  # only the first costs a program is filled with are checked
+     "if checked_cost is None or objective is not checked_cost:",
+     "if checked_cost is None:"),
     # the binding
     ("highs-inf-unchecked", LP,  # a loaded or already imported binding skips every check
      "        core = sys.modules.get(_CORE) or _core_from_file()\n",
      "        return sys.modules.get(_CORE) or _core_from_file()\n"),
     # the warm path
     ("eq-rhs-never-pushed", LP,
-     "rows = (program.eq_rhs != self._eq_rhs).nonzero()[0]",
-     "rows = (program.eq_rhs != program.eq_rhs).nonzero()[0]"),
+     "rows = (eq_rhs != self._eq_rhs).nonzero()[0]", "rows = (eq_rhs != eq_rhs).nonzero()[0]"),
+    ("upper-bounds-never-pushed", LP,  # a column whose upper bound alone changed keeps the old one
+     "cols = ((lower != self._lower) | (upper != self._upper)).nonzero()[0]",
+     "cols = (lower != self._lower).nonzero()[0]"),
     ("equality-residual-unchecked", LP,
-     "and (residual <= _ACCEPT_TOL).all()", "and (residual[:mi] <= _ACCEPT_TOL).all()"),
+     "and np.count_nonzero(residual <= _ACCEPT_TOL) == residual.size",
+     "and np.count_nonzero(residual[:mi] <= _ACCEPT_TOL) == mi"),
+    # the window vectors and the commit pass
+    ("deadline-floor-one-epoch-late", SCHEDULER,  # offset j is due from l0 + j - deadline - 1
+     "    if deadline is not None:\n        # offset j",
+     "    if deadline is not None:\n        deadline += 1\n        # offset j"),
+    ("deadline-floor-unclipped", SCHEDULER,  # a floor below the prior departures stays negative
+     "            np.maximum(due, 0.0, out=due)\n", ""),
+    ("rounding-half-up", SCHEDULER,
+     "d0 = np.rint(e0 + prior)", "d0 = np.floor(e0 + prior + 0.5)"),
+    # the delay cost
+    ("dci-one-epoch-short", "src/ddls/queues.py",
+     "np.arange(from_epoch, from_epoch + horizon + 1)", "np.arange(from_epoch, from_epoch + horizon)"),
 )
 
 
-def _tier1(tree: Path) -> str | None:
+def _tier1(tree: Path, deselect=()) -> str | None:
     """The first test that fails in ``tree``, or None if tier-1 passes."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
     try:
-        proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
+        proc = subprocess.run([sys.executable, *TIER1, *(f"--deselect={t}" for t in deselect)],
+                              cwd=tree, env=env, capture_output=True,
                               text=True, timeout=1800)
     except subprocess.TimeoutExpired:
         return "a timeout"
@@ -102,6 +123,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument("--list", action="store_true", help="print the mutants' names and exit")
+    parser.add_argument("--deselect", action="append", default=[], metavar="TEST",
+                        help="a pytest node id to leave out of every run")
     args = parser.parse_args(argv)
     if args.list:
         print("\n".join(name for name, *_ in MUTANTS))
@@ -118,14 +141,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ddls-mutants-") as scratch:
         pristine = Path(scratch) / "pristine"
         shutil.copytree(ROOT, pristine, ignore=IGNORED)
-        failing = _tier1(pristine)
+        failing = _tier1(pristine, args.deselect)
         if failing:
             sys.exit(f"the unmutated copy fails {failing}; fix that first")
         for name, file, old, new in chosen:
             tree = Path(scratch) / name
             shutil.copytree(pristine, tree, ignore=IGNORED)
             (tree / file).write_text((tree / file).read_text().replace(old, new))
-            killer = _tier1(tree)
+            killer = _tier1(tree, args.deselect)
             print(f"{name}: " + (f"killed by {killer}" if killer else "survived"), flush=True)
             if not killer:
                 survived.append(name)
