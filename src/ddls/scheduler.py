@@ -177,7 +177,7 @@ def _rounded_departures(e0, prior, arrived) -> np.ndarray:
     value rounded half-to-even and clamped between the prior departures
     and the arrivals so far."""
     d0 = np.rint(e0 + prior)
-    return np.minimum(np.maximum(d0, prior, out=d0), arrived, out=d0).astype(np.int64)
+    return np.minimum(np.maximum(d0, prior, out=d0), arrived, out=d0)
 
 
 def _longest_pulse(codebook, lookahead: int, deadline) -> int:
@@ -365,7 +365,7 @@ def round_and_commit(relaxed: LpSolution, inputs: HorizonInputs) -> np.ndarray:
     width = inputs.lookahead + 1
     e0 = relaxed.values[: inputs.n_queues * width : width]
     prior = inputs.prior_departures
-    return _rounded_departures(e0, prior, inputs.observed[:, -1]) - prior
+    return (_rounded_departures(e0, prior, inputs.observed[:, -1]) - prior).astype(np.int64)
 
 
 def _checked_caps(cap, rows: int) -> np.ndarray:
@@ -463,7 +463,6 @@ class RecedingHorizonScheduler:
         self._models = [Model(self._template) for _ in range(m)]  # warm-started window LPs
         self._delay_cost = (-self.delay_prices).repeat(self.lookahead + 1)
         self._prices = np.stack((self.price_up, self.price_dn))
-        self._flat_prices = bool((self._prices == self._prices[:, :1]).all())
         self._cost = self._cost_prices = None  # the last window's costs (read-only) and prices
         self._pulses = np.array([[code.pulse + (0.0,) * (max_u - code.duration_epochs)]
                                  for code in self.codebook])  # (Q, 1, U), zero-padded
@@ -541,9 +540,8 @@ class RecedingHorizonScheduler:
             t1 = t if self.known_arrivals is not None else 0
             arrivals = _arrival_ramp(observed, self.arrival_rates, l0, t, t1, t,
                                      self.known_arrivals)
-            prices = self._prices[:, l0 : l0 + t + 1]  # flat profiles: one cost array a bank
-            if self._cost is None or not (self._flat_prices
-                                          or np.array_equal(prices, self._cost_prices)):
+            prices = self._prices[:, l0 : l0 + t + 1]
+            if self._cost is None or not np.array_equal(prices, self._cost_prices):
                 self._cost, self._cost_prices = np.concatenate((self._delay_cost, *prices)), prices
                 self._cost.flags.writeable = False  # so that the models skip comparing it
             programs = self._template.fill_rows(self._cost, *_window_vectors(
@@ -556,7 +554,7 @@ class RecedingHorizonScheduler:
                     raise FeasibilityError(
                         f"window LP unsolvable at epoch {l0}: {solution.status}", i)
                 first[i] = solution.values[: q * (t + 1) : t + 1]
-            departed = _rounded_departures(first, prior, arrived)
+            departed = _rounded_departures(first, prior, arrived).astype(np.int64)
             committed = departed - prior
             if self._capped:
                 committed = apply_capacity_cap(committed, self.capacity_cap)
@@ -571,11 +569,12 @@ class RecedingHorizonScheduler:
                         f"(capacity cap {self.capacity_cap[i]:g})", i)
             # a window ends before the realized load does, so no pulse is cut; each
             # queue's pulses are added to the load in queue order, as each scheduler
-            # alone would, in one sum down the queue axis (no starts add +0.0)
+            # alone would: a running sum down the queue axis is always sequential,
+            # where add.reduce may sum pairwise (no starts add +0.0)
             load = self._flex[:, l0 + self.start_lag : l0 + self.start_lag + self._pulses.shape[2]]
             terms = committed.T[:, :, None] * self._pulses
             terms[0] += load
-            np.add.reduce(terms, axis=0, out=load)
+            load[...] = np.add.accumulate(terms, axis=0)[-1]
         self._dep[:, :, l0 + 1] = departed
         self._last[1] = l0
         self.epoch += 1

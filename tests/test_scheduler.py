@@ -673,6 +673,12 @@ class TestRoundAndCommit:
             committed = round_and_commit(self._solution(float(rng.normal(0, 4))), inputs)
             assert 0 <= committed[0] <= observed_now - prior
 
+    def test_a_float_prior_still_commits_integer_counts(self):
+        inputs = dataclasses.replace(self._inputs(prior=1, observed_now=5),
+                                     prior_departures=np.array([1.0]))
+        committed = round_and_commit(self._solution(1.4), inputs)
+        assert committed.dtype == np.int64 and committed.tolist() == [1]
+
     def test_non_optimal_solution_rejected(self):
         inputs = self._inputs(0, 1)
         with pytest.raises(ConfigurationError):
@@ -951,6 +957,22 @@ class TestRecedingHorizon:
         flex = sched.realized_load()[0]
         rebuilt = synthesize_load(ledger_columns(sched)[1], codebook, flex.size)
         assert np.allclose(flex, rebuilt, atol=1e-9)
+
+    def test_one_epoch_pulses_add_to_the_load_in_queue_order(self):
+        # with U = 1 and M = 1 the sum down the queues is one contiguous run, which
+        # numpy's add.reduce sums pairwise from eight terms on
+        pulses = (0.1, 0.2, 0.3, 0.7, 1.1, 0.3, 0.9, 0.6, 0.7, 0.2)
+        codebook = [ChargeCode(id=i + 1, pulse=(p,)) for i, p in enumerate(pulses)]
+        arrivals = np.random.default_rng(37).integers(1, 3, size=(len(pulses), 6))
+        sched = flat_scheduler(codebook, np.full(12, 20.0), 3, known_arrivals=arrivals)
+        sched.run(arrivals)
+        started = ledger_columns(sched)[1]
+        assert (started > 0).all(axis=0).any()
+        expected = np.zeros_like(sched.realized_load()[0])
+        for l in range(started.shape[1]):
+            for count, pulse in zip(started[:, l].tolist(), pulses):
+                expected[l] += count * pulse
+        np.testing.assert_array_equal(sched.realized_load()[0], expected)
 
     def test_supply_profile_too_short_rejected(self):
         codebook = [ChargeCode(id=1, pulse=(1.0,))]

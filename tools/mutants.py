@@ -10,13 +10,17 @@ so that a failure is the mutant's.  The working tree is never changed.
     python tools/mutants.py              # every mutant
     python tools/mutants.py gamma-sign   # the named ones only
     python tools/mutants.py --list
-    python tools/mutants.py --deselect tests/test_cli.py::test_desk_day_csvs_match_their_recorded_digests
 
 Prints one line per mutant, ``<name>: killed by <test>`` or
-``<name>: survived``, and exits 1 if any survived.  ``--deselect`` leaves
-a test out of every run, to show which other test kills each mutant.  A surviving mutant
-runs the whole suite, about a minute on a 2-core machine.  This script is
-not part of tier-1.
+``<name>: survived``, and exits 1 if any survived.  The runs take pytest
+options from ``PYTEST_ADDOPTS``; to see which other test kills each
+mutant, leave the pinned digests out of every run:
+
+    PYTEST_ADDOPTS=--deselect=tests/test_cli.py::test_desk_day_csvs_match_their_recorded_digests \
+        python tools/mutants.py
+
+A surviving mutant runs the whole suite, about a minute on a 2-core
+machine.  This script is not part of tier-1.
 """
 
 from __future__ import annotations
@@ -97,19 +101,20 @@ MUTANTS = (
      "            np.maximum(due, 0.0, out=due)\n", ""),
     ("rounding-half-up", SCHEDULER,
      "d0 = np.rint(e0 + prior)", "d0 = np.floor(e0 + prior + 0.5)"),
+    ("load-sum-pairwise", SCHEDULER,  # add.reduce sums eight or more queues pairwise
+     "load[...] = np.add.accumulate(terms, axis=0)[-1]", "np.add.reduce(terms, axis=0, out=load)"),
     # the delay cost
     ("dci-one-epoch-short", "src/ddls/queues.py",
      "np.arange(from_epoch, from_epoch + horizon + 1)", "np.arange(from_epoch, from_epoch + horizon)"),
 )
 
 
-def _tier1(tree: Path, deselect=()) -> str | None:
+def _tier1(tree: Path) -> str | None:
     """The first test that fails in ``tree``, or None if tier-1 passes."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
     try:
-        proc = subprocess.run([sys.executable, *TIER1, *(f"--deselect={t}" for t in deselect)],
-                              cwd=tree, env=env, capture_output=True,
+        proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
                               text=True, timeout=1800)
     except subprocess.TimeoutExpired:
         return "a timeout"
@@ -123,8 +128,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument("--list", action="store_true", help="print the mutants' names and exit")
-    parser.add_argument("--deselect", action="append", default=[], metavar="TEST",
-                        help="a pytest node id to leave out of every run")
     args = parser.parse_args(argv)
     if args.list:
         print("\n".join(name for name, *_ in MUTANTS))
@@ -141,14 +144,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ddls-mutants-") as scratch:
         pristine = Path(scratch) / "pristine"
         shutil.copytree(ROOT, pristine, ignore=IGNORED)
-        failing = _tier1(pristine, args.deselect)
+        failing = _tier1(pristine)
         if failing:
             sys.exit(f"the unmutated copy fails {failing}; fix that first")
         for name, file, old, new in chosen:
             tree = Path(scratch) / name
             shutil.copytree(pristine, tree, ignore=IGNORED)
             (tree / file).write_text((tree / file).read_text().replace(old, new))
-            killer = _tier1(tree, args.deselect)
+            killer = _tier1(tree)
             print(f"{name}: " + (f"killed by {killer}" if killer else "survived"), flush=True)
             if not killer:
                 survived.append(name)
