@@ -172,11 +172,36 @@ def _window_vectors(observed, arrivals, prior, net_supply, start_epoch: int, dea
     return np.concatenate((net_supply, upper.take(completion, axis=-1)), axis=-1), lower, upper
 
 
+def _window_cost(delay_prices, price_up, price_dn) -> np.ndarray:
+    """A window's costs: each e_q(j) earns its queue's delay price plus a
+    tie-break eps*w(q, j), w(q, j) = (T+1-j)(2T+2-j)/(2T+2) * (1 + q/(Q+1));
+    then the up and dn prices.  The tie-break is Charnes' perturbation
+    ("Optimality and degeneracy in linear programming", 1952): of a window's
+    optimal points it keeps the one that starts earliest, then the higher
+    queues, so the rounded starts do not depend on the vertex a solve
+    reaches.  w falls from T+1 at j = 0 to about 1/2 at j = T, convex in j:
+    where w is affine in j, a start earns a quadratic of its epoch, and a
+    trade between two pulse shapes that keeps the load and each queue's
+    count, sum and sum of squares of start epochs ties (one window of crowd
+    seed 0 has one).  eps is a thousandth of the smallest positive price
+    (0 with none), so it scales with the prices; on the shipped ones every
+    eps*w is well above HiGHS's 1e-7 dual tolerance."""
+    q, width = delay_prices.size, price_up.size
+    prices = np.concatenate((delay_prices, price_up, price_dn))
+    positive = prices[prices > 0]
+    eps = 1e-3 * positive.min() if positive.size else 0.0
+    later = width - np.arange(width)  # T+1-j
+    w = later * (later + width) / (2 * width) * (1 + np.arange(q)[:, None] / (q + 1))
+    return np.concatenate(((-delay_prices[:, None] - eps * w).ravel(), price_up, price_dn))
+
+
 def _rounded_departures(e0, prior, arrived) -> np.ndarray:
     """Cumulative departures from relaxed first-epoch ones: the cumulative
     value rounded half-to-even and clamped between the prior departures
-    and the arrivals so far."""
-    d0 = np.rint(e0 + prior)
+    and the arrivals so far.  It is first snapped to a multiple of 1e-6, so
+    that where the optimum sits at a half, rounding error from the path the
+    solver took (as from a sibling's basis) cannot decide the side."""
+    d0 = np.rint(np.round(e0 + prior, 6))
     return np.minimum(np.maximum(d0, prior, out=d0), arrived, out=d0)
 
 
@@ -317,10 +342,8 @@ def build_program(inputs: HorizonInputs) -> LinearProgram:
     window, by the array functions a scheduler bank fills its windows
     with, and checked by ``LinearProgram.fill``.
     """
-    width = inputs.lookahead + 1
     template, completion = _window_rows(inputs.codebook, inputs.lookahead, inputs.start_lag)
-    cost = np.concatenate(((-inputs.delay_prices).repeat(width), inputs.price_up,
-                           inputs.price_dn))
+    cost = _window_cost(inputs.delay_prices, inputs.price_up, inputs.price_dn)
     vectors = _window_vectors(inputs.observed, inputs.arrival_matrix(), inputs.prior_departures,
                               inputs.zic_kw, inputs.start_epoch, inputs.deadline_epochs,
                               completion)
@@ -332,8 +355,8 @@ def extract_plan(solution: LpSolution, inputs: HorizonInputs) -> SchedulePlan:
 
     The balancing pair is cleaned so at most one side is nonzero per
     epoch (overlap can only appear where a price is zero, and is always
-    removable), and the decision-free delay cost is restored so the
-    objective is the actual window cost."""
+    removable), and the tie-break is taken out and the decision-free delay
+    cost restored, so the objective is the actual window cost."""
     if not solution.is_optimal:
         raise ConfigurationError(f"cannot extract a plan from status {solution.status!r}")
     q, t = inputs.n_queues, inputs.lookahead
@@ -344,8 +367,10 @@ def extract_plan(solution: LpSolution, inputs: HorizonInputs) -> SchedulePlan:
     overlap = np.minimum(up, dn)
     up -= overlap
     dn -= overlap
-    arrivals = inputs.arrival_matrix()
-    objective = solution.objective + inputs.delay_constant(arrivals)
+    tie_break = (-inputs.delay_prices).repeat(width) - _window_cost(
+        inputs.delay_prices, inputs.price_up, inputs.price_dn)[: q * width]
+    objective = solution.objective + inputs.delay_constant(inputs.arrival_matrix())
+    objective += float(tie_break @ e.ravel())
     objective -= float(inputs.price_up @ overlap + inputs.price_dn @ overlap)
     return SchedulePlan(
         departures=e + inputs.prior_departures[:, None],
@@ -461,7 +486,6 @@ class RecedingHorizonScheduler:
         self._template, self._completion = _window_rows(self.codebook, self.lookahead,
                                                         self.start_lag)
         self._models = [Model(self._template) for _ in range(m)]  # warm-started window LPs
-        self._delay_cost = (-self.delay_prices).repeat(self.lookahead + 1)
         self._prices = np.stack((self.price_up, self.price_dn))
         self._cost = self._cost_prices = None  # the last window's costs (read-only) and prices
         self._pulses = np.array([[code.pulse + (0.0,) * (max_u - code.duration_epochs)]
@@ -542,7 +566,7 @@ class RecedingHorizonScheduler:
                                      self.known_arrivals)
             prices = self._prices[:, l0 : l0 + t + 1]
             if self._cost is None or not np.array_equal(prices, self._cost_prices):
-                self._cost, self._cost_prices = np.concatenate((self._delay_cost, *prices)), prices
+                self._cost, self._cost_prices = _window_cost(self.delay_prices, *prices), prices
                 self._cost.flags.writeable = False  # so that the models skip comparing it
             programs = self._template.fill_rows(self._cost, *_window_vectors(
                 observed, arrivals, prior, net, l0, self.deadline_epochs, self._completion),

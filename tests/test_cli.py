@@ -372,15 +372,15 @@ DESK_SEED0_DIGESTS = {
     "uncontrolled/feedback.csv":
         "7d06934976c000d36d550898cbc758464e7678ad95ea5580186debcece125bb9",
     "ddls/metrics.csv":
-        "22a693db0a975181e23c691a1ad68bc29f1ac2ba52a7b873dc2a46aeb4e0f415",
+        "02debc3f7e489d4cb5c173b7323d315b6561d2173aed8fb4b92afcc34e0f933c",
     "ddls/trajectory.csv":
-        "18579be6f5632aa48b1aa07a89becfe792b480ba4711f7e27746003fc4d2305b",
+        "5fc2b7406b7d7f93315358d674a37d57716e21f6d0ee733d7cfcaebcec1491a2",
     "ddls/feedback.csv":
-        "014e77c9047231c42f0240a96f8276979df2b39c94fbd754903fef4f33c17a43",
+        "0496479f130d33b8547e7e4e8392a45dc865d561b920478417fb90f1889fd4e9",
     "distributed/metrics.csv":
-        "90f8f9b5d7d1ce5a5d6d5a2b6056c4929370384ca0f3fd0562abfadc5ac58dc4",
+        "721cb3afd47d456c1ddbb9c1c651e0da08e51e30e624d5b78f984005f151b99a",
     "distributed/trajectory.csv":
-        "6fd6420c6851664b16aa5a1128c826356ae7cb30344b872848c22b3ea7e5fd10",
+        "136c6e83b4ebb4e1641b4707b98bd3b6f8747a8750ec454caa1d9e60aaea9ac3",
     "distributed/feedback.csv":
         "f11fd4414c4a739405d76dbca09bf7db60e528dfe1683eb436484c559725ed60",
     "price/metrics.csv":

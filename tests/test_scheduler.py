@@ -413,9 +413,14 @@ def rowwise_program(inputs):
     shifted = np.maximum(arrivals - inputs.prior_departures[:, None], 0.0)
     eq_matrix, ineq_matrix = rowwise_rows(inputs.codebook, t, inputs.start_lag)
 
+    # each e_q(j) less the tie-break eps * w(q, j), eps a thousandth of the smallest positive price
+    prices = [*inputs.delay_prices, *inputs.price_up, *inputs.price_dn]
+    eps = 1e-3 * min(p for p in prices if p > 0)
     cost = np.zeros(n)
     for qi in range(q):
-        cost[qi * width : (qi + 1) * width] = -inputs.delay_prices[qi]
+        for j in range(width):
+            w = (width - j) * (2 * width - j) / (2 * width) * (1 + qi / (q + 1))
+            cost[qi * width + j] = -inputs.delay_prices[qi] - eps * w
     cost[n_e : n_e + width] = inputs.price_up
     cost[n_e + width : n_e + 2 * width] = inputs.price_dn
 
@@ -658,6 +663,13 @@ class TestRoundAndCommit:
         inputs = self._inputs(prior=0, observed_now=9)
         assert round_and_commit(self._solution(2.5), inputs).tolist() == [2]
         assert round_and_commit(self._solution(3.5), inputs).tolist() == [4]
+
+    def test_a_half_off_by_rounding_error_still_goes_to_even(self):
+        # two solves that reach the same vertex by different paths may differ in the last bits
+        inputs = self._inputs(prior=1, observed_now=9)
+        for e0, even in ((1.5 + 4e-16, 1), (1.5 - 4e-16, 1), (2.5 + 1e-9, 3), (2.5 - 1e-9, 3)):
+            assert round_and_commit(self._solution(e0), inputs).tolist() == [even], e0
+        assert round_and_commit(self._solution(1.5 + 1e-5), inputs).tolist() == [2]
 
     def test_never_uncommits_prior_departures(self):
         inputs = self._inputs(prior=4, observed_now=6)
