@@ -256,8 +256,9 @@ class Model:
     pushes the costs if they differ from the model's (not compared where
     they are the read-only array it took last), and the column bounds and
     equality right-hand sides that differ, and runs the simplex from the
-    basis the previous solve left.
-    Presolve is off, because presolve discards that basis.  A run that
+    basis the previous solve left; its first starts from ``first_basis[0]``
+    where a sibling left one there (cold where HiGHS refuses it), else
+    cold.  Presolve is off, because presolve discards that basis.  A run that
     does not end optimal, or whose point fails linprog's checks, clears
     the basis and counts in ``cold_retries``; ``solve`` then answers
     from linprog.  A model is not shared: its answers depend on the
@@ -273,6 +274,9 @@ class Model:
         # the costs, bounds and equality right-hand side HiGHS holds: each the
         # program's read-only array itself, else a copy
         self._cost = self._lower = self._upper = self._eq_rhs = None
+        # None, or one list for sibling models of one template: the first of them to
+        # solve a window leaves that optimal basis in it, and each later first load uses it
+        self.first_basis = None
 
     def warm_solve(self, program: LinearProgram) -> LpSolution | None:
         """The optimal solution from the retained basis, or None where
@@ -289,6 +293,8 @@ class Model:
                 _spare(highs)
                 self.cold_retries += 1
                 return None
+            if self.first_basis:
+                highs.setBasis(self.first_basis[0])  # refused (kError): the run starts cold
             self._highs = highs
             weakref.finalize(self, _spare, highs).atexit = False
         else:
@@ -310,6 +316,8 @@ class Model:
         if highs.getModelStatus() == h.HighsModelStatus.kOptimal:
             solution = _checked_point(highs, program)
             if solution is not None:
+                if self.first_basis == []:
+                    self.first_basis.append(highs.getBasis())  # a copy
                 return solution
         highs.clearSolver()
         self.cold_retries += 1

@@ -20,19 +20,22 @@ window in one array pass and commits every decision in a second; only
 each busy scheduler's program and warm-started ``lp.Model`` (its push,
 its simplex and its point read) are per scheduler.  Consecutive windows
 differ only in those vectors, so each model starts from the basis its
-last window left; as every window has an optimum (see ``build_program``),
-one that comes back without one is refused with ``FeasibilityError``.
+last window left (a sibling's first, from the bank's first window's):
+with one optimum a window (``_window_cost``), a start changes the path,
+not the starts.  A solve that ends without an optimum (every window has
+one, see ``build_program``) is refused with ``FeasibilityError``.
 ``HorizonInputs`` and ``build_program`` are the checked reference path
 for one window, built from the same array functions.
 
 Decision variables are the shifted cumulative departures
 e_q(j) = d_q(l0+j) - d_q(l0-1), stacked queue-major, followed by the
-per-epoch upward and downward balancing purchases.  The balance rows
-implement  (window load)(j) - up(j) + dn(j) = (net supply)(j), so with
-positive prices up(j) = max(load - supply, 0) at any optimum; the
-objective adds the balancing costs to the per-epoch delay charges, with
-the decision-free part of the delay term restored on extraction so
-reported objectives are actual window costs.
+per-epoch upward purchases up(j) and the downward ones net of the net
+supply s, dn'(j) = dn(j) - s(j) >= -s(j).  The balance rows implement
+(window load)(j) - up(j) + dn'(j) = 0, so s changes only column bounds,
+and with positive prices up(j) = max(load - supply, 0) at any optimum.
+The objective adds the balancing costs to the per-epoch delay charges
+and a tie-break (``_window_cost``); ``extract_plan`` reports actual
+window costs.
 """
 
 from __future__ import annotations
@@ -147,11 +150,13 @@ def _window_vectors(observed, arrivals, prior, net_supply, start_epoch: int, dea
 
     e lies between the deadline floor (everything that arrived
     ``deadline`` epochs before a window epoch has departed by then) and
-    the arrivals, both net of the prior departures; the 2(T+1) up and dn
-    columns after it lie in [0, inf)."""
+    the arrivals, both net of the prior departures; up lies in [0, inf)
+    and dn' in [-net supply, inf), so each balance row's right-hand side
+    is 0 and each completion row's is its e column's upper bound."""
     l0, width = start_epoch, arrivals.shape[-1]
     n_e = arrivals.shape[-2] * width
     lower = np.zeros(arrivals.shape[:-2] + (n_e + 2 * width,))
+    np.negative(net_supply, out=lower[..., n_e + width :])
     upper = np.empty(lower.shape)
     upper[..., n_e:] = np.inf  # the e part is the shifted arrivals, written below
     floor = lower[..., :n_e].reshape(arrivals.shape)
@@ -169,23 +174,23 @@ def _window_vectors(observed, arrivals, prior, net_supply, start_epoch: int, dea
         if mid < width:
             floor[..., mid:] = shifted[..., 1 : width - deadline]
         np.minimum(floor, shifted, out=floor)
-    return np.concatenate((net_supply, upper.take(completion, axis=-1)), axis=-1), lower, upper
+    rhs = np.concatenate((np.zeros_like(net_supply), upper.take(completion, axis=-1)), axis=-1)
+    return rhs, lower, upper
 
 
 def _window_cost(delay_prices, price_up, price_dn) -> np.ndarray:
     """A window's costs: each e_q(j) earns its queue's delay price plus a
     tie-break eps*w(q, j), w(q, j) = (T+1-j)(2T+2-j)/(2T+2) * (1 + q/(Q+1));
-    then the up and dn prices.  The tie-break is Charnes' perturbation
-    ("Optimality and degeneracy in linear programming", 1952): of a window's
-    optimal points it keeps the one that starts earliest, then the higher
-    queues, so the rounded starts do not depend on the vertex a solve
-    reaches.  w falls from T+1 at j = 0 to about 1/2 at j = T, convex in j:
-    where w is affine in j, a start earns a quadratic of its epoch, and a
-    trade between two pulse shapes that keeps the load and each queue's
-    count, sum and sum of squares of start epochs ties (one window of crowd
-    seed 0 has one).  eps is a thousandth of the smallest positive price
-    (0 with none), so it scales with the prices; on the shipped ones every
-    eps*w is well above HiGHS's 1e-7 dual tolerance."""
+    then the up and dn prices.  The tie-break (Charnes, "Optimality and
+    degeneracy in linear programming", 1952) keeps, of a window's optimal
+    points, the one that starts earliest, then the higher queues, so the
+    rounded starts do not depend on the vertex a solve reaches.  w is
+    convex in j, from T+1 down to about 1/2: were it affine, a trade of one
+    pulse shape's starts for another's that keeps the load and each queue's
+    count, sum and sum of squares of start epochs would tie (crowd seed 0
+    has one).  eps is a thousandth of the smallest positive price (0 with
+    none): it scales with the prices, and on the shipped ones eps*w is well
+    above HiGHS's 1e-7 dual tolerance."""
     q, width = delay_prices.size, price_up.size
     prices = np.concatenate((delay_prices, price_up, price_dn))
     positive = prices[prices > 0]
@@ -262,6 +267,8 @@ class HorizonInputs:
         self.price_up = checked_numbers(self.price_up, "price_up", length=t + 1)
         self.price_dn = checked_numbers(self.price_dn, "price_dn", length=t + 1)
         self.delay_prices = checked_numbers(self.delay_prices, "delay_prices", length=q)
+        if self.forecast_rates is not None:
+            self.forecast_rates = checked_numbers(self.forecast_rates, "forecast_rates")
         self.observed = np.asarray(self.observed)
         self.prior_departures = np.asarray(self.prior_departures)
         if self.observed.shape != (q, self.start_epoch + 1):
@@ -290,11 +297,6 @@ class HorizonInputs:
             self._arrivals = arrivals
         return self._arrivals
 
-    def delay_constant(self, arrivals: np.ndarray) -> float:
-        """Decision-independent part of the window delay cost."""
-        shifted = arrivals - self.prior_departures[:, None]
-        return float((self.delay_prices[:, None] * shifted).sum())
-
 
 @functools.lru_cache(maxsize=16)
 def _window_rows(codebook, lookahead: int, start_lag: int) -> tuple[LinearProgram, np.ndarray]:
@@ -302,7 +304,7 @@ def _window_rows(codebook, lookahead: int, start_lag: int) -> tuple[LinearProgra
     program to ``fill``, and the column of each queue's completion
     variable (read-only).
 
-    The rows are the T+1 balance rows (gamma, -up, +dn) and one
+    The rows are the T+1 balance rows (gamma, -up, +dn') and one
     completion row per queue, then the Q*T monotonicity rows
     e(j) - e(j-1) >= 0, each built sparse from its (row, column, value)
     entries.  One template per (codebook, T, start lag) is shared by
@@ -333,11 +335,11 @@ def _window_rows(codebook, lookahead: int, start_lag: int) -> tuple[LinearProgra
 def build_program(inputs: HorizonInputs) -> LinearProgram:
     """Assemble the window LP.
 
-    Variables: e (queue-major, Q(T+1)), then up (T+1), then dn (T+1).
+    Variables: e (queue-major, Q(T+1)), then up (T+1), then dn' (T+1).
     Starting everything as soon as it arrives (e at its upper bound, up
-    and dn the two sides of each balance residual) meets every row and
-    bound, and the costs are bounded below, so the program always has an
-    optimum.  The rows come from the ``_window_rows`` template; only the
+    and dn' - (-s) the two sides of each balance residual) meets every row
+    and bound, and the costs are bounded below, so the program always has
+    an optimum.  The rows come from the ``_window_rows`` template; only the
     cost, the bounds and the equality right-hand side are filled per
     window, by the array functions a scheduler bank fills its windows
     with, and checked by ``LinearProgram.fill``.
@@ -353,25 +355,25 @@ def build_program(inputs: HorizonInputs) -> LinearProgram:
 def extract_plan(solution: LpSolution, inputs: HorizonInputs) -> SchedulePlan:
     """Turn an optimal LP point into a SchedulePlan.
 
-    The balancing pair is cleaned so at most one side is nonzero per
-    epoch (overlap can only appear where a price is zero, and is always
-    removable), and the tie-break is taken out and the decision-free delay
-    cost restored, so the objective is the actual window cost."""
+    dn = dn' + s, and the balancing pair is cleaned so at most one side
+    is nonzero per epoch (overlap can only appear where a price is zero,
+    and is always removable).  The objective is the actual window cost:
+    the program's, with the delay cost of the backlog in place of the e
+    costs (tie-break included) and price_dn * s added back."""
     if not solution.is_optimal:
         raise ConfigurationError(f"cannot extract a plan from status {solution.status!r}")
     q, t = inputs.n_queues, inputs.lookahead
     width = t + 1
     e = solution.values[: q * width].reshape(q, width)
     up = solution.values[q * width : q * width + width].copy()
-    dn = solution.values[q * width + width : q * width + 2 * width].copy()
+    dn = solution.values[q * width + width : q * width + 2 * width] + inputs.zic_kw
     overlap = np.minimum(up, dn)
     up -= overlap
     dn -= overlap
-    tie_break = (-inputs.delay_prices).repeat(width) - _window_cost(
-        inputs.delay_prices, inputs.price_up, inputs.price_dn)[: q * width]
-    objective = solution.objective + inputs.delay_constant(inputs.arrival_matrix())
-    objective += float(tie_break @ e.ravel())
-    objective -= float(inputs.price_up @ overlap + inputs.price_dn @ overlap)
+    e_cost = _window_cost(inputs.delay_prices, inputs.price_up, inputs.price_dn)[: q * width]
+    backlog = inputs.arrival_matrix() - inputs.prior_departures[:, None] - e
+    objective = solution.objective - e_cost @ e.ravel() + inputs.delay_prices @ backlog.sum(axis=1)
+    objective += inputs.price_dn @ (inputs.zic_kw - overlap) - inputs.price_up @ overlap
     return SchedulePlan(
         departures=e + inputs.prior_departures[:, None],
         up_kw=up,
@@ -448,7 +450,7 @@ class RecedingHorizonScheduler:
     ``known_arrivals`` (per-epoch counts, absolute epochs) the windows
     see the realized future; otherwise they extrapolate ``arrival_rates``.
     Each scheduler decides exactly what it would alone: only the array
-    passes are shared.  Column l + 1 of the (M, Q, ·) tables holds every
+    passes and the first window's basis are shared.  Column l + 1 of the (M, Q, ·) tables holds every
     scheduler's a_q(l) and d_q(l); ``ledgers`` copies them out.
     """
 
@@ -486,6 +488,9 @@ class RecedingHorizonScheduler:
         self._template, self._completion = _window_rows(self.codebook, self.lookahead,
                                                         self.start_lag)
         self._models = [Model(self._template) for _ in range(m)]  # warm-started window LPs
+        first_basis = [] if m > 1 else None  # see ``Model.first_basis``; one list a bank
+        for model in self._models:
+            model.first_basis = first_basis
         self._prices = np.stack((self.price_up, self.price_dn))
         self._cost = self._cost_prices = None  # the last window's costs (read-only) and prices
         self._pulses = np.array([[code.pulse + (0.0,) * (max_u - code.duration_epochs)]

@@ -13,7 +13,7 @@ from ddls.errors import ConfigurationError
 from ddls.feedback import encode_thresholds
 from ddls.market import stage_cost
 from ddls.queues import DelayPrices, QueueLedger
-from ddls.scheduler import RecedingHorizonScheduler
+from ddls.scheduler import HorizonInputs, RecedingHorizonScheduler
 from ddls.simkit import generate_arrival_counts
 
 CODE = ChargeCode(1, (1.0,))
@@ -23,6 +23,13 @@ def bank(**field):
     kwargs = dict(codebook=[CODE], zic_kw=np.ones(6), price_up=1.0, price_dn=0.5,
                   delay_prices=[0.1], lookahead=2, arrival_rates=[0.5])
     return RecedingHorizonScheduler(**{**kwargs, **field})
+
+
+def window(**field):
+    kwargs = dict(start_epoch=0, observed=[[1]], prior_departures=[0], zic_kw=np.ones(3),
+                  price_up=np.ones(3), price_dn=np.ones(3), delay_prices=[0.1], codebook=[CODE],
+                  lookahead=2, forecast_rates=[0.5])
+    return HorizonInputs(**{**kwargs, **field})
 
 
 def ledger():
@@ -39,6 +46,7 @@ ENTRIES = {
     "scheduler-delay-prices": ("delay_prices", lambda bad: bank(delay_prices=[bad])),
     "scheduler-rates": ("arrival_rates", lambda bad: bank(arrival_rates=[bad])),
     "scheduler-cap": ("capacity_cap", lambda bad: bank(capacity_cap=bad)),
+    "window-rates": ("forecast_rates", lambda bad: window(forecast_rates=[bad])),
     "delay-prices": ("delay_prices", lambda bad: DelayPrices([bad])),
     "record-arrivals": ("counts", lambda bad: QueueLedger(2).record_arrivals(0, [bad, bad])),
     "encode-thresholds": ("targets", lambda bad: encode_thresholds(ledger(), [bad, bad], 0)),

@@ -9,6 +9,7 @@ reaches linprog only where it has no binding.
 """
 
 import importlib.machinery
+import itertools
 import json
 import os
 import subprocess
@@ -420,8 +421,8 @@ def _off_an_equality_row(x, objective, up0):
 
 def _outside_a_bound(x, objective, up0):
     dn0 = up0 + (x.size - up0) // 2
-    shift = min(x[up0], x[dn0]) + 1.0  # up and dn cancel in balance row 0
-    x[[up0, dn0]] -= shift  # so every row still holds, and one of them is below 0
+    shift = x[up0] + 1.0  # up and dn' cancel in balance row 0
+    x[[up0, dn0]] -= shift  # so every row still holds, and up is below 0
     return x, objective
 
 
@@ -650,10 +651,17 @@ def _varying_price_day():
 def test_a_warm_window_pushes_only_the_costs_and_rows_that_changed(monkeypatch, day):
     """Each warm window reads one solution and only its columns, pushes the
     costs only where they changed, the changed columns' bounds in at most
-    one call, and each changed equality row once."""
+    one call, and each changed equality row once.  The net supply travels
+    in the lower bound of dn', in that one call: the balance rows' right-hand
+    side stays 0, so every pushed row is a completion row, at most Q a
+    window."""
     windows = _pushed_windows(monkeypatch, day)
     assert len(windows) > 20
-    cost_pushes = 0
+    # a balance row holds gamma, up and dn' entries, a completion row one e entry
+    entries = np.diff(windows[0][0].eq_matrix.tocsr().indptr)
+    width, q = int((entries > 1).sum()), int((entries == 1).sum())
+    assert (entries[:width] > 1).all() and width + q == entries.size
+    cost_pushes, supply_moves = 0, 0
     for i, ((program, pushed), (before, _)) in enumerate(zip(windows[1:], windows), 1):
         assert pushed["read"] == ["getSolution", "col_value"], i
         if np.array_equal(program.objective, before.objective):
@@ -673,9 +681,18 @@ def test_a_warm_window_pushes_only_the_costs_and_rows_that_changed(monkeypatch, 
         changed = np.flatnonzero(program.eq_rhs != before.eq_rhs)
         assert pushed["rows"] == [(row + row0, program.eq_rhs[row], program.eq_rhs[row])
                                   for row in changed], i
-    rows = windows[0][0].eq_rhs.size
-    assert 0 < np.mean([len(p["rows"]) for _, p in windows[1:]]) < rows
+        assert not program.eq_rhs[:width].any(), i
+        assert all(row - row0 >= width for row, *_ in pushed["rows"]) and len(changed) <= q, i
+        dn = np.arange(program.n_vars - width, program.n_vars)
+        moved = dn[program.lower[dn] != before.lower[dn]]
+        if moved.size:
+            supply_moves += 1
+            [(pushed_cols, lower, _)] = pushed["bounds"]
+            assert np.isin(moved, pushed_cols).all(), i
+            assert np.array_equal(lower[np.isin(pushed_cols, moved)], program.lower[moved]), i
+    assert 0 < np.mean([len(p["rows"]) for _, p in windows[1:]]) <= q
     assert 0 < np.mean([len(p["bounds"]) for _, p in windows[1:]]) <= 1
+    assert supply_moves > len(windows) // 2
     if day is _varying_price_day:
         assert 0 < cost_pushes < len(windows) - 1
     else:
@@ -697,6 +714,105 @@ def test_without_the_binding_a_model_is_ignored(no_binding, linprog_calls):
     assert solve(filled, model=model).values.tolist() == [0.5, 0.5]
     assert len(linprog_calls) == 1
     assert model.cold_retries == 0
+
+
+def _bank_windows(runner, config, also=None):
+    """(bank, scheduler, program, warm solution, ``also(program)``) of every
+    window of one day, the day following the warm solutions."""
+    windows, stepping = [], []
+    step, solve = RecedingHorizonScheduler.step, scheduler.lp_solve
+
+    def noted(bank, *args):
+        stepping[:] = [bank]
+        return step(bank, *args)
+
+    def both(program, model=None):
+        bank = stepping[0]
+        warm = solve(program, model=model)
+        windows.append((bank, bank._models.index(model), program, warm,
+                        also and also(program)))
+        return warm
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RecedingHorizonScheduler, "step", noted)
+        patch.setattr(scheduler, "lp_solve", both)
+        runner(config)
+    return windows
+
+
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
+def test_every_window_commits_linprogs_rounded_starts():
+    """Each window has one optimum, so a warm solve, which starts from
+    whatever basis the day left, and linprog commit the same starts: every
+    ddls and distributed window of desk seeds 0-3 and crowd seeds 0-1, for
+    a prior of either parity (which decides a half)."""
+    checked = 0
+    for path, seeds in ((DESK_CONFIG, range(4)), (CROWD_CONFIG, range(2))):
+        for seed, runner in itertools.product(seeds, (run_ddls, run_distributed)):
+            config = replace(load_scenario(path), seed=seed)
+            for k, (bank, i, program, warm, reference) in enumerate(
+                    _bank_windows(runner, config, lp._solve_linprog)):
+                l0, width = bank.epoch, bank.lookahead + 1
+                prior, arrived = bank._dep[i, :, l0], bank._arr[i, :, l0 + 1]
+                assert warm.status == reference.status == "optimal", (path.name, seed, k)
+                for parity in (0, 1):
+                    starts = [scheduler._rounded_departures(x.values[::width][:bank.n_queues],
+                                                            prior + parity, arrived + parity)
+                              for x in (warm, reference)]
+                    assert np.array_equal(*starts), (path.name, seed, runner.__name__, k)
+                checked += 1
+    assert checked > 3_000
+
+
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
+def test_a_bank_hands_its_first_basis_to_its_own_siblings_only(monkeypatch):
+    """A bank of several schedulers reads one basis, of the first window it
+    solves, and each sibling's model starts its first window from it, in
+    fewer iterations than that cold first window; a bank of one reads
+    none, and each day starts cold again, so two equal days solve alike."""
+    calls = []
+    highs = lp._load_highs()._Highs
+    for name in ("getBasis", "setBasis"):
+        def noted(self, *args, _name=name, _call=getattr(highs, name)):
+            calls.append(_name)
+            return _call(self, *args)
+        monkeypatch.setattr(highs, name, noted)
+    config = load_scenario(DESK_CONFIG)
+    days = []
+    for runner in (run_distributed, run_ddls, run_distributed):
+        calls.clear()
+        windows = _bank_windows(runner, config)
+        days.append([(i, warm.iterations) for _, i, _, warm, _ in windows])
+        m = windows[0][0].n_schedulers
+        assert calls == ([] if m == 1 else ["getBasis"] + ["setBasis"] * (m - 1)), runner
+        firsts = {}
+        for i, iterations in days[-1]:
+            firsts.setdefault(i, iterations)
+        assert len(firsts) == m
+        assert all(firsts[0] > 4 * firsts[i] for i in range(1, m)), firsts
+    assert days[0] == days[2]
+
+
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
+def test_a_first_basis_that_highs_refuses_leaves_a_cold_start(desk_programs):
+    first, later = desk_programs[0], desk_programs[5]
+    handed = Model(first)
+    handed.first_basis = []
+    assert solve(first, model=handed).is_optimal and len(handed.first_basis) == 1
+    wrong = lp._load_highs().HighsBasis()  # one column short
+    wrong.col_status = list(handed.first_basis[0].col_status)[:-1]
+    wrong.row_status = list(handed.first_basis[0].row_status)
+    wrong.valid = True
+    refused, cold = Model(later), Model(later)
+    refused.first_basis = [wrong]
+    answer, reference = solve(later, model=refused), solve(later, model=cold)
+    assert refused.cold_retries == cold.cold_retries == 0
+    assert np.array_equal(answer.values, reference.values)
+    assert (answer.objective, answer.iterations) == (reference.objective, reference.iterations)
+    assert reference.iterations > 100
+    taken = Model(later)
+    taken.first_basis = handed.first_basis
+    assert solve(later, model=taken).iterations < reference.iterations // 4
 
 
 def test_two_distributed_days_in_one_process_are_equal():

@@ -424,7 +424,7 @@ def rowwise_program(inputs):
     cost[n_e : n_e + width] = inputs.price_up
     cost[n_e + width : n_e + 2 * width] = inputs.price_dn
 
-    eq_rhs = list(inputs.zic_kw)
+    eq_rhs = [0.0] * width  # the net supply is in dn' = dn - s, as its lower bound -s
     for qi, code in enumerate(inputs.codebook):
         eq_rhs.append(shifted[qi, t - code.duration_epochs])
 
@@ -437,6 +437,8 @@ def rowwise_program(inputs):
             floor[:, j] = arrivals[:, cutoff - inputs.start_epoch]
     lower = np.zeros(n)
     upper = np.full(n, np.inf)
+    for j in range(width):
+        lower[n_e + width + j] = -inputs.zic_kw[j]
     for qi in range(q):
         lo = np.maximum(floor[qi] - inputs.prior_departures[qi], 0.0)
         lower[qi * width : (qi + 1) * width] = np.minimum(lo, shifted[qi])
@@ -904,12 +906,14 @@ class TestRecedingHorizon:
         checked = {}
 
         def checked_solve(program, model=None):
-            # the balance rows' right-hand side is the window's net supply
+            # dn' = dn - s: the lower bound of dn' is minus the window's net supply s,
+            # and the balance rows' right-hand side is 0
             l0, width = sched.epoch, sched.lookahead + 1
             inc = sched.ledger.departure_increments(0, l0).astype(float)
             load = synthesize_load(inc, codebook, l0 + width, start_lag=start_lag)
             expected = zic[l0 : l0 + width] - load[l0:]
-            np.testing.assert_allclose(program.eq_rhs[:width], expected, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(-program.lower[-width:], expected, rtol=0, atol=1e-9)
+            assert not program.eq_rhs[:width].any()
             checked[l0] = not np.array_equal(expected, zic[l0 : l0 + width])
             return original(program, model=model)
 
@@ -1098,6 +1102,7 @@ class TestInputsCheckedOnce:
         dict(price_dn=np.full(8, np.nan)),
         dict(delay_prices=np.array([0.1, np.nan, 0.1])),
         dict(forecast_rates=np.array([0.5, np.nan, 0.5])),
+        dict(forecast_rates=np.array([0.5, -1.0, 0.5])),
         dict(t1=9),
         dict(t1=2),
         dict(start_lag=2),
@@ -1110,13 +1115,15 @@ class TestInputsCheckedOnce:
 
 def witness_point(program, n_queues, width):
     """Everything started as soon as it arrives: e at its upper bound,
-    and up and dn the two sides of each balance row's residual."""
+    and up and dn' less its lower bound the two sides of each balance
+    row's residual."""
     n_e = n_queues * width
     x = np.zeros(program.objective.size)
     x[:n_e] = program.upper[:n_e]
+    x[n_e + width :] = program.lower[n_e + width :]
     residual = program.eq_rhs[:width] - program.eq_matrix[:width] @ x
     x[n_e : n_e + width] = np.maximum(-residual, 0.0)
-    x[n_e + width :] = np.maximum(residual, 0.0)
+    x[n_e + width :] += np.maximum(residual, 0.0)
     return x
 
 

@@ -100,9 +100,26 @@ MUTANTS = (
     ("deadline-floor-unclipped", SCHEDULER,  # a floor below the prior departures stays negative
      "            np.maximum(due, 0.0, out=due)\n", ""),
     ("rounding-half-up", SCHEDULER,
-     "d0 = np.rint(e0 + prior)", "d0 = np.floor(e0 + prior + 0.5)"),
+     "d0 = np.rint(np.round(e0 + prior, 6))", "d0 = np.floor(np.round(e0 + prior, 6) + 0.5)"),
+    ("rounding-unsnapped", SCHEDULER,  # rounding error around a half decides its side
+     "d0 = np.rint(np.round(e0 + prior, 6))", "d0 = np.rint(e0 + prior)"),
     ("load-sum-pairwise", SCHEDULER,  # add.reduce sums eight or more queues pairwise
      "load[...] = np.add.accumulate(terms, axis=0)[-1]", "np.add.reduce(terms, axis=0, out=load)"),
+    # one optimum a window: the tie-break, and net supply in dn' = dn - s
+    ("tie-break-in-the-bank-only", SCHEDULER,  # build_program's costs lack it
+     "    cost = _window_cost(inputs.delay_prices, inputs.price_up, inputs.price_dn)\n",
+     "    cost = np.concatenate(((-inputs.delay_prices).repeat(inputs.lookahead + 1),\n"
+     "                           inputs.price_up, inputs.price_dn))\n"),
+    ("tie-break-without-queue-factor", SCHEDULER,
+     "* (1 + np.arange(q)[:, None] / (q + 1))", "* np.ones((q, 1))"),
+    ("dn-shift-not-undone", SCHEDULER,  # extract_plan reports dn' as dn
+     "q * width + 2 * width] + inputs.zic_kw", "q * width + 2 * width].copy()"),
+    ("balance-rhs-still-supply", SCHEDULER,  # the supply both in the rows and in dn's bound
+     "rhs = np.concatenate((np.zeros_like(net_supply),", "rhs = np.concatenate((net_supply,"),
+    # the first basis
+    ("first-basis-across-banks", SCHEDULER,  # one module-level list for every bank
+     "first_basis = [] if m > 1 else None",
+     "first_basis = globals().setdefault('_B', []) if m > 1 else None"),
     # the delay cost
     ("dci-one-epoch-short", "src/ddls/queues.py",
      "np.arange(from_epoch, from_epoch + horizon + 1)", "np.arange(from_epoch, from_epoch + horizon)"),
