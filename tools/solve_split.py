@@ -15,8 +15,12 @@ window, which loads the whole program), the time outside those, and
 outside / warm ``run()``.  That last figure is a ratio of two times taken
 on the same core in the same second, so it holds still when the core's
 speed changes between days, where the times themselves do not.  The two
-copies must report the same total costs on every day.  This script is
-not part of tier-1.
+warm-up days of each copy print counts instead, which do not drift with
+the core: simplex iterations per warm window, warm windows that end after
+0 iterations, and ``changeRowBounds`` calls per warm window.  They are
+counted there only, so that counting adds no time to a timed day, and
+both warm-up days must count alike.  The two copies must report the
+same total costs on every day.  This script is not part of tier-1.
 """
 
 from __future__ import annotations
@@ -38,11 +42,13 @@ STRATEGIES = ("run_ddls", "run_distributed")
 
 
 class Stamps:
-    """Nanoseconds spent in warm ``run()`` calls and in cold windows."""
+    """Nanoseconds spent in warm ``run()`` calls and in cold windows, and,
+    while ``counting``, the warm windows' iterations and row pushes."""
 
     def __init__(self):
         self.run_ns = self.cold_ns = self.windows = self.cold = 0
-        self.in_cold = False
+        self.in_cold = self.counting = False
+        self.iterations, self.row_pushes = [], 0
 
     def patch_run(self, highs_class) -> None:
         run, stamps, clock = highs_class.run, self, time.perf_counter_ns
@@ -56,8 +62,25 @@ class Stamps:
             finally:
                 stamps.run_ns += clock() - start
                 stamps.windows += 1
+                if stamps.counting:
+                    stamps.iterations.append(highs.getInfoValue("simplex_iteration_count")[1])
 
         highs_class.run = timed_run
+
+    def counted(self, highs_class, day):
+        """``day()``, with ``changeRowBounds`` counted for its length only."""
+        push, stamps = highs_class.changeRowBounds, self
+
+        def counted_push(highs, *args):
+            stamps.row_pushes += 1
+            return push(highs, *args)
+
+        self.counting, self.iterations, self.row_pushes = True, [], 0
+        highs_class.changeRowBounds = counted_push
+        try:
+            return day()
+        finally:
+            highs_class.changeRowBounds, self.counting = push, False
 
     def patch_model(self, model_class) -> None:
         """Time a model's first window, which loads the whole program, as cold."""
@@ -133,9 +156,19 @@ def main(argv=None) -> int:
                                                 config.interval_s)  # drawn once, as set-up
         rows = {name: [] for name in sides}
         names = list(sides)
-        for _ in range(2):  # warm-up: caches, the binding, the templates
+        highs_class = lp._load_highs()._Highs
+        tallies = {name: [] for name in sides}
+        for day in range(2):  # warm-up: caches, the binding, the templates; and the counts
             for name in names:
-                _day(sides[name], stamps, config, counts)
+                stamps.counted(highs_class, lambda: _day(sides[name], stamps, config, counts))
+                its = stamps.iterations
+                tallies[name].append((len(its), sum(its), its.count(0), stamps.row_pushes))
+                print(f"count {day} {name:>10}: {sum(its) / len(its):.2f} iterations per warm "
+                      f"window ({len(its)} windows), {its.count(0)} end after 0 iterations, "
+                      f"{stamps.row_pushes / len(its):.2f} changeRowBounds per warm window",
+                      flush=True)
+        if any(len(set(days)) != 1 for days in tallies.values()):
+            sys.exit(f"the warm-up days count differently: {tallies}")
         for day in range(args.days):
             for name in names if day % 2 == 0 else names[::-1]:
                 row = _day(sides[name], stamps, config, counts)
