@@ -326,21 +326,36 @@ def test_a_desk_day_without_the_binding_serves_every_arrival_through_linprog(
     assert served == run_uncontrolled(config).metrics.served > 0
 
 
-def _desk_windows(runner, seed):
-    """(program, warm solution, from-scratch solution, model) of every
-    window of one desk day, the day following the warm solutions."""
-    windows = []
-    original = scheduler.lp_solve
+def _bank_windows(runner, config, also=None):
+    """(bank, scheduler, program, warm solution, ``also(program)``) of every
+    window of one day, the day following the warm solutions."""
+    windows, stepping = [], []
+    step, solve = RecedingHorizonScheduler.step, scheduler.lp_solve
+
+    def noted(bank, *args):
+        stepping[:] = [bank]
+        return step(bank, *args)
 
     def both(program, model=None):
-        warm = original(program, model=model)
-        windows.append((program, warm, _from_scratch(program), model))
+        bank = stepping[0]
+        warm = solve(program, model=model)
+        windows.append((bank, bank._models.index(model), program, warm,
+                        also and also(program)))
         return warm
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RecedingHorizonScheduler, "step", noted)
         patch.setattr(scheduler, "lp_solve", both)
-        runner(replace(load_scenario(DESK_CONFIG), seed=seed))
+        runner(config)
     return windows
+
+
+def _desk_windows(runner, seed):
+    """(program, warm solution, from-scratch solution, model) of every
+    window of one desk day, the day following the warm solutions."""
+    config = replace(load_scenario(DESK_CONFIG), seed=seed)
+    return [(program, warm, cold, bank._models[i])
+            for bank, i, program, warm, cold in _bank_windows(runner, config, _from_scratch)]
 
 
 @pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
@@ -714,30 +729,6 @@ def test_without_the_binding_a_model_is_ignored(no_binding, linprog_calls):
     assert solve(filled, model=model).values.tolist() == [0.5, 0.5]
     assert len(linprog_calls) == 1
     assert model.cold_retries == 0
-
-
-def _bank_windows(runner, config, also=None):
-    """(bank, scheduler, program, warm solution, ``also(program)``) of every
-    window of one day, the day following the warm solutions."""
-    windows, stepping = [], []
-    step, solve = RecedingHorizonScheduler.step, scheduler.lp_solve
-
-    def noted(bank, *args):
-        stepping[:] = [bank]
-        return step(bank, *args)
-
-    def both(program, model=None):
-        bank = stepping[0]
-        warm = solve(program, model=model)
-        windows.append((bank, bank._models.index(model), program, warm,
-                        also and also(program)))
-        return warm
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(RecedingHorizonScheduler, "step", noted)
-        patch.setattr(scheduler, "lp_solve", both)
-        runner(config)
-    return windows
 
 
 @pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
