@@ -6,7 +6,10 @@ min c'x  s.t.  A_eq x = b_eq,  A_ge x >= b_ge,  lo <= x <= hi
 HiGHS model through scipy's bundled binding
 (``scipy.optimize._highspy._core``) from the basis its last solve left
 (presolve off), pushing only the data that changed since, and accepts
-the point with ``scipy.optimize.linprog``'s checks.  Everything else goes
+the point with ``scipy.optimize.linprog``'s checks.  Each such run
+refactors its starting basis (``no_unnecessary_rebuild_refactor`` off),
+which costs less than HiGHS's default test of the LU factor its last
+run kept plus the pivots on that updated factor.  Everything else goes
 to ``linprog(method="highs")``, the reference: a call without a model, a
 warm run that does not end optimal, and a scipy that lacks the binding
 or whose binding's infinity is not inf (bounds go to HiGHS as they are).
@@ -288,7 +291,8 @@ class Model:
                                                 program.eq_rhs)
         if self._highs is None:
             highs = _SPARE.pop() if _SPARE else h._Highs()
-            highs.passOptions(_highs_options())
+            highs.passOptions(_highs_options())  # resets every option, this one too
+            highs.setOptionValue("no_unnecessary_rebuild_refactor", False)  # or keep the default
             if highs.passModel(_highs_lp(program)) == h.HighsStatus.kError:
                 _spare(highs)
                 self.cold_retries += 1

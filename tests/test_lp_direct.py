@@ -806,6 +806,61 @@ def test_a_first_basis_that_highs_refuses_leaves_a_cold_start(desk_programs):
     assert solve(later, model=taken).iterations < reference.iterations // 4
 
 
+def _first_desk_epochs(monkeypatch):
+    """The models and committed starts of the first epoch of a desk bank of
+    one and of a desk bank of eight, every scheduler given one arrival a
+    queue.  The bank of one builds its HiGHS object afresh; the bank of
+    eight takes its first from a cleared spare, and its siblings load the
+    first basis."""
+    monkeypatch.setattr(lp, "_SPARE", [])
+    config = load_scenario(DESK_CONFIG)
+    zic, up, dn = config.padded_profiles()
+    models, committed, spare = [], [], lp._load_highs()._Highs()
+    for m in (1, 8):
+        if m > 1:
+            lp._spare(spare)  # as a freed model leaves it
+        bank = RecedingHorizonScheduler(
+            list(config.codebook), zic / m, up, dn, config.delay_prices, config.lookahead,
+            arrival_rates=config.padded_rates() / m, deadline_epochs=config.deadline_epochs,
+            n_schedulers=m)
+        bank.observe_arrivals(np.ones((m, config.n_queues), dtype=np.int64))
+        committed.append(bank.step().committed)
+        models.append(bank._models)
+    assert not lp._SPARE and models[1][0]._highs is spare
+    assert len(models[1][0].first_basis) == 1
+    assert all(model._highs is not spare for model in (*models[0], *models[1][1:]))
+    return models, committed
+
+
+_REFACTOR = "no_unnecessary_rebuild_refactor"
+
+
+@pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")
+def test_every_warm_run_refactors_its_starting_basis(monkeypatch):
+    """A fresh model, a model on a cleared spare (``clear`` and ``passOptions``
+    reset every option) and a sibling loaded from the first basis all run
+    with HiGHS's refactor-on-rebuild option off; where HiGHS refuses it, a
+    model keeps the default and still commits the same starts."""
+    highs = lp._load_highs()
+    cleared = highs._Highs()
+    cleared.setOptionValue(_REFACTOR, False)
+    cleared.clear()
+    assert cleared.getOptionValue(_REFACTOR) == (highs.HighsStatus.kOk, True)
+    answers = []
+    for refused in (False, True):
+        with monkeypatch.context() as patch:
+            if refused:
+                patch.setattr(highs._Highs, "setOptionValue",
+                              lambda self, name, value: highs.HighsStatus.kError)
+            models, committed = _first_desk_epochs(patch)
+        for model in (*models[0], *models[1]):
+            assert model._highs.getOptionValue(_REFACTOR) == (highs.HighsStatus.kOk, refused)
+            assert model.cold_retries == 0
+        answers.append(committed)
+    for set_, refused in zip(*answers):
+        assert np.array_equal(set_, refused) and set_.any()
+
+
 def test_two_distributed_days_in_one_process_are_equal():
     config = load_scenario(DESK_CONFIG)
     first, second = run_distributed(config), run_distributed(config)

@@ -120,6 +120,13 @@ MUTANTS = (
     ("first-basis-across-banks", SCHEDULER,  # one module-level list for every bank
      "first_basis = [] if m > 1 else None",
      "first_basis = globals().setdefault('_B', []) if m > 1 else None"),
+    # a fresh factor each run
+    ("refactor-option-before-pass-options", LP,  # which resets it to HiGHS's default
+     "            highs.passOptions(_highs_options())  # resets every option, this one too\n"
+     "            highs.setOptionValue(\"no_unnecessary_rebuild_refactor\", False)"
+     "  # or keep the default\n",
+     "            highs.setOptionValue(\"no_unnecessary_rebuild_refactor\", False)\n"
+     "            highs.passOptions(_highs_options())\n"),
     # the delay cost
     ("dci-one-epoch-short", "src/ddls/queues.py",
      "np.arange(from_epoch, from_epoch + horizon + 1)", "np.arange(from_epoch, from_epoch + horizon)"),

@@ -19,8 +19,13 @@ warm-up days of each copy print counts instead, which do not drift with
 the core: simplex iterations per warm window, warm windows that end after
 0 iterations, and ``changeRowBounds`` calls per warm window.  They are
 counted there only, so that counting adds no time to a timed day, and
-both warm-up days must count alike.  The two copies must report the
-same total costs on every day.  This script is not part of tier-1.
+both warm-up days must count alike, window by window.  Every timed day
+solves the same windows, so each copy's timed warm runs, paired with
+those counted iterations, then show which term of a warm ``run()``
+moved: its mean time a window, a least-squares fit a + c * iterations,
+and the median time of the runs that end after 0 iterations.  The two
+copies must report the same total costs on every day.  This script is
+not part of tier-1.
 """
 
 from __future__ import annotations
@@ -36,19 +41,21 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = {"desk": "configs/desk_day.json", "crowd": "bench/scenarios/crowd.json"}
 STRATEGIES = ("run_ddls", "run_distributed")
 
 
 class Stamps:
-    """Nanoseconds spent in warm ``run()`` calls and in cold windows, and,
-    while ``counting``, the warm windows' iterations and row pushes."""
+    """Nanoseconds spent in each warm ``run()`` call and in cold windows,
+    and, while ``counting``, the warm windows' iterations and row pushes."""
 
     def __init__(self):
-        self.run_ns = self.cold_ns = self.windows = self.cold = 0
+        self.cold_ns = self.cold = 0
         self.in_cold = self.counting = False
-        self.iterations, self.row_pushes = [], 0
+        self.times, self.iterations, self.row_pushes = [], [], 0
 
     def patch_run(self, highs_class) -> None:
         run, stamps, clock = highs_class.run, self, time.perf_counter_ns
@@ -60,8 +67,7 @@ class Stamps:
             try:
                 return run(highs)
             finally:
-                stamps.run_ns += clock() - start
-                stamps.windows += 1
+                stamps.times.append(clock() - start)
                 if stamps.counting:
                     stamps.iterations.append(highs.getInfoValue("simplex_iteration_count")[1])
 
@@ -115,15 +121,31 @@ def _package(name: str, ref: str | None, workdir: Path):
 
 def _day(package, stamps: Stamps, config, counts) -> dict:
     simkit = importlib.import_module(package.__name__ + ".simkit")
-    stamps.run_ns = stamps.cold_ns = stamps.windows = stamps.cold = 0
+    stamps.cold_ns = stamps.cold = 0
+    stamps.times = []
     start = time.perf_counter_ns()
     costs = [getattr(simkit, runner)(config, arrival_counts=counts).metrics.total_cost
              for runner in STRATEGIES]
     day = time.perf_counter_ns() - start
-    outside = day - stamps.run_ns - stamps.cold_ns
-    return {"day_ms": day / 1e6, "run_ms": stamps.run_ns / 1e6, "windows": stamps.windows,
+    run_ns = sum(stamps.times)
+    outside = day - run_ns - stamps.cold_ns
+    return {"day_ms": day / 1e6, "run_ms": run_ns / 1e6, "windows": len(stamps.times),
             "cold_ms": stamps.cold_ns / 1e6, "cold": stamps.cold, "outside_ms": outside / 1e6,
-            "ratio": outside / stamps.run_ns, "costs": costs}
+            "ratio": outside / run_ns, "costs": costs, "times": stamps.times}
+
+
+def _run_terms(iterations, days: list) -> dict:
+    """Mean iterations and microseconds a warm ``run()``, the least-squares
+    fit a + c * iterations, and the median time of the runs that end after
+    0 iterations, over ``days`` of run times, each run paired with its
+    ``iterations``."""
+    its = np.tile(iterations, len(days))
+    us = np.concatenate(days) / 1e3
+    c, a = np.polyfit(its, us, 1)
+    zero = its == 0
+    return {"iterations": its.mean(), "mean_us": us.mean(), "a_us": a, "c_us": c,
+            "zero_us": np.median(us[zero]) if zero.any() else np.nan,
+            "zero": zero.sum() // len(days)}
 
 
 def main(argv=None) -> int:
@@ -162,13 +184,13 @@ def main(argv=None) -> int:
             for name in names:
                 stamps.counted(highs_class, lambda: _day(sides[name], stamps, config, counts))
                 its = stamps.iterations
-                tallies[name].append((len(its), sum(its), its.count(0), stamps.row_pushes))
+                tallies[name].append((tuple(its), stamps.row_pushes))
                 print(f"count {day} {name:>10}: {sum(its) / len(its):.2f} iterations per warm "
                       f"window ({len(its)} windows), {its.count(0)} end after 0 iterations, "
                       f"{stamps.row_pushes / len(its):.2f} changeRowBounds per warm window",
                       flush=True)
         if any(len(set(days)) != 1 for days in tallies.values()):
-            sys.exit(f"the warm-up days count differently: {tallies}")
+            sys.exit("the warm-up days count differently")
         for day in range(args.days):
             for name in names if day % 2 == 0 else names[::-1]:
                 row = _day(sides[name], stamps, config, counts)
@@ -187,7 +209,18 @@ def main(argv=None) -> int:
                          for key in ("day_ms", "run_ms", "cold_ms", "outside_ms", "ratio")}
         print(f"median {name:>10}: " + ", ".join(f"{key} {value:.3f}"
                                                  for key, value in medians[name].items()))
+    terms = {name: _run_terms(tallies[name][0][0], [row["times"] for row in side])
+             for name, side in rows.items()}
+    for name, t in terms.items():
+        print(f"warm run() {name:>10}: {t['iterations']:.2f} iterations, mean {t['mean_us']:.1f} "
+              f"us a window, fit {t['a_us']:.1f} + {t['c_us']:.1f} * iterations us, median "
+              f"{t['zero_us']:.1f} us of the {t['zero']} runs a day that end after 0 iterations")
     if args.ref:
+        tree, ref = terms["tree"], terms[args.ref]
+        print(f"warm run(): {ref['mean_us']:.1f} -> {tree['mean_us']:.1f} us a window "
+              f"({tree['mean_us'] / ref['mean_us'] - 1:+.1%}), iterations a window "
+              f"{ref['iterations']:.2f} -> {tree['iterations']:.2f} "
+              f"({tree['iterations'] / ref['iterations'] - 1:+.1%})")
         tree, ref = medians["tree"]["ratio"], medians[args.ref]["ratio"]
         wins = sum(a["ratio"] < b["ratio"] for a, b in zip(rows["tree"], rows[args.ref]))
         print(f"outside/run(): {ref:.3f} -> {tree:.3f} ({tree / ref - 1:+.1%}), "
