@@ -42,13 +42,14 @@ from pathlib import Path
 from . import __version__
 from .codec import FeedbackRateParams, Quantizer, codebook_to_json, feedback_rate_bound, \
     uplink_rate_cems, uplink_rate_hems
-from .core import checked_numbers
+from .core import checked_int, checked_numbers
 from .errors import ConfigurationError, FeasibilityError, SolverError
 # encode_thresholds unused here: bench/spans.py traces it until ROADMAP item 1 drops it
 from .feedback import encode_thresholds, message_log_to_csv, threshold_messages  # noqa: F401
 from .simkit import (
     STRATEGIES,
     ScenarioConfig,
+    checked_strategies,
     compare,
     load_scenario,
     metrics_to_csv,
@@ -155,10 +156,8 @@ def cmd_run(command: argparse.Namespace) -> int:
 
 def cmd_compare(command: argparse.Namespace) -> int:
     config = load_command_config(command)
-    names = tuple(s.strip() for s in command.strategies.split(",") if s.strip()) or STRATEGIES
-    unknown = [n for n in names if n not in STRATEGIES]
-    if unknown:
-        raise ConfigurationError(f"unknown strategies: {unknown}")
+    names = checked_strategies(
+        s.strip() for s in command.strategies.split(",") if s.strip()) or STRATEGIES
     if "uncontrolled" not in names or len(set(names)) < len(names):
         raise ConfigurationError("--strategies must name each strategy once, uncontrolled "
                                  f"among them (the savings baseline), got {','.join(names)}")
@@ -191,7 +190,7 @@ def cmd_codebook(command: argparse.Namespace) -> int:
 
 def cmd_rates(command: argparse.Namespace) -> int:
     config = load_command_config(command)
-    checked_numbers(command.window, "--window", strict=True)
+    checked_int(command.window, "--window", low=1)
     rho = checked_numbers(command.cutoff_correlation, "--cutoff-correlation")
     if rho >= 1:
         raise ConfigurationError(f"--cutoff-correlation must be < 1, got {rho}")

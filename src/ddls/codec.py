@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChargeCode, RawRequest, charge_code_from_entry, checked_numbers, square_pulse
+from .core import (ChargeCode, RawRequest, charge_code_from_entry, checked_int, checked_numbers,
+                   square_pulse)
 from .csvio import atomic_write_text
 from .errors import ConfigurationError
 
@@ -144,18 +145,14 @@ class ArrivalTimeCode:
     window_size: int
 
     def __post_init__(self):
-        if self.window_size < 1:
-            raise ConfigurationError(f"window must be >= 1, got {self.window_size}")
-        if not 0 <= self.residue < self.window_size:
-            raise ConfigurationError(
-                f"residue {self.residue} outside [0, {self.window_size})"
-            )
+        window = checked_int(self.window_size, "window_size", low=1)
+        object.__setattr__(self, "window_size", window)
+        object.__setattr__(self, "residue", checked_int(self.residue, "residue", high=window - 1))
 
 
 def encode_arrival_time(arrival_epoch: int, window: int) -> ArrivalTimeCode:
-    if arrival_epoch < 0:
-        raise ConfigurationError(f"arrival epoch must be >= 0, got {arrival_epoch}")
-    return ArrivalTimeCode(residue=arrival_epoch % window, window_size=window)
+    window = checked_int(window, "window", low=1)
+    return ArrivalTimeCode(checked_int(arrival_epoch, "arrival_epoch") % window, window)
 
 
 def decode_arrival_time(code: ArrivalTimeCode, notification_epoch: int) -> int:
@@ -166,7 +163,7 @@ def decode_arrival_time(code: ArrivalTimeCode, notification_epoch: int) -> int:
     unrecoverable from the residue alone.
     """
     d = code.window_size
-    candidate = d * (notification_epoch // d) + code.residue
+    candidate = d * (checked_int(notification_epoch, "notification_epoch") // d) + code.residue
     if candidate > notification_epoch:
         candidate -= d
     return candidate
@@ -200,8 +197,7 @@ def uplink_rate_hems(arrivals_per_interval, interval_s: float, window: int, n_co
     with one of D*Q symbols, so the rate is lambda * log2(D*Q) / Delta
     with lambda in expected arrivals per interval."""
     checked_numbers(interval_s, "interval_s", strict=True)
-    if window < 1 or n_codes < 1:
-        raise ConfigurationError("window and n_codes must be >= 1")
+    window, n_codes = checked_int(window, "window", low=1), checked_int(n_codes, "n_codes", low=1)
     lam = checked_numbers(arrivals_per_interval, "arrivals_per_interval")
     out = lam * math.log2(window * n_codes) / interval_s
     return float(out) if out.ndim == 0 else out
@@ -210,9 +206,7 @@ def uplink_rate_hems(arrivals_per_interval, interval_s: float, window: int, n_co
 def uplink_rate_cems(arrivals_per_interval, n_codes: int):
     """Aggregator-side rate in bits per interval for the per-queue
     arrival-count vector: Q/2 * log2(2*pi*e*lambda)."""
-    if n_codes < 0:
-        raise ConfigurationError(f"n_codes must be >= 0, got {n_codes}")
-    if n_codes == 0:
+    if checked_int(n_codes, "n_codes") == 0:
         return 0.0
     lam = checked_numbers(arrivals_per_interval, "arrivals_per_interval", strict=True)
     out = 0.5 * n_codes * np.log2(2.0 * math.pi * math.e * lam)
@@ -249,9 +243,9 @@ def _grown_codebooks(request_samples, max_duration: int | None = None, n_iter: i
     once every sample is matched exactly."""
     g = _request_pulses(request_samples)
     n, length = g.shape
-    max_duration = min(max_duration or length, length)
-    if max_duration < 1:
-        raise ConfigurationError(f"max_duration must be >= 1, got {max_duration}")
+    max_duration = length if max_duration is None else min(
+        checked_int(max_duration, "max_duration", low=1), length)
+    n_iter = checked_int(n_iter, "n_iter")
     s1 = np.hstack([np.zeros((n, 1)), np.cumsum(g, axis=1)])
     codes = [_best_square(s1.sum(axis=0), n, max_duration)]
     epochs = np.arange(max_duration)
@@ -290,8 +284,7 @@ def fit_codebook(request_samples, n_codes: int, max_duration: int | None = None,
     previous fit, the achieved distortion is nonincreasing in
     ``n_codes``.
     """
-    if n_codes < 1:
-        raise ConfigurationError(f"n_codes must be >= 1, got {n_codes}")
+    n_codes = checked_int(n_codes, "n_codes", low=1)
     *_, quant = itertools.islice(_grown_codebooks(request_samples, max_duration, n_iter), n_codes)
     return quant
 
@@ -309,7 +302,7 @@ def design_codebook_min_q(request_samples, max_distortion: float, peak_rate: flo
     checked_numbers(max_distortion, "max_distortion", strict=True)
     checked_numbers(peak_rate, "peak_rate", strict=True)
     samples = list(request_samples)
-    for quant in itertools.islice(_grown_codebooks(samples), q_max):
+    for quant in itertools.islice(_grown_codebooks(samples), checked_int(q_max, "q_max", low=1)):
         if peak_rate * mean_distortion(quant, samples) <= max_distortion:
             return quant
     raise ConfigurationError(
@@ -328,7 +321,7 @@ def design_codebook_min_distortion(request_samples, hems_cap: float, cems_cap: f
     """
     checked_numbers(peak_rate, "peak_rate", strict=True)
     best_q = 0
-    for n_codes in range(1, q_max + 1):
+    for n_codes in range(1, checked_int(q_max, "q_max", low=1) + 1):
         if (
             uplink_rate_hems(peak_rate, interval_s, window, n_codes) <= hems_cap
             and uplink_rate_cems(peak_rate, n_codes) <= cems_cap

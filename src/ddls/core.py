@@ -57,8 +57,7 @@ class ChargeCode:
     pulse: tuple[float, ...]
 
     def __post_init__(self):
-        if not is_int(self.id) or self.id < 1:
-            raise ConfigurationError(f"code id must be an integer >= 1, got {self.id!r}")
+        object.__setattr__(self, "id", checked_int(self.id, "code id", low=1))
         object.__setattr__(self, "pulse", _checked_vector(self.pulse, "pulse"))
 
     @property
@@ -83,21 +82,27 @@ class ArrivalEvent:
     request: RawRequest
 
     def __post_init__(self):
-        if not is_int(self.arrival_epoch) or self.arrival_epoch < 0:
-            raise ConfigurationError(
-                f"arrival_epoch must be an integer >= 0, got {self.arrival_epoch!r}")
+        object.__setattr__(self, "arrival_epoch", checked_int(self.arrival_epoch, "arrival_epoch"))
 
 
 def square_pulse(rate_kw: float, duration_epochs: int) -> tuple[float, ...]:
     """Constant-rate pulse over an integer number of epochs."""
-    if duration_epochs < 1 or duration_epochs != int(duration_epochs):
-        raise ConfigurationError(
-            f"duration_epochs must be a positive integer, got {duration_epochs}")
-    return (float(rate_kw),) * int(duration_epochs)
+    return (float(rate_kw),) * checked_int(duration_epochs, "duration_epochs", low=1)
 
 
-def is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def checked_int(value, name: str, low=0, high=None) -> int:
+    """``value`` as a Python int, the one check of an integer field: an
+    int or numpy integer, not a boolean, in [``low``, ``high``] (None: no
+    bound).  Floats, whole ones too, text, None, booleans and values out
+    of range are refused by ``name`` with a ``ConfigurationError``.
+    (Count arrays go through ``checked_numbers`` with ``integer``, which
+    takes whole floats.)"""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        rule = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigurationError(f"{name} must be an integer {rule}, got {value!r}")
+    return int(value)
 
 
 def is_real(value) -> bool:
@@ -159,14 +164,12 @@ def charge_code_from_entry(entry, pos: int) -> ChargeCode:
         raise ConfigurationError(
             f"codebook entry {pos} has unknown keys {sorted(map(str, extra))}"
         )
-    code_id, duration, rate = entry.get("id", pos), entry["duration_epochs"], entry["rate_kw"]
-    if code_id != pos or not is_int(code_id):
+    code_id = checked_int(entry.get("id", pos), f"codebook entry {pos}: id", low=1)
+    if code_id != pos:
         raise ConfigurationError(f"codebook ids must run 1..Q, got {code_id!r} at slot {pos}")
-    if not is_int(duration) or duration < 1:
-        raise ConfigurationError(
-            f"codebook entry {pos}: duration_epochs must be an integer >= 1, got {duration!r}"
-        )
-    rate = checked_numbers(rate, f"codebook entry {pos}: rate_kw", length=1).item()
+    duration = checked_int(entry["duration_epochs"], f"codebook entry {pos}: duration_epochs",
+                           low=1)
+    rate = checked_numbers(entry["rate_kw"], f"codebook entry {pos}: rate_kw", length=1).item()
     return ChargeCode(pos, square_pulse(rate, duration))
 
 
@@ -208,10 +211,8 @@ def synthesize_load(
     ndarray of ``horizon`` kW samples starting at epoch 0:
     L(l) = sum_q sum_k [d_q(k) - d_q(k-1)] g_q(l - k - start_lag).
     """
-    if start_lag not in (0, 1):
-        raise ConfigurationError(f"start_lag must be 0 or 1, got {start_lag}")
-    if horizon < 0:
-        raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
+    horizon = checked_int(horizon, "horizon")
+    start_lag = checked_int(start_lag, "start_lag", high=1)
     inc = _increment_matrix(departure_increments, len(codebook))
     out = np.zeros(horizon)
     for q, code in enumerate(codebook):
@@ -244,8 +245,7 @@ def unscheduled_load(
         horizon = last + start_lag + max_u if last >= 0 else 0
     inc = np.zeros((len(codebook), max((ev.arrival_epoch for ev in arrivals), default=-1) + 1))
     for ev in arrivals:
-        code_id = quantizer.quantize(ev.request)
-        if not 1 <= code_id <= len(codebook):
-            raise ConfigurationError(f"quantizer returned unknown code id {code_id}")
+        code_id = checked_int(quantizer.quantize(ev.request), "quantized code id", low=1,
+                              high=len(codebook))
         inc[code_id - 1, ev.arrival_epoch] += 1
     return synthesize_load(inc, codebook, horizon, start_lag=start_lag)

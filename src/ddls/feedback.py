@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import checked_numbers
+from .core import checked_int, checked_numbers
 from .csvio import atomic_write_text, render_columns
 from .errors import ConfigurationError
 from .queues import QueueLedger
@@ -45,23 +45,19 @@ class ThresholdMessage:
     spill: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "cutoffs", tuple(self.cutoffs))
-        object.__setattr__(self, "spill", tuple(map(int, self.spill)))
-        if self.epoch < 0:
-            raise ConfigurationError(f"epoch must be >= 0, got {self.epoch}")
-        if len(self.cutoffs) != len(self.spill):
+        epoch = checked_int(self.epoch, "epoch")
+        cutoffs, spill = list(self.cutoffs), list(self.spill)
+        if len(cutoffs) != len(spill):
             raise ConfigurationError("cutoffs and spill must have one entry per queue")
-        for q, (cut, spill) in enumerate(zip(self.cutoffs, self.spill)):
-            if cut is not None and not 0 <= cut <= self.epoch:
-                raise ConfigurationError(
-                    f"queue {q + 1} cutoff {cut} outside [0, {self.epoch}]"
-                )
-            if spill < 0:
-                raise ConfigurationError(f"queue {q + 1} spill must be >= 0")
-            if cut == self.epoch and spill != 0:
-                raise ConfigurationError(
-                    f"queue {q + 1} spill past the message epoch"
-                )
+        for q, cut in enumerate(cutoffs):
+            if cut is not None:
+                cutoffs[q] = checked_int(cut, f"queue {q + 1} cutoff", high=epoch)
+            spill[q] = checked_int(spill[q], f"queue {q + 1} spill")
+            if cut == epoch and spill[q]:
+                raise ConfigurationError(f"queue {q + 1} spill past the message epoch")
+        object.__setattr__(self, "epoch", epoch)
+        object.__setattr__(self, "cutoffs", tuple(cutoffs))
+        object.__setattr__(self, "spill", tuple(spill))
 
     @property
     def n_queues(self) -> int:
@@ -75,8 +71,7 @@ def encode_thresholds(ledger: QueueLedger, targets, epoch: int) -> ThresholdMess
     must have started by ``epoch``; it may not exceed the arrivals
     recorded through ``epoch``.
     """
-    if epoch < 0:
-        raise ConfigurationError(f"epoch must be >= 0, got {epoch}")
+    epoch = checked_int(epoch, "epoch")
     targets = checked_numbers(targets, "targets", integer=True)
     if targets.shape != (ledger.n_queues,):
         raise ConfigurationError(
@@ -97,6 +92,7 @@ def encode_thresholds(ledger: QueueLedger, targets, epoch: int) -> ThresholdMess
 def threshold_messages(ledger: QueueLedger, epochs: int) -> list[ThresholdMessage]:
     """The messages of epochs 0..epochs-1 with the ledger's own cumulative
     departures as targets, as ``encode_thresholds`` gives them one by one."""
+    epochs = checked_int(epochs, "epochs")
     targets = np.cumsum(ledger.departure_increments(0, epochs), axis=1).T
     return _encode(ledger.arrival_history(epochs - 1), targets, 0) if epochs > 0 else []
 

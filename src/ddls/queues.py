@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import checked_numbers
+from .core import checked_int, checked_numbers
 from .errors import ConfigurationError, FeasibilityError
 
 
@@ -48,9 +48,7 @@ class QueueLedger:
     """
 
     def __init__(self, n_queues: int):
-        if n_queues < 1:
-            raise ConfigurationError(f"need at least one queue, got {n_queues}")
-        self.n_queues = n_queues
+        self.n_queues = n_queues = checked_int(n_queues, "n_queues", low=1)
         # the cumulative tables: column l + 1 holds a_q(l) (d_q(l)) and
         # column 0 the zero before epoch 0; valid through the last epoch
         # each has recorded, constant after it
@@ -122,8 +120,7 @@ class QueueLedger:
 
     def record_arrivals(self, epoch: int, counts) -> None:
         counts = self._check_counts(counts, (self.n_queues,))
-        if epoch < 0:
-            raise ConfigurationError(f"epoch must be >= 0, got {epoch}")
+        epoch = checked_int(epoch, "epoch")
         if epoch < self._last_arrival_epoch:
             raise ConfigurationError(
                 f"arrivals recorded out of order: epoch {epoch} after {self._last_arrival_epoch}"
@@ -134,8 +131,7 @@ class QueueLedger:
 
     def apply_departures(self, epoch: int, counts) -> None:
         counts = self._check_counts(counts, (self.n_queues,))
-        if epoch < 0:
-            raise ConfigurationError(f"epoch must be >= 0, got {epoch}")
+        epoch = checked_int(epoch, "epoch")
         if epoch < self._last_departure_epoch:
             raise ConfigurationError(
                 f"departures recorded out of order: epoch {epoch} after {self._last_departure_epoch}"
@@ -153,7 +149,7 @@ class QueueLedger:
 
     @staticmethod
     def _column(cum: np.ndarray, last: int, epoch: int) -> np.ndarray:
-        return cum[:, max(min(epoch, last), -1) + 1].copy()
+        return cum[:, max(min(checked_int(epoch, "epoch", low=None), last), -1) + 1].copy()
 
     def cumulative_arrivals(self, epoch: int) -> np.ndarray:
         """a_q(epoch) for every queue."""
@@ -166,9 +162,10 @@ class QueueLedger:
     @staticmethod
     def _history(cum: np.ndarray, last: int, epoch: int) -> np.ndarray:
         """Columns 0..epoch+1 of a cumulative table, the leading zero
-        included, carried past ``last``."""
+        included, carried past ``last``; ``epoch`` >= -1."""
+        epoch = checked_int(epoch, "epoch", low=-1)
         out = np.empty((cum.shape[0], epoch + 2), dtype=np.int64)
-        known = max(min(epoch, last), -1) + 2
+        known = min(epoch, last) + 2
         out[:, :known] = cum[:, :known]
         out[:, known:] = cum[:, known - 1 : known]
         return out
@@ -176,6 +173,7 @@ class QueueLedger:
     def arrival_history(self, epoch: int) -> np.ndarray:
         """a_q(0..epoch), shape (Q, epoch+1): the cumulative arrival table,
         read-only, and through the last recorded epoch the ledger's own."""
+        epoch = checked_int(epoch, "epoch", low=-1)
         history = (self._cum_arr[:, 1 : epoch + 2] if epoch <= self._last_arrival_epoch
                    else self._history(self._cum_arr, self._last_arrival_epoch, epoch)[:, 1:])
         history.flags.writeable = False
@@ -192,8 +190,8 @@ class QueueLedger:
         return self._increments(self._cum_dep, self._last_departure_epoch, start, stop)
 
     def _increments(self, cum: np.ndarray, last: int, start: int, stop: int) -> np.ndarray:
-        if start < 0 or stop < start:
-            raise ConfigurationError(f"bad epoch range [{start}, {stop})")
+        start = checked_int(start, "start")
+        stop = checked_int(stop, "stop", low=start)
         return np.diff(self._history(cum, last, stop - 1)[:, start:], axis=1)
 
     def fifo_delays(self) -> list[tuple[int, int, int]]:
@@ -238,8 +236,8 @@ def dci(ledger: QueueLedger, from_epoch: int, horizon: int, prices: DelayPrices)
     served, this equals the price-weighted sum of individual FIFO
     waiting times.
     """
-    if horizon < 0:
-        raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
+    from_epoch = checked_int(from_epoch, "from_epoch", low=None)
+    horizon = checked_int(horizon, "horizon")
     if prices.n_queues != ledger.n_queues:
         raise ConfigurationError(
             f"price vector has {prices.n_queues} queues, ledger has {ledger.n_queues}"

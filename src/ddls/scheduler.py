@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ChargeCode, checked_numbers
+from .core import ChargeCode, checked_int, checked_numbers
 from .errors import ConfigurationError, FeasibilityError
 from .lp import Entries, LinearProgram, LpSolution, Model
 from .lp import solve as lp_solve
@@ -75,9 +75,8 @@ def build_gamma(codebook, lookahead: int, start_lag: int = 0):
 
 def _gamma_entries(codebook, lookahead: int, start_lag: int) -> Entries:
     """``build_gamma``'s nonzero entries, each position once."""
-    if start_lag not in (0, 1):
-        raise ConfigurationError(f"start_lag must be 0 or 1, got {start_lag}")
-    _longest_pulse(codebook, lookahead, None)
+    lookahead = _window_horizons(codebook, lookahead, None)[0]
+    start_lag = checked_int(start_lag, "start_lag", high=1)
     size = lookahead + 1
     pulses = np.zeros((len(codebook), size))
     for q, code in enumerate(codebook):
@@ -107,14 +106,15 @@ def certainty_equivalent_arrivals(observed, rates, start_epoch: int, lookahead: 
     zero increments.  ``observed`` may stack several schedulers' (Q, ·)
     matrices on leading axes, all sharing ``rates`` and ``known_future``.
     """
+    start_epoch = checked_int(start_epoch, "start_epoch")
+    lookahead, t1 = checked_int(lookahead, "lookahead"), checked_int(t1, "t1")
+    t2 = lookahead if t2 is None else checked_int(t2, "t2")
     observed = np.asarray(observed)
     if observed.shape[-1] < start_epoch + 1:
         raise ConfigurationError(
             f"observed history covers {observed.shape[-1]} epochs, need {start_epoch + 1}"
         )
-    if t2 is None:
-        t2 = lookahead
-    if not 0 <= t1 <= t2 <= lookahead:
+    if not t1 <= t2 <= lookahead:
         raise ConfigurationError(
             f"knowledge horizons must satisfy 0 <= t1 <= t2 <= T, got ({t1}, {t2}, {lookahead})"
         )
@@ -210,17 +210,20 @@ def _rounded_departures(e0, prior, arrived) -> np.ndarray:
     return np.minimum(np.maximum(d0, prior, out=d0), arrived, out=d0)
 
 
-def _longest_pulse(codebook, lookahead: int, deadline) -> int:
-    """The longest pulse of a nonempty codebook, which the lookahead and
-    the deadline (None: no deadline) must cover."""
+def _window_horizons(codebook, lookahead: int, deadline) -> tuple[int, int | None, int]:
+    """The lookahead and the deadline (None: no deadline) as checked
+    integers, both covering the longest pulse of a nonempty codebook,
+    and that pulse's length."""
     if not codebook:
         raise ConfigurationError("empty codebook")
     max_u = max(code.duration_epochs for code in codebook)
+    lookahead = checked_int(lookahead, "lookahead", low=1)
     if lookahead < max_u:
         raise ConfigurationError(f"lookahead {lookahead} shorter than the longest pulse ({max_u})")
+    deadline = None if deadline is None else checked_int(deadline, "deadline_epochs", low=1)
     if deadline is not None and deadline < max_u:
         raise ConfigurationError(f"deadline of {deadline} epochs is shorter than the longest pulse")
-    return max_u
+    return lookahead, deadline, max_u
 
 
 @dataclass(frozen=True)
@@ -261,8 +264,11 @@ class HorizonInputs:
 
     def __post_init__(self):
         self.codebook = tuple(self.codebook)
+        self.lookahead, self.deadline_epochs, _ = _window_horizons(
+            self.codebook, self.lookahead, self.deadline_epochs)
         q, t = len(self.codebook), self.lookahead
-        _longest_pulse(self.codebook, t, self.deadline_epochs)
+        for name, high in (("start_epoch", None), ("t1", t), ("start_lag", 1)):
+            setattr(self, name, checked_int(getattr(self, name), name, high=high))
         self.zic_kw = checked_numbers(self.zic_kw, "zic_kw", length=t + 1, low=None)
         self.price_up = checked_numbers(self.price_up, "price_up", length=t + 1)
         self.price_dn = checked_numbers(self.price_dn, "price_dn", length=t + 1)
@@ -458,24 +464,21 @@ class RecedingHorizonScheduler:
                  lookahead: int, *, arrival_rates=None, deadline_epochs=None,
                  capacity_cap=None, start_lag=0, known_arrivals=None, n_schedulers: int = 1):
         self.codebook = tuple(codebook)
-        self.lookahead = int(lookahead)
-        max_u = _longest_pulse(self.codebook, self.lookahead, deadline_epochs)
+        self.lookahead, self.deadline_epochs, max_u = _window_horizons(
+            self.codebook, lookahead, deadline_epochs)
         self.n_queues = q = len(self.codebook)
         self.zic_kw = checked_numbers(zic_kw, "zic_kw", low=None)
         horizon = self.zic_kw.size
         self.price_up = checked_numbers(price_up, "price_up", length=horizon)
         self.price_dn = checked_numbers(price_dn, "price_dn", length=horizon)
         self.delay_prices = checked_numbers(delay_prices, "delay_prices", length=q)
-        self.n_schedulers = m = int(n_schedulers)
-        if m < 1:
-            raise ConfigurationError(f"n_schedulers must be >= 1, got {n_schedulers!r}")
+        self.n_schedulers = m = checked_int(n_schedulers, "n_schedulers", low=1)
         self.arrival_rates = (
             None if arrival_rates is None else checked_numbers(arrival_rates, "arrival_rates")
         )
-        self.deadline_epochs = deadline_epochs
         self.capacity_cap = _checked_caps(capacity_cap, m)
         self._capped = np.isfinite(self.capacity_cap).any()
-        self.start_lag = int(start_lag)
+        self.start_lag = checked_int(start_lag, "start_lag", high=1)
         self.known_arrivals = (
             None if known_arrivals is None else checked_numbers(known_arrivals, "known_arrivals")
         )

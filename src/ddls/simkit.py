@@ -49,8 +49,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 # unscheduled_load is unused here: bench/spans.py traces it as simkit.unscheduled_load
-from .core import (ArrivalEvent, ChargeCode, RawRequest, charge_code_from_entry, checked_numbers,
-                   is_int, is_real, synthesize_load, unscheduled_load)
+from .core import (ArrivalEvent, ChargeCode, RawRequest, charge_code_from_entry, checked_int,
+                   checked_numbers, is_real, synthesize_load, unscheduled_load)
 from .csvio import atomic_write_text, render_columns, write_csv
 from .errors import ConfigurationError, FeasibilityError
 from .market import stage_cost
@@ -94,15 +94,10 @@ class ScenarioConfig:
         self.codebook = tuple(self.codebook)
         if not self.codebook:
             raise ConfigurationError("scenario needs a nonempty codebook")
-        for name in ("seed", "horizon_epochs", "lookahead", "deadline_epochs",
-                     "n_schedulers", "start_lag"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.horizon_epochs < 1:
-            raise ConfigurationError("horizon_epochs must be positive")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name, low, high in (("seed", 0, None), ("horizon_epochs", 1, None),
+                                ("lookahead", 1, None), ("deadline_epochs", 1, None),
+                                ("n_schedulers", 1, None), ("start_lag", 0, 1)):
+            setattr(self, name, checked_int(getattr(self, name), name, low, high))
         self.interval_s = checked_numbers(self.interval_s, "interval_s", length=1,
                                           strict=True).item()
         max_u = max(code.duration_epochs for code in self.codebook)
@@ -113,14 +108,10 @@ class ScenarioConfig:
             )
         if self.lookahead < max_u:
             raise ConfigurationError("lookahead must cover the longest pulse")
-        if self.n_schedulers < 1:
-            raise ConfigurationError("n_schedulers must be at least 1")
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
             )
-        if self.start_lag not in (0, 1):
-            raise ConfigurationError("start_lag must be 0 or 1")
         if is_real(self.capacity_cap) and self.capacity_cap == np.inf:
             self.capacity_cap = None  # the one spelling of "no cap", which JSON can write
         if self.capacity_cap is not None:
@@ -194,9 +185,9 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         return {
             "schema": SCENARIO_SCHEMA,
-            "seed": int(self.seed),
+            "seed": self.seed,
             "interval_s": float(self.interval_s),
-            "horizon_epochs": int(self.horizon_epochs),
+            "horizon_epochs": self.horizon_epochs,
             "codebook": [
                 {"id": code.id, "rate_kw": code.rate_kw, "duration_epochs": code.duration_epochs}
                 for code in self.codebook
@@ -206,11 +197,11 @@ class ScenarioConfig:
             "price_up": self.price_up.tolist(),
             "price_dn": self.price_dn.tolist(),
             "delay_prices": self.delay_prices.tolist(),
-            "lookahead": int(self.lookahead),
-            "deadline_epochs": int(self.deadline_epochs),
-            "n_schedulers": int(self.n_schedulers),
+            "lookahead": self.lookahead,
+            "deadline_epochs": self.deadline_epochs,
+            "n_schedulers": self.n_schedulers,
             "strategy": self.strategy,
-            "start_lag": int(self.start_lag),
+            "start_lag": self.start_lag,
             "capacity_cap": None if self.capacity_cap is None else float(self.capacity_cap),
         }
 
@@ -268,10 +259,10 @@ class RunMetrics:
     served: int
 
     def __post_init__(self):
-        if min(self.total_cost, self.deviation_cost, self.delay_cost) < -1e-9:
-            raise ConfigurationError("costs cannot be negative")
-        if self.served < 0:
-            raise ConfigurationError("served count cannot be negative")
+        for name, low in (("total_cost", -1e-9), ("deviation_cost", -1e-9),
+                          ("delay_cost", -1e-9), ("mean_delay_epochs", 0), ("peak_kw", 0)):
+            checked_numbers(getattr(self, name), name, low=low)
+        checked_int(self.served, "served")
 
 
 @dataclass
@@ -364,6 +355,7 @@ def generate_arrival_counts(
     existing ones.
     """
     rates = checked_numbers(rates_per_hour, "rates_per_hour")
+    horizon, seed = checked_int(horizon, "horizon"), checked_int(seed, "seed")
     if rates.ndim == 1:
         rates = np.tile(rates[:, None], (1, horizon))
     if rates.ndim != 2 or rates.shape[1] != horizon:
@@ -623,8 +615,17 @@ def run_scenario(config: ScenarioConfig, arrival_counts=None) -> RunResult:
     return _RUNNERS[config.strategy](config, arrival_counts)
 
 
+def checked_strategies(strategies) -> tuple[str, ...]:
+    """``strategies``, a sequence of names from ``STRATEGIES``, as a tuple."""
+    names = tuple(strategies)
+    if unknown := [name for name in names if name not in STRATEGIES]:
+        raise ConfigurationError(f"unknown strategies: {unknown}, expected names from {STRATEGIES}")
+    return names
+
+
 def compare(config: ScenarioConfig, strategies=STRATEGIES) -> list[RunResult]:
     """Run several strategies on the identical arrival draw."""
+    strategies = checked_strategies(strategies)
     counts = _scenario_counts(config, None)
     return [_RUNNERS[name](config, counts) for name in strategies]
 

@@ -5,6 +5,7 @@ from ddls.core import (
     ArrivalEvent,
     ChargeCode,
     RawRequest,
+    checked_int,
     checked_numbers,
     square_pulse,
     synthesize_load,
@@ -84,6 +85,29 @@ class TestCheckedNumbers:
     def test_refused_by_name(self, value, kwargs, rule):
         with pytest.raises(ConfigurationError, match=f"^field must be {rule}"):
             checked_numbers(value, "field", **kwargs)
+
+
+class TestCheckedInt:
+    def test_an_integer_in_range_comes_back_a_python_int(self):
+        for value in (3, np.int64(3), np.uint8(3)):
+            out = checked_int(value, "x", low=3, high=3)
+            assert out == 3 and type(out) is int
+        assert checked_int(-7, "x", low=None) == -7
+
+    @pytest.mark.parametrize("value, kwargs, rule", [
+        (2.0, {}, "an integer, got 2.0"),
+        (np.float64(1.0), {}, "an integer, got"),
+        (True, {}, "an integer, got True"),
+        (np.bool_(False), {}, "an integer, got"),
+        ("3", {}, "an integer, got '3'"),
+        (None, {}, "an integer, got None"),
+        (-1, {}, "an integer >= 0, got -1"),
+        (0, {"low": 1}, "an integer >= 1, got 0"),
+        (2, {"high": 1}, r"an integer in \[0, 1\], got 2"),
+    ])
+    def test_refused_by_name(self, value, kwargs, rule):
+        with pytest.raises(ConfigurationError, match=f"^field must be {rule}"):
+            checked_int(value, "field", **kwargs)
 
 
 class TestPulses:

@@ -767,3 +767,23 @@ class TestCompareAndExport:
     def test_negative_costs_rejected(self):
         with pytest.raises(ConfigurationError):
             RunMetrics("ddls", 0, -1.0, 0.0, 0.0, 0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("total_cost", np.nan), ("deviation_cost", np.inf), ("delay_cost", -np.inf),
+        ("peak_kw", np.nan), ("mean_delay_epochs", -1.0), ("served", 2.0),
+    ])
+    def test_metrics_that_are_not_finite_or_below_zero_are_refused(self, field, value):
+        good = dict(strategy="ddls", seed=0, total_cost=1.0, deviation_cost=1.0, delay_cost=0.0,
+                    mean_delay_epochs=0.5, peak_kw=2.0, served=3)
+        RunMetrics(**good)
+        with pytest.raises(ConfigurationError, match=field):
+            RunMetrics(**{**good, field: value})
+
+    @pytest.mark.parametrize("strategies", [("uncontrolled", "nope"), "ddls"])
+    def test_unknown_strategies_are_refused_before_any_runs(self, strategies, monkeypatch):
+        def ran(*args):
+            raise AssertionError("a strategy ran")
+        monkeypatch.setitem(simkit._RUNNERS, "uncontrolled", ran)
+        monkeypatch.setattr(simkit, "_scenario_counts", ran)
+        with pytest.raises(ConfigurationError, match="unknown strategies"):
+            compare(tiny_config(), strategies)

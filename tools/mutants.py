@@ -39,7 +39,7 @@ TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-co
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                  ".bench_out", "out", "*.egg-info")
 
-LP, SCHEDULER = "src/ddls/lp.py", "src/ddls/scheduler.py"
+CORE, LP, SCHEDULER = "src/ddls/core.py", "src/ddls/lp.py", "src/ddls/scheduler.py"
 MUTANTS = (
     # the window rows
     ("gamma-sign", SCHEDULER,  # every step down of a pulse becomes a step up
@@ -130,6 +130,20 @@ MUTANTS = (
     # the delay cost
     ("dci-one-epoch-short", "src/ddls/queues.py",
      "np.arange(from_epoch, from_epoch + horizon + 1)", "np.arange(from_epoch, from_epoch + horizon)"),
+    # the boundary checks
+    ("checked-int-accepts-bool", CORE,
+     "if isinstance(value, bool) or not isinstance(value, (int, np.integer)):",
+     "if not isinstance(value, (int, np.integer)):"),
+    ("checked-int-accepts-whole-float", CORE,
+     "if isinstance(value, bool) or not isinstance(value, (int, np.integer)):",
+     "if isinstance(value, bool) or not (isinstance(value, (int, np.integer))\n"
+     "            or isinstance(value, float) and value.is_integer()):"),
+    ("checked-numbers-accepts-booleans", CORE,
+     'if arr.dtype.kind not in "iuf":', 'if arr.dtype.kind not in "iufb":'),
+    ("run-metrics-nan-accepted", "src/ddls/simkit.py",  # a bare comparison: NaN < low is False
+     "            checked_numbers(getattr(self, name), name, low=low)\n",
+     "            if getattr(self, name) < low:\n"
+     "                raise ConfigurationError(f\"{name} must be >= {low}\")\n"),
 )
 
 
