@@ -320,6 +320,8 @@ def design_codebook_min_distortion(request_samples, hems_cap: float, cems_cap: f
     even Q = 1 violates a cap.
     """
     checked_numbers(peak_rate, "peak_rate", strict=True)
+    hems_cap = checked_numbers(hems_cap, "hems_cap", length=1).item()
+    cems_cap = checked_numbers(cems_cap, "cems_cap", length=1).item()
     best_q = 0
     for n_codes in range(1, checked_int(q_max, "q_max", low=1) + 1):
         if (

@@ -136,7 +136,7 @@ def decode_and_admit(arrival_log, message: ThresholdMessage,
     for q, spill in enumerate(message.spill):
         admit[np.flatnonzero(batch & (queues == q))[:spill]] = True
     if already_admitted:
-        prior = np.fromiter(already_admitted, np.int64, len(already_admitted))
+        prior = checked_numbers(list(already_admitted), "already_admitted", low=None, integer=True)
         admit[prior[(prior >= 0) & (prior < admit.size)]] = False
     return set(np.flatnonzero(admit).tolist())
 

@@ -210,23 +210,6 @@ class QueueLedger:
                 out.append((q, int(arr_epochs[j]), int(dep_epochs[j] - arr_epochs[j])))
         return out
 
-    def fifo_delay_sum(self) -> tuple[int, int]:
-        """(sum of the FIFO delays, number of departures), the sum and
-        length of ``fifo_delays``, from the counts alone.
-
-        Departures contribute sum_l l*dep_q(l).  They serve the first
-        D_q arrivals of the queue, of which epoch l holds
-        clip(D_q - A_q(l-1), 0, arr_q(l)), A_q(l-1) being the arrivals
-        before l; their arrival epochs are subtracted.
-        """
-        last = self.current_epoch
-        cum_arrived = self._history(self._cum_arr, self._last_arrival_epoch, last)
-        departed = self.departure_increments(0, last + 1)
-        served = self.cumulative_departures(last)
-        taken = np.clip(served[:, None] - cum_arrived[:, :-1], 0, np.diff(cum_arrived, axis=1))
-        epochs = np.arange(last + 1)
-        return int(epochs @ (departed - taken).sum(axis=0)), int(served.sum())
-
 
 def dci(ledger: QueueLedger, from_epoch: int, horizon: int, prices: DelayPrices) -> float:
     """Delay-cost increment over the window [from_epoch, from_epoch + horizon].

@@ -540,6 +540,7 @@ class RecedingHorizonScheduler:
 
     def horizon_inputs(self, i: int = 0) -> HorizonInputs:
         """Scheduler i's window at this epoch, as checked inputs."""
+        i = checked_int(i, "i", high=self.n_schedulers - 1)
         observed, net = self._window(i)
         observed.flags.writeable = False
         l0, t = self.epoch, self.lookahead

@@ -43,7 +43,7 @@ same seed yields the identical appliance population for every strategy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import astuple, dataclass, fields as dataclass_fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,11 +55,9 @@ from .csvio import atomic_write_text, render_columns, write_csv
 from .errors import ConfigurationError, FeasibilityError
 from .market import stage_cost
 from .queues import DelayPrices, QueueLedger, dci
-from .scheduler import RecedingHorizonScheduler
+from .scheduler import RecedingHorizonScheduler, _window_horizons
 
 SECONDS_PER_HOUR = 3600.0
-
-STRATEGIES = ("uncontrolled", "ddls", "distributed", "price")
 
 SCENARIO_SCHEMA = 1
 
@@ -92,22 +90,14 @@ class ScenarioConfig:
 
     def __post_init__(self):
         self.codebook = tuple(self.codebook)
-        if not self.codebook:
-            raise ConfigurationError("scenario needs a nonempty codebook")
         for name, low, high in (("seed", 0, None), ("horizon_epochs", 1, None),
-                                ("lookahead", 1, None), ("deadline_epochs", 1, None),
-                                ("n_schedulers", 1, None), ("start_lag", 0, 1)):
+                                ("deadline_epochs", 1, None), ("n_schedulers", 1, None),
+                                ("start_lag", 0, 1)):
             setattr(self, name, checked_int(getattr(self, name), name, low, high))
+        self.lookahead, self.deadline_epochs, _ = _window_horizons(
+            self.codebook, self.lookahead, self.deadline_epochs)
         self.interval_s = checked_numbers(self.interval_s, "interval_s", length=1,
                                           strict=True).item()
-        max_u = max(code.duration_epochs for code in self.codebook)
-        if self.deadline_epochs < max_u:
-            raise ConfigurationError(
-                f"deadline_epochs={self.deadline_epochs} cannot be shorter than the "
-                f"longest pulse ({max_u} epochs)"
-            )
-        if self.lookahead < max_u:
-            raise ConfigurationError("lookahead must cover the longest pulse")
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
@@ -183,27 +173,13 @@ class ScenarioConfig:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCENARIO_SCHEMA,
-            "seed": self.seed,
-            "interval_s": float(self.interval_s),
-            "horizon_epochs": self.horizon_epochs,
-            "codebook": [
-                {"id": code.id, "rate_kw": code.rate_kw, "duration_epochs": code.duration_epochs}
-                for code in self.codebook
-            ],
-            "arrival_rates_per_hour": self.arrival_rates_per_hour.tolist(),
-            "zic_kw": self.zic_kw.tolist(),
-            "price_up": self.price_up.tolist(),
-            "price_dn": self.price_dn.tolist(),
-            "delay_prices": self.delay_prices.tolist(),
-            "lookahead": self.lookahead,
-            "deadline_epochs": self.deadline_epochs,
-            "n_schedulers": self.n_schedulers,
-            "strategy": self.strategy,
-            "start_lag": self.start_lag,
-            "capacity_cap": None if self.capacity_cap is None else float(self.capacity_cap),
-        }
+        out = {"schema": SCENARIO_SCHEMA}
+        for field in dataclass_fields(self):
+            value = getattr(self, field.name)
+            out[field.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        out["codebook"] = [{"id": code.id, "rate_kw": code.rate_kw,
+                            "duration_epochs": code.duration_epochs} for code in self.codebook]
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -320,28 +296,11 @@ class RunResult:
     ledger: QueueLedger | None = None
 
 
-METRICS_HEADER = (
-    "strategy",
-    "seed",
-    "total_cost",
-    "deviation_cost",
-    "delay_cost",
-    "mean_delay_epochs",
-    "peak_kw",
-    "served",
-)
+METRICS_HEADER = tuple(f.name for f in dataclass_fields(RunMetrics))
 
 
 def metrics_to_csv(rows: list[RunMetrics], path) -> None:
-    write_csv(
-        path,
-        METRICS_HEADER,
-        [
-            (m.strategy, m.seed, m.total_cost, m.deviation_cost, m.delay_cost,
-             m.mean_delay_epochs, m.peak_kw, m.served)
-            for m in rows
-        ],
-    )
+    write_csv(path, METRICS_HEADER, [astuple(m) for m in rows])
 
 
 def generate_arrival_counts(
@@ -414,7 +373,12 @@ def _score(config: ScenarioConfig, strategy: str, parts) -> RunResult:
     aggregate load against the full supply, the summed backlogs and
     starts, and the schedulers' summed stage costs, so its costs add up
     to the total cost.  The peak is that of the aggregate load, which is
-    what the feeder sees, and the mean delay is over the whole population.
+    what the feeder sees.  The mean delay, over the whole population, is
+    the backlog table's sum over the start table's: an appliance that
+    arrives at a and starts at d waits in the backlog d - a epochs
+    (Little's law per sample), and every runner has started every
+    appliance by the last row, as a bank drains or raises and uncontrolled
+    and price start everyone inside the padded range.
     """
     zic, up, dn = config.padded_profiles(max(len(load) for load, _ in parts))
     zic_share = zic * (1.0 / len(parts))
@@ -428,16 +392,12 @@ def _score(config: ScenarioConfig, strategy: str, parts) -> RunResult:
     backlog = np.zeros((config.n_queues, rows), dtype=np.int64)
     starts = np.zeros((config.n_queues, rows), dtype=np.int64)
     deviation = delay_cost = 0.0
-    delay_sum = served = 0
     for load, ledger in parts:
         load = np.pad(load, (0, zic.size - len(load)))
         flex += load
         charge = stage_cost(load, zic_share, up, dn)
         deviation += float(np.sum(charge))
         delay_cost += dci(ledger, 0, rows - 1, prices)
-        part_sum, part_served = ledger.fifo_delay_sum()
-        delay_sum += part_sum
-        served += part_served
         departed = ledger.departure_increments(0, rows)
         waiting = np.cumsum(ledger.arrival_increments(0, rows) - departed, axis=1)
         stage += charge[:rows] + prices.per_queue @ waiting
@@ -445,6 +405,7 @@ def _score(config: ScenarioConfig, strategy: str, parts) -> RunResult:
         starts += departed
 
     trajectory = Trajectory(flex[:rows], zic[:rows], backlog.T, stage, starts.T)
+    delay_sum, served = int(backlog.sum()), int(starts.sum())
     metrics = RunMetrics(
         strategy=strategy,
         seed=config.seed,
@@ -601,13 +562,13 @@ def run_price_signal(config: ScenarioConfig, arrival_counts=None, price=None) ->
     return _score(config, "price", [(flex, _replay(config, counts, starts))])
 
 
-
 _RUNNERS = {
     "uncontrolled": run_uncontrolled,
     "ddls": run_ddls,
     "distributed": run_distributed,
     "price": run_price_signal,
 }
+STRATEGIES = tuple(_RUNNERS)
 
 
 def run_scenario(config: ScenarioConfig, arrival_counts=None) -> RunResult:

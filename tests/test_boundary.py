@@ -20,7 +20,7 @@ from ddls.codec import (ArrivalTimeCode, FeedbackRateParams, Quantizer, decode_a
 from ddls.core import (ArrivalEvent, ChargeCode, RawRequest, charge_code_from_entry, square_pulse,
                        synthesize_load)
 from ddls.errors import ConfigurationError
-from ddls.feedback import ThresholdMessage, encode_thresholds, threshold_messages
+from ddls.feedback import ThresholdMessage, decode_and_admit, encode_thresholds, threshold_messages
 from ddls.market import stage_cost
 from ddls.queues import DelayPrices, QueueLedger, dci
 from ddls.scheduler import (HorizonInputs, RecedingHorizonScheduler, build_gamma,
@@ -58,6 +58,10 @@ def metrics(**field):
     return RunMetrics(**{**kwargs, **field})
 
 
+def admit(already_admitted):
+    return decode_and_admit([(0, 0), (1, 0)], ThresholdMessage(1, [1], [0]), already_admitted)
+
+
 def rates(window):
     command = build_parser().parse_args(["rates", "--config", str(DESK_CONFIG)])
     command.window = window
@@ -83,6 +87,11 @@ ENTRIES = {
     "hems-arrivals": ("arrivals_per_interval", lambda bad: uplink_rate_hems(bad, 900.0, 16, 8)),
     "hems-interval": ("interval_s", lambda bad: uplink_rate_hems(1.0, bad, 16, 8)),
     "cems-arrivals": ("arrivals_per_interval", lambda bad: uplink_rate_cems(bad, 8)),
+    "codebook-hems-cap": ("hems_cap", lambda bad: design_codebook_min_distortion(
+        SAMPLES, bad, 100.0, 1.0, 900.0, 4)),
+    "codebook-cems-cap": ("cems_cap", lambda bad: design_codebook_min_distortion(
+        SAMPLES, 100.0, bad, 1.0, 900.0, 4)),
+    "admitted-indices": ("already_admitted", lambda bad: admit(already_admitted={bad})),
     "feedback-interval": ("interval_s", lambda bad: feedback_rate_bound(
         FeedbackRateParams([0.5], [1.0]), bad)),
     "feedback-variance": ("delay_variance", lambda bad: FeedbackRateParams([0.5], [bad])),
@@ -106,6 +115,12 @@ def test_a_bad_number_is_refused_by_field(entry, bad):
     field, call = ENTRIES[entry]
     with pytest.raises(ConfigurationError, match=field):
         call(bad)
+
+
+def test_an_admitted_index_must_be_whole_and_one_outside_the_log_is_ignored():
+    with pytest.raises(ConfigurationError, match="already_admitted"):
+        admit({0, 1.5})
+    assert admit({-1, 2.0, 7}) == {0, 1}
 
 
 # every integer field: (field named in the error, its range, call taking one value); None
@@ -137,6 +152,8 @@ INTEGERS = {
     "scheduler-n-schedulers": ("n_schedulers", (1, None), lambda v: bank(n_schedulers=v)),
     "scheduler-start-lag": ("start_lag", (0, 1), lambda v: bank(start_lag=v)),
     "scheduler-deadline": ("deadline_epochs", (1, None), lambda v: bank(deadline_epochs=v)),
+    # the field alone, "i", would match any message
+    "scheduler-index": ("i must be", (0, 1), lambda v: bank(n_schedulers=2).horizon_inputs(v)),
     "window-start-epoch": ("start_epoch", (0, None), lambda v: window(start_epoch=v)),
     "window-lookahead": ("lookahead", (1, None), lambda v: window(lookahead=v)),
     "window-deadline": ("deadline_epochs", (1, None), lambda v: window(deadline_epochs=v)),

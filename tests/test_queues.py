@@ -115,21 +115,6 @@ class TestLedger:
                 got[q].append(delay)
             assert got == oracle
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_fifo_delay_sum_matches_fifo_delays(self, data):
-        # partial departures: appliances may still be waiting at the end
-        n_queues = data.draw(st.integers(1, 3))
-        ledger = QueueLedger(n_queues)
-        for l in range(data.draw(st.integers(0, 8))):
-            ledger.record_arrivals(l, data.draw(st.lists(
-                st.integers(0, 3), min_size=n_queues, max_size=n_queues)))
-            ledger.apply_departures(l, [data.draw(st.integers(0, int(b)))
-                                        for b in ledger.backlog(l)])
-        delays = [delay for _, _, delay in ledger.fifo_delays()]
-        assert ledger.fifo_delay_sum() == (sum(delays), len(delays))
-
-
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_running_cumulatives_match_resumming_the_counts(self, data):

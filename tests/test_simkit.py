@@ -108,8 +108,9 @@ class TestScenarioConfig:
         assert config.delay_prices.shape == (2,)
 
     def test_deadline_shorter_than_longest_pulse_rejected(self):
-        with pytest.raises(ConfigurationError):
-            tiny_config(deadline_epochs=1)
+        for field in ("deadline_epochs", "lookahead"):  # the lookahead must cover it too
+            with pytest.raises(ConfigurationError, match="longest pulse"):
+                tiny_config(**{field: 1})
 
     def test_zero_schedulers_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -341,13 +342,33 @@ def test_replay_is_the_per_epoch_ledger_of_its_cumulative_tables(data):
     prices = DelayPrices(np.arange(1.0, n_queues + 1))
     for ledger in (replayed, tables):
         assert ledger.current_epoch == per_epoch.current_epoch == width - 1
-        assert ledger.fifo_delay_sum() == per_epoch.fifo_delay_sum()
         assert dci(ledger, 0, width + 2, prices) == dci(per_epoch, 0, width + 2, prices)
         for epoch in range(-1, width + 2):
             np.testing.assert_array_equal(ledger.cumulative_arrivals(epoch),
                                           per_epoch.cumulative_arrivals(epoch))
             np.testing.assert_array_equal(ledger.cumulative_departures(epoch),
                                           per_epoch.cumulative_departures(epoch))
+
+
+def test_a_banks_mean_delay_is_over_every_schedulers_fifo_delays():
+    """A run of two schedulers has no one ledger; its mean delay is the
+    mean FIFO delay over both ledgers' appliances, read off the backlog
+    table summed over both."""
+    first, second = QueueLedger(2), QueueLedger(2)
+    for epoch, arrived, started in ((0, [2, 1], [0, 1]), (1, [0, 0], [1, 0]),
+                                    (2, [0, 0], [1, 0])):
+        first.record_arrivals(epoch, arrived)
+        first.apply_departures(epoch, started)
+    for epoch, arrived, started in ((1, [1, 1], [0, 1]), (4, [0, 0], [1, 0])):
+        second.record_arrivals(epoch, arrived)
+        second.apply_departures(epoch, started)
+    parts = [(np.zeros(3), first), (np.zeros(6), second)]
+    result = simkit._score(tiny_config(n_schedulers=2), "distributed", parts)
+    delays = [delay for ledger in (first, second) for _, _, delay in ledger.fifo_delays()]
+    assert sorted(delays) == [0, 0, 1, 2, 3]
+    assert result.ledger is None
+    assert result.metrics.served == len(delays)
+    assert result.metrics.mean_delay_epochs == sum(delays) / len(delays)
 
 
 def _counting(monkeypatch, owner, name, calls):
@@ -393,6 +414,10 @@ class TestTrajectoryCost:
             assert np.array_equal(np.sum(result.trajectory.committed, axis=0),
                                   drawn.sum(axis=1)), runner.__name__
             assert calls.get("lp_solve", 0) == len(stepped), runner.__name__
+            if result.ledger is not None:
+                delays = [delay for _, _, delay in result.ledger.fifo_delays()]
+                assert result.metrics.mean_delay_epochs == sum(delays) / len(delays), \
+                    runner.__name__
             runs.append((runner, result, stepped))
         return runs
 

@@ -40,6 +40,7 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
                                  ".bench_out", "out", "*.egg-info")
 
 CORE, LP, SCHEDULER = "src/ddls/core.py", "src/ddls/lp.py", "src/ddls/scheduler.py"
+SIMKIT = "src/ddls/simkit.py"
 MUTANTS = (
     # the window rows
     ("gamma-sign", SCHEDULER,  # every step down of a pulse becomes a step up
@@ -140,10 +141,16 @@ MUTANTS = (
      "            or isinstance(value, float) and value.is_integer()):"),
     ("checked-numbers-accepts-booleans", CORE,
      'if arr.dtype.kind not in "iuf":', 'if arr.dtype.kind not in "iufb":'),
-    ("run-metrics-nan-accepted", "src/ddls/simkit.py",  # a bare comparison: NaN < low is False
+    ("run-metrics-nan-accepted", SIMKIT,  # a bare comparison: NaN < low is False
      "            checked_numbers(getattr(self, name), name, low=low)\n",
      "            if getattr(self, name) < low:\n"
      "                raise ConfigurationError(f\"{name} must be >= {low}\")\n"),
+    ("scenario-horizons-unchecked", SIMKIT,  # any lookahead and deadline >= 1 against any pulse
+     "        self.lookahead, self.deadline_epochs, _ = _window_horizons(\n"
+     "            self.codebook, self.lookahead, self.deadline_epochs)\n", ""),
+    # the mean delay
+    ("delay-sum-skips-epoch-0", SIMKIT,
+     "int(backlog.sum())", "int(backlog[:, 1:].sum())"),
 )
 
 
