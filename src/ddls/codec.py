@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ChargeCode, RawRequest, charge_code_from_entry, checked_int, checked_numbers,
-                   square_pulse)
+from .core import (ChargeCode, RawRequest, checked_codebook, checked_int, checked_numbers,
+                   code_entry, codebook_from_entries, pulse_table, square_pulse)
 from .csvio import atomic_write_text
 from .errors import ConfigurationError
 
@@ -43,14 +43,6 @@ def _request_pulses(requests) -> np.ndarray:
     checked_numbers(duration, "duration_epochs", strict=True)
     epochs = np.arange(math.ceil(duration.max()))
     return rate[:, None] * np.clip(duration[:, None] - epochs, 0.0, 1.0)
-
-
-def _code_pulses(codebook) -> np.ndarray:
-    """(Q, U) pulses of the codes, zero-padded to the longest."""
-    out = np.zeros((len(codebook), max(len(code.pulse) for code in codebook)))
-    for row, code in zip(out, codebook):
-        row[: len(code.pulse)] = code.pulse
-    return out
 
 
 def _distortions(pulses: np.ndarray, code_pulses: np.ndarray) -> np.ndarray:
@@ -74,12 +66,7 @@ class Quantizer:
     codebook: tuple[ChargeCode, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "codebook", tuple(self.codebook))
-        if not self.codebook:
-            raise ConfigurationError("empty codebook")
-        ids = [code.id for code in self.codebook]
-        if ids != list(range(1, len(ids) + 1)):
-            raise ConfigurationError(f"code ids must be 1..Q in order, got {ids}")
+        object.__setattr__(self, "codebook", checked_codebook(self.codebook))
 
     @property
     def n_codes(self) -> int:
@@ -90,7 +77,7 @@ class Quantizer:
 
 
 def _quantizer_distortions(quantizer: Quantizer, requests) -> np.ndarray:
-    return _distortions(_request_pulses(requests), _code_pulses(quantizer.codebook))
+    return _distortions(_request_pulses(requests), pulse_table(quantizer.codebook))
 
 
 def quantize(request: RawRequest, quantizer: Quantizer) -> int:
@@ -341,25 +328,13 @@ def design_codebook_min_distortion(request_samples, hems_cap: float, cems_cap: f
 # -- serialization ------------------------------------------------------
 
 def codebook_to_json(quantizer: Quantizer, path) -> None:
-    """Write the codebook as a JSON list of {id, rate_kw,
-    duration_epochs}.  Only constant-rate pulses are representable."""
-    entries = []
-    for code in quantizer.codebook:
-        if any(abs(g - code.pulse[0]) > 1e-12 for g in code.pulse):
-            raise ConfigurationError(
-                f"code {code.id} is not a constant-rate pulse; cannot serialize"
-            )
-        entries.append(
-            {"id": code.id, "rate_kw": code.pulse[0], "duration_epochs": len(code.pulse)}
-        )
+    """Write the codebook as a JSON list of ``code_entry``s: only
+    constant-rate pulses are representable."""
+    entries = [code_entry(code) for code in quantizer.codebook]
     atomic_write_text(path, json.dumps(entries, indent=2, sort_keys=True) + "\n")
 
 
 def codebook_from_json(path) -> Quantizer:
     """Read a ``codebook_to_json`` file, its entries checked as a scenario's are."""
     with open(path) as fh:
-        entries = json.load(fh)
-    if not isinstance(entries, list):
-        raise ConfigurationError("codebook file must hold a JSON list")
-    return Quantizer(tuple(charge_code_from_entry(entry, pos)
-                           for pos, entry in enumerate(entries, start=1)))
+        return Quantizer(codebook_from_entries(json.load(fh)))

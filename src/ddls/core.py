@@ -115,15 +115,18 @@ def checked_numbers(value, name: str, *, length=None, low=0, strict=False,
     with ``integer``), the one check of numbers that come from outside.
 
     A scalar is stretched to ``length`` and a vector must have it.  Text,
-    booleans, None, ragged lists, values that are not finite, below
-    ``low`` (at ``low`` too if ``strict``; None: any sign) or, with
-    ``integer``, not whole within 1e-9 are refused by ``name`` with a
-    ``ConfigurationError``.  Integer input is never converted to float
-    on its way to int64."""
+    booleans (one among numbers too), None, ragged lists, values that are
+    not finite, below ``low`` (at ``low`` too if ``strict``; None: any
+    sign) or, with ``integer``, not whole within 1e-9 are refused by
+    ``name`` with a ``ConfigurationError``.  Integer input is never
+    converted to float on its way to int64."""
     try:
         arr = np.array(value)
     except ValueError:  # a ragged list
         arr = np.array(None)
+    if arr.ndim and not isinstance(value, np.ndarray):  # a stray boolean is cast to a number
+        flat = value if arr.ndim == 1 else np.array(value, dtype=object).ravel()
+        arr = arr if {bool, np.bool_}.isdisjoint(map(type, flat)) else np.array(None)
     if arr.dtype.kind not in "iuf":
         raise ConfigurationError(f"{name} must be numeric, got {value!r}")
     if length is not None and arr.ndim == 0:
@@ -171,6 +174,42 @@ def charge_code_from_entry(entry, pos: int) -> ChargeCode:
                            low=1)
     rate = checked_numbers(entry["rate_kw"], f"codebook entry {pos}: rate_kw", length=1).item()
     return ChargeCode(pos, square_pulse(rate, duration))
+
+
+def codebook_from_entries(entries) -> tuple[ChargeCode, ...]:
+    """The codebook of a scenario's or codebook file's entries: the one reader of the format."""
+    if isinstance(entries, (list, tuple)):
+        entries = [charge_code_from_entry(entry, pos) for pos, entry in enumerate(entries, start=1)]
+    return checked_codebook(entries)
+
+
+def code_entry(code: ChargeCode) -> dict:
+    """``code`` as a codebook-file entry {id, rate_kw, duration_epochs}, the
+    one writer of the format; only a constant-rate pulse has one."""
+    if any(abs(g - code.pulse[0]) > 1e-12 for g in code.pulse):
+        raise ConfigurationError(f"code {code.id} is not a constant-rate pulse; cannot serialize")
+    return {"id": code.id, "rate_kw": code.pulse[0], "duration_epochs": code.duration_epochs}
+
+
+def checked_codebook(codes) -> tuple[ChargeCode, ...]:
+    """``codes`` as a tuple, the one rule of a codebook: a nonempty list of
+    ``ChargeCode``s whose ids run 1..Q in order, so code q is row q - 1."""
+    if not isinstance(codes, (list, tuple)):
+        raise ConfigurationError(f"a codebook must be a list, got {type(codes).__name__}")
+    if not codes:
+        raise ConfigurationError("empty codebook")
+    for pos, code in enumerate(codes, start=1):
+        if not isinstance(code, ChargeCode) or code.id != pos:
+            raise ConfigurationError(f"codebook ids must run 1..Q, got {code!r} at slot {pos}")
+    return tuple(codes)
+
+
+def pulse_table(codebook) -> np.ndarray:
+    """(Q, U) table of the codebook's pulses, zero-padded to the longest, U."""
+    out = np.zeros((len(codebook), max(code.duration_epochs for code in codebook)))
+    for row, code in zip(out, codebook):
+        row[: code.duration_epochs] = code.pulse
+    return out
 
 
 def _increment_matrix(increments, n_queues: int) -> np.ndarray:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ChargeCode, checked_int, checked_numbers
+from .core import ChargeCode, checked_codebook, checked_int, checked_numbers, pulse_table
 from .errors import ConfigurationError, FeasibilityError
 from .lp import Entries, LinearProgram, LpSolution, Model
 from .lp import solve as lp_solve
@@ -75,12 +75,10 @@ def build_gamma(codebook, lookahead: int, start_lag: int = 0):
 
 def _gamma_entries(codebook, lookahead: int, start_lag: int) -> Entries:
     """``build_gamma``'s nonzero entries, each position once."""
-    lookahead = _window_horizons(codebook, lookahead, None)[0]
+    codebook, lookahead, _, max_u = _window_horizons(codebook, lookahead, None)
     start_lag = checked_int(start_lag, "start_lag", high=1)
     size = lookahead + 1
-    pulses = np.zeros((len(codebook), size))
-    for q, code in enumerate(codebook):
-        pulses[q, start_lag : start_lag + code.duration_epochs] = code.pulse
+    pulses = np.pad(pulse_table(codebook), ((0, 0), (start_lag, size - start_lag - max_u)))
     steps = np.diff(pulses, prepend=0.0)
     queue, lag = steps.nonzero()
     # entry (c + lag, q * size + c) of every column c that the lag keeps in the window
@@ -210,12 +208,11 @@ def _rounded_departures(e0, prior, arrived) -> np.ndarray:
     return np.minimum(np.maximum(d0, prior, out=d0), arrived, out=d0)
 
 
-def _window_horizons(codebook, lookahead: int, deadline) -> tuple[int, int | None, int]:
-    """The lookahead and the deadline (None: no deadline) as checked
-    integers, both covering the longest pulse of a nonempty codebook,
-    and that pulse's length."""
-    if not codebook:
-        raise ConfigurationError("empty codebook")
+def _window_horizons(codebook, lookahead: int, deadline) -> tuple:
+    """The codebook (``checked_codebook``), the lookahead and the deadline
+    (None: no deadline) as checked integers, both covering the longest
+    pulse, and that pulse's length."""
+    codebook = checked_codebook(codebook)
     max_u = max(code.duration_epochs for code in codebook)
     lookahead = checked_int(lookahead, "lookahead", low=1)
     if lookahead < max_u:
@@ -223,7 +220,7 @@ def _window_horizons(codebook, lookahead: int, deadline) -> tuple[int, int | Non
     deadline = None if deadline is None else checked_int(deadline, "deadline_epochs", low=1)
     if deadline is not None and deadline < max_u:
         raise ConfigurationError(f"deadline of {deadline} epochs is shorter than the longest pulse")
-    return lookahead, deadline, max_u
+    return codebook, lookahead, deadline, max_u
 
 
 @dataclass(frozen=True)
@@ -263,8 +260,7 @@ class HorizonInputs:
     _arrivals: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.codebook = tuple(self.codebook)
-        self.lookahead, self.deadline_epochs, _ = _window_horizons(
+        self.codebook, self.lookahead, self.deadline_epochs, _ = _window_horizons(
             self.codebook, self.lookahead, self.deadline_epochs)
         q, t = len(self.codebook), self.lookahead
         for name, high in (("start_epoch", None), ("t1", t), ("start_lag", 1)):
@@ -273,8 +269,11 @@ class HorizonInputs:
         self.price_up = checked_numbers(self.price_up, "price_up", length=t + 1)
         self.price_dn = checked_numbers(self.price_dn, "price_dn", length=t + 1)
         self.delay_prices = checked_numbers(self.delay_prices, "delay_prices", length=q)
-        if self.forecast_rates is not None:
-            self.forecast_rates = checked_numbers(self.forecast_rates, "forecast_rates")
+        for name in ("forecast_rates", "known_future"):
+            if getattr(self, name) is not None:
+                setattr(self, name, checked_numbers(getattr(self, name), name))
+        if self.t1 > 0 and self.known_future is None:
+            raise ConfigurationError("t1 > 0 requires known future arrivals")
         self.observed = np.asarray(self.observed)
         self.prior_departures = np.asarray(self.prior_departures)
         if self.observed.shape != (q, self.start_epoch + 1):
@@ -463,9 +462,8 @@ class RecedingHorizonScheduler:
     def __init__(self, codebook, zic_kw, price_up, price_dn, delay_prices,
                  lookahead: int, *, arrival_rates=None, deadline_epochs=None,
                  capacity_cap=None, start_lag=0, known_arrivals=None, n_schedulers: int = 1):
-        self.codebook = tuple(codebook)
-        self.lookahead, self.deadline_epochs, max_u = _window_horizons(
-            self.codebook, lookahead, deadline_epochs)
+        self.codebook, self.lookahead, self.deadline_epochs, max_u = _window_horizons(
+            codebook, lookahead, deadline_epochs)
         self.n_queues = q = len(self.codebook)
         self.zic_kw = checked_numbers(zic_kw, "zic_kw", low=None)
         horizon = self.zic_kw.size
@@ -496,8 +494,7 @@ class RecedingHorizonScheduler:
             model.first_basis = first_basis
         self._prices = np.stack((self.price_up, self.price_dn))
         self._cost = self._cost_prices = None  # the last window's costs (read-only) and prices
-        self._pulses = np.array([[code.pulse + (0.0,) * (max_u - code.duration_epochs)]
-                                 for code in self.codebook])  # (Q, 1, U), zero-padded
+        self._pulses = pulse_table(self.codebook)[:, None]  # (Q, 1, U)
 
     def _counts(self, counts, epochs: tuple = ()) -> np.ndarray:
         """Checked (M, Q) + ``epochs`` counts; an M = 1 bank also takes (Q,) + ``epochs``."""

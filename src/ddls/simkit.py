@@ -49,8 +49,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 # unscheduled_load is unused here: bench/spans.py traces it as simkit.unscheduled_load
-from .core import (ArrivalEvent, ChargeCode, RawRequest, charge_code_from_entry, checked_int,
-                   checked_numbers, is_real, synthesize_load, unscheduled_load)
+from .core import (ArrivalEvent, ChargeCode, RawRequest, checked_int, checked_numbers,
+                   code_entry, codebook_from_entries, is_real, synthesize_load, unscheduled_load)
 from .csvio import atomic_write_text, render_columns, write_csv
 from .errors import ConfigurationError, FeasibilityError
 from .market import stage_cost
@@ -89,12 +89,11 @@ class ScenarioConfig:
     capacity_cap: float | None = None
 
     def __post_init__(self):
-        self.codebook = tuple(self.codebook)
         for name, low, high in (("seed", 0, None), ("horizon_epochs", 1, None),
                                 ("deadline_epochs", 1, None), ("n_schedulers", 1, None),
                                 ("start_lag", 0, 1)):
             setattr(self, name, checked_int(getattr(self, name), name, low, high))
-        self.lookahead, self.deadline_epochs, _ = _window_horizons(
+        self.codebook, self.lookahead, self.deadline_epochs, _ = _window_horizons(
             self.codebook, self.lookahead, self.deadline_epochs)
         self.interval_s = checked_numbers(self.interval_s, "interval_s", length=1,
                                           strict=True).item()
@@ -177,8 +176,7 @@ class ScenarioConfig:
         for field in dataclass_fields(self):
             value = getattr(self, field.name)
             out[field.name] = value.tolist() if isinstance(value, np.ndarray) else value
-        out["codebook"] = [{"id": code.id, "rate_kw": code.rate_kw,
-                            "duration_epochs": code.duration_epochs} for code in self.codebook]
+        out["codebook"] = [code_entry(code) for code in self.codebook]
         return out
 
     @classmethod
@@ -191,17 +189,13 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"scenario schema {version} not supported, expected {SCENARIO_SCHEMA}"
             )
-        entries = raw.get("codebook")
-        if not isinstance(entries, (list, tuple)):
-            raise ConfigurationError("scenario dict needs a 'codebook' list")
-        codebook = [charge_code_from_entry(e, pos) for pos, e in enumerate(entries, start=1)]
+        raw["codebook"] = codebook_from_entries(raw.get("codebook"))
         known = {f.name for f in dataclass_fields(cls)}
         extra = set(raw) - known
         if extra:
             raise ConfigurationError(f"unknown scenario keys: {sorted(extra)}")
-        kwargs = {key: raw[key] for key in raw if key != "codebook"}
         try:
-            return cls(codebook=tuple(codebook), **kwargs)
+            return cls(**raw)
         except TypeError as exc:
             raise ConfigurationError(f"incomplete scenario: {exc}") from None
 
@@ -530,6 +524,7 @@ def default_price_curve(config: ScenarioConfig, slope: float = 1.0) -> np.ndarra
     strictly positive, including the padded tail where P = 0.
     """
     zic, _, _ = config.padded_profiles()
+    slope = checked_numbers(slope, "slope", length=1).item()
     c0 = slope * float(zic.max()) + 1.0
     return c0 - slope * zic
 

@@ -25,7 +25,8 @@ from ddls.market import stage_cost
 from ddls.queues import DelayPrices, QueueLedger, dci
 from ddls.scheduler import (HorizonInputs, RecedingHorizonScheduler, build_gamma,
                             certainty_equivalent_arrivals)
-from ddls.simkit import RunMetrics, generate_arrival_counts, load_scenario
+from ddls.simkit import (RunMetrics, default_price_curve, generate_arrival_counts, load_scenario,
+                         save_scenario)
 
 CODE = ChargeCode(1, (1.0,))
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_day.json"
@@ -77,6 +78,9 @@ ENTRIES = {
     "scheduler-rates": ("arrival_rates", lambda bad: bank(arrival_rates=[bad])),
     "scheduler-cap": ("capacity_cap", lambda bad: bank(capacity_cap=bad)),
     "window-rates": ("forecast_rates", lambda bad: window(forecast_rates=[bad])),
+    "window-known-future": ("known_future",
+                            lambda bad: window(t1=2, known_future=[[bad] * 3])),
+    "price-slope": ("slope", lambda bad: default_price_curve(DESK, bad)),
     "delay-prices": ("delay_prices", lambda bad: DelayPrices([bad])),
     "record-arrivals": ("counts", lambda bad: QueueLedger(2).record_arrivals(0, [bad, bad])),
     "encode-thresholds": ("targets", lambda bad: encode_thresholds(ledger(), [bad, bad], 0)),
@@ -115,6 +119,54 @@ def test_a_bad_number_is_refused_by_field(entry, bad):
     field, call = ENTRIES[entry]
     with pytest.raises(ConfigurationError, match=field):
         call(bad)
+
+
+@pytest.mark.parametrize("field, call", [
+    ("delay_prices", lambda: DelayPrices([0.1, True])),
+    ("counts", lambda: QueueLedger(2).record_arrivals(0, [2, True])),
+    ("known_arrivals", lambda: bank(known_arrivals=[[1, 0, np.True_, 0, 0, 0]])),
+    ("known_future", lambda: window(t1=2, known_future=[[0, -5, 0]])),
+    ("known_future", lambda: window(t1=2, known_future="abc")),
+    ("known future", lambda: window(t1=2)),
+    ("slope", lambda: default_price_curve(DESK, -1.0)),
+], ids=["vector-stray-boolean", "counts-stray-boolean", "table-stray-boolean",
+        "known-future-negative", "known-future-text", "known-future-missing", "slope-negative"])
+def test_a_stray_boolean_a_negative_or_a_missing_input_is_refused_by_field(field, call):
+    with pytest.raises(ConfigurationError, match=field):
+        call()
+
+
+# every constructor that takes a codebook, and codebooks each must refuse
+CODEBOOK_TAKERS = {
+    "scenario": lambda codes: dataclasses.replace(DESK, codebook=codes),
+    "scheduler": lambda codes: bank(codebook=codes),
+    "window": lambda codes: window(codebook=codes),
+    "gamma": lambda codes: build_gamma(codes, 2),
+    "quantizer": Quantizer,
+}
+BAD_CODEBOOKS = {
+    "empty": (),
+    "ids-2-1": (ChargeCode(2, (1.0,)), CODE),
+    "ids-1-1": (CODE, CODE),
+    "ids-11-18": tuple(ChargeCode(i, (1.0,)) for i in range(11, 19)),
+    "dict": ({"id": 1, "rate_kw": 1.0, "duration_epochs": 1},),
+    "tuple": ((1, (1.0,)),),
+    "not-a-list": None,
+}
+
+
+@pytest.mark.parametrize("codes", BAD_CODEBOOKS)
+@pytest.mark.parametrize("taker", CODEBOOK_TAKERS)
+def test_a_codebook_that_is_not_codes_with_ids_one_to_q_is_refused(taker, codes):
+    with pytest.raises(ConfigurationError, match="codebook"):
+        CODEBOOK_TAKERS[taker](BAD_CODEBOOKS[codes])
+
+
+def test_saving_a_pulse_that_is_not_constant_is_refused_by_its_code(tmp_path):
+    config = dataclasses.replace(DESK, codebook=(ChargeCode(1, (2.0, 1.0)), *DESK.codebook[1:]))
+    with pytest.raises(ConfigurationError, match="code 1 is not a constant-rate pulse"):
+        save_scenario(config, tmp_path / "scenario.json")
+    assert not (tmp_path / "scenario.json").exists()
 
 
 def test_an_admitted_index_must_be_whole_and_one_outside_the_log_is_ignored():

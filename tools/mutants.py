@@ -141,12 +141,17 @@ MUTANTS = (
      "            or isinstance(value, float) and value.is_integer()):"),
     ("checked-numbers-accepts-booleans", CORE,
      'if arr.dtype.kind not in "iuf":', 'if arr.dtype.kind not in "iufb":'),
+    ("codebook-ids-unchecked", CORE,  # any ChargeCodes, in any order, make a codebook
+     "if not isinstance(code, ChargeCode) or code.id != pos:",
+     "if not isinstance(code, ChargeCode):"),
+    ("code-entry-any-pulse", CORE,  # a pulse that is not constant is written as its first rate
+     "    if any(abs(g - code.pulse[0]) > 1e-12 for g in code.pulse):\n", "    if False:\n"),
     ("run-metrics-nan-accepted", SIMKIT,  # a bare comparison: NaN < low is False
      "            checked_numbers(getattr(self, name), name, low=low)\n",
      "            if getattr(self, name) < low:\n"
      "                raise ConfigurationError(f\"{name} must be >= {low}\")\n"),
-    ("scenario-horizons-unchecked", SIMKIT,  # any lookahead and deadline >= 1 against any pulse
-     "        self.lookahead, self.deadline_epochs, _ = _window_horizons(\n"
+    ("scenario-horizons-unchecked", SIMKIT,  # any codebook, lookahead and deadline >= 1
+     "        self.codebook, self.lookahead, self.deadline_epochs, _ = _window_horizons(\n"
      "            self.codebook, self.lookahead, self.deadline_epochs)\n", ""),
     # the mean delay
     ("delay-sum-skips-epoch-0", SIMKIT,
