@@ -80,6 +80,9 @@ ENTRIES = {
     "window-rates": ("forecast_rates", lambda bad: window(forecast_rates=[bad])),
     "window-known-future": ("known_future",
                             lambda bad: window(t1=2, known_future=[[bad] * 3])),
+    "forecast-known-future": ("known_future", lambda bad: certainty_equivalent_arrivals(
+        [[1]], None, 0, 2, t1=2, known_future=[[bad] * 3])),
+    "forecast-rates": ("rates", lambda bad: certainty_equivalent_arrivals([[1]], [bad], 0, 2)),
     "price-slope": ("slope", lambda bad: default_price_curve(DESK, bad)),
     "delay-prices": ("delay_prices", lambda bad: DelayPrices([bad])),
     "record-arrivals": ("counts", lambda bad: QueueLedger(2).record_arrivals(0, [bad, bad])),
@@ -128,12 +131,23 @@ def test_a_bad_number_is_refused_by_field(entry, bad):
     ("known_future", lambda: window(t1=2, known_future=[[0, -5, 0]])),
     ("known_future", lambda: window(t1=2, known_future="abc")),
     ("known future", lambda: window(t1=2)),
+    ("known_future", lambda: certainty_equivalent_arrivals(
+        [[1]], None, 0, 2, t1=2, known_future=[[0, -5, 0]])),
+    ("rates", lambda: certainty_equivalent_arrivals([[1]], [-5.0], 0, 2)),
     ("slope", lambda: default_price_curve(DESK, -1.0)),
 ], ids=["vector-stray-boolean", "counts-stray-boolean", "table-stray-boolean",
-        "known-future-negative", "known-future-text", "known-future-missing", "slope-negative"])
+        "known-future-negative", "known-future-text", "known-future-missing",
+        "forecast-known-future-negative", "forecast-rates-negative", "slope-negative"])
 def test_a_stray_boolean_a_negative_or_a_missing_input_is_refused_by_field(field, call):
     with pytest.raises(ConfigurationError, match=field):
         call()
+
+
+@pytest.mark.parametrize("known", [[[0, 1, 0], [0, 1, 0]], [0, 1, 0], [[[0, 1, 0]]], 2.0],
+                         ids=["two-rows-for-one-queue", "vector", "three-axes", "scalar"])
+def test_a_known_future_table_of_the_wrong_shape_is_refused_by_field(known):
+    with pytest.raises(ConfigurationError, match=r"known_future must be a \(1, epochs\) table"):
+        window(t1=2, known_future=known)
 
 
 # every constructor that takes a codebook, and codebooks each must refuse

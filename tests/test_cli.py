@@ -372,15 +372,15 @@ DESK_SEED0_DIGESTS = {
     "uncontrolled/feedback.csv":
         "7d06934976c000d36d550898cbc758464e7678ad95ea5580186debcece125bb9",
     "ddls/metrics.csv":
-        "02debc3f7e489d4cb5c173b7323d315b6561d2173aed8fb4b92afcc34e0f933c",
+        "b7e39ad51eca635676ccca25c7d43c2a2d93b373ea916e764b804f40ba053890",
     "ddls/trajectory.csv":
-        "5fc2b7406b7d7f93315358d674a37d57716e21f6d0ee733d7cfcaebcec1491a2",
+        "ea188b4f24ed5d29e26d2a2298b23df39810e8d58e6461cb74b88b43bbb58375",
     "ddls/feedback.csv":
-        "0496479f130d33b8547e7e4e8392a45dc865d561b920478417fb90f1889fd4e9",
+        "5cb6911ebab551796631027578ccf0d73c1116d910ec9e504ff18bd382b2370a",
     "distributed/metrics.csv":
-        "721cb3afd47d456c1ddbb9c1c651e0da08e51e30e624d5b78f984005f151b99a",
+        "623fdd87b65705d662e85f00f33575db3aff646114f225ee99e88199a13ba4b6",
     "distributed/trajectory.csv":
-        "136c6e83b4ebb4e1641b4707b98bd3b6f8747a8750ec454caa1d9e60aaea9ac3",
+        "7501c6d1693d548d6c6d33d2b9770cf6b0b403bb3b73fa78f4cf4368b19cae7c",
     "distributed/feedback.csv":
         "f11fd4414c4a739405d76dbca09bf7db60e528dfe1683eb436484c559725ed60",
     "price/metrics.csv":

@@ -9,6 +9,7 @@ reaches linprog only where it has no binding.
 """
 
 import importlib.machinery
+import importlib.util
 import itertools
 import json
 import os
@@ -34,8 +35,9 @@ from ddls.lp import Entries, LinearProgram, Model, solve
 from ddls.scheduler import RecedingHorizonScheduler
 from ddls.simkit import load_scenario, run_ddls, run_distributed, run_uncontrolled
 
-DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_day.json"
-CROWD_CONFIG = DESK_CONFIG.parent.parent / "bench" / "scenarios" / "crowd.json"
+ROOT = Path(__file__).resolve().parent.parent
+DESK_CONFIG = ROOT / "configs" / "desk_day.json"
+CROWD_CONFIG = ROOT / "bench" / "scenarios" / "crowd.json"
 
 
 @pytest.fixture
@@ -753,6 +755,28 @@ def test_every_window_commits_linprogs_rounded_starts():
                     assert np.array_equal(*starts), (path.name, seed, runner.__name__, k)
                 checked += 1
     assert checked > 3_000
+
+
+@pytest.fixture(scope="module")
+def face_scan():
+    """``tools/face_scan.py``, imported from its file."""
+    spec = importlib.util.spec_from_file_location("face_scan", ROOT / "tools" / "face_scan.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed, window", [(11000, 28), (11002, 18)])
+def test_a_once_tied_desk_window_has_one_optimal_first_epoch(face_scan, seed, window):
+    """Two desk ddls windows that a tie-break preferring the higher queues
+    left (almost) tied, trading one start of queue 2 for two of queue 5:
+    on seed 11000 both move by 0.27 and 0.53 over the optimal face, on
+    seed 11002 by 2e-6 and 4e-6 within its 1e-14 slack.  Each e_q(0) must
+    now move by at most ``face_scan.SPREAD`` over that face."""
+    config = replace(load_scenario(DESK_CONFIG), seed=seed)
+    _, _, program = face_scan.day_windows(run_ddls, config)[window]
+    spreads = face_scan.first_epoch_spreads(program, config.n_queues)
+    assert spreads.max() <= face_scan.SPREAD, spreads
 
 
 @pytest.mark.skipif(lp._load_highs() is None, reason="this scipy has no HiGHS binding")

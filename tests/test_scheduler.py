@@ -419,7 +419,7 @@ def rowwise_program(inputs):
     cost = np.zeros(n)
     for qi in range(q):
         for j in range(width):
-            w = (width - j) * (2 * width - j) / (2 * width) * (1 + qi / (q + 1))
+            w = (width - j) * (2 * width - j) / (2 * width) * (1 + (q - 1 - qi) / (q + 1))
             cost[qi * width + j] = -inputs.delay_prices[qi] - eps * w
     cost[n_e : n_e + width] = inputs.price_up
     cost[n_e + width : n_e + 2 * width] = inputs.price_dn

@@ -517,7 +517,7 @@ class TestDdlsRunner:
         result = run_ddls(config)
         delays = [delay for _, _, delay in result.ledger.fifo_delays()]
         assert len(delays) == result.metrics.served
-        assert max(delays) == 27
+        assert max(delays) == 29
         assert max(delays) <= config.deadline_epochs
 
     def test_desk_capacity_cap_that_breaks_the_deadline_is_refused(self):

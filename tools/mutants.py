@@ -112,7 +112,10 @@ MUTANTS = (
      "    cost = np.concatenate(((-inputs.delay_prices).repeat(inputs.lookahead + 1),\n"
      "                           inputs.price_up, inputs.price_dn))\n"),
     ("tie-break-without-queue-factor", SCHEDULER,
-     "* (1 + np.arange(q)[:, None] / (q + 1))", "* np.ones((q, 1))"),
+     "* (1 + (q - 1 - np.arange(q))[:, None] / (q + 1))", "* np.ones((q, 1))"),
+    ("tie-break-prefers-higher-queues", SCHEDULER,  # the factor before: a tie on desk seed 11000
+     "* (1 + (q - 1 - np.arange(q))[:, None] / (q + 1))",
+     "* (1 + np.arange(q)[:, None] / (q + 1))"),
     ("dn-shift-not-undone", SCHEDULER,  # extract_plan reports dn' as dn
      "q * width + 2 * width] + inputs.zic_kw", "q * width + 2 * width].copy()"),
     ("balance-rhs-still-supply", SCHEDULER,  # the supply both in the rows and in dn's bound

@@ -170,19 +170,23 @@ def main(argv=None) -> int:
         for package in sides.values():
             stamps.patch_model(importlib.import_module(package.__name__ + ".lp").Model)
 
-        simkit = importlib.import_module("ddls.simkit")
-        config = simkit.load_scenario(ROOT / SCENARIOS[args.workload])
-        config = dataclasses.replace(config, seed=1000 * args.seed)
-        counts = simkit.generate_arrival_counts(config.arrival_rates_per_hour,
-                                                config.horizon_epochs, config.seed,
-                                                config.interval_s)  # drawn once, as set-up
+        configs = {}  # each copy's own, which its own codebook checks accept
+        for name, package in sides.items():
+            simkit = importlib.import_module(package.__name__ + ".simkit")
+            config = simkit.load_scenario(ROOT / SCENARIOS[args.workload])
+            configs[name] = dataclasses.replace(config, seed=1000 * args.seed)
+        config = configs["tree"]
+        counts = importlib.import_module("ddls.simkit").generate_arrival_counts(
+            config.arrival_rates_per_hour, config.horizon_epochs, config.seed,
+            config.interval_s)  # drawn once, as set-up
         rows = {name: [] for name in sides}
         names = list(sides)
         highs_class = lp._load_highs()._Highs
         tallies = {name: [] for name in sides}
         for day in range(2):  # warm-up: caches, the binding, the templates; and the counts
             for name in names:
-                stamps.counted(highs_class, lambda: _day(sides[name], stamps, config, counts))
+                stamps.counted(highs_class,
+                               lambda: _day(sides[name], stamps, configs[name], counts))
                 its = stamps.iterations
                 tallies[name].append((tuple(its), stamps.row_pushes))
                 print(f"count {day} {name:>10}: {sum(its) / len(its):.2f} iterations per warm "
@@ -193,7 +197,7 @@ def main(argv=None) -> int:
             sys.exit("the warm-up days count differently")
         for day in range(args.days):
             for name in names if day % 2 == 0 else names[::-1]:
-                row = _day(sides[name], stamps, config, counts)
+                row = _day(sides[name], stamps, configs[name], counts)
                 rows[name].append(row)
                 print(f"day {day:2d} {name:>10}: {row['day_ms']:7.1f} ms, warm run() "
                       f"{row['run_ms']:6.1f} ms ({row['windows']} windows), cold "
