@@ -100,13 +100,27 @@ def threshold_messages(ledger: QueueLedger, epochs: int) -> list[ThresholdMessag
 def _encode(cum: np.ndarray, targets: np.ndarray, first: int) -> list[ThresholdMessage]:
     """The messages of epochs first.. for the (E, Q) targets and the (Q,
     first+E) arrival table ``cum``.  As a_q is nondecreasing, the epochs <= l
-    with a_q <= d_q(l) are a prefix; the cutoff is its length minus one."""
+    with a_q <= d_q(l) are a prefix; the cutoff is its length minus one.
+
+    The (E, Q) cutoff and spill tables are checked once, in one array
+    pass, against ``ThresholdMessage``'s rules (cutoff <= epoch, spill >=
+    0, no spill at a cutoff equal to the epoch); the first row that breaks
+    one is built through the constructor, which raises its own error, and
+    the rest are built without its per-field checks."""
     epochs = np.arange(first, first + len(targets))
     covered = np.minimum([np.searchsorted(a, d, "right") for a, d in zip(cum, targets.T)],
                          epochs + 1).T
     spill = targets - np.where(covered > 0, cum[np.arange(len(cum)), covered - 1], 0)
-    return [ThresholdMessage(epoch, [c if c >= 0 else None for c in cut], row)
-            for epoch, cut, row in zip(epochs.tolist(), (covered - 1).tolist(), spill.tolist())]
+    cutoffs = [[c if c >= 0 else None for c in cut] for cut in (covered - 1).tolist()]
+    broken = ((covered > epochs[:, None] + 1) | (spill < 0)
+              | ((covered == epochs[:, None] + 1) & (spill != 0))).any(axis=1)
+    if broken.any():
+        row = int(np.argmax(broken))
+        ThresholdMessage(int(epochs[row]), cutoffs[row], spill[row].tolist())
+    messages = [object.__new__(ThresholdMessage) for _ in cutoffs]
+    for message, epoch, cut, row in zip(messages, epochs.tolist(), cutoffs, spill.tolist()):
+        message.__dict__.update(epoch=epoch, cutoffs=tuple(cut), spill=tuple(row))
+    return messages
 
 
 def decode_and_admit(arrival_log, message: ThresholdMessage,

@@ -41,7 +41,8 @@ class DelayPrices:
 class QueueLedger:
     """Cumulative arrival and departure counts for Q FIFO queues.
 
-    Counts are recorded per epoch and must be fed in non-decreasing
+    Counts are recorded one epoch at a time or as a block of consecutive
+    epochs, in one call either way, and must be fed in non-decreasing
     epoch order (ConfigurationError otherwise).  Departures may never
     overtake arrivals at any epoch; a violating call raises
     FeasibilityError and leaves the ledger unchanged.
@@ -56,25 +57,6 @@ class QueueLedger:
         self._cum_dep = np.zeros((n_queues, 1), dtype=np.int64)
         self._last_arrival_epoch = -1
         self._last_departure_epoch = -1
-
-    @classmethod
-    def from_tables(cls, arrivals, departures) -> QueueLedger:
-        """The ledger of (Q, ·) cumulative arrival and departure tables,
-        column 0 zero and column l + 1 holding a_q(l) (d_q(l)) through
-        the last epoch each recorded."""
-        arrivals, departures = (np.array(t, dtype=np.int64, ndmin=2) for t in (arrivals, departures))
-        width, reach = arrivals.shape[1], departures.shape[1]
-        if (arrivals.shape[0] != departures.shape[0] or not width or not reach
-                or arrivals[:, 0].any() or departures[:, 0].any() or (np.diff(arrivals) < 0).any()
-                or (np.diff(departures) < 0).any()
-                or (departures > arrivals[:, np.minimum(np.arange(reach), width - 1)]).any()):
-            raise ConfigurationError("tables must be cumulative from a zero column, departures "
-                                     "never ahead of arrivals")
-        ledger = cls(arrivals.shape[0])
-        ledger._cum_arr, ledger._cum_dep = arrivals, departures
-        ledger._last_arrival_epoch = arrivals.shape[1] - 2
-        ledger._last_departure_epoch = departures.shape[1] - 2
-        return ledger
 
     @property
     def current_epoch(self) -> int:
@@ -91,25 +73,6 @@ class QueueLedger:
         log.flags.writeable = False
         return log
 
-    def _grow(self, epoch: int) -> None:
-        width = self._cum_arr.shape[1]
-        if epoch + 1 < width:
-            return
-        pad = np.zeros((self.n_queues, max(epoch + 2, 2 * width, 9) - width), dtype=np.int64)
-        self._cum_arr = np.hstack((self._cum_arr, pad))
-        self._cum_dep = np.hstack((self._cum_dep, pad))
-
-    @staticmethod
-    def _add(cum: np.ndarray, last: int, epoch: int, counts: np.ndarray) -> None:
-        """Add ``counts`` at ``epoch`` >= ``last`` to a cumulative table
-        valid through ``last``, carrying it over any skipped epochs."""
-        if epoch == last:
-            cum[:, epoch + 1] += counts
-            return
-        if epoch > last + 1:
-            cum[:, last + 2 : epoch + 1] = cum[:, last + 1 : last + 2]
-        cum[:, epoch + 1] = cum[:, epoch] + counts
-
     @staticmethod
     def _check_counts(counts, shape: tuple) -> np.ndarray:
         """Whole counts >= 0 of the given shape, as int64."""
@@ -118,34 +81,53 @@ class QueueLedger:
             raise ConfigurationError(f"counts shape {arr.shape}, expected {shape}")
         return arr
 
-    def record_arrivals(self, epoch: int, counts) -> None:
-        counts = self._check_counts(counts, (self.n_queues,))
+    def _recorded(self, cum: np.ndarray, last: int, epoch, counts, kind: str,
+                  ceiling=None) -> tuple[np.ndarray, int]:
+        """The cumulative table valid through ``last`` (grown if need be)
+        and its new last epoch once the (Q,) counts at ``epoch``, or the (Q, k)
+        block of epochs epoch..epoch + k - 1, are added; skipped epochs carry
+        the last column.  Each check runs once over the block, before any
+        write: whole counts >= 0, ``epoch`` >= ``last`` and, given the (table,
+        last) ``ceiling``, cumulative counts never above it."""
+        block = checked_numbers(counts, "counts", integer=True)
+        block = block[:, None] if block.ndim == 1 else block
+        if block.ndim != 2 or len(block) != self.n_queues:
+            raise ConfigurationError(f"counts shape {np.shape(counts)}, expected "
+                                     f"({self.n_queues},) or ({self.n_queues}, epochs)")
         epoch = checked_int(epoch, "epoch")
-        if epoch < self._last_arrival_epoch:
-            raise ConfigurationError(
-                f"arrivals recorded out of order: epoch {epoch} after {self._last_arrival_epoch}"
-            )
-        self._grow(epoch)
-        self._add(self._cum_arr, self._last_arrival_epoch, epoch, counts)
-        self._last_arrival_epoch = epoch
+        if epoch < last:
+            raise ConfigurationError(f"{kind} recorded out of order: epoch {epoch} after {last}")
+        stop = epoch + block.shape[1]  # one past the block's last epoch
+        if stop == epoch:
+            return cum, last
+        totals = cum[:, last + 1 : last + 2] + np.cumsum(block, axis=1)
+        if ceiling is not None:
+            top, top_last = ceiling
+            over = totals > top[:, np.minimum(np.arange(epoch, stop), top_last) + 1]
+            if over.any():
+                j, q = (int(i[0]) for i in np.nonzero(over.T))
+                length = top[q, min(epoch + j, top_last) + 1] - totals[q, j] + block[q, j]
+                raise FeasibilityError(f"departure count {int(block[q, j])} exceeds queue "
+                                       f"{q + 1} length {int(length)} at epoch {epoch + j}")
+        if stop >= cum.shape[1]:
+            cum = np.pad(cum, ((0, 0), (0, max(stop + 1, 2 * cum.shape[1], 9) - cum.shape[1])))
+        cum[:, last + 2 : epoch + 1] = cum[:, last + 1 : last + 2]
+        cum[:, epoch + 1 : stop + 1] = totals
+        return cum, stop - 1
+
+    def record_arrivals(self, epoch: int, counts) -> None:
+        """Add the (Q,) arrival counts of ``epoch``, or a (Q, k) block of
+        epochs epoch..epoch + k - 1 (see ``_recorded``)."""
+        self._cum_arr, self._last_arrival_epoch = self._recorded(
+            self._cum_arr, self._last_arrival_epoch, epoch, counts, "arrivals")
 
     def apply_departures(self, epoch: int, counts) -> None:
-        counts = self._check_counts(counts, (self.n_queues,))
-        epoch = checked_int(epoch, "epoch")
-        if epoch < self._last_departure_epoch:
-            raise ConfigurationError(
-                f"departures recorded out of order: epoch {epoch} after {self._last_departure_epoch}"
-            )
-        backlog = self.backlog(epoch)
-        if (counts > backlog).any():
-            q = int(np.argmax(counts - backlog))
-            raise FeasibilityError(
-                f"departure count {int(counts[q])} exceeds queue {q + 1} length {int(backlog[q])} "
-                f"at epoch {epoch}"
-            )
-        self._grow(epoch)
-        self._add(self._cum_dep, self._last_departure_epoch, epoch, counts)
-        self._last_departure_epoch = epoch
+        """Add departure counts as ``record_arrivals`` adds arrivals.  A
+        block whose departures would pass the arrivals raises
+        FeasibilityError naming its first queue and epoch."""
+        self._cum_dep, self._last_departure_epoch = self._recorded(
+            self._cum_dep, self._last_departure_epoch, epoch, counts, "departures",
+            ceiling=(self._cum_arr, self._last_arrival_epoch))
 
     @staticmethod
     def _column(cum: np.ndarray, last: int, epoch: int) -> np.ndarray:

@@ -523,8 +523,12 @@ class RecedingHorizonScheduler:
     def ledgers(self) -> list[QueueLedger]:
         """Each scheduler's queue ledger, through the last epoch the bank recorded."""
         arr, dep = self._last
-        return [QueueLedger.from_tables(self._arr[i, :, : arr + 2], self._dep[i, :, : dep + 2])
-                for i in range(self.n_schedulers)]
+        ledgers = [QueueLedger(self.n_queues) for _ in range(self.n_schedulers)]
+        for ledger, arrived, departed in zip(ledgers, np.diff(self._arr[:, :, : arr + 2]),
+                                             np.diff(self._dep[:, :, : dep + 2])):
+            ledger.record_arrivals(0, arrived)
+            ledger.apply_departures(0, departed)
+        return ledgers
 
     @property
     def ledger(self) -> QueueLedger:

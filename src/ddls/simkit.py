@@ -31,7 +31,7 @@ aggregate load: one pair for uncontrolled, price and ddls, M pairs, one
 per scheduler of the bank, for distributed.  Each scheduler is charged in whole arrays, one
 ``stage_cost`` call over the padded range plus delay prices times its
 backlog table.  Uncontrolled and price record their (arrivals, starts)
-in a ledger through ``_replay``.
+in a ledger through ``_replay``, one block call each.
 
 All randomness flows from a single scenario seed through named
 ``SeedSequence`` spawns (one stream per queue for arrival counts, one
@@ -416,13 +416,10 @@ def _score(config: ScenarioConfig, strategy: str, parts) -> RunResult:
 def _replay(config: ScenarioConfig, counts, starts) -> QueueLedger:
     """The ledger of a run without a controller: ``counts`` arrive over
     the horizon and ``starts[:, l]`` appliances start at epoch l, for
-    every epoch ``starts`` covers."""
-    arrivals = np.zeros_like(starts)
-    arrivals[:, : config.horizon_epochs] = counts
+    every epoch ``starts`` covers, each recorded as one block."""
     ledger = QueueLedger(config.n_queues)
-    for epoch in range(starts.shape[1]):
-        ledger.record_arrivals(epoch, arrivals[:, epoch])
-        ledger.apply_departures(epoch, starts[:, epoch])
+    ledger.record_arrivals(0, counts)
+    ledger.apply_departures(0, starts)
     return ledger
 
 

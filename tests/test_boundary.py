@@ -86,6 +86,10 @@ ENTRIES = {
     "price-slope": ("slope", lambda bad: default_price_curve(DESK, bad)),
     "delay-prices": ("delay_prices", lambda bad: DelayPrices([bad])),
     "record-arrivals": ("counts", lambda bad: QueueLedger(2).record_arrivals(0, [bad, bad])),
+    "record-arrivals-block": ("counts",
+                              lambda bad: QueueLedger(2).record_arrivals(0, [[1, bad], [1, 1]])),
+    "apply-departures-block": ("counts",
+                               lambda bad: ledger().apply_departures(0, [[0, bad], [0, 0]])),
     "encode-thresholds": ("targets", lambda bad: encode_thresholds(ledger(), [bad, bad], 0)),
     "stage-cost": ("price_up", lambda bad: stage_cost(1.0, 0.0, bad, 1.0)),
     "arrival-rates": ("rates_per_hour", lambda bad: generate_arrival_counts([bad], 4, 0)),
@@ -148,6 +152,33 @@ def test_a_stray_boolean_a_negative_or_a_missing_input_is_refused_by_field(field
 def test_a_known_future_table_of_the_wrong_shape_is_refused_by_field(known):
     with pytest.raises(ConfigurationError, match=r"known_future must be a \(1, epochs\) table"):
         window(t1=2, known_future=known)
+
+
+# (2, k) count blocks that a ledger of two queues must refuse, and the field each names
+BAD_BLOCKS = {
+    "one-row": ("counts shape", [[1, 1]]),
+    "three-rows": ("counts shape", [[1, 1]] * 3),
+    "three-axes": ("counts shape", [[[1, 1]], [[1, 1]]]),
+    "negative": ("counts must be >= 0", [[1, -1], [1, 1]]),
+    "fraction": ("counts must be whole", [[1, 0.5], [1, 1]]),
+    "boolean": ("counts must be numeric", [[1, True], [1, 1]]),
+}
+
+
+@pytest.mark.parametrize("block", BAD_BLOCKS)
+@pytest.mark.parametrize("call", ["record_arrivals", "apply_departures"])
+def test_a_block_of_the_wrong_shape_or_with_a_bad_count_is_refused_by_field(call, block):
+    field, counts = BAD_BLOCKS[block]
+    with pytest.raises(ConfigurationError, match=field):
+        getattr(ledger(), call)(0, counts)
+
+
+@pytest.mark.parametrize("call", ["record_arrivals", "apply_departures"])
+def test_a_block_before_the_ledgers_last_epoch_is_refused(call):
+    out = QueueLedger(2)
+    getattr(out, call)(0, np.zeros((2, 3), dtype=int))
+    with pytest.raises(ConfigurationError, match="recorded out of order: epoch 1 after 2"):
+        getattr(out, call)(1, np.zeros((2, 2), dtype=int))
 
 
 # every constructor that takes a codebook, and codebooks each must refuse

@@ -1,12 +1,14 @@
 """Threshold encoding and loss-free admission reconstruction."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddls import feedback, simkit
 from ddls.core import ChargeCode
 from ddls.csvio import render_columns
 from ddls.errors import ConfigurationError
@@ -19,6 +21,8 @@ from ddls.feedback import (
 )
 from ddls.queues import QueueLedger
 from ddls.scheduler import RecedingHorizonScheduler
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk_day.json"
 
 
 def ledger_from_increments(increments) -> QueueLedger:
@@ -160,6 +164,55 @@ class TestEncode:
         ledger = ledger_from_increments([[2]])
         with pytest.raises(ConfigurationError):
             encode_thresholds(ledger, np.array([0.5]), 0)
+
+
+def _the_checked_message(message):
+    """``message`` built again through the checked constructor, asserted
+    equal to it field for field and by type."""
+    checked = ThresholdMessage(message.epoch, message.cutoffs, message.spill)
+    assert checked == message
+    for got, want in ((message.epoch, checked.epoch), *zip(message.cutoffs, checked.cutoffs),
+                      *zip(message.spill, checked.spill)):
+        assert type(got) is type(want) and type(got) in (int, type(None)) and got == want
+    assert type(message.cutoffs) is type(message.spill) is tuple
+
+
+class TestEncodedTable:
+    """``threshold_messages`` checks its cutoff and spill tables once and
+    builds each message without the constructor's per-field checks."""
+
+    @pytest.mark.parametrize("runner", ["run_uncontrolled", "run_ddls", "run_price_signal"])
+    def test_every_desk_message_is_the_checked_one(self, runner):
+        result = getattr(simkit, runner)(simkit.load_scenario(DESK_CONFIG))
+        messages = threshold_messages(result.ledger, len(result.trajectory))
+        assert len(messages) == len(result.trajectory)
+        assert any(any(message.spill) for message in messages) or runner != "run_ddls"
+        for message in messages:
+            _the_checked_message(message)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_every_generated_message_is_the_checked_one(self, data):
+        n_queues, recorded = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+        ledger = ledger_from_increments(np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=recorded, max_size=recorded),
+            min_size=n_queues, max_size=n_queues))))
+        for l in range(data.draw(st.integers(0, recorded))):
+            ledger.apply_departures(l, [data.draw(st.integers(0, int(r)))
+                                        for r in ledger.backlog(l)])
+        for message in threshold_messages(ledger, data.draw(st.integers(0, recorded + 2))):
+            _the_checked_message(message)
+
+    @pytest.mark.parametrize("targets, text", [
+        ([[0], [3]], "queue 1 spill past the message epoch"),  # above epoch 1's arrivals
+        ([[0], [-1]], "queue 1 spill must be an integer >= 0, got -1"),
+        ([[0, 0], [1, 0], [0, 9]], "queue 2 spill past the message epoch"),
+    ], ids=["spill-at-the-epoch", "negative-spill", "second-queue-at-a-later-epoch"])
+    def test_a_table_that_breaks_a_rule_raises_the_constructors_error(self, targets, text):
+        targets = np.array(targets)
+        cum = np.cumsum(np.ones((targets.shape[1], len(targets)), dtype=np.int64), axis=1)
+        with pytest.raises(ConfigurationError, match=f"^{text}$"):
+            feedback._encode(cum, targets, 0)
 
 
 class TestMessageType:

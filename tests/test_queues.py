@@ -87,17 +87,22 @@ class TestLedger:
         with pytest.raises(ConfigurationError):
             ledger.record_arrivals(0, [0.5])
 
-    @pytest.mark.parametrize("arrivals, departures", [
-        ([[0, 2, 1]], [[0, 0]]),         # arrivals fall
-        ([[1, 2]], [[0, 0]]),            # no zero column
-        ([[0, 1]], [[0, 2]]),            # departures ahead of arrivals
-        ([[0, 1]], [[0, 1, 2]]),         # ahead of the arrivals carried past their end
-        ([[0, 1]], [[0], [0]]),          # other queues
-        (np.zeros((1, 0)), [[0]]),       # no column at all
-    ])
-    def test_tables_that_no_ledger_records_are_refused(self, arrivals, departures):
-        with pytest.raises(ConfigurationError, match="tables"):
-            QueueLedger.from_tables(arrivals, departures)
+    @pytest.mark.parametrize("arrivals, departures, error, text", [
+        ([[2, -1]], [[0, 0]], ConfigurationError, "counts"),          # arrivals fall
+        ([[0, 1]], [[0, 2]], FeasibilityError, "queue 1 length 1 at epoch 1$"),
+        ([[0, 1]], [[0, 1, 1]], FeasibilityError,                     # ahead of the arrivals
+         "queue 1 length 0 at epoch 2$"),                              # carried past their end
+        ([[0, 1]], [[0], [0]], ConfigurationError, "counts shape"),   # other queues
+        ([[0, 1]], [[[0, 0]]], ConfigurationError, "counts shape"),   # three axes
+        ([[0, 1]], [[0.5, 0]], ConfigurationError, "counts"),         # a fraction
+    ], ids=["arrivals-fall", "departures-ahead", "ahead-of-carried-arrivals", "other-queues",
+            "three-axes", "fraction"])
+    def test_blocks_that_no_ledger_records_are_refused(self, arrivals, departures, error,
+                                                       text):
+        ledger = QueueLedger(1)
+        with pytest.raises(error, match=text):
+            ledger.record_arrivals(0, arrivals)
+            ledger.apply_departures(0, departures)
 
     def test_arrival_log_order(self):
         ledger = QueueLedger(2)
@@ -138,10 +143,10 @@ class TestLedger:
                 counts = [data.draw(st.integers(0, int(b))) for b in ledger.backlog(epoch)]
                 ledger.apply_departures(epoch, counts)
             fed[kind][:, epoch] += counts
-        # the same tables handed over whole make the same ledger
-        copy = QueueLedger.from_tables(*(np.cumsum(np.hstack((
-            np.zeros((n_queues, 1), dtype=np.int64), fed[kind][:, : last[kind] + 1])), axis=1)
-            for kind in ("arrivals", "departures")))
+        # the same tables recorded whole, one block call each, make the same ledger
+        copy = QueueLedger(n_queues)
+        copy.record_arrivals(0, fed["arrivals"][:, : last["arrivals"] + 1])
+        copy.apply_departures(0, fed["departures"][:, : last["departures"] + 1])
         assert copy.current_epoch == ledger.current_epoch
         assert copy.arrival_log.tolist() == ledger.arrival_log.tolist()
         for ledger, epoch in itertools.product((ledger, copy), range(-2, max(clocks.values()) + 4)):
@@ -159,6 +164,95 @@ class TestLedger:
                                                   fed["arrivals"][:, start : epoch + 1])
                     np.testing.assert_array_equal(ledger.departure_increments(start, epoch + 1),
                                                   fed["departures"][:, start : epoch + 1])
+
+
+def _feasible_departures(data, arrivals):
+    """A drawn (Q, L) departure table that never passes ``arrivals``."""
+    departures = np.zeros_like(arrivals)
+    waiting = np.zeros(len(arrivals), dtype=np.int64)
+    for l in range(arrivals.shape[1]):
+        waiting += arrivals[:, l]
+        departures[:, l] = [data.draw(st.integers(0, int(w))) for w in waiting]
+        waiting -= departures[:, l]
+    return departures
+
+
+def _state(ledger):
+    return (ledger._cum_arr.copy(), ledger._cum_dep.copy(), ledger._last_arrival_epoch,
+            ledger._last_departure_epoch)
+
+
+class TestBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_block_records_what_its_epochs_record_one_by_one_or_split(self, data):
+        """Feasible (Q, L) tables from epoch ``first``, with ``gap`` empty
+        epochs after the first ``split``: one block each, every epoch on its
+        own, and the two parts either side of the gap, the gap skipped, make
+        the same ledger."""
+        n_queues, first = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+        split, gap, rest = (data.draw(st.integers(low, 5)) for low in (1, 0, 1))
+        width = split + gap + rest
+        arrivals = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=width, max_size=width),
+            min_size=n_queues, max_size=n_queues)), dtype=np.int64).reshape(n_queues, width)
+        arrivals[:, split : split + gap] = 0
+        departures = _feasible_departures(data, arrivals)
+        departures[:, split : split + gap] = 0  # fewer departures stay feasible
+        block, one_by_one, parts = (QueueLedger(n_queues) for _ in range(3))
+        block.record_arrivals(first, arrivals)
+        block.apply_departures(first, departures)
+        for l in range(width):
+            one_by_one.record_arrivals(first + l, arrivals[:, l])
+            one_by_one.apply_departures(first + l, departures[:, l])
+        for start, stop in ((0, split), (split + gap, width)):
+            parts.record_arrivals(first + start, arrivals[:, start:stop])
+        for start, stop in ((0, split), (split + gap, width)):
+            parts.apply_departures(first + start, departures[:, start:stop])
+        last = first + width - 1
+        prices = DelayPrices(np.arange(1.0, n_queues + 1))
+        for ledger in (one_by_one, parts):
+            assert ledger._last_arrival_epoch == block._last_arrival_epoch == last
+            assert ledger._last_departure_epoch == block._last_departure_epoch == last
+            np.testing.assert_array_equal(ledger.arrival_history(last + 2),
+                                          block.arrival_history(last + 2))
+            for epoch in range(-1, last + 3):
+                np.testing.assert_array_equal(ledger.cumulative_departures(epoch),
+                                              block.cumulative_departures(epoch))
+                np.testing.assert_array_equal(ledger.backlog(epoch), block.backlog(epoch))
+            np.testing.assert_array_equal(ledger.arrival_log, block.arrival_log)
+            assert ledger.fifo_delays() == block.fifo_delays()
+            assert dci(ledger, 0, last + 1, prices) == dci(block, 0, last + 1, prices)
+        np.testing.assert_array_equal(block.arrival_increments(first, last + 1), arrivals)
+        np.testing.assert_array_equal(block.departure_increments(first, last + 1), departures)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_departure_block_that_passes_the_arrivals_names_its_first_cell(self, data):
+        """Departures raised past the arrivals at one (queue, epoch) of a
+        block: the call names that cell and leaves the ledger as it was."""
+        n_queues, first = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+        width = data.draw(st.integers(2, 6))
+        arrivals = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=width, max_size=width),
+            min_size=n_queues, max_size=n_queues)), dtype=np.int64).reshape(n_queues, width)
+        departures = _feasible_departures(data, arrivals)
+        ledger = QueueLedger(n_queues)
+        ledger.record_arrivals(first, arrivals)
+        done = data.draw(st.integers(0, width - 2))  # epochs recorded before the bad block
+        ledger.apply_departures(first, departures[:, :done])
+        q, j = data.draw(st.integers(0, n_queues - 1)), data.draw(st.integers(done, width - 1))
+        waiting = arrivals[q, : j + 1].sum() - departures[q, :j].sum()
+        departures[q, j] = waiting + data.draw(st.integers(1, 3))
+        before = _state(ledger)
+        with pytest.raises(FeasibilityError, match=rf"count {departures[q, j]} exceeds queue "
+                                                   rf"{q + 1} length {waiting} at epoch "
+                                                   rf"{first + j}$"):
+            ledger.apply_departures(first + done, departures[:, done:])
+        after = _state(ledger)
+        for was, now in zip(before[:2], after[:2]):
+            assert was.shape == now.shape and np.array_equal(was, now)
+        assert before[2:] == after[2:]
 
 
 class TestDelayPrices:

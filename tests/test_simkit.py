@@ -319,8 +319,8 @@ class TestEveryRunner:
 @given(st.data())
 def test_replay_is_the_per_epoch_ledger_of_its_cumulative_tables(data):
     """The uncontrolled and price runs' ledger, from ``counts`` over the
-    horizon and ``starts`` over a longer span, reads as one recorded epoch
-    by epoch does, and as ``from_tables`` of the two cumulative sums does."""
+    horizon and ``starts`` over a longer span, each recorded as one block,
+    reads as one recorded epoch by epoch does."""
     n_queues, horizon = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
     width = horizon + data.draw(st.integers(0, 4))
     counts = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=horizon,
@@ -332,22 +332,17 @@ def test_replay_is_the_per_epoch_ledger_of_its_cumulative_tables(data):
         per_epoch.record_arrivals(l, counts[:, l] if l < horizon else np.zeros(n_queues, int))
         starts[:, l] = [data.draw(st.integers(0, int(b))) for b in per_epoch.backlog(l)]
         per_epoch.apply_departures(l, starts[:, l])
-    arrivals = np.zeros_like(starts)
-    arrivals[:, :horizon] = counts
-    tables = QueueLedger.from_tables(*(np.pad(np.cumsum(t, axis=1), ((0, 0), (1, 0)))
-                                       for t in (arrivals, starts)))
     codebook = [ChargeCode(q + 1, (1.0,)) for q in range(n_queues)]
     replayed = simkit._replay(tiny_config(horizon_epochs=horizon, codebook=codebook), counts,
                               starts)
     prices = DelayPrices(np.arange(1.0, n_queues + 1))
-    for ledger in (replayed, tables):
-        assert ledger.current_epoch == per_epoch.current_epoch == width - 1
-        assert dci(ledger, 0, width + 2, prices) == dci(per_epoch, 0, width + 2, prices)
-        for epoch in range(-1, width + 2):
-            np.testing.assert_array_equal(ledger.cumulative_arrivals(epoch),
-                                          per_epoch.cumulative_arrivals(epoch))
-            np.testing.assert_array_equal(ledger.cumulative_departures(epoch),
-                                          per_epoch.cumulative_departures(epoch))
+    assert replayed.current_epoch == per_epoch.current_epoch == width - 1
+    assert dci(replayed, 0, width + 2, prices) == dci(per_epoch, 0, width + 2, prices)
+    for epoch in range(-1, width + 2):
+        np.testing.assert_array_equal(replayed.cumulative_arrivals(epoch),
+                                      per_epoch.cumulative_arrivals(epoch))
+        np.testing.assert_array_equal(replayed.cumulative_departures(epoch),
+                                      per_epoch.cumulative_departures(epoch))
 
 
 def test_a_banks_mean_delay_is_over_every_schedulers_fifo_delays():

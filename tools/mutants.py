@@ -40,7 +40,7 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
                                  ".bench_out", "out", "*.egg-info")
 
 CORE, LP, SCHEDULER = "src/ddls/core.py", "src/ddls/lp.py", "src/ddls/scheduler.py"
-SIMKIT = "src/ddls/simkit.py"
+SIMKIT, QUEUES, FEEDBACK = "src/ddls/simkit.py", "src/ddls/queues.py", "src/ddls/feedback.py"
 MUTANTS = (
     # the window rows
     ("gamma-sign", SCHEDULER,  # every step down of a pulse becomes a step up
@@ -131,8 +131,19 @@ MUTANTS = (
      "  # or keep the default\n",
      "            highs.setOptionValue(\"no_unnecessary_rebuild_refactor\", False)\n"
      "            highs.passOptions(_highs_options())\n"),
+    # block recording and the encoded message table
+    ("block-departures-unchecked", QUEUES,  # only a one-epoch call is held to the arrivals
+     "        if ceiling is not None:\n", "        if ceiling is not None and stop == epoch + 1:\n"),
+    ("block-gap-not-carried", QUEUES,  # skipped epochs before a block keep the table's zeros
+     "        cum[:, last + 2 : epoch + 1] = cum[:, last + 1 : last + 2]\n",
+     "        if stop == epoch + 1:\n"
+     "            cum[:, last + 2 : epoch + 1] = cum[:, last + 1 : last + 2]\n"),
+    ("message-table-spill-unchecked", FEEDBACK,  # a spill at a cutoff equal to its epoch passes
+     "    broken = ((covered > epochs[:, None] + 1) | (spill < 0)\n"
+     "              | ((covered == epochs[:, None] + 1) & (spill != 0))).any(axis=1)\n",
+     "    broken = ((covered > epochs[:, None] + 1) | (spill < 0)).any(axis=1)\n"),
     # the delay cost
-    ("dci-one-epoch-short", "src/ddls/queues.py",
+    ("dci-one-epoch-short", QUEUES,
      "np.arange(from_epoch, from_epoch + horizon + 1)", "np.arange(from_epoch, from_epoch + horizon)"),
     # the boundary checks
     ("checked-int-accepts-bool", CORE,
